@@ -55,13 +55,16 @@ def parse_grid(text: str) -> np.ndarray:
     """'a:b:step' -> inclusive grid; a bare number is a one-point grid."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        a, b, step = (float(p) for p in parts)
+        vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"bad grid {text!r}; expected 'a:b:step'") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"grid {text!r} holds a non-finite value")
+    if len(vals) == 1:
+        return np.array(vals)
+    a, b, step = vals
     if step <= 0:
         raise ConfigError("grid step must be positive")
     if b < a:
@@ -223,6 +226,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
     method = args.method or "auto"
     cfg = _numeric_config(args)
     u = float(args.threshold) if args.threshold is not None else -math.inf
+    if math.isnan(u):
+        raise ConfigError("--threshold must be a number, not nan")
     if args.volume is not None and args.whole_sphere:
         raise ConfigError("--volume and --whole-sphere conflict")
     if isinstance(model, sp.SphereModel):

@@ -71,13 +71,6 @@ def _check_step(step: float, model):
             stacklevel=3)
 
 
-def _chunked_gradient(field, pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    for s in range(0, len(pts), EVAL_CHUNK):
-        out[s:s + EVAL_CHUNK] = field.gradient(pts[s:s + EVAL_CHUNK])
-    return out
-
-
 def _sign_change_cells(sx: np.ndarray, sy: np.ndarray, wrap_cols: bool):
     """Cells where both gradient components change sign among the corners."""
 
@@ -106,9 +99,7 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
 
     xs = np.arange(lo[0], hi[0] + step * 0.5, step)
     ys = np.arange(lo[1], hi[1] + step * 0.5, step)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    g = _chunked_gradient(field, grid).reshape(len(xs), len(ys), 2)
+    g = field.grid_gradient(xs, ys)
     cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
                                wrap_cols=False)
     centers = np.stack([xs[cells[:, 0]] + step / 2.0,

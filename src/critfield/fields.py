@@ -91,40 +91,67 @@ class PlanarWaveField:
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         arg = np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
-        return -self.scale * (np.sin(arg)[..., None] * self.omegas).sum(axis=-2)
+        return -self.scale * (np.sin(arg) @ self.omegas)
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
         arg = np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
-        ww = self.omegas[:, :, None] * self.omegas[:, None, :]
-        return -self.scale * np.einsum("...k,kij->...ij", np.cos(arg), ww)
+        ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
+        h = -self.scale * (np.cos(arg) @ ww)
+        return h.reshape(arg.shape[:-1] + (2, 2))
+
+    def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2).
+
+        On a grid the phase factorizes, e^{i(<w, (x_a, y_b)> + p)} =
+        e^{i(w_x x_a + p)} e^{i w_y y_b}, so each component is the
+        imaginary part of one complex matrix product (EX diag(w)) @ EY^T
+        instead of a sine per grid point and wave.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        wx, wy = self.omegas[:, 0], self.omegas[:, 1]
+        ex = np.exp(1j * (np.multiply.outer(xs, wx) + self.phases))
+        ey_t = np.exp(1j * np.multiply.outer(wy, ys))
+        g = np.empty((len(xs), len(ys), 2))
+        g[..., 0] = ((ex * wx) @ ey_t).imag
+        g[..., 1] = ((ex * wy) @ ey_t).imag
+        g *= -self.scale
+        return g
 
 
 def _legendre_q_tables(l: int, z: np.ndarray):
     """Q_m(z) = P_l^m(z) / (1-z^2)^{m/2} with first two z-derivatives.
 
-    Polynomial in z, so the usual l-upward recurrence is stable here and
-    differentiates term by term.  Returns three (l+1, ...) arrays indexed
-    by m.
+    Polynomial in z, so the usual n-upward recurrence (n = m..l at fixed m)
+    is stable here and differentiates term by term; only its last two terms
+    are kept.  Returns three (l+1, ...) arrays indexed by m.
     """
     z = np.asarray(z, dtype=float)
-    Q = np.zeros((l + 1, l + 1) + z.shape)
-    dQ = np.zeros_like(Q)
-    d2Q = np.zeros_like(Q)
+    Q = np.empty((l + 1,) + z.shape)
+    dQ = np.empty_like(Q)
+    d2Q = np.empty_like(Q)
+    zero = np.zeros(z.shape)
+    dfact = 1.0
     for m in range(l + 1):
-        dfact = 1.0
-        for j in range(1, 2 * m, 2):
-            dfact *= j
-        Q[m, m] = ((-1) ** m) * dfact
-        if m < l:
-            Q[m, m + 1] = z * (2 * m + 1) * Q[m, m]
-            dQ[m, m + 1] = (2 * m + 1) * Q[m, m]
+        if m:
+            dfact *= 2 * m - 1
+        q0 = np.full(z.shape, ((-1) ** m) * dfact)
+        if m == l:
+            Q[m], dQ[m], d2Q[m] = q0, zero, zero
+            break
+        q1 = z * (2 * m + 1) * q0
+        dq0, dq1 = zero, (2 * m + 1) * q0
+        d2q0 = d2q1 = zero
+        # each step shifts (q0, q1) from (Q_{n-2}, Q_{n-1}) to (Q_{n-1}, Q_n),
+        # so the derivative updates read the already-shifted q0 = Q_{n-1}
         for n in range(m + 2, l + 1):
             a = (2 * n - 1) / (n - m)
             b = (n + m - 1) / (n - m)
-            Q[m, n] = a * z * Q[m, n - 1] - b * Q[m, n - 2]
-            dQ[m, n] = a * (Q[m, n - 1] + z * dQ[m, n - 1]) - b * dQ[m, n - 2]
-            d2Q[m, n] = a * (2 * dQ[m, n - 1] + z * d2Q[m, n - 1]) - b * d2Q[m, n - 2]
-    return Q[:, l], dQ[:, l], d2Q[:, l]
+            q0, q1 = q1, a * z * q1 - b * q0
+            dq0, dq1 = dq1, a * (q0 + z * dq1) - b * dq0
+            d2q0, d2q1 = d2q1, a * (2 * dq0 + z * d2q1) - b * d2q0
+        Q[m], dQ[m], d2Q[m] = q1, dq1, d2q1
+    return Q, dQ, d2Q
 
 
 def _sector_tables(l: int, x: np.ndarray, y: np.ndarray):

@@ -31,7 +31,8 @@ def test_parse_grid():
     g = parse_grid("-6:6:0.05")
     assert len(g) == 241 and g[-1] == pytest.approx(6.0)
     assert np.allclose(parse_grid("0:1:0.3"), [0, 0.3, 0.6, 0.9])
-    for bad in ("1:2", "a:b:c", "0:1:-0.5", "1:0:0.5", "0:1:0"):
+    for bad in ("1:2", "a:b:c", "0:1:-0.5", "1:0:0.5", "0:1:0",
+                "nan", "inf", "nan:1:0.5", "0:inf:1", "0:1:inf"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
@@ -167,6 +168,24 @@ def test_config_exit_codes(capsys):
     # malformed grid
     assert run(capsys, "density", "--eta2", "1", "--kappa2", "0.5",
                "--index", "0", "--grid", "0:1")[0] == 2
+
+
+def test_nan_threshold_exits_2(capsys):
+    code, out = run(capsys, "expect", "--eta2", "1", "--kappa2", "1",
+                    "--threshold", "nan")
+    assert code == 2 and out == ""
+
+
+def test_infinite_grid_step_exits_2(capsys):
+    code, out = run(capsys, "heights", "--eta2", "1", "--kappa2", "1",
+                    "--grid", "0:1:inf")
+    assert code == 2 and out == ""
+
+
+def test_nan_grid_start_exits_2(capsys):
+    code, out = run(capsys, "heights", "--eta2", "1", "--kappa2", "1",
+                    "--grid", "nan:1:0.5")
+    assert code == 2 and out == ""
 
 
 def test_model_exit_codes(capsys):

@@ -7,8 +7,8 @@ from scipy.special import eval_legendre, j0
 
 from critfield.errors import ConfigError, ParameterError
 from critfield.fields import (PlanarWaveField, SphericalHarmonicField,
-                              SynthesisSpec, sh_basis, synthesize,
-                              tangent_frames)
+                              SynthesisSpec, _legendre_q_tables, sh_basis,
+                              synthesize, tangent_frames)
 from critfield.sphere import model_from_legendre
 
 
@@ -40,6 +40,79 @@ def test_planar_hessian_matches_finite_differences():
         e[d] = h
         num = (f.gradient(pts + e) - f.gradient(pts - e)) / (2 * h)
         assert np.allclose(H[:, :, d], num, atol=1e-6, rtol=1e-5)
+
+
+PLANAR_SPECS = [
+    SynthesisSpec.gaussian_covariance(0.5),
+    SynthesisSpec.plane_wave(10.0),
+    SynthesisSpec.custom_spectral([2.0, 6.0], [1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("spec", PLANAR_SPECS, ids=lambda s: s.kind)
+def test_grid_gradient_matches_pointwise(spec):
+    f = synthesize(spec, rng=3)
+    xs = np.linspace(0.0, 10.0, 37)
+    ys = np.linspace(-2.0, 9.0, 41)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx, gy], axis=-1)
+    g = f.grid_gradient(xs, ys)
+    assert g.shape == (len(xs), len(ys), 2)
+    tol = 1e-10 * math.sqrt(-2.0 * f.model.rho1)
+    assert np.abs(g - f.gradient(pts)).max() < tol
+
+
+def test_planar_derivatives_match_per_wave_sums():
+    f = synthesize(SynthesisSpec.custom_spectral([1.0, 3.0], [1.0, 1.0],
+                                                 n_waves=60), rng=4)
+    pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(7, 2))
+    g = np.zeros((len(pts), 2))
+    H = np.zeros((len(pts), 2, 2))
+    for w, p in zip(f.omegas, f.phases):
+        arg = pts @ w + p
+        g -= f.scale * np.sin(arg)[:, None] * w
+        H -= f.scale * np.cos(arg)[:, None, None] * np.outer(w, w)
+    assert np.allclose(f.gradient(pts), g, rtol=1e-12, atol=1e-12)
+    assert np.allclose(f.hessian(pts), H, rtol=1e-12, atol=1e-12)
+    # a single point keeps its unbatched shape
+    assert f.gradient(pts[0]).shape == (2,)
+    assert np.allclose(f.hessian(pts[0]), H[0], rtol=1e-12, atol=1e-12)
+
+
+def _full_table_legendre_q(l, z):
+    # the full (m, n) recurrence tables, reading off column n = l
+    Q = np.zeros((l + 1, l + 1) + z.shape)
+    dQ = np.zeros_like(Q)
+    d2Q = np.zeros_like(Q)
+    for m in range(l + 1):
+        dfact = 1.0
+        for j in range(1, 2 * m, 2):
+            dfact *= j
+        Q[m, m] = ((-1) ** m) * dfact
+        if m < l:
+            Q[m, m + 1] = z * (2 * m + 1) * Q[m, m]
+            dQ[m, m + 1] = (2 * m + 1) * Q[m, m]
+        for n in range(m + 2, l + 1):
+            a = (2 * n - 1) / (n - m)
+            b = (n + m - 1) / (n - m)
+            Q[m, n] = a * z * Q[m, n - 1] - b * Q[m, n - 2]
+            dQ[m, n] = a * (Q[m, n - 1] + z * dQ[m, n - 1]) - b * dQ[m, n - 2]
+            d2Q[m, n] = a * (2 * dQ[m, n - 1] + z * d2Q[m, n - 1]) - b * d2Q[m, n - 2]
+    return Q[:, l], dQ[:, l], d2Q[:, l]
+
+
+def test_legendre_q_tables_match_full_recurrence():
+    rng = np.random.default_rng(6)
+    z = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 17)])
+    for l in range(2, 26):
+        got = _legendre_q_tables(l, z)
+        want = _full_table_legendre_q(l, z)
+        for a, b in zip(got, want):
+            assert a.shape == (l + 1, len(z))
+            assert np.array_equal(a, b)
+    # P_l^0 = P_l on the nose, poles included
+    assert np.allclose(_legendre_q_tables(7, z)[0][0], eval_legendre(7, z),
+                       atol=1e-12)
 
 
 def test_plane_wave_solves_helmholtz():
