@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import MethodError, ParameterError, UndefinedDistributionError
@@ -26,7 +25,9 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
+    NODE_LADDER,
     QUADRATURE_MAX_N,
+    _gauss_on,
     mc_eigen_expectation,
     nested_ordered_quadrature,
     sample_goi,
@@ -36,21 +37,29 @@ from .goi import (
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
-# Finite-difference step for boundary-regime height densities.
+# Finite-difference step for boundary-regime Monte Carlo height densities.
 BOUNDARY_DIFF_STEP = 1e-4
 
 # Outer threshold integrals run on [u, u + OUTER_TAIL]; beyond that the
 # standard normal envelope contributes below any tolerance used here.
 OUTER_TAIL = 13.0
+# Gauss nodes per piece of the outer height integral (first rung of
+# goi.NODE_LADDER, cap), and heights handed to the quadrature engine per call.
+OUTER_START_NODES = 24
+OUTER_MAX_NODES = 256
+OUTER_CHUNK = 8
 
 
 @dataclass(frozen=True)
 class CritResult:
     """A computed expected count (or derived scalar) with its error estimate.
 
-    error is one standard error for monte-carlo results and the adaptive
-    residual for quadrature; closed forms report the accumulated floating
-    point / 1-d integration residual, effectively zero.
+    error is one standard error for monte-carlo results.  For quadrature it
+    covers the whole quadrature error: on every axis (gaps, trace, and the
+    outer height integral) the difference to the rule with the next smaller
+    Gauss node count, a bound on every truncated tail, and a rounding
+    allowance.
+    Closed forms report a nominal floating point / 1-d integration residual.
     """
 
     value: float
@@ -81,12 +90,18 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / SQRT2PI
 
 
-def _abs_prod_weight(shift: float):
+def _abs_prod_weight(shift):
+    """prod_j |lam_j - shift| on the engine's (batch, points) arrays; an
+    array shift holds one entry per batch row."""
+    shift = np.asarray(shift, dtype=float)
+    if shift.ndim:
+        shift = shift[:, None]
+
     def weight(lam):
-        p = 1.0
-        for v in lam:
-            p *= abs(v - shift)
-        return p
+        out = lam[0] - shift
+        for v in lam[1:]:
+            out *= v - shift
+        return np.abs(out, out=out)
     return weight
 
 
@@ -119,12 +134,52 @@ def total_mc(p: CountProblem, i: int, cfg: NumericConfig) -> CritResult:
 # ---------------------------------------------------------------------------
 
 
-def _outer_tail_slop(p: CountProblem, hi: float) -> float:
-    # Crude but safe envelope for the truncated outer integral: the inner
-    # expectation grows at most like prod(|lam| + |beta|), bounded here by
-    # a polynomial envelope against the normal tail.
+def _frobenius_moments(n: int, c: float) -> list[float]:
+    """Upper bounds on E ||M||_F^k, k = 0..N, for M ~ GOI(c).
+
+    ||M||_F^2 = |diag|^2 + 2 sum_(i<j) M_ij^2 has mean T = N (1 + c) +
+    N (N - 1) / 2 and variance 2 tr((I + c 1 1^T)^2) + N (N - 1); Lyapunov's
+    inequality gives E ||M||_F^k <= (E ||M||_F^4)^(k/4) for k <= 4.
+    """
+    t = n * (1.0 + c) + 0.5 * n * (n - 1)
+    m4 = t * t + 2.0 * n * (1.0 + 2.0 * c + c * c * n) + n * (n - 1)
+    return [m4 ** (0.25 * k) for k in range(n + 1)]
+
+
+def _normal_tail_moment(h: float, k: int) -> float:
+    """int_h^inf x^k phi(x) dx for h >= 0."""
+    if k == 0:
+        return float(ndtr(-h))
+    if k == 1:
+        return _phi(h)
+    return h ** (k - 1) * _phi(h) + (k - 1) * _normal_tail_moment(h, k - 2)
+
+
+def _outer_tail_bound(p: CountProblem, h: float) -> float:
+    """Bound on int_(|x| >= h, one side) phi(x) E_GOI(c_cnd)[g_i(b x)] dx.
+
+    g_i(b x) <= prod_j (|lam_j| + |b x|) <= (||M||_F + |b x|)^N; expand the
+    binomial and integrate each power of x against the normal tail.
+    """
     b = abs(p.shift_coeff)
-    return _phi(hi) * (1.0 + b * (abs(hi) + 1.0)) ** p.n * 10.0
+    mom = _frobenius_moments(p.n, p.c_cond)
+    return sum(math.comb(p.n, k) * b ** (p.n - k) * mom[k]
+               * _normal_tail_moment(h, p.n - k) for k in range(p.n + 1))
+
+
+def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
+                          cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+    """E_GOI(c_cnd)[g_i(b x)] and its error at each height x; the heights
+    are a batch axis of the quadrature engine, taken OUTER_CHUNK at a time."""
+    vals, errs = [], []
+    for s in range(0, x.size, OUTER_CHUNK):
+        beta = p.shift_coeff * x[s:s + OUTER_CHUNK]
+        v, e = nested_ordered_quadrature(
+            p.n, p.c_cond, _abs_prod_weight(beta), n_lower=i, split=beta,
+            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+        vals.append(v)
+        errs.append(e)
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def above_quadrature(p: CountProblem, i: int, u: float,
@@ -134,6 +189,8 @@ def above_quadrature(p: CountProblem, i: int, u: float,
     if p.n > QUADRATURE_MAX_N:
         raise MethodError(
             f"quadrature supports N <= {QUADRATURE_MAX_N}; use monte-carlo")
+    if math.isinf(u):
+        return CritResult(0.0, 0.0, "quadrature")
     pref = math.exp(p.log_prefactor)
     if p.boundary:
         cap = -p.cap_coeff * u
@@ -142,27 +199,32 @@ def above_quadrature(p: CountProblem, i: int, u: float,
             trace_cap=cap, epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
         return CritResult(pref * val, pref * err, "quadrature")
 
-    c = p.c_cond
-    inner_abs = max(cfg.quad_abs_tol * 1e-1, 1e-15)
-
-    def outer(x: float) -> float:
-        beta = p.shift_coeff * x
-        val, _ = nested_ordered_quadrature(
-            p.n, c, _abs_prod_weight(beta), n_lower=i, split=beta,
-            epsabs=inner_abs, epsrel=cfg.quad_rel_tol)
-        return _phi(x) * val
-
-    # The integrand is bounded by a polynomial times the normal density, so
-    # only [-OUTER_TAIL, OUTER_TAIL] (shifted right for large u) matters;
-    # clipped tails are folded into the error estimate.
+    # The outer integrand phi(x) E[g_i(b x)] is a polynomial times the normal
+    # density, so only [-OUTER_TAIL, OUTER_TAIL] (shifted right for large u)
+    # is integrated, with a Gauss rule split at x = 0 (where the boundary
+    # limit of the integrand has its kink); the cut tails are bounded.
     lo = max(u, -OUTER_TAIL)
     hi = max(lo, 0.0) + OUTER_TAIL
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(outer, lo, hi, epsabs=cfg.quad_abs_tol,
-                                  epsrel=max(cfg.quad_rel_tol, 1e-9), limit=80)
-    err += _outer_tail_slop(p, hi) + (_outer_tail_slop(p, lo) if u < lo else 0.0)
+    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    levels: dict = {}
+
+    def level(m: int):
+        if m not in levels:
+            x, w = _gauss_on(np.array(edges[:-1]), np.array(edges[1:]), m)
+            e, e_err = _shifted_expectations(p, i, x, cfg)
+            wphi = w * np.exp(-0.5 * x * x) / SQRT2PI
+            levels[m] = (float(wphi @ e), float(wphi @ e_err))
+        return levels[m]
+
+    k = NODE_LADDER.index(OUTER_START_NODES)
+    while True:
+        val, inner_err = level(NODE_LADDER[k])
+        err = abs(val - level(NODE_LADDER[k - 1])[0]) + inner_err
+        if (err <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(val))
+                or NODE_LADDER[k] >= OUTER_MAX_NODES):
+            break
+        k += 1
+    err += _outer_tail_bound(p, hi) + (_outer_tail_bound(p, -lo) if u < lo else 0.0)
     return CritResult(pref * val, pref * err, "quadrature")
 
 
@@ -233,9 +295,10 @@ def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
     """h_i(u), the height density of index-i critical points.
 
     Nonboundary models use the exact integrand ratio
-    h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)]; the
-    boundary regime differentiates the upper-tail fraction by central
-    differences with the pinned step.
+    h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
+    boundary regime quadrature integrates on the trace slice
+    mean(lam) = -gamma u, and Monte Carlo differentiates the upper-tail
+    fraction by central differences with the pinned step.
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
@@ -263,23 +326,23 @@ def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
 
 def _height_pdf_boundary(p: CountProblem, i: int, u: float, method: str,
                          cfg: NumericConfig) -> CritResult:
-    d = BOUNDARY_DIFF_STEP
-    caps = (-p.cap_coeff * (u - d), -p.cap_coeff * (u + d))
     if method == "quadrature":
+        # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
+        # integrand on the slice mean(lam) = -gamma u, times gamma
         tot, tot_err = _total_raw(p, i, "quadrature", cfg)
         if tot <= 0.0:
             raise UndefinedDistributionError(
                 f"expected count of index-{i} points vanishes; heights undefined")
-        lo, lo_err = nested_ordered_quadrature(
+        dens, dens_err = nested_ordered_quadrature(
             p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-            trace_cap=caps[0], epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        hi, hi_err = nested_ordered_quadrature(
-            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-            trace_cap=caps[1], epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        val = (lo - hi) / (2.0 * d * tot)
-        err = (lo_err + hi_err) / (2.0 * d * tot) + abs(val) * tot_err / tot
+            trace_cap=-p.cap_coeff * u, cap_derivative=True,
+            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+        val = p.cap_coeff * dens / tot
+        err = p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
         return CritResult(val, err, "quadrature")
 
+    d = BOUNDARY_DIFF_STEP
+    caps = (-p.cap_coeff * (u - d), -p.cap_coeff * (u + d))
     # Monte Carlo with common random numbers: one eigenvalue batch feeds the
     # uncapped total and both capped variants, so the finite difference only
     # sees samples inside the moving slab.

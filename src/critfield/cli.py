@@ -601,8 +601,17 @@ def _require(args: argparse.Namespace, names: list) -> None:
 
 # flags whose values may begin with '-' (negative grids, thresholds, rho');
 # fold 'FLAG value' into 'FLAG=value' so argparse does not read the value as
-# an option
+# an option: any number float() reads (-1, -.5, -1e3, -inf), and for --grid
+# anything but another long flag (parse_grid then judges it)
 _NEGATIVE_VALUE_FLAGS = {"--grid", "--threshold", "--rho1", "--rho2"}
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _fold_negative_values(argv: list) -> list:
@@ -613,7 +622,7 @@ def _fold_negative_values(argv: list) -> list:
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if (a in _NEGATIVE_VALUE_FLAGS and nxt is not None
                 and nxt.startswith("-") and len(nxt) > 1
-                and (nxt[1].isdigit() or nxt[1] == ".")):
+                and (_is_number(nxt) or (a == "--grid" and not nxt.startswith("--")))):
             out.append(f"{a}={nxt}")
             i += 2
             continue

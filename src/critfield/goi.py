@@ -16,22 +16,22 @@ and expectations of indexed absolute-determinant functionals
     g(lam) = prod_j |lam_j - a| * 1{lam_i < a < lam_(i+1)}
              (* 1{mean(lam) <= trace_cap}),
 
-evaluated either by nested adaptive quadrature over the ordered simplex
-(N <= 3) or by Monte Carlo on sampled matrices (any N).  These expectations
-are the matrix-side ingredient of every Kac-Rice count computed elsewhere
-in the package.
+evaluated either by a product Gauss rule in trace-gap coordinates over the
+ordered region (N <= 3) or by Monte Carlo on sampled matrices (any N).
+These expectations are the matrix-side ingredient of every Kac-Rice count
+computed elsewhere in the package.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from .errors import DegenerateEnsembleError, MethodError, ParameterError
 
@@ -236,124 +236,389 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 
 
 # ---------------------------------------------------------------------------
-# quadrature over the ordered simplex
+# quadrature in trace-gap coordinates
 # ---------------------------------------------------------------------------
+#
+# Write lam = (s/N) 1 + mu(d): s = sum(lam) is the trace and mu the ordered
+# traceless part, fixed by its N-1 gaps d >= 0.  Then |lam|^2 = s^2/N + |mu|^2
+# and dlam = ds dd / N, so with z = s / sigma, sigma^2 = N (1 + N c),
+#
+#     f_c(lam) dlam = exp(-z^2/2) dz * exp(-|mu|^2/2) V(mu) dd / (sqrt(N) K_N),
+#
+# V the Vandermonde product.  The trace is N(0, sigma^2), independent of mu,
+# and the law of mu does not depend on c.  The index region
+# lam_k < a < lam_(k+1) and a trace cap s <= N cap are limits on z at each
+# d, so every region is a product Gauss-Legendre rule: z innermost, between
+# its per-point limits, and the gaps split at every d where two limits cross
+# or a steep limit passes z = 0 (the integrand is smooth in between).
+
+# |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
+Z_TRUNC = 12.0
+# Gaps are cut at this; d_j <= sqrt(2) |mu|, so the cut mass is at most
+# P(|mu|^2 > 162) = 7e-36 (N = 2) or 4e-33 (N = 3).
+GAP_TOP = 18.0
+# Gauss nodes per piece of an axis: refinement climbs this ladder, and each
+# rule is checked against the rung below it; first rung and cap per axis.
+NODE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+START_NODES = {"z": 24, "d": 12}
+MAX_NODES = {"z": 512, "d": 256}
+# The line where a limit passes z = 0 is a breakpoint when that limit
+# crosses one standard deviation of z within this many units of gap.
+STEEP_WIDTH = 0.5
+# Points evaluated per vectorized block; keeps temporaries near 128 kB each.
+BLOCK_POINTS = 1 << 14
 
 
-def _box_half_width(c: float, shift: float) -> float:
-    # The trace direction of GOI(c) has Gaussian width sqrt(1 + N c) <=
-    # sqrt(1 + c) per eigenvalue scale; pad the standard 12-sigma box for
-    # large positive c so wide ensembles are not clipped.
-    return 12.0 * max(1.0, math.sqrt(1.0 + max(c, 0.0))) + abs(shift)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], by Newton's
+    method on the three-term recurrence (no eigensolver, so no LAPACK
+    workspace is touched)."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)   # P_n'(x)
+        step = p1 / dp
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _gauss_on(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Nodes and weights of n-point rules on the pieces [lo, hi] (..., P),
+    flattened to (..., P n); empty pieces get zero weights."""
+    t, w = _gauss_legendre(n)
+    half = np.maximum(hi - lo, 0.0)[..., None] / 2.0
+    x = lo[..., None] + half * (t + 1.0)
+    wt = half * w
+    shape = lo.shape[:-1] + (-1,)
+    return x.reshape(shape), wt.reshape(shape)
+
+
+def _pieces(bps: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split [0, top] at the breakpoints bps (..., E; nan for none); pieces
+    that are empty everywhere are dropped."""
+    edges = np.sort(np.clip(np.nan_to_num(bps, nan=0.0), 0.0, top), axis=-1)
+    zero = np.zeros(edges.shape[:-1] + (1,))
+    edges = np.concatenate([zero, edges, zero + top], axis=-1)
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    keep = (hi > lo).reshape(-1, lo.shape[-1]).any(axis=0)
+    if not keep.any():
+        keep[-1] = True
+    return lo[..., keep], hi[..., keep]
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi-square with dof degrees of freedom > x); 0 for dof = 0."""
+    if dof == 0:
+        return 0.0
+    h = 0.5 * x
+    if dof % 2 == 0:
+        terms, total = 1.0, 0.0
+        for j in range(dof // 2):
+            total += terms
+            terms *= h / (j + 1)
+        return math.exp(-h) * total
+    total, term = math.erfc(math.sqrt(h)), math.sqrt(h) / math.gamma(1.5)
+    for j in range(1, (dof + 1) // 2):
+        total += math.exp(-h) * term
+        term *= h / (j + 0.5)
+    return total
+
+
+def _ratio(num, den):
+    """num / den where den != 0, else nan (a line parallel to an axis)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), np.nan)
+
+
+class _TraceGapRule:
+    """Product Gauss rule for one (ensemble, region) and a batch of splits."""
+
+    def __init__(self, n, c, weight, n_lower, split, trace_cap, box_half,
+                 cap_derivative):
+        self.n = n
+        self.sigma = math.sqrt(n * (1.0 + n * c))
+        self.weight = weight
+        self.slice = cap_derivative
+        self.scalar = split is None or np.ndim(split) == 0
+        a = np.atleast_1d(np.asarray(0.0 if split is None else split, dtype=float))
+        self.batch = a.size
+        m = np.arange(n - 1)
+        # mu = A d: mu_0 = -sum_m (N-1-m) d_m / N, mu_j = mu_0 + sum_(m<j) d_m
+        self.A = -(n - 1 - m)[None, :] / n + (m[None, :] < np.arange(n)[:, None])
+        # limits on s, affine in d: (alpha (B,), beta (N-1,), kind)
+        lims = []
+        if split is not None:
+            if n_lower < n:
+                lims.append((n * a, -n * self.A[n_lower], "lower"))
+            if n_lower > 0:
+                lims.append((n * a, -n * self.A[n_lower - 1], "upper"))
+        self.index_limits = lims
+        self.cap_s = None if trace_cap is None else n * float(trace_cap)
+        # where the integrand is not smooth in d: limit crossings, and where
+        # a steep limit passes the center of the trace law (near the
+        # boundary regime sigma -> 0 this is a step of width ~ sigma in d)
+        kinks = []
+        for alpha, beta, _ in lims:
+            if self.cap_s is not None:
+                kinks.append((alpha - self.cap_s, beta))
+            if (not self.slice
+                    and self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0)):
+                kinks.append((alpha, beta))
+        self.kinks = kinks
+        # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
+        # gives the box |s/N - anchor| <= half (anchor = split or 0) with
+        # gaps up to 2 half
+        if box_half is None:
+            self.z_lo, self.z_hi = -Z_TRUNC, Z_TRUNC
+            self.gap_top = GAP_TOP if n > 1 else 0.0
+        else:
+            anchor = float(a[0]) if split is not None else 0.0
+            self.z_lo = n * (anchor - box_half) / self.sigma
+            self.z_hi = n * (anchor + box_half) / self.sigma
+            self.gap_top = 2.0 * float(box_half)
+        # mass of the law outside the box (on a slice: of the slice's
+        # density, whose gaps follow the law of mu); |mu|^2 is chi-square
+        # with (N - 1)(N + 2) / 2 degrees of freedom
+        gap_out = _chi2_sf(0.5 * self.gap_top ** 2, (n - 1) * (n + 2) // 2)
+        if self.slice:
+            z_c = self.cap_s / self.sigma
+            self.p_out = float(gap_out * n / self.sigma * math.exp(-0.5 * z_c * z_c)
+                               / math.sqrt(2.0 * math.pi))
+        else:
+            self.p_out = float(gap_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
+        self.axes = [f"d{j}" for j in range(n - 1)] + ([] if self.slice else ["z"])
+        self.log_norm = -0.5 * math.log(n) - log_k_norm(n)
+
+    def tail_bound(self) -> np.ndarray:
+        """Cauchy-Schwarz bound on the part cut off by the truncation:
+        sqrt(E[w^2] P(outside)), E[w^2] over the whole box (no index region
+        or cap) by a coarse rule."""
+        if self.p_out == 0.0:
+            return np.zeros(self.batch)
+        whole = copy.copy(self)
+        whole.index_limits, whole.kinks = [], []
+        if not self.slice:
+            whole.cap_s = None
+        second = whole.integrate(tuple(START_NODES[ax[0]] for ax in self.axes),
+                                 second=True)[2]
+        return np.sqrt(np.maximum(second, 0.0) * self.p_out)
+
+    # -- gap axes ----------------------------------------------------------
+
+    def _outer_breakpoints(self) -> np.ndarray:
+        """Breakpoints of d0 (B, E) for N = 3: the vertices of the kink lines
+        with d1 = 0 and with each other."""
+        out = []
+        for i, (al, be) in enumerate(self.kinks):
+            out.append(_ratio(-al, be[0]))
+            for al2, be2 in self.kinks[i + 1:]:
+                det = be[0] * be2[1] - be[1] * be2[0]
+                d0 = _ratio(-al * be2[1] + al2 * be[1], det)
+                d1 = _ratio(-be[0] * al2 + be2[0] * al, det)
+                out.append(np.where((d1 >= 0.0) & (d1 <= self.gap_top), d0, np.nan))
+        if not out:
+            return np.zeros((self.batch, 0))
+        return np.stack([np.broadcast_to(o, (self.batch,)) for o in out], axis=-1)
+
+    def _last_breakpoints(self, fixed: list) -> np.ndarray:
+        """Breakpoints of the last gap axis given the earlier gaps (B, X)."""
+        j = self.n - 2
+        out = []
+        for al, be in self.kinks:
+            if be[j] == 0.0:
+                continue
+            rest = al.reshape(-1, *([1] * (fixed[0].ndim - 1))) if fixed else al
+            for i, d in enumerate(fixed):
+                rest = rest + be[i] * d
+            out.append(-rest / be[j])
+        shape = fixed[0].shape if fixed else (self.batch,)
+        if not out:
+            return np.zeros(shape + (0,))
+        return np.stack([np.broadcast_to(o, shape) for o in out], axis=-1)
+
+    # -- evaluation --------------------------------------------------------
+
+    def integrate(self, nodes: tuple[int, ...], second: bool = False):
+        """(value, integral of |integrand|[, second moment of the weight])
+        per batch entry for the product rule with the given nodes per piece
+        of each axis."""
+        nn = dict(zip(self.axes, nodes))
+        B = self.batch
+        acc = np.zeros((3 if second else 2, B))
+        if self.n == 1:
+            self._accumulate(acc, [], np.ones((B, 1)), nn, second)
+            return acc
+        if self.n == 2:
+            lo, hi = _pieces(self._last_breakpoints([]), self.gap_top)
+        else:
+            lo, hi = _pieces(self._outer_breakpoints(), self.gap_top)
+        d0, w0 = _gauss_on(lo, hi, nn["d0"])
+        per_node = nn.get("z", 1) * (1 if self.n == 2 else 4 * nn["d1"])
+        step = max(1, BLOCK_POINTS // (B * per_node))
+        for s in range(0, d0.shape[1], step):
+            dd, ww = d0[:, s:s + step], w0[:, s:s + step]
+            if self.n == 2:
+                self._accumulate(acc, [dd], ww, nn, second)
+            else:
+                lo1, hi1 = _pieces(self._last_breakpoints([dd]), self.gap_top)
+                d1, w1 = _gauss_on(lo1, hi1, nn["d1"])
+                shape = d1.shape[:1] + (-1,)
+                self._accumulate(
+                    acc, [np.broadcast_to(dd[..., None], d1.shape).reshape(shape),
+                          d1.reshape(shape)],
+                    (ww[..., None] * w1).reshape(shape), nn, second)
+        return acc
+
+    def _accumulate(self, acc, gaps, wgap, nn, second):
+        """Add the contribution of gap points (B, X) with gap weights wgap."""
+        n = self.n
+        mu = [sum(self.A[j, m] * gaps[m] for m in range(n - 1)) + 0.0 * wgap
+              for j in range(n)]
+        log_g = -0.5 * sum(x * x for x in mu)
+        vand = np.ones_like(wgap)
+        for i in range(n):
+            for j in range(i + 1, n):
+                vand = vand * (mu[j] - mu[i])
+        g = wgap * vand * np.exp(log_g + self.log_norm)
+        lo, hi = self._z_limits(gaps, wgap)
+        if self.slice:
+            z = lo[..., None]
+            fz = np.where(hi > lo, n / self.sigma * np.exp(-0.5 * lo * lo), 0.0)
+            fz = fz[..., None]
+        else:
+            t, wt = _gauss_legendre(nn["z"])
+            half = 0.5 * (hi - lo)
+            z = (lo + half)[..., None] + half[..., None] * t
+            fz = z * z
+            fz *= -0.5
+            np.exp(fz, out=fz)
+            fz *= wt
+            g *= half
+        fz *= g[..., None]
+        z *= self.sigma / n   # now the mean eigenvalue s/N
+        rows, shape = z.shape[0], z.shape
+        lam = tuple((z + m[..., None]).reshape(rows, -1) for m in mu)
+        del z
+        # a weight that overflows far out in the tails (exp weights on a
+        # wide box) meets a density that underflows there: count it as 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.weight(lam)
+            del lam
+            if np.ndim(w):
+                w = np.reshape(w, shape)
+            fw = np.multiply(fz, w, out=fz)
+        total = fw.reshape(rows, -1).sum(axis=1)
+        if not np.isfinite(total).all():
+            fw = np.where(np.isfinite(fw), fw, 0.0)
+            total = fw.reshape(rows, -1).sum(axis=1)
+        acc[0] += total
+        acc[1] += np.abs(fw).reshape(rows, -1).sum(axis=1)
+        if second:
+            acc[2] += (fw * w).reshape(rows, -1).sum(axis=1)
+
+    def _z_limits(self, gaps, wgap):
+        """Per-point z interval [lo, hi] (slice: lo = the slice, hi > lo
+        marks points inside the region)."""
+        n = self.n
+        shape = wgap.shape
+        lo = np.full(shape, -np.inf)
+        hi = np.full(shape, np.inf)
+        for alpha, beta, kind in self.index_limits:
+            s = alpha.reshape(-1, *([1] * (len(shape) - 1))) + sum(
+                beta[m] * gaps[m] for m in range(n - 1))
+            if kind == "lower":
+                lo = np.maximum(lo, s)
+            else:
+                hi = np.minimum(hi, s)
+        if self.slice:
+            cap = np.full(shape, self.cap_s)
+            inside = (lo < cap) & (cap < hi)
+            return cap / self.sigma, np.where(inside, np.inf, -np.inf)
+        if self.cap_s is not None:
+            hi = np.minimum(hi, self.cap_s)
+        lo = np.maximum(lo / self.sigma, self.z_lo)
+        hi = np.minimum(hi / self.sigma, self.z_hi)
+        return lo, np.maximum(hi, lo)
 
 
 def nested_ordered_quadrature(n: int, c: float,
-                              weight: Callable[[tuple[float, ...]], float],
-                              n_lower: int, split: float | None,
+                              weight: Callable[[tuple], "NDArray | float"],
+                              n_lower: int, split: "float | NDArray | None",
                               trace_cap: float | None = None,
                               box_half: float | None = None,
                               epsabs: float = 1e-12,
-                              epsrel: float = 1e-9) -> tuple[float, float]:
+                              epsrel: float = 1e-9,
+                              *, cap_derivative: bool = False):
     """Integrate weight(lam) f_c(lam) over an ordered eigenvalue region.
 
     The region is lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N
     with k = n_lower; split=None (with n_lower=0) gives the full ordered
-    simplex.  An optional trace cap restricts to mean(lam) <= trace_cap; the
-    cap is folded into the innermost integration limit so each 1-d integrand
-    stays piecewise smooth.
+    simplex.  An optional trace cap restricts to mean(lam) <= trace_cap, and
+    cap_derivative=True returns d/d(trace_cap) of that capped integral (the
+    integrand on the slice mean(lam) = trace_cap).  box_half, if given, sets
+    the truncation: |mean(lam) - anchor| <= box_half (anchor = split, its
+    first entry for a batch, or 0) and eigenvalue gaps up to 2 box_half.
 
-    Returns (value, error_estimate) where the error is the outermost
-    adaptive rule's residual.
+    split may be an array: each entry is one region, and weight sees the
+    batch as rows.  weight is called with a tuple of N arrays of shape
+    (batch, points), one per ordered eigenvalue, and returns the weight at
+    each point (or a scalar).
+
+    The rule is a product Gauss-Legendre rule in trace-gap coordinates (see
+    above).  Each axis is checked against the rule with the next smaller
+    node count of NODE_LADDER and refined until the error meets
+    max(epsabs, epsrel |value|) or the node cap is reached.  Returns
+    (value, error), arrays for an array split and floats otherwise.  The
+    error is the sum of those rule differences, a Cauchy-Schwarz bound on
+    the part cut off by the truncation (sqrt of the weight's second moment
+    over the box, by a coarse rule, times sqrt of the law's exact mass
+    outside the box), and a rounding allowance.
     """
     if c + 1.0 / n <= 0.0:
         raise DegenerateEnsembleError(
             "quadrature needs a nondegenerate ensemble (c > -1/N)")
-    log_norm = log_k_norm(n) + 0.5 * math.log1p(n * c)
-    cc = c / (2.0 * (1.0 + n * c))
-    half = box_half if box_half is not None else _box_half_width(c, split or 0.0)
-    anchor = split if split is not None else 0.0
-    lo_box, hi_box = anchor - half, anchor + half
-    cap_sum = None if trace_cap is None else n * trace_cap
-    n_upper = n - n_lower
-    if n_lower < 0 or n_upper < 0:
+    if n_lower < 0 or n_lower > n:
         raise ParameterError(f"invalid block split {n_lower} of {n}")
-    split_val = split if split is not None else lo_box
+    if cap_derivative and trace_cap is None:
+        raise ParameterError("cap_derivative needs a trace_cap")
+    rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, box_half,
+                         cap_derivative)
+    axes = rule.axes
+    rung = {ax: NODE_LADDER.index(START_NODES[ax[0]]) for ax in axes}
+    cache: dict = {}
+    tail = rule.tail_bound()
 
-    def integrand(lam: tuple[float, ...]) -> float:
-        s = 0.0
-        q = 0.0
-        for x in lam:
-            s += x
-            q += x * x
-        vand = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand *= lam[j] - lam[i]
-        f = vand * math.exp(-0.5 * q + cc * s * s - log_norm)
-        return f * weight(lam)
+    def run(rungs):
+        key = tuple(NODE_LADDER[rungs[ax]] for ax in axes)
+        if key not in cache:
+            cache[key] = rule.integrate(key)
+        return cache[key]
 
-    err_outer = [0.0]
-    opts = dict(epsabs=epsabs, epsrel=epsrel, limit=100)
-
-    # Integration order: upper block from split upward, then lower block from
-    # split downward; the innermost variable absorbs the trace-cap clamp.
-    def eval_point(uppers: list[float], lowers: list[float]) -> float:
-        lam = tuple(reversed(lowers)) + tuple(uppers)
-        if cap_sum is not None and sum(lam) > cap_sum:
-            return 0.0
-        return integrand(lam)
-
-    def int_lower(k: int, uppers: list[float], lowers: list[float],
-                  outermost: bool) -> float:
-        if k == n_lower:
-            return eval_point(uppers, lowers)
-        hi = lowers[-1] if lowers else (split_val if split is not None else hi_box)
-        lo = lo_box
-        last = k == n_lower - 1
-        if cap_sum is not None:
-            rest = sum(uppers) + sum(lowers)
-            if last:
-                hi = min(hi, cap_sum - rest)
-            elif rest + lo * (n_lower - k) > cap_sum:
-                return 0.0  # even the lowest remaining values overshoot the cap
-        if hi <= lo:
-            return 0.0
-        val, err = integrate.quad(
-            lambda x: int_lower(k + 1, uppers, lowers + [x], False),
-            lo, hi, **opts)
-        if outermost:
-            err_outer[0] = err
-        return val
-
-    def int_upper(k: int, uppers: list[float], outermost: bool) -> float:
-        if k == n_upper:
-            return int_lower(0, uppers, [], outermost and n_lower > 0)
-        lo = uppers[-1] if uppers else (split_val if split is not None else lo_box)
-        hi = hi_box
-        last = k == n_upper - 1 and n_lower == 0
-        if cap_sum is not None:
-            rest = sum(uppers)
-            if last:
-                hi = min(hi, cap_sum - rest)
-            elif rest + lo * (n_upper - k) + lo_box * n_lower > cap_sum:
-                return 0.0
-        if hi <= lo:
-            return 0.0
-        inner_outermost = outermost and k == 0 and n_upper > 0
-        val, err = integrate.quad(
-            lambda x: int_upper(k + 1, uppers + [x], False),
-            lo, hi, **opts)
-        if inner_outermost:
-            err_outer[0] = err
-        return val
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if n_upper > 0:
-            value = int_upper(0, [], True)
-        else:
-            value = int_lower(0, [], [], True)
-    return value, err_outer[0]
+    while True:
+        val, absval = run(rung)
+        diffs = {ax: np.abs(val - run({**rung, ax: rung[ax] - 1})[0])
+                 for ax in axes}
+        err = (sum(diffs.values(), tail)
+               + 100.0 * np.finfo(float).eps * absval)
+        tol = np.maximum(epsabs, epsrel * np.abs(val))
+        bad = err > tol
+        if not bad.any():
+            break
+        share = tol[bad] / max(len(axes), 1)
+        grow = [ax for ax in axes if NODE_LADDER[rung[ax]] < MAX_NODES[ax[0]]
+                and (diffs[ax][bad] > share).any()]
+        if not grow:
+            break
+        for ax in grow:
+            rung[ax] += 1
+    if rule.scalar:
+        return float(val[0]), float(err[0])
+    return val, err
 
 
 def _expectation_quadrature(ensemble: GoiEnsemble, functional: IndexedFunctional,
@@ -361,10 +626,16 @@ def _expectation_quadrature(ensemble: GoiEnsemble, functional: IndexedFunctional
     n = ensemble.n
     if functional.index > n:
         raise ParameterError(f"index {functional.index} out of range for N={n}")
+    shift = functional.shift
+
+    def weight(lam):
+        out = lam[0] - shift
+        for x in lam[1:]:
+            out *= x - shift
+        return np.abs(out, out=out)
+
     return nested_ordered_quadrature(
-        n, ensemble.c,
-        weight=lambda lam: math.prod(abs(x - functional.shift) for x in lam),
-        n_lower=functional.index, split=functional.shift,
+        n, ensemble.c, weight, n_lower=functional.index, split=shift,
         trace_cap=functional.trace_cap,
         epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
 
@@ -423,8 +694,9 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     sampled matrices and works for every valid ensemble; "auto" picks
     quadrature when available.
 
-    Returns (value, error_estimate): adaptive residual for quadrature, one
-    standard error for Monte Carlo.
+    Returns (value, error_estimate): the quadrature error (see
+    nested_ordered_quadrature) for quadrature, one standard error for
+    Monte Carlo.
     """
     config = config or NumericConfig()
     if functional.index > ensemble.n:

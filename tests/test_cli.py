@@ -188,6 +188,29 @@ def test_nan_grid_start_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+def test_minus_inf_threshold_as_separate_value(capsys):
+    # '-inf' after the flag is a value, not an option; it means no threshold
+    code, out = run(capsys, "expect", "--eta2", "1", "--kappa2", "1",
+                    "--threshold", "-inf")
+    assert code == 0
+    _, plain = run(capsys, "expect", "--eta2", "1", "--kappa2", "1")
+    assert out == plain
+    _, joined = run(capsys, "expect", "--eta2", "1", "--kappa2", "1",
+                    "--threshold=-inf")
+    assert out == joined
+
+
+def test_minus_inf_grid_as_separate_value_exits_2(capsys):
+    # the grid reaches parse_grid, which rejects it, instead of argparse
+    # stopping on a missing value
+    code, out = run(capsys, "heights", "--eta2", "1", "--kappa2", "1",
+                    "--grid", "-inf:1:0.5")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "heights", "--eta2", "1", "--kappa2", "1",
+                    "--index", "1", "--quantity", "pdf", "--grid", "-1e0:1:1")
+    assert code == 0 and len(rows_of(out)) == 3
+
+
 def test_model_exit_codes(capsys):
     # infeasible planar shape: kappa^2 > (N+2)/N
     assert run(capsys, "expect", "--eta2", "1", "--kappa2", "2.5")[0] == 3

@@ -69,7 +69,8 @@ def test_indexed_functional_evaluate():
 
 
 @pytest.mark.parametrize("n,c", [(1, 0.0), (2, 0.0), (2, 0.3), (2, -0.45),
-                                 (3, 0.5), (3, 2.5)])
+                                 (3, 0.5), (3, 2.5),
+                                 (2, -0.5 + 1e-3), (3, -1.0 / 3.0 + 1e-3)])
 def test_density_normalizes(n, c):
     val, err = nested_ordered_quadrature(n, c, lambda lam: 1.0,
                                          n_lower=0, split=None)

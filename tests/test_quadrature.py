@@ -1,0 +1,149 @@
+"""The trace-gap quadrature engine: exactness against closed forms, honest
+error columns, and properties over random admissible parameters."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from critfield import (
+    NumericConfig,
+    euler_characteristic,
+    expected_crit_above,
+    expected_crit_total,
+    expected_crit_total_sphere,
+    model_from_shape,
+    sphere_model_from_shape,
+)
+from critfield import _kacrice as kr
+from critfield import euclidean as eu
+from critfield import sphere as sp
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+def _closed_slack(total: float) -> float:
+    # the closed forms carry their own rounding (the i = 0 upper tail is
+    # 1 - F_2(-u), which cancels): allow a few ulps of the index total
+    return 8.0 * EPS * total
+
+
+@pytest.mark.parametrize("kappa2", [0.36, 1.0, 1.44, 1.9, 1.99, 2.0])
+def test_error_column_covers_closed_form_n2(kappa2):
+    m = model_from_shape(2, 1.0, kappa2)
+    p = eu._problem(m)
+    cfg = NumericConfig()
+    for i in range(3):
+        closed_total = eu._closed_total_n2(m, i)
+        tot = expected_crit_total(m, i, "quadrature", cfg)
+        assert abs(tot.value - closed_total) <= tot.error + _closed_slack(closed_total)
+        for u in (-0.8, 0.5):
+            ab = expected_crit_above(m, i, u, "quadrature", cfg)
+            want = expected_crit_above(m, i, u, "closed-form").value
+            assert abs(ab.value - want) <= ab.error + _closed_slack(closed_total)
+        for x in (-0.9, 0.0, 0.7):
+            pdf = kr.height_pdf_general(p, i, x, "quadrature", cfg)
+            want = float(eu._closed_pdf_n2(m, i, x))
+            assert abs(pdf.value - want) <= pdf.error + _closed_slack(1.0)
+
+
+@pytest.mark.parametrize("kappa2", [1.0, 2.0])
+def test_no_count_above_infinite_threshold(kappa2):
+    m = model_from_shape(2, 1.0, kappa2)
+    for i in range(3):
+        r = expected_crit_above(m, i, math.inf, "quadrature")
+        assert r.value == 0.0 and r.error == 0.0
+
+
+@pytest.mark.parametrize("space,eta2,kappa2", [("euclidean", 1.0, 2.0),
+                                               ("sphere", 1.0, 3.0)])
+def test_boundary_pdf_on_the_trace_slice(space, eta2, kappa2):
+    mod = eu if space == "euclidean" else sp
+    m = mod.model_from_shape(2, eta2, kappa2)
+    assert m.boundary
+    p = mod._problem(m)
+    for i in range(3):
+        for x in (-1.4, -0.2, 0.3, 1.2, 2.5):
+            got = kr.height_pdf_general(p, i, x, "quadrature", NumericConfig())
+            want = float(mod._closed_pdf_n2(m, i, x))
+            assert got.value == pytest.approx(want, rel=1e-8, abs=1e-14)
+            assert abs(got.value - want) <= got.error + _closed_slack(1.0)
+
+
+def _euclid_kappa2(n: int):
+    bound = (n + 2.0) / n
+    return st.one_of(st.floats(0.05, bound - 1e-2),
+                     st.floats(bound - 1e-2, bound - 1e-6),
+                     st.just(bound))
+
+
+@st.composite
+def euclid_models(draw, n: int):
+    return model_from_shape(n, draw(st.floats(0.3, 3.0)), draw(_euclid_kappa2(n)))
+
+
+@st.composite
+def sphere_models(draw, n: int):
+    eta2 = draw(st.floats(0.2, 3.0))
+    bound = (n + 2.0) / n
+    gap = draw(st.one_of(st.floats(max(-eta2, -1.0) + 0.05, bound - 1e-2),
+                         st.floats(bound - 1e-2, bound - 1e-6),
+                         st.just(bound)))
+    return sphere_model_from_shape(n, eta2, eta2 + gap)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_totals_index_symmetry_and_euler(n, data):
+    me = data.draw(euclid_models(n))
+    ms = data.draw(sphere_models(n))
+    tot_e = [expected_crit_total(me, i, "quadrature") for i in range(n + 1)]
+    tot_s = [expected_crit_total_sphere(ms, i, "quadrature") for i in range(n + 1)]
+    for tot in (tot_e, tot_s):
+        for i in range(n + 1):
+            a, b = tot[i], tot[n - i]
+            assert abs(a.value - b.value) <= a.error + b.error
+    # R^N: the alternating sum vanishes; whole sphere: chi(S^N) = 1 + (-1)^N
+    alt = sum((-1) ** i * r.value for i, r in enumerate(tot_e))
+    assert abs(alt) <= sum(r.error for r in tot_e)
+    chi = euler_characteristic(ms, method="quadrature")
+    assert abs(chi.value - (1 + (-1) ** n)) <= chi.error
+
+
+@PROPERTY
+@given(data=st.data(), u=st.floats(-2.0, 1.5), du=st.floats(0.05, 1.0))
+def test_upper_tail_fraction_nonincreasing_n2(data, u, du):
+    for mod, models in ((eu, euclid_models), (sp, sphere_models)):
+        m = data.draw(models(2))
+        p = mod._problem(m)
+        for i in range(3):
+            a = kr.height_cdf_general(p, i, u, "quadrature", NumericConfig())
+            b = kr.height_cdf_general(p, i, u + du, "quadrature", NumericConfig())
+            assert b.value <= a.value + a.error + b.error
+
+
+def test_upper_tail_fraction_nonincreasing_n3():
+    m = model_from_shape(3, 1.0, 1.6)          # within 0.07 of the boundary
+    p = eu._problem(m)
+    f = [kr.height_cdf_general(p, 1, u, "quadrature", NumericConfig())
+         for u in (-0.5, 0.4)]
+    assert f[1].value <= f[0].value + f[0].error + f[1].error
+    assert 0.0 < f[1].value < f[0].value < 1.0
+
+
+def test_n3_thresholded_counts_match_kinematic_formula():
+    # sum_i (-1)^(N-i) E[count of index i above u] is the Euler
+    # characteristic density of the excursion set,
+    # (lambda_2 / 2 pi)^(3/2) (u^2 - 1) phi(u) with lambda_2 = -2 rho'
+    m = model_from_shape(3, 1.0, 1.2)
+    u = 0.7
+    rows = [expected_crit_above(m, i, u, "quadrature") for i in range(4)]
+    alt = sum((-1) ** (3 - i) * r.value for i, r in enumerate(rows))
+    lam2 = -2.0 * m.rho1
+    want = ((lam2 / (2.0 * math.pi)) ** 1.5 * (u * u - 1.0)
+            * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    assert abs(alt - want) <= sum(r.error for r in rows) + 8.0 * EPS * abs(want)
+    assert alt == pytest.approx(want, rel=1e-9)
