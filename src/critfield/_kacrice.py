@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import MethodError, ParameterError, UndefinedDistributionError
+from .errors import MethodError, UndefinedDistributionError
 from .goi import (
     GoiEnsemble,
     IndexedFunctional,
@@ -28,17 +28,14 @@ from .goi import (
     NODE_LADDER,
     QUADRATURE_MAX_N,
     _gauss_on,
+    batch_mean,
+    eigen_batches,
     mc_eigen_expectation,
     nested_ordered_quadrature,
-    sample_goi,
     validate_ensemble,
-    worker_streams,
 )
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
-
-# Finite-difference step for boundary-regime Monte Carlo height densities.
-BOUNDARY_DIFF_STEP = 1e-4
 
 # Outer threshold integrals run on [u, u + OUTER_TAIL]; beyond that the
 # standard normal envelope contributes below any tolerance used here.
@@ -228,11 +225,6 @@ def above_quadrature(p: CountProblem, i: int, u: float,
     return CritResult(pref * val, pref * err, "quadrature")
 
 
-def _tail_uniform(rng: np.random.Generator, k: int) -> np.ndarray:
-    # uniform on (0, 1]; keeps ndtri away from the -inf endpoint
-    return 1.0 - rng.random(k)
-
-
 def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResult:
     if math.isinf(u) and u < 0:
         return total_mc(p, i, cfg)
@@ -244,33 +236,22 @@ def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResul
         return CritResult(pref * val, pref * err, "monte-carlo")
 
     # Double sampling: x from the normal upper tail above u (one matrix per
-    # x), scaled by the tail mass so the estimator stays unbiased.
+    # x), scaled by the tail mass so the estimator stays unbiased.  The
+    # uniforms lie in (0, 1], which keeps ndtri away from its -inf endpoint.
     ens = p.cond_ensemble()
     tail = float(ndtr(-u))
     if tail == 0.0:
         return CritResult(0.0, 0.0, "monte-carlo")
-    total = int(cfg.mc_samples)
-    if total < 2:
-        raise ParameterError("mc_samples must be >= 2")
-    rngs = worker_streams(cfg.seed, cfg.workers)
-    per = [total // len(rngs)] * len(rngs)
-    per[0] += total - sum(per)
-    s = s2 = 0.0
-    for rng, quota in zip(rngs, per):
-        done = 0
-        while done < quota:
-            k = min(cfg.mc_batch, quota - done)
-            x = -ndtri(tail * _tail_uniform(rng, k))
-            beta = p.shift_coeff * x
-            lam = np.linalg.eigvalsh(sample_goi(ens, size=k, rng=rng))
-            vals = np.abs(lam - beta[:, None]).prod(axis=1)
-            vals = np.where((lam < beta[:, None]).sum(axis=1) == i, vals, 0.0)
-            s += float(vals.sum())
-            s2 += float((vals * vals).sum())
-            done += k
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
-    se = math.sqrt(var / total)
+
+    def values(uni, lam):
+        x = -ndtri(tail * uni)
+        beta = p.shift_coeff * x
+        vals = np.abs(lam - beta[:, None]).prod(axis=1)
+        return np.where((lam < beta[:, None]).sum(axis=1) == i, vals, 0.0)
+
+    batches = eigen_batches(ens, cfg, tail_uniforms=True)
+    mean, se = batch_mean((values(uni, lam) for uni, lam in batches),
+                          int(cfg.mc_samples))
     return CritResult(pref * tail * mean, pref * tail * se, "monte-carlo")
 
 
@@ -294,16 +275,16 @@ def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
                        cfg: NumericConfig) -> CritResult:
     """h_i(u), the height density of index-i critical points.
 
-    Nonboundary models use the exact integrand ratio
+    This is the exact integrand ratio
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
-    boundary regime quadrature integrates on the trace slice
-    mean(lam) = -gamma u, and Monte Carlo differentiates the upper-tail
-    fraction by central differences with the pinned step.
+    boundary regime c_cnd = -1/N: Monte Carlo samples that degenerate
+    ensemble as it is, and quadrature, which needs a density, integrates on
+    the trace slice mean(lam) = -gamma u instead.
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
-    if p.boundary:
-        return _height_pdf_boundary(p, i, u, method, cfg)
+    if p.boundary and method == "quadrature":
+        return _height_pdf_boundary(p, i, u, cfg)
     tot, tot_err = _total_raw(p, i, method, cfg)
     if tot <= 0.0:
         raise UndefinedDistributionError(
@@ -324,57 +305,21 @@ def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
     return CritResult(val, abs(val) * rel + _phi(u) * num_err / tot, method)
 
 
-def _height_pdf_boundary(p: CountProblem, i: int, u: float, method: str,
+def _height_pdf_boundary(p: CountProblem, i: int, u: float,
                          cfg: NumericConfig) -> CritResult:
-    if method == "quadrature":
-        # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
-        # integrand on the slice mean(lam) = -gamma u, times gamma
-        tot, tot_err = _total_raw(p, i, "quadrature", cfg)
-        if tot <= 0.0:
-            raise UndefinedDistributionError(
-                f"expected count of index-{i} points vanishes; heights undefined")
-        dens, dens_err = nested_ordered_quadrature(
-            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-            trace_cap=-p.cap_coeff * u, cap_derivative=True,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        val = p.cap_coeff * dens / tot
-        err = p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
-        return CritResult(val, err, "quadrature")
-
-    d = BOUNDARY_DIFF_STEP
-    caps = (-p.cap_coeff * (u - d), -p.cap_coeff * (u + d))
-    # Monte Carlo with common random numbers: one eigenvalue batch feeds the
-    # uncapped total and both capped variants, so the finite difference only
-    # sees samples inside the moving slab.
-    ens = p.total_ensemble()
-    total = int(cfg.mc_samples)
-    rngs = worker_streams(cfg.seed, cfg.workers)
-    per = [total // len(rngs)] * len(rngs)
-    per[0] += total - sum(per)
-    s0 = sd = sd2 = 0.0
-    for rng, quota in zip(rngs, per):
-        done = 0
-        while done < quota:
-            k = min(cfg.mc_batch, quota - done)
-            lam = np.linalg.eigvalsh(sample_goi(ens, size=k, rng=rng))
-            vals = np.abs(lam).prod(axis=1)
-            vals = np.where((lam < 0.0).sum(axis=1) == i, vals, 0.0)
-            mean_lam = lam.mean(axis=1)
-            diff = vals * ((mean_lam <= caps[0]).astype(float)
-                           - (mean_lam <= caps[1]).astype(float))
-            s0 += float(vals.sum())
-            sd += float(diff.sum())
-            sd2 += float((diff * diff).sum())
-            done += k
-    tot = s0 / total
+    # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
+    # integrand on the slice mean(lam) = -gamma u, times gamma
+    tot, tot_err = _total_raw(p, i, "quadrature", cfg)
     if tot <= 0.0:
         raise UndefinedDistributionError(
             f"expected count of index-{i} points vanishes; heights undefined")
-    dmean = sd / total
-    dvar = max(sd2 / total - dmean * dmean, 0.0) * total / (total - 1)
-    val = dmean / (2.0 * d * tot)
-    err = math.sqrt(dvar / total) / (2.0 * d * tot)
-    return CritResult(val, err, "monte-carlo")
+    dens, dens_err = nested_ordered_quadrature(
+        p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
+        trace_cap=-p.cap_coeff * u, cap_derivative=True,
+        epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+    val = p.cap_coeff * dens / tot
+    err = p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
+    return CritResult(val, err, "quadrature")
 
 
 def height_cdf_general(p: CountProblem, i: int, u: float, method: str,

@@ -200,6 +200,18 @@ def _closed_pdf_n2(model: EuclideanModel, i: int, x):
     return _h2_n2(x, k2) if i == 2 else _h2_n2(-x, k2)
 
 
+def _upper_tail_quad(pdf, u: float) -> float:
+    """int_u^inf pdf(t) dt by 1-d quadrature on [max(u, -OUTER_TAIL),
+    max(u, 0) + OUTER_TAIL].  Minima integrate their own density
+    h_0(t) = h_2(-t): the complement 1 - F_2(-u) cancels to rounding in
+    their upper tail."""
+    lo = max(u, -kr.OUTER_TAIL)
+    hi = max(lo, 0.0) + kr.OUTER_TAIL
+    val, _ = integrate.quad(lambda t: float(pdf(t)), lo, hi,
+                            epsabs=1e-13, epsrel=1e-11, limit=200)
+    return min(val, 1.0)
+
+
 def _closed_cdf_n2(model: EuclideanModel, i: int, u: float) -> float:
     """Upper-tail fraction F_i(u) for N = 2, exact up to 1-d integration."""
     if model.boundary:
@@ -211,17 +223,9 @@ def _closed_cdf_n2(model: EuclideanModel, i: int, u: float) -> float:
                    * (a * math.exp(-0.5 * a * a)
                       + math.sqrt(2.0 * math.pi / 3.0) * ndtr(-a * math.sqrt(3.0))))
             return float(val)
-        return 1.0 - _closed_cdf_n2(model, 2, -u)  # mirror of the maxima law
-    k2 = model.kappa2
-    if i == 1:
-        return float(ndtr(-u * math.sqrt(3.0 / (3.0 - k2))))
-    if i == 2:
-        lo = max(u, -kr.OUTER_TAIL)
-        hi = max(lo, 0.0) + kr.OUTER_TAIL
-        val, _ = integrate.quad(lambda t: float(_h2_n2(t, k2)), lo, hi,
-                                epsabs=1e-13, epsrel=1e-11, limit=200)
-        return min(val, 1.0)
-    return 1.0 - _closed_cdf_n2(model, 2, -u)
+    elif i == 1:
+        return float(ndtr(-u * math.sqrt(3.0 / (3.0 - model.kappa2))))
+    return _upper_tail_quad(lambda t: _closed_pdf_n2(model, i, t), u)
 
 
 # ---------------------------------------------------------------------------

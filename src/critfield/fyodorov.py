@@ -34,10 +34,9 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
+    mc_eigen_expectation,
     nested_ordered_quadrature,
-    sample_goi,
     validate_ensemble,
-    worker_streams,
 )
 from .sphere import SphereModel
 from .sphere import _problem as _sphere_problem
@@ -119,25 +118,7 @@ def reduced_expectation(reduction: GoeReduction, method: str = "auto",
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
-    total = int(cfg.mc_samples)
-    if total < 2:
-        raise ParameterError("mc_samples must be >= 2")
-    rngs = worker_streams(cfg.seed, cfg.workers)
-    per = [total // len(rngs)] * len(rngs)
-    per[0] += total - sum(per)
-    s = s2 = 0.0
-    for rng, quota in zip(rngs, per):
-        done = 0
-        while done < quota:
-            k = min(cfg.mc_batch, quota - done)
-            lam = np.linalg.eigvalsh(sample_goi(goe, size=k, rng=rng))
-            vals = weight_fn(lam[:, pos])
-            s += float(vals.sum())
-            s2 += float((vals * vals).sum())
-            done += k
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
-    return mean, math.sqrt(var / total)
+    return mc_eigen_expectation(goe, lambda lam: weight_fn(lam[:, pos]), cfg)
 
 
 def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -149,6 +150,11 @@ class NumericConfig:
     ``workers`` deterministic substreams derived from ``seed``, so results
     are reproducible for a fixed (seed, workers) pair regardless of how the
     work is scheduled.
+
+    With a seed, every Monte Carlo value over one GOI(c) ensemble reads the
+    same eigenvalue draw (see eigen_batches; up to BANK_ENTRIES = 3 draws
+    are kept), so the rows of one command use common random numbers and
+    their errors are correlated.  Without a seed each value draws afresh.
     """
 
     quad_rel_tol: float = 1e-9
@@ -653,35 +659,77 @@ def worker_streams(seed: int | None, workers: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(workers)]
 
 
+# Seeded eigenvalue batches kept at once: one command reads at most three
+# (GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind tail uniforms).
+BANK_ENTRIES = 3
+_bank: "OrderedDict[tuple, list]" = OrderedDict()
+
+
+def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig,
+                  tail_uniforms: bool = False) -> list:
+    """The Monte Carlo draw of config: a list of (uniforms or None, ascending
+    eigenvalue rows (k, N)) per mc_batch chunk of each worker stream.
+
+    With tail_uniforms each chunk first draws k uniforms on (0, 1] from its
+    stream (as 1 - random), then its matrices.  Seeded draws are kept (read
+    only, at most BANK_ENTRIES, least recently used dropped), so every
+    seeded expectation over one ensemble reuses the same samples; seed=None
+    always draws afresh.
+    """
+    total = int(config.mc_samples)
+    if total < 2:
+        raise ParameterError("mc_samples must be >= 2")
+    key = (ensemble.n, ensemble.c, config.seed, config.workers, total,
+           config.mc_batch, tail_uniforms)
+    if config.seed is not None and key in _bank:
+        _bank.move_to_end(key)
+        return _bank[key]
+    rngs = worker_streams(config.seed, config.workers)
+    per = [total // len(rngs)] * len(rngs)
+    per[0] += total - sum(per)
+    batches = []
+    for rng, quota in zip(rngs, per):
+        done = 0
+        while done < quota:
+            k = min(config.mc_batch, quota - done)
+            uni = 1.0 - rng.random(k) if tail_uniforms else None
+            lam = np.linalg.eigvalsh(sample_goi(ensemble, size=k, rng=rng))
+            for arr in (uni, lam):
+                if arr is not None:
+                    arr.flags.writeable = False
+            batches.append((uni, lam))
+            done += k
+    if config.seed is not None:
+        _bank[key] = batches
+        if len(_bank) > BANK_ENTRIES:
+            _bank.popitem(last=False)
+    return batches
+
+
+def batch_mean(values, total: int) -> tuple[float, float]:
+    """Mean and standard error of total samples whose values arrive as
+    batch arrays."""
+    s = s2 = 0.0
+    for vals in values:
+        s += float(vals.sum())
+        s2 += float((vals * vals).sum())
+    mean = s / total
+    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
+    return mean, math.sqrt(var / total)
+
+
 def mc_eigen_expectation(ensemble: GoiEnsemble,
                          eval_batch: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                          config: NumericConfig) -> tuple[float, float]:
     """Mean and standard error of eval_batch(eigenvalues) over GOI samples.
 
-    eval_batch receives ascending eigenvalue rows (k, N) and must return a
-    value per row.  Sampling is split across config.workers substreams.
+    eval_batch receives ascending eigenvalue rows (k, N), read only, and
+    must return a value per row.  The samples are eigen_batches(ensemble,
+    config).
     """
-    total = int(config.mc_samples)
-    if total < 2:
-        raise ParameterError("mc_samples must be >= 2")
-    rngs = worker_streams(config.seed, config.workers)
-    per = [total // len(rngs)] * len(rngs)
-    per[0] += total - sum(per)
-    s = 0.0
-    s2 = 0.0
-    for rng, quota in zip(rngs, per):
-        done = 0
-        while done < quota:
-            k = min(config.mc_batch, quota - done)
-            mats = sample_goi(ensemble, size=k, rng=rng)
-            lam = np.linalg.eigvalsh(mats)
-            vals = eval_batch(lam)
-            s += float(vals.sum())
-            s2 += float((vals * vals).sum())
-            done += k
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
-    return mean, math.sqrt(var / total)
+    batches = eigen_batches(ensemble, config)
+    return batch_mean((eval_batch(lam) for _, lam in batches),
+                      int(config.mc_samples))
 
 
 def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,

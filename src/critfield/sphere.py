@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, ndtr
 
 from . import _kacrice as kr
 from ._kacrice import CountProblem, CritResult
 from .errors import (ImpossibleFieldError, InvalidCovarianceError,
                      MethodError, ParameterError)
-from .euclidean import REGIME_TOL
+from .euclidean import REGIME_TOL, _upper_tail_quad
 from .goi import GoiEnsemble, NumericConfig, validate_ensemble
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -222,17 +221,9 @@ def _closed_cdf_n2(model: SphereModel, i: int, u: float) -> float:
                           + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
                           * ndtr(-a * math.sqrt(3.0 + e2)))
             return float(min(val, 1.0))
-        return 1.0 - _closed_cdf_n2(model, 2, -u)
-    k2 = model.kappa2
-    if i == 1:
-        return float(ndtr(-u * math.sqrt((3.0 + e2) / (3.0 + e2 - k2))))
-    if i == 2:
-        lo = max(u, -kr.OUTER_TAIL)
-        hi = max(lo, 0.0) + kr.OUTER_TAIL
-        val, _ = integrate.quad(lambda t: float(_h2_n2(t, e2, k2)), lo, hi,
-                                epsabs=1e-13, epsrel=1e-11, limit=200)
-        return min(val, 1.0)
-    return 1.0 - _closed_cdf_n2(model, 2, -u)
+    elif i == 1:
+        return float(ndtr(-u * math.sqrt((3.0 + e2) / (3.0 + e2 - model.kappa2))))
+    return _upper_tail_quad(lambda t: _closed_pdf_n2(model, i, t), u)
 
 
 # ---------------------------------------------------------------------------

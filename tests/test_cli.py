@@ -2,12 +2,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critfield
 from critfield.cli import CSV_HEADER, main, parse_grid
 from critfield.errors import ConfigError
 
@@ -274,9 +277,14 @@ def test_simulate_sphere_euler(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same critfield as this process, installed or not
+    src = str(Path(critfield.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
     proc = subprocess.run(
         [sys.executable, "-m", "critfield.cli", "expect", "--eta2", "1",
          "--kappa2", "0.5", "--index", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER_LINE

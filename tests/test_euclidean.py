@@ -19,6 +19,9 @@ from critfield import (
     model_from_rho,
     model_from_shape,
 )
+from critfield import _kacrice as kr
+from critfield import euclidean as eu
+from critfield import sphere as sp
 
 PHI = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
 
@@ -190,6 +193,26 @@ def test_boundary_continuity_spot():
     for x in (0.5, 1.5, 2.5):
         assert height_density(ma, 2, x) == pytest.approx(
             height_density(mb, 2, x), abs=1e-2)
+
+
+def test_closed_upper_tail_of_minima_does_not_cancel():
+    # F_0(0.5) is 9.1e-22 here; 1 - F_2(-0.5) rounds to 2.2e-16
+    assert expected_crit_above(model_from_shape(2, 1, 1.99), 0, 0.5).value < 1e-20
+
+
+@pytest.mark.parametrize("space,eta2,kappa2", [("euclidean", 1.0, 2.0),
+                                               ("sphere", 1.0, 3.0)])
+def test_boundary_monte_carlo_pdf(space, eta2, kappa2):
+    mod = eu if space == "euclidean" else sp
+    m = mod.model_from_shape(2, eta2, kappa2)
+    assert m.boundary
+    p = mod._problem(m)
+    cfg = NumericConfig(mc_samples=200_000, seed=3)
+    for i in range(3):
+        for x in (-1.2, -0.4, 0.3, 1.2):
+            got = kr.height_pdf_general(p, i, x, "monte-carlo", cfg)
+            want = float(mod._closed_pdf_n2(m, i, x))
+            assert abs(got.value - want) <= 4.0 * got.error
 
 
 def test_parameter_errors():

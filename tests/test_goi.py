@@ -1,4 +1,5 @@
 """Ensemble-level checks: constants, validation, sampling, expectations."""
+import csv
 import math
 
 import numpy as np
@@ -18,7 +19,18 @@ from critfield import (
     sample_goi,
     validate_ensemble,
 )
-from critfield.goi import nested_ordered_quadrature, worker_streams
+from critfield import _kacrice as kr
+from critfield import cli, goi
+from critfield import euclidean as eu
+from critfield.goi import (BANK_ENTRIES, eigen_batches,
+                           nested_ordered_quadrature, worker_streams)
+
+
+@pytest.fixture
+def empty_bank():
+    goi._bank.clear()
+    yield
+    goi._bank.clear()
 
 
 def test_normalization_constants():
@@ -195,3 +207,58 @@ def test_method_dispatch_and_errors():
 def test_ensemble_dataclass_guard():
     with pytest.raises(ParameterError):
         GoiEnsemble(n=0, c=0.0)
+
+
+def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_bank):
+    draws = []
+    real = goi.sample_goi
+
+    def counting(ens, size=None, rng=None):
+        draws.append((ens.c, size))
+        return real(ens, size, rng)
+
+    monkeypatch.setattr(goi, "sample_goi", counting)
+    args = ["heights", "--N", "3", "--eta2", "1.2", "--kappa2", "0.9",
+            "--grid=-1.4:1.6:0.5", "--quantity", "both", "--samples", "2000",
+            "--seed", "3"]
+    assert cli.main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2 * 4 * 7
+    # GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind the tail uniforms
+    assert len(draws) == 3
+    # each row equals the row of a call that draws its own samples
+    p = eu._problem(eu.model_from_shape(3, 1.2, 0.9))
+    cfg = NumericConfig(mc_samples=2000, seed=3)
+    for row in rows:
+        goi._bank.clear()
+        fn = (kr.height_pdf_general if row["quantity"] == "height-pdf"
+              else kr.height_cdf_general)
+        r = fn(p, int(row["index"]), float(row["grid_value"]), "monte-carlo", cfg)
+        assert (cli._fmt(r.value), cli._fmt(r.error)) == (row["value"], row["error"])
+    assert len(draws) == 3 + 2 * len(rows)
+
+
+def test_unseeded_monte_carlo_draws_afresh(empty_bank):
+    ens = validate_ensemble(2, 0.3)
+    f = IndexedFunctional(index=1)
+    cfg = NumericConfig(mc_samples=5000)
+    a = goi_expectation(ens, f, "monte-carlo", cfg)
+    b = goi_expectation(ens, f, "monte-carlo", cfg)
+    assert a != b
+    assert len(goi._bank) == 0
+
+
+def test_bank_is_read_only_and_bounded(empty_bank):
+    ens = validate_ensemble(3, 0.5)
+    for seed in range(BANK_ENTRIES + 2):
+        batches = eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
+                                                   seed=seed), tail_uniforms=True)
+        assert len(batches) == 3
+        for uni, lam in batches:
+            assert lam.shape == (100, 3) and uni.shape == (100,)
+            assert not lam.flags.writeable and not uni.flags.writeable
+            with pytest.raises(ValueError):
+                lam[0, 0] = 0.0
+    assert len(goi._bank) == BANK_ENTRIES
+    assert eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
+                                            seed=seed), tail_uniforms=True) is batches

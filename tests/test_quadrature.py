@@ -25,8 +25,8 @@ PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
 
 
 def _closed_slack(total: float) -> float:
-    # the closed forms carry their own rounding (the i = 0 upper tail is
-    # 1 - F_2(-u), which cancels): allow a few ulps of the index total
+    # the closed forms carry their own rounding: allow a few ulps of the
+    # index total
     return 8.0 * EPS * total
 
 
