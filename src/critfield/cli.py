@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float,
                    help="detection grid step (default eta/6)")
     p.add_argument("--merge-radius", type=float,
-                   help="dedupe radius (default half the grid step)")
+                   help="dedup radius (default 1e-6 grid steps)")
     p.add_argument("--points-csv", help="write raw detections here")
     p.add_argument("--seed", type=int, help="RNG seed (required)")
     p.add_argument("--samples", type=int, help=argparse.SUPPRESS)

@@ -1,10 +1,10 @@
 """Critical-point detection on synthesized fields and replication studies.
 
 Candidates come from sign changes of the gradient components over a regular
-grid; a damped batched Newton iteration polishes them, then nearby solutions
-merge.  On the sphere the scan runs in two rotated charts so every point is
-far from some chart's poles, and Newton steps live in the tangent plane with
-projection back to the sphere.
+grid; a damped batched Newton iteration polishes them, then walkers that
+reached the same point are deduplicated.  On the sphere the scan runs in two
+rotated charts so every point is far from some chart's poles, and Newton
+steps live in the tangent plane with projection back to the sphere.
 """
 from __future__ import annotations
 
@@ -26,7 +26,20 @@ from .sphere import expected_crit_total_sphere, height_cdf_sphere, sphere_area
 MAX_NEWTON_ITER = 60
 GRAD_TOL_FACTOR = 1e-10
 HESS_TOL_FACTOR = 1e-6
-EVAL_CHUNK = 20000
+# a walker that does not halve |grad| within this many iterations is stalled
+STALL_ITERS = 3
+# default dedup radius in grid steps: walkers that converged to one
+# critical point agree to Newton precision, far below the distance
+# between two distinct ones
+DEDUP_FACTOR = 1e-6
+# planar studies count points at least this many grid steps inside the
+# window, against edge effects
+WINDOW_MARGIN = 0.5
+
+# entries of one block's planar phase matrix (walkers x waves) in Newton
+PHASE_BLOCK = 2 ** 20
+# walker states of the batched Newton iteration
+_ACTIVE, _CONVERGED, _LOST, _SINGULAR, _STALLED = range(5)
 
 
 @dataclass(frozen=True)
@@ -46,10 +59,20 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Detected points and the Newton funnel: every candidate walker either
+    converged or failed as lost (left its basin), singular (Hessian
+    determinant 0) or stalled (stopped making progress)."""
+
     points: list
     n_candidates: int
     n_converged: int
-    n_failed: int
+    n_lost: int
+    n_singular: int
+    n_stalled: int
+
+    @property
+    def n_failed(self) -> int:
+        return self.n_lost + self.n_singular + self.n_stalled
 
     def by_index(self, i: int) -> list:
         return [p for p in self.points if p.index == i]
@@ -83,6 +106,30 @@ def _sign_change_cells(sx: np.ndarray, sy: np.ndarray, wrap_cols: bool):
     return np.argwhere(changes(sx) & changes(sy))
 
 
+def _dedup_radius(merge_radius: float | None, step: float) -> float:
+    return merge_radius if merge_radius is not None else DEDUP_FACTOR * step
+
+
+def _result(points, state) -> DetectionResult:
+    return DetectionResult(points=points, n_candidates=len(state),
+                           n_converged=int((state == _CONVERGED).sum()),
+                           n_lost=int((state == _LOST).sum()),
+                           n_singular=int((state == _SINGULAR).sum()),
+                           n_stalled=int((state == _STALLED).sum()))
+
+
+def _plane_candidates(field: PlanarWaveField, lo, hi, step: float) -> np.ndarray:
+    """Centers of the grid cells over [lo, hi] where both gradient
+    components change sign."""
+    xs = np.arange(lo[0], hi[0] + step * 0.5, step)
+    ys = np.arange(lo[1], hi[1] + step * 0.5, step)
+    g = field.grid_gradient(xs, ys)
+    cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
+                               wrap_cols=False)
+    return np.stack([xs[cells[:, 0]] + step / 2.0,
+                     ys[cells[:, 1]] + step / 2.0], axis=-1)
+
+
 def find_critical_points_plane(field: PlanarWaveField, lo, hi,
                                grid_step: float | None = None,
                                merge_radius: float | None = None,
@@ -95,156 +142,154 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
         raise ParameterError("need lo < hi componentwise on the plane")
     step = grid_step if grid_step is not None else _default_step(model)
     _check_step(step, model)
-    merge = merge_radius if merge_radius is not None else step / 2.0
 
-    xs = np.arange(lo[0], hi[0] + step * 0.5, step)
-    ys = np.arange(lo[1], hi[1] + step * 0.5, step)
-    g = field.grid_gradient(xs, ys)
-    cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
-                               wrap_cols=False)
-    centers = np.stack([xs[cells[:, 0]] + step / 2.0,
-                        ys[cells[:, 1]] + step / 2.0], axis=-1)
-
+    centers = _plane_candidates(field, lo, hi, step)
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * model.rho1)
     eps_h = HESS_TOL_FACTOR * math.sqrt(12.0 * model.rho2)
 
-    pts, ok = _newton_plane(field, centers, step, eps_g, max_iter)
+    pts, ok, state = _newton_plane(field, centers, step, eps_g, max_iter)
     pts = pts[ok]
-    # clip to the requested rectangle before merging
+    # clip to the requested rectangle before deduplicating
     inside = np.all((pts >= lo - 1e-9) & (pts <= hi + 1e-9), axis=1)
-    pts = pts[inside]
-    merged = _merge_points(pts, merge)
-    points = _classify_plane(field, merged, eps_h)
-    return DetectionResult(points=points, n_candidates=len(centers),
-                           n_converged=int(ok.sum()),
-                           n_failed=int(len(centers) - ok.sum()))
+    pts = _merge_points(pts[inside], _dedup_radius(merge_radius, step))
+    return _result(_classify_plane(field, pts, eps_h), state)
+
+
+def _stalled(gn, idx, ref, since) -> np.ndarray:
+    """The progress rule of both Newton loops: a walker is stalled once
+    STALL_ITERS iterations in a row leave its |grad| at or above half of
+    ref, its |grad| when it last halved.  Updates ref and since of the
+    walkers idx in place; returns the stalled mask over idx."""
+    halved = gn < 0.5 * ref[idx]
+    ref[idx[halved]] = gn[halved]
+    since[idx] = np.where(halved, 0, since[idx] + 1)
+    return since[idx] >= STALL_ITERS
+
+
+def _newton(centers, step, eps_g, max_iter, local, dist, block):
+    """Damped batched Newton from every candidate, on the plane or sphere.
+
+    local(p) returns, at the walkers' points p, the gradient (k, 2) in an
+    orthonormal tangent frame, a function that gives the Hessian (j, 2, 2)
+    in that frame for the walkers a mask keeps, and a function that moves
+    those walkers by frame steps (j, 2).  dist(p, q) is the distance
+    between points.  Each iteration takes the active walkers in blocks of
+    at most `block`, and caps each step at one grid step.  Each walker
+    ends converged (|grad| < eps_g), lost (more than 3 steps from its
+    start), singular, or stalled (the progress rule, or still running
+    after max_iter iterations).  Returns the points, the converged mask and the
+    walker states.
+    """
+    pts = centers.copy()
+    state = np.full(len(pts), _ACTIVE, dtype=np.int8)
+    ref = np.full(len(pts), np.inf)
+    since = np.zeros(len(pts), dtype=np.int64)
+    for _ in range(max_iter):
+        active = np.flatnonzero(state == _ACTIVE)
+        if active.size == 0:
+            break
+        for start in range(0, active.size, block):
+            idx = active[start:start + block]
+            g, hessian, move = local(pts[idx])
+            gn = np.linalg.norm(g, axis=1)
+            hit = gn < eps_g
+            stalled = _stalled(gn, idx, ref, since) & ~hit
+            state[idx[hit]] = _CONVERGED
+            state[idx[stalled]] = _STALLED
+            go = ~(hit | stalled)
+            h = hessian(go)
+            det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+            bad = np.abs(det) < 1e-300
+            state[idx[go][bad]] = _SINGULAR
+            go[go] = ~bad
+            d = np.linalg.solve(h[~bad], -g[go][..., None])[..., 0]
+            dn = np.linalg.norm(d, axis=1)
+            cap = dn > step
+            d[cap] *= (step / dn[cap])[:, None]
+            moved = idx[go]
+            pts[moved] = move(go, d)
+            state[moved[dist(pts[moved], centers[moved]) > 3.0 * step]] = _LOST
+            # free the closures' batch arrays before the next block's
+            del hessian, move
+    state[state == _ACTIVE] = _STALLED
+    return pts, state == _CONVERGED, state
 
 
 def _newton_plane(field, centers, step, eps_g, max_iter):
-    pts = centers.copy()
-    start = centers
-    active = np.ones(len(pts), dtype=bool)
-    converged = np.zeros(len(pts), dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        g = field.gradient(pts[idx])
-        gn = np.linalg.norm(g, axis=1)
-        hit = gn < eps_g
-        converged[idx[hit]] = True
-        active[idx[hit]] = False
-        idx = idx[~hit]
-        if idx.size == 0:
-            break
-        g = g[~hit]
-        h = field.hessian(pts[idx])
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        bad = np.abs(det) < 1e-300
-        active[idx[bad]] = False
-        idx = idx[~bad]
-        if idx.size == 0:
-            continue
-        d = np.linalg.solve(h[~bad], -g[~bad][..., None])[..., 0]
-        dn = np.linalg.norm(d, axis=1)
-        cap = dn > step
-        d[cap] *= (step / dn[cap])[:, None]
-        pts[idx] += d
-        # declare lost the walkers that left their basin
-        lost = np.abs(pts[idx] - start[idx]).max(axis=1) > 3.0 * step
-        active[idx[lost]] = False
-    return pts, converged
+    def local(p):
+        # one phase matrix per step: sin for every walker, cos only for
+        # the walkers that go on to a Newton step
+        arg = field.phase(p)
+        return (field.gradient_at_phase(arg),
+                lambda keep: field.hessian_at_phase(arg, keep),
+                lambda keep, d: p[keep] + d)
+
+    # walkers are independent, so blocks keep the phase matrix small
+    return _newton(centers, step, eps_g, max_iter, local,
+                   lambda p, q: np.abs(p - q).max(axis=1),
+                   max(PHASE_BLOCK // len(field.phases), 1))
+
+
+def _classify(pts, hess, vals, eps_h) -> list:
+    eigs = np.linalg.eigvalsh(hess)
+    return [CriticalPoint(location=pts[k].copy(), height=float(vals[k]),
+                          index=int((lam < 0.0).sum()), hess_eigs=lam.copy(),
+                          flagged=bool(np.abs(lam).min() < eps_h))
+            for k, lam in enumerate(eigs)]
 
 
 def _classify_plane(field, pts, eps_h):
     if len(pts) == 0:
         return []
-    h = field.hessian(pts)
-    eigs = np.linalg.eigvalsh(h)
-    vals = field.value(pts)
-    out = []
-    for k in range(len(pts)):
-        lam = eigs[k]
-        out.append(CriticalPoint(
-            location=pts[k].copy(),
-            height=float(vals[k]),
-            index=int((lam < 0.0).sum()),
-            hess_eigs=lam.copy(),
-            flagged=bool(np.abs(lam).min() < eps_h),
-        ))
-    return out
+    return _classify(pts, field.hessian(pts), field.value(pts), eps_h)
 
 
 def _merge_points(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Collapse clusters chained within radius to their mean point."""
+    """Deduplicate: each cluster chained within radius keeps its
+    lowest-index member, in index order."""
     if len(pts) == 0:
         return pts
+    # imported here so that importing critfield does not load csgraph
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    parent = np.arange(len(pts))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.array([root(k) for k in range(len(pts))])
-    out = []
-    for r in np.unique(roots):
-        out.append(pts[roots == r].mean(axis=0))
-    return np.array(out)
+    graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                      shape=(len(pts), len(pts)))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return pts[np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
 # sphere
 # ---------------------------------------------------------------------------
 
-_CHART_ROTATIONS = (
-    np.eye(3),
-    np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-)
+# the second chart maps its lat-long point p to the sphere point R p
+_CHART_TILT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def _chart_candidates(field: SphericalHarmonicField, step: float) -> np.ndarray:
     """Cell centers (unit vectors) where both frame components of the
-    gradient change sign, collected over two rotated lat-long charts."""
+    gradient change sign, collected over two rotated lat-long charts.
+
+    The tilted chart scans the harmonic p -> f(R p), whose coefficients
+    come from an exact projection, so both charts are separable scans."""
     n_th = max(int(math.ceil(math.pi / step)), 8)
     n_ph = max(int(math.ceil(2.0 * math.pi / step)), 16)
     th = np.linspace(0.0, math.pi, n_th + 1)[1:-1]
     ph = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
-    tg, pg = np.meshgrid(th, ph, indexing="ij")
-    st, ct = np.sin(tg), np.cos(tg)
-    sp, cp = np.sin(pg), np.cos(pg)
-    p_std = np.stack([st * cp, st * sp, ct], axis=-1)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-
-    centers = []
     tc = 0.5 * (th[:-1] + th[1:])
     pc = ph + math.pi / n_ph
-    tcg, pcg = np.meshgrid(tc, pc, indexing="ij")
-    stc, ctc = np.sin(tcg), np.cos(tcg)
-    spc, cpc = np.sin(pcg), np.cos(pcg)
-    c_std = np.stack([stc * cpc, stc * spc, ctc], axis=-1)
 
-    for rot in _CHART_ROTATIONS:
-        pts = p_std.reshape(-1, 3) @ rot.T
-        grads = np.empty_like(pts)
-        for s in range(0, len(pts), EVAL_CHUNK):
-            grads[s:s + EVAL_CHUNK] = field.tangent_gradient(pts[s:s + EVAL_CHUNK])
-        grads = grads.reshape(p_std.shape)
-        c1 = (grads * (e_th @ rot.T)).sum(axis=-1)
-        c2 = (grads * (e_ph @ rot.T)).sum(axis=-1)
+    centers = []
+    for chart, rot in ((field, None), (field.rotated(_CHART_TILT), _CHART_TILT)):
+        c1, c2 = chart.chart_gradient(th, ph)
         cells = _sign_change_cells(np.signbit(c1), np.signbit(c2),
                                    wrap_cols=True)
-        if len(cells):
-            centers.append(c_std[cells[:, 0], cells[:, 1]] @ rot.T)
-    if not centers:
-        return np.empty((0, 3))
+        t, p = tc[cells[:, 0]], pc[cells[:, 1]]
+        c = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
+                      np.cos(t)], axis=-1)
+        centers.append(c if rot is None else c @ rot.T)
     return np.concatenate(centers, axis=0)
 
 
@@ -256,89 +301,49 @@ def find_critical_points_sphere(field: SphericalHarmonicField,
     model = field.model
     step = grid_step if grid_step is not None else _default_step(model)
     _check_step(step, model)
-    merge = merge_radius if merge_radius is not None else step / 2.0
+    merge = _dedup_radius(merge_radius, step)
 
     centers = _chart_candidates(field, step)
     eps_g = GRAD_TOL_FACTOR * math.sqrt(model.c1)
     eps_h = HESS_TOL_FACTOR * math.sqrt(3.0 * model.c2 + model.c1)
 
-    pts, ok = _newton_sphere(field, centers, step, eps_g, max_iter)
-    pts = pts[ok]
-    # chordal merge radius matching the angular one for small angles
-    merged = _merge_points(pts, 2.0 * math.sin(min(merge, math.pi) / 2.0))
-    if len(merged):
-        merged /= np.linalg.norm(merged, axis=1, keepdims=True)
-    points = _classify_sphere(field, merged, eps_h)
-    return DetectionResult(points=points, n_candidates=len(centers),
-                           n_converged=int(ok.sum()),
-                           n_failed=int(len(centers) - ok.sum()))
+    pts, ok, state = _newton_sphere(field, centers, step, eps_g, max_iter)
+    # chordal dedup radius matching the angular one for small angles
+    pts = _merge_points(pts[ok], 2.0 * math.sin(min(merge, math.pi) / 2.0))
+    return _result(_classify_sphere(field, pts, eps_h), state)
 
 
 def _newton_sphere(field, centers, step, eps_g, max_iter):
-    pts = centers.copy()
-    start = centers
-    active = np.ones(len(pts), dtype=bool)
-    converged = np.zeros(len(pts), dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        p = pts[idx]
+    def local(p):
         _, g, h = field.ambient(p)
         radial = (g * p).sum(axis=-1)
-        gt = g - radial[:, None] * p
-        gn = np.linalg.norm(gt, axis=1)
-        hit = gn < eps_g
-        converged[idx[hit]] = True
-        active[idx[hit]] = False
-        live = ~hit
-        idx = idx[live]
-        if idx.size == 0:
-            break
-        p, g, h, radial, gt = p[live], g[live], h[live], radial[live], gt[live]
         fr = tangent_frames(p)
-        h2 = np.einsum("kai,kij,kbj->kab", fr, h, fr)
-        h2[:, 0, 0] -= radial
-        h2[:, 1, 1] -= radial
-        g2 = np.einsum("kai,ki->ka", fr, gt)
-        det = h2[:, 0, 0] * h2[:, 1, 1] - h2[:, 0, 1] * h2[:, 1, 0]
-        bad = np.abs(det) < 1e-300
-        active[idx[bad]] = False
-        sel = ~bad
-        idx = idx[sel]
-        if idx.size == 0:
-            continue
-        d = np.linalg.solve(h2[sel], -g2[sel][..., None])[..., 0]
-        dn = np.linalg.norm(d, axis=1)
-        cap = dn > step
-        d[cap] *= (step / dn[cap])[:, None]
-        moved = pts[idx] + np.einsum("ka,kai->ki", d, fr[sel])
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        pts[idx] = moved
-        cosang = np.clip((pts[idx] * start[idx]).sum(axis=1), -1.0, 1.0)
-        lost = np.arccos(cosang) > 3.0 * step
-        active[idx[lost]] = False
-    return pts, converged
+
+        def hessian(keep):
+            h2 = np.einsum("kai,kij,kbj->kab", fr[keep], h[keep], fr[keep])
+            h2[:, 0, 0] -= radial[keep]
+            h2[:, 1, 1] -= radial[keep]
+            return h2
+
+        def move(keep, d):
+            q = p[keep] + np.einsum("ka,kai->ki", d, fr[keep])
+            return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+        # frame components of the tangent gradient g - (g.p) p
+        return np.einsum("kai,ki->ka", fr, g), hessian, move
+
+    def angle(p, q):
+        return np.arccos(np.clip((p * q).sum(axis=1), -1.0, 1.0))
+
+    return _newton(centers, step, eps_g, max_iter, local, angle,
+                   max(len(centers), 1))
 
 
 def _classify_sphere(field, pts, eps_h):
     if len(pts) == 0:
         return []
-    fr = tangent_frames(pts)
-    h2 = field.covariant_hessian(pts, fr)
-    eigs = np.linalg.eigvalsh(h2)
-    vals = field.value(pts)
-    out = []
-    for k in range(len(pts)):
-        lam = eigs[k]
-        out.append(CriticalPoint(
-            location=pts[k].copy(),
-            height=float(vals[k]),
-            index=int((lam < 0.0).sum()),
-            hess_eigs=lam.copy(),
-            flagged=bool(np.abs(lam).min() < eps_h),
-        ))
-    return out
+    return _classify(pts, field.covariant_hessian(pts, tangent_frames(pts)),
+                     field.value(pts), eps_h)
 
 
 def find_critical_points(field, domain=None, grid_step: float | None = None,
@@ -441,9 +446,9 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
                      ks_indices=(0, 1, 2), keep_raw: bool = False) -> SimReport:
     """Replicate synthesize -> detect -> count and compare with theory.
 
-    Planar studies count only points at least one merge radius inside the
-    [0, side]^2 window, with the area reduced to match; sphere studies use
-    the whole sphere.  KS distances compare pooled heights per index with
+    Planar studies count only points at least WINDOW_MARGIN grid steps
+    inside the [0, side]^2 window, with the area reduced to match; sphere
+    studies use the whole sphere.  KS distances compare pooled heights per index with
     the model's height distribution wherever at least MIN_HEIGHT_POINTS
     heights accumulated.
     """
@@ -456,7 +461,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
 
     counts = np.zeros((n_reps, 3))
     heights: dict[int, list] = {0: [], 1: [], 2: []}
-    n_failed = n_flagged = 0
+    n_lost = n_singular = n_stalled = n_flagged = 0
     euler_bad = 0
     raw: list = []
     model = None
@@ -471,7 +476,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
             area = sphere_area(2)
         else:
             step = grid_step if grid_step is not None else _default_step(model)
-            margin = merge_radius if merge_radius is not None else step / 2.0
+            margin = WINDOW_MARGIN * step
             res = find_critical_points_plane(
                 fld, (0.0, 0.0), (side, side), grid_step, merge_radius)
             lo_in, hi_in = margin, side - margin
@@ -479,7 +484,9 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
                    if lo_in < p.location[0] < hi_in
                    and lo_in < p.location[1] < hi_in]
             area = (side - 2.0 * margin) ** 2
-        n_failed += res.n_failed
+        n_lost += res.n_lost
+        n_singular += res.n_singular
+        n_stalled += res.n_stalled
         n_flagged += sum(p.flagged for p in pts)
         for p in pts:
             counts[r, p.index] += 1
@@ -517,7 +524,8 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
             if i in ks_indices:
                 ks[i] = samp.ks_distance(ref(i))
 
-    diagnostics = {"newton_failures": n_failed, "flagged_points": n_flagged}
+    diagnostics = {"newton_lost": n_lost, "newton_singular": n_singular,
+                   "newton_stalled": n_stalled, "flagged_points": n_flagged}
     if on_sphere:
         diagnostics["euler_mismatches"] = euler_bad
 

@@ -214,6 +214,8 @@ def _upper_tail_quad(pdf, u: float) -> float:
 
 def _closed_cdf_n2(model: EuclideanModel, i: int, u: float) -> float:
     """Upper-tail fraction F_i(u) for N = 2, exact up to 1-d integration."""
+    if u == math.inf:       # the maxima tail below reads inf * 0 there
+        return 0.0
     if model.boundary:
         if i == 1:
             return float(ndtr(-u * math.sqrt(3.0)))

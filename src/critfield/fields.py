@@ -16,6 +16,7 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, ParameterError
 from .euclidean import EuclideanModel, model_from_rho
+from .goi import _gauss_legendre
 from .sphere import SphereModel, model_from_legendre
 
 KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
@@ -85,19 +86,34 @@ class PlanarWaveField:
     def model(self) -> EuclideanModel:
         return self._model
 
+    def phase(self, pts: np.ndarray) -> np.ndarray:
+        """The phase matrix <w_k, t> + p_k; shape (..., K)."""
+        return np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
+
     def value(self, pts: np.ndarray) -> np.ndarray:
-        arg = np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
-        return self.scale * np.cos(arg).sum(axis=-1)
+        return self.scale * np.cos(self.phase(pts)).sum(axis=-1)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        arg = np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
-        return -self.scale * (np.sin(arg) @ self.omegas)
+        return self.gradient_at_phase(self.phase(pts))
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
-        arg = np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
+        return self.hessian_at_phase(self.phase(pts))
+
+    def gradient_at_phase(self, arg: np.ndarray) -> np.ndarray:
+        """Gradient from a phase matrix, so callers can share one."""
+        return -self.scale * (np.sin(arg) @ self.omegas)
+
+    def hessian_at_phase(self, arg: np.ndarray, rows=None) -> np.ndarray:
+        """Hessian from a phase matrix, at the given rows of it only (a
+        mask or index array over the leading axis) if rows is set."""
+        if rows is None:
+            c = np.cos(arg)
+        else:
+            c = arg[rows]               # a copy, so cos can run in place
+            np.cos(c, out=c)
         ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
-        h = -self.scale * (np.cos(arg) @ ww)
-        return h.reshape(arg.shape[:-1] + (2, 2))
+        h = -self.scale * (c @ ww)
+        return h.reshape(c.shape[:-1] + (2, 2))
 
     def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2).
@@ -264,6 +280,54 @@ class SphericalHarmonicField:
     def value(self, pts: np.ndarray) -> np.ndarray:
         v, _, _ = self.ambient(pts)
         return v
+
+    def chart_gradient(self, theta: np.ndarray, phi: np.ndarray):
+        """Frame components of the gradient on the lat-long grid
+        (theta[a], phi[b]): df/dtheta and (1/sin theta) df/dphi, each of
+        shape (len(theta), len(phi)); theta must avoid the poles.
+
+        f = sum_m nn_m Q_m(cos t) sin^m t (a_m cos m phi + b_m sin m phi),
+        so each component is a (len(theta), l+1) latitude table times an
+        (l+1, len(phi)) longitude table: one small matrix product instead
+        of Legendre and Hessian tables at every grid point.
+        """
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        l = self.degree
+        m = np.arange(l + 1)
+        ct, st = np.cos(theta), np.sin(theta)
+        Q, dQ, _ = _legendre_q_tables(l, ct)
+        a0, ac, as_ = self._split_coeffs()
+        a = np.concatenate([[a0], ac])
+        b = np.concatenate([[0.0], as_])
+        # nn_m sin^{m-1} theta, shape (l+1, len(theta))
+        ns = _sh_norms(l)[:, None] * st ** (m - 1)[:, None]
+        lat_th = (ns * (m[:, None] * ct * Q - st * st * dQ)).T
+        lat_ph = (ns * m[:, None] * Q).T
+        mp = np.multiply.outer(m, phi)
+        cos_mp, sin_mp = np.cos(mp), np.sin(mp)
+        lon_th = a[:, None] * cos_mp + b[:, None] * sin_mp
+        lon_ph = b[:, None] * cos_mp - a[:, None] * sin_mp
+        return lat_th @ lon_th, lat_ph @ lon_ph
+
+    def rotated(self, rot: np.ndarray) -> "SphericalHarmonicField":
+        """The degree-l harmonic p -> f(rot p), by projection onto sh_basis.
+
+        Every product of two degree-l harmonics is a polynomial of degree
+        2l, which l+1 Gauss-Legendre nodes in z times 2l+1 equispaced
+        longitudes integrate exactly, so the projection is exact.
+        """
+        l = self.degree
+        z, wz = _gauss_legendre(l + 1)
+        dphi = 2.0 * math.pi / (2 * l + 1)
+        zz, pp = np.meshgrid(z, dphi * np.arange(2 * l + 1), indexing="ij")
+        s = np.sqrt(1.0 - zz * zz)
+        pts = np.stack([s * np.cos(pp), s * np.sin(pp), zz],
+                       axis=-1).reshape(-1, 3)
+        w = np.repeat(wz * dphi, 2 * l + 1)
+        vals = self.coeffs @ sh_basis(l, pts @ np.asarray(rot, dtype=float).T)
+        return SphericalHarmonicField(l, sh_basis(l, pts) @ (w * vals),
+                                      self._model)
 
     def tangent_gradient(self, pts: np.ndarray) -> np.ndarray:
         """Riemannian gradient as an ambient 3-vector tangent to the sphere."""

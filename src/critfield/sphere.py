@@ -208,6 +208,8 @@ def _closed_pdf_n2(model: SphereModel, i: int, x):
 
 
 def _closed_cdf_n2(model: SphereModel, i: int, u: float) -> float:
+    if u == math.inf:       # the maxima tail below reads inf * 0 there
+        return 0.0
     e2 = model.eta2
     if model.boundary:
         if i == 1:

@@ -269,11 +269,29 @@ def test_simulate_sphere_euler(tmp_path, capsys):
     assert code == 0
     payload = json.loads(rep.read_text())
     assert payload["report"]["space"] == "sphere"
-    assert payload["report"]["diagnostics"]["euler_mismatches"] == 0
+    diag = payload["report"]["diagnostics"]
+    assert diag["euler_mismatches"] == 0
+    # Newton failures come split by reason
+    assert {"newton_lost", "newton_singular", "newton_stalled"} <= set(diag)
+    assert "newton_failures" not in diag
+    assert "newton_stalled:" in out
     assert run(capsys, "simulate", "--kind", "spherical-harmonic",
                "--degree", "2", "--reps", "2")[0] == 2   # seed required
     assert run(capsys, "simulate", "--wavenumber", "3", "--side", "4",
                "--reps", "2", "--seed", "1")[0] == 2     # kind required
+
+
+@pytest.mark.parametrize("model", [
+    ["--eta2", "1", "--kappa2", "2"],
+    ["--space", "sphere", "--eta2", "1", "--kappa2", "3"],
+], ids=["plane-boundary", "sphere-boundary"])
+def test_threshold_plus_inf_gives_zero_rows(capsys, model):
+    code, out = run(capsys, "expect", "--N", "2", *model, "--threshold=inf")
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 3
+    assert "nan" not in out
+    assert all(float(r["value"]) == 0.0 for r in rows)
 
 
 def test_console_script_entry_point():

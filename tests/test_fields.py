@@ -276,3 +276,60 @@ def test_spec_validation():
     # weights come out normalized
     s = SynthesisSpec.custom_spectral([1.0, 2.0], [2.0, 6.0])
     assert s.weights == (0.25, 0.75)
+
+
+TILT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("rot", [np.eye(3), TILT], ids=["standard", "tilted"])
+def test_chart_gradient_matches_tangent_gradient(rot):
+    # frame components on the chart p -> rot p: e_theta = dp/dtheta and
+    # e_phi = dp/dphi / sin(theta), both carried by rot
+    th = np.linspace(0.0, math.pi, 31)[1:-1]
+    ph = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
+    tg, pg = np.meshgrid(th, ph, indexing="ij")
+    st, ct, sp, cp = np.sin(tg), np.cos(tg), np.sin(pg), np.cos(pg)
+    pts = np.stack([st * cp, st * sp, ct], axis=-1) @ rot.T
+    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1) @ rot.T
+    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1) @ rot.T
+    for l in range(2, 26):
+        f = synthesize(SynthesisSpec.spherical_harmonic(l), rng=100 + l)
+        g = f.tangent_gradient(pts.reshape(-1, 3)).reshape(pts.shape)
+        # detection scans the standard chart on the field itself
+        chart = f if rot is not TILT else f.rotated(rot)
+        c1, c2 = chart.chart_gradient(th, ph)
+        tol = 1e-12 * math.sqrt(f.model.c1)
+        assert c1.shape == c2.shape == (len(th), len(ph))
+        assert np.abs(c1 - (g * e_th).sum(axis=-1)).max() < tol
+        assert np.abs(c2 - (g * e_ph).sum(axis=-1)).max() < tol
+
+
+def test_rotated_coefficients_reproduce_rotated_field():
+    rng = np.random.default_rng(51)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    pts = unit(rng.normal(size=(40, 3)))
+    for l in (2, 7, 20, 25):
+        f = synthesize(SynthesisSpec.spherical_harmonic(l), rng=l)
+        for rot in (TILT, q):
+            g = f.rotated(rot)
+            assert g.degree == l and g.model is f.model
+            err = np.abs(g.value(pts) - f.value(pts @ rot.T)).max()
+            assert err < 1e-12 * np.abs(f.coeffs).max()
+            # a rotation keeps the coefficient norm
+            assert np.linalg.norm(g.coeffs) == pytest.approx(
+                np.linalg.norm(f.coeffs), rel=1e-12)
+    # the identity projects onto the coefficients themselves
+    f = synthesize(SynthesisSpec.spherical_harmonic(12), rng=3)
+    assert np.allclose(f.rotated(np.eye(3)).coeffs, f.coeffs, atol=1e-13)
+
+
+def test_phase_derivatives_match_pointwise():
+    f = synthesize(SynthesisSpec.plane_wave(4.0, n_waves=90), rng=8)
+    pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(6, 2))
+    arg = f.phase(pts)
+    assert arg.shape == (6, 90)
+    assert np.array_equal(f.gradient_at_phase(arg), f.gradient(pts))
+    assert np.array_equal(f.hessian_at_phase(arg), f.hessian(pts))
+    keep = np.array([False, True, True, False, False, True])
+    assert np.array_equal(f.hessian_at_phase(arg, keep), f.hessian(pts[keep]))
+    assert np.array_equal(arg, f.phase(pts))      # the phase is left intact
