@@ -25,6 +25,11 @@ from .sphere import expected_crit_total_sphere, height_cdf_sphere, sphere_area
 
 MAX_NEWTON_ITER = 60
 GRAD_TOL_FACTOR = 1e-10
+# planar Newton runs its trig in float32 while |grad| is at or above this
+# factor times the gradient scale: far above float32 rounding (about 1e-5
+# relative) and far above GRAD_TOL_FACTOR, so only float64 gradients
+# decide convergence
+FLOAT32_GRAD_FACTOR = 1e-3
 HESS_TOL_FACTOR = 1e-6
 # a walker that does not halve |grad| within this many iterations is stalled
 STALL_ITERS = 3
@@ -216,18 +221,30 @@ def _newton(centers, step, eps_g, max_iter, local, dist, block):
 
 
 def _newton_plane(field, centers, step, eps_g, max_iter):
+    near_g = FLOAT32_GRAD_FACTOR * math.sqrt(-2.0 * field.model.rho1)
+    # about the candidates' midpoint the phases stay at the scale of the
+    # window wherever it lies, which keeps their float32 cast accurate
+    mid = (0.5 * (centers.min(axis=0) + centers.max(axis=0)) if len(centers)
+           else np.zeros(2))
+    field = field.translated(mid)
+
     def local(p):
-        # one phase matrix per step: sin for every walker, cos only for
-        # the walkers that go on to a Newton step
+        # one phase matrix per step, cast once to float32: sin for every
+        # walker and cos only for the walkers that go on to a Newton step;
+        # walkers with |grad| below near_g get a float64 gradient
         arg = field.phase(p)
-        return (field.gradient_at_phase(arg),
-                lambda keep: field.hessian_at_phase(arg, keep),
+        arg32 = arg.astype(np.float32)
+        g = field.gradient_at_phase(arg32)
+        near = np.linalg.norm(g, axis=1) < near_g
+        g[near] = field.gradient_at_phase(arg[near])
+        return (g, lambda keep: field.hessian_at_phase(arg32, keep),
                 lambda keep, d: p[keep] + d)
 
     # walkers are independent, so blocks keep the phase matrix small
-    return _newton(centers, step, eps_g, max_iter, local,
-                   lambda p, q: np.abs(p - q).max(axis=1),
-                   max(PHASE_BLOCK // len(field.phases), 1))
+    pts, ok, state = _newton(centers - mid, step, eps_g, max_iter, local,
+                             lambda p, q: np.abs(p - q).max(axis=1),
+                             max(PHASE_BLOCK // len(field.phases), 1))
+    return pts + mid, ok, state
 
 
 def _classify(pts, hess, vals, eps_h) -> list:
@@ -241,7 +258,8 @@ def _classify(pts, hess, vals, eps_h) -> list:
 def _classify_plane(field, pts, eps_h):
     if len(pts) == 0:
         return []
-    return _classify(pts, field.hessian(pts), field.value(pts), eps_h)
+    vals, hess = field.value_and_hessian(pts)
+    return _classify(pts, hess, vals, eps_h)
 
 
 def _merge_points(pts: np.ndarray, radius: float) -> np.ndarray:
@@ -342,8 +360,9 @@ def _newton_sphere(field, centers, step, eps_g, max_iter):
 def _classify_sphere(field, pts, eps_h):
     if len(pts) == 0:
         return []
-    return _classify(pts, field.covariant_hessian(pts, tangent_frames(pts)),
-                     field.value(pts), eps_h)
+    amb = field.ambient(pts)
+    return _classify(pts, field.covariant_hessian(pts, tangent_frames(pts), amb),
+                     amb[0], eps_h)
 
 
 def find_critical_points(field, domain=None, grid_step: float | None = None,
@@ -433,7 +452,7 @@ class SimReport:
         for i, d in sorted(self.ks.items()):
             n = self.pooled_heights[i].n
             lines.append(f"  index {i}: KS {d:.4g} over {n} heights "
-                         f"(crit 1% {ks_critical(n):.4g})")
+                         f"(crit 1% if iid {ks_critical(n):.4g})")
         for k, v in sorted(self.diagnostics.items()):
             lines.append(f"  {k}: {v}")
         return lines

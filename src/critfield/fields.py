@@ -81,6 +81,12 @@ class PlanarWaveField:
         self.phases = np.asarray(phases, dtype=float)
         self.scale = math.sqrt(2.0 / len(phases))
         self._model = model
+        ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
+        # the wave vectors and their outer products in each precision the
+        # phase helpers compute in
+        self._waves = {np.dtype(np.float64): (self.omegas, ww),
+                       np.dtype(np.float32): (self.omegas.astype(np.float32),
+                                              ww.astype(np.float32))}
 
     @property
     def model(self) -> EuclideanModel:
@@ -99,21 +105,39 @@ class PlanarWaveField:
     def hessian(self, pts: np.ndarray) -> np.ndarray:
         return self.hessian_at_phase(self.phase(pts))
 
+    def value_and_hessian(self, pts: np.ndarray):
+        """Value and Hessian from one phase matrix and one cosine."""
+        c = np.cos(self.phase(pts))
+        return self.scale * c.sum(axis=-1), self._hessian_at_cos(c)
+
     def gradient_at_phase(self, arg: np.ndarray) -> np.ndarray:
-        """Gradient from a phase matrix, so callers can share one."""
-        return -self.scale * (np.sin(arg) @ self.omegas)
+        """Gradient from a phase matrix, so callers can share one.  The
+        trig and the sums run in the precision of arg (float64 or
+        float32); the result is float64."""
+        w, _ = self._waves[arg.dtype]
+        return -self.scale * (np.sin(arg) @ w).astype(float, copy=False)
 
     def hessian_at_phase(self, arg: np.ndarray, rows=None) -> np.ndarray:
         """Hessian from a phase matrix, at the given rows of it only (a
-        mask or index array over the leading axis) if rows is set."""
+        mask or index array over the leading axis) if rows is set; in the
+        precision of arg, returned as float64 like the gradient."""
         if rows is None:
             c = np.cos(arg)
         else:
             c = arg[rows]               # a copy, so cos can run in place
             np.cos(c, out=c)
-        ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
-        h = -self.scale * (c @ ww)
+        return self._hessian_at_cos(c)
+
+    def _hessian_at_cos(self, c: np.ndarray) -> np.ndarray:
+        _, ww = self._waves[c.dtype]
+        h = -self.scale * (c @ ww).astype(float, copy=False)
         return h.reshape(c.shape[:-1] + (2, 2))
+
+    def translated(self, shift) -> "PlanarWaveField":
+        """The field t -> f(t + shift), its phases reduced mod 2 pi."""
+        phases = np.mod(self.phases + self.omegas @ np.asarray(shift, dtype=float),
+                        2.0 * math.pi)
+        return PlanarWaveField(self.omegas, phases, self._model)
 
     def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2).
@@ -335,14 +359,16 @@ class SphericalHarmonicField:
         _, g, _ = self.ambient(pts)
         return g - (g * pts).sum(axis=-1, keepdims=True) * pts
 
-    def covariant_hessian(self, pts: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    def covariant_hessian(self, pts: np.ndarray, frames: np.ndarray,
+                          ambient=None) -> np.ndarray:
         """2x2 covariant Hessian in the given orthonormal tangent frames.
 
         frames has shape (..., 2, 3); the sphere's curvature enters as
-        -(grad . p) I on top of the ambient second derivative.
+        -(grad . p) I on top of the ambient second derivative.  ambient,
+        if given, is ambient(pts) already computed, to be reused.
         """
         pts = np.asarray(pts, dtype=float)
-        _, g, h = self.ambient(pts)
+        _, g, h = self.ambient(pts) if ambient is None else ambient
         radial = (g * pts).sum(axis=-1)
         out = np.einsum("...ak,...kl,...bl->...ab", frames, h, frames)
         out[..., 0, 0] -= radial

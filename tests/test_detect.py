@@ -7,8 +7,8 @@ import pytest
 from scipy.special import kolmogi
 
 from critfield.detect import (_CHART_TILT, GRAD_TOL_FACTOR,
-                              MAX_NEWTON_ITER, HeightSample,
-                              _chart_candidates, _merge_points,
+                              MAX_NEWTON_ITER, PHASE_BLOCK, HeightSample,
+                              _chart_candidates, _merge_points, _newton,
                               _newton_plane, _newton_sphere,
                               _plane_candidates, _sign_change_cells,
                               empirical_height_distribution,
@@ -292,11 +292,12 @@ def sphere_angle(p, q):
     return np.arccos(np.clip((p * q).sum(axis=1), -1.0, 1.0))
 
 
-def plane_setup(seed, side=6.0):
-    f = synthesize(SynthesisSpec.plane_wave(10.0), rng=seed)
+def plane_setup(seed, side=6.0, spec=SynthesisSpec.plane_wave(10.0), lo=0.0):
+    f = synthesize(spec, rng=seed)
     step = f.model.eta / 6.0
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * f.model.rho1)
-    return f, step, eps_g, _plane_candidates(f, (0.0, 0.0), (side, side), step)
+    return f, step, eps_g, _plane_candidates(f, (lo, lo), (lo + side, lo + side),
+                                             step)
 
 
 def sphere_setup(seed, degree=20):
@@ -306,10 +307,19 @@ def sphere_setup(seed, degree=20):
     return f, step, eps_g, _chart_candidates(f, step)
 
 
-@pytest.mark.parametrize("seed", [11, 12])
-def test_plane_detection_keeps_every_plain_newton_point(seed):
+# the planar kinds at a similar gradient scale; the gaussian covariance's
+# wave vectors do not share one length
+@pytest.mark.parametrize("spec,seed", [
+    (SynthesisSpec.plane_wave(10.0), 11), (SynthesisSpec.plane_wave(10.0), 12),
+    (SynthesisSpec.gaussian_covariance(0.2), 21),
+    (SynthesisSpec.custom_spectral([4.0, 12.0], [1.0, 2.0]), 21)],
+    ids=["11", "12", "gaussian-covariance", "custom-spectral"])
+def test_plane_detection_keeps_every_plain_newton_point(spec, seed):
+    # planar Newton runs in float32 away from convergence; against plain
+    # float64 Newton it keeps every point, and every point it returns has
+    # a float64 gradient below the tolerance
     side = 6.0
-    f, step, eps_g, centers = plane_setup(seed, side)
+    f, step, eps_g, centers = plane_setup(seed, side, spec)
     plain = plain_newton(plane_derivs(f), lambda p, d, fr: p + d,
                          lambda p, q: np.abs(p - q).max(axis=1),
                          centers, step, eps_g)
@@ -319,6 +329,39 @@ def test_plane_detection_keeps_every_plain_newton_point(seed):
     locs = np.array([p.location for p in res.points])
     gap = np.abs(plain[:, None, :] - locs[None]).max(axis=-1).min(axis=1)
     assert gap.max() < 1e-9
+    assert np.linalg.norm(f.gradient(locs), axis=1).max() < eps_g
+
+
+def float64_newton_plane(field, centers, step, eps_g, max_iter):
+    # planar Newton with all trig in float64, kept as the reference
+    def local(p):
+        arg = field.phase(p)
+        return (field.gradient_at_phase(arg),
+                lambda keep: field.hessian_at_phase(arg, keep),
+                lambda keep, d: p[keep] + d)
+
+    return _newton(centers, step, eps_g, max_iter, local,
+                   lambda p, q: np.abs(p - q).max(axis=1),
+                   max(PHASE_BLOCK // len(field.phases), 1))
+
+
+@pytest.mark.parametrize("key,lo,side", [((11, 0), 0.0, 10.0),
+                                         ((11, 1), 0.0, 10.0),
+                                         ((11, 2), 0.0, 10.0),
+                                         ((11, 0), 5000.0, 3.0)],
+                         ids=["panel-0", "panel-1", "panel-2", "far-window"])
+def test_mixed_precision_funnel_matches_float64_newton(key, lo, side):
+    # the benchmark's plane fields, and a window far from the origin where
+    # float32 phases would be too coarse without the shift to the window:
+    # every walker ends in the same state, and converged walkers agree to
+    # Newton precision
+    f, step, eps_g, centers = plane_setup(key, side, lo=lo)
+    pts, ok, state = _newton_plane(f, centers, step, eps_g, MAX_NEWTON_ITER)
+    ref_pts, ref_ok, ref_state = float64_newton_plane(f, centers, step, eps_g,
+                                                      MAX_NEWTON_ITER)
+    assert np.array_equal(state, ref_state)
+    assert np.abs(pts[ok] - ref_pts[ref_ok]).max() < 1e-9
+    assert np.linalg.norm(f.gradient(pts[ok]), axis=1).max() < eps_g
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
