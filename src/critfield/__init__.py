@@ -13,13 +13,11 @@ from .errors import (CritfieldError, ParameterError, DegenerateEnsembleError,
 from .goi import (GoiEnsemble, EigenvalueVector, IndexedFunctional,
                   NumericConfig, validate_ensemble, k_norm, log_k_norm,
                   sample_goi, ordered_eigenvalue_density, goi_expectation)
-from ._kacrice import CritResult
-from .euclidean import (EuclideanModel, model_from_rho, model_from_shape,
-                        HessianEnsembles, hessian_ensembles,
-                        expected_crit_total, expected_crit_above,
-                        height_density, height_cdf)
+from ._kacrice import (CritResult, expected_crit_total, expected_crit_above,
+                       height_density, height_cdf, height_pdf_result,
+                       height_cdf_result, resolve_method)
+from .euclidean import EuclideanModel, model_from_rho, model_from_shape
 from .sphere import (SphereModel, model_from_C, model_from_legendre,
-                     HessianEnsemblesSphere, hessian_ensembles_sphere,
                      expected_crit_total_sphere, expected_crit_above_sphere,
                      height_density_sphere, height_cdf_sphere, sphere_area,
                      euler_characteristic)
@@ -43,12 +41,11 @@ __all__ = [
     "GoiEnsemble", "EigenvalueVector", "IndexedFunctional", "NumericConfig",
     "validate_ensemble", "k_norm", "log_k_norm", "sample_goi",
     "ordered_eigenvalue_density", "goi_expectation", "CritResult",
+    "expected_crit_total", "expected_crit_above", "height_density",
+    "height_cdf", "height_pdf_result", "height_cdf_result", "resolve_method",
     "EuclideanModel", "model_from_rho", "model_from_shape",
-    "HessianEnsembles", "hessian_ensembles", "expected_crit_total",
-    "expected_crit_above", "height_density", "height_cdf",
     "SphereModel", "model_from_C", "model_from_legendre",
-    "sphere_model_from_shape", "HessianEnsemblesSphere",
-    "hessian_ensembles_sphere", "expected_crit_total_sphere",
+    "sphere_model_from_shape", "expected_crit_total_sphere",
     "expected_crit_above_sphere", "height_density_sphere",
     "height_cdf_sphere", "sphere_area", "euler_characteristic",
     "GoeReduction", "goi_to_goe_np1", "reduced_expectation",

@@ -7,10 +7,13 @@ Both geometries reduce expected critical-point counts to the same template:
     boundary regime              = pref * E_GOI(c_tot)[g_i(0); mean(lam) <= -gamma u]
 
 where g_i(a) is the indexed absolute-determinant functional with shift a.
-The geometry modules supply (pref, c_tot, c_cnd, b, gamma); this module
-evaluates the template by quadrature or Monte Carlo and propagates error
-estimates.  Height densities and upper-tail height fractions follow as
-ratios of the same quantities, so prefactors cancel.
+A model of either geometry (euclidean.EuclideanModel, sphere.SphereModel)
+supplies (pref, c_tot, c_cnd, b, gamma) through problem() and its N = 2
+closed forms through closed_total_n2, closed_pdf_n2 and closed_cdf_n2; this
+module holds the public operations on either model, evaluates the template
+by quadrature or Monte Carlo and propagates error estimates.  Height
+densities and upper-tail height fractions follow as ratios of the same
+quantities, so prefactors cancel.
 """
 from __future__ import annotations
 
@@ -18,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from .errors import MethodError, UndefinedDistributionError
+from .errors import MethodError, ParameterError, UndefinedDistributionError
 from .goi import (
     GoiEnsemble,
     IndexedFunctional,
@@ -36,6 +40,10 @@ from .goi import (
 )
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# kappa^2 within this distance of its feasibility bound snaps to the boundary
+# regime; beyond it the model is rejected as impossible.
+REGIME_TOL = 1e-9
 
 # Outer threshold integrals run on [u, u + OUTER_TAIL]; beyond that the
 # standard normal envelope contributes below any tolerance used here.
@@ -57,6 +65,7 @@ class CritResult:
     Gauss node count, a bound on every truncated tail, and a rounding
     allowance.
     Closed forms report a nominal floating point / 1-d integration residual.
+    The height functions on an array of heights hold arrays of its shape.
     """
 
     value: float
@@ -260,20 +269,40 @@ def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResul
 # ---------------------------------------------------------------------------
 
 
+def _over_heights(x, point):
+    """(values, errors) of point(u) -> (value, error) at every height of x:
+    floats for a scalar x, arrays of x's shape otherwise."""
+    if np.isscalar(x):
+        return point(float(x))
+    xs = np.asarray(x, dtype=float)
+    out = np.array([point(float(u)) for u in xs.ravel()]).reshape(xs.shape + (2,))
+    return out[..., 0], out[..., 1]
+
+
+def _check_total(tot: float, i: int) -> None:
+    if tot <= 0.0:
+        raise UndefinedDistributionError(
+            f"expected count of index-{i} points vanishes; heights undefined")
+
+
 def _total_raw(p: CountProblem, i: int, method: str,
                cfg: NumericConfig) -> tuple[float, float]:
     if method == "quadrature":
-        return nested_ordered_quadrature(
+        tot, err = nested_ordered_quadrature(
             p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
             epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-    ens = p.total_ensemble()
-    fn = IndexedFunctional(index=i, shift=0.0)
-    return mc_eigen_expectation(ens, fn.evaluate, cfg)
+    else:
+        ens = p.total_ensemble()
+        fn = IndexedFunctional(index=i, shift=0.0)
+        tot, err = mc_eigen_expectation(ens, fn.evaluate, cfg)
+    _check_total(tot, i)
+    return tot, err
 
 
-def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
+def height_pdf_general(p: CountProblem, i: int, x, method: str,
                        cfg: NumericConfig) -> CritResult:
-    """h_i(u), the height density of index-i critical points.
+    """h_i at the heights x (a scalar or an array), the height density of
+    index-i critical points; the index total is computed once for all x.
 
     This is the exact integrand ratio
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
@@ -284,63 +313,197 @@ def height_pdf_general(p: CountProblem, i: int, u: float, method: str,
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
     if p.boundary and method == "quadrature":
-        return _height_pdf_boundary(p, i, u, cfg)
+        return _height_pdf_boundary(p, i, x, cfg)
     tot, tot_err = _total_raw(p, i, method, cfg)
-    if tot <= 0.0:
-        raise UndefinedDistributionError(
-            f"expected count of index-{i} points vanishes; heights undefined")
-    beta = p.shift_coeff * u
-    if method == "quadrature":
-        num, num_err = nested_ordered_quadrature(
-            p.n, p.c_cond, _abs_prod_weight(beta), n_lower=i, split=beta,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-    else:
-        ens = p.cond_ensemble()
-        fn = IndexedFunctional(index=i, shift=beta)
-        num, num_err = mc_eigen_expectation(ens, fn.evaluate, cfg)
-    val = _phi(u) * num / tot
-    rel = 0.0
-    if num > 0:
-        rel = math.hypot(num_err / num, tot_err / tot)
-    return CritResult(val, abs(val) * rel + _phi(u) * num_err / tot, method)
+
+    def point(u):
+        beta = p.shift_coeff * u
+        if method == "quadrature":
+            num, num_err = nested_ordered_quadrature(
+                p.n, p.c_cond, _abs_prod_weight(beta), n_lower=i, split=beta,
+                epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+        else:
+            ens = p.cond_ensemble()
+            fn = IndexedFunctional(index=i, shift=beta)
+            num, num_err = mc_eigen_expectation(ens, fn.evaluate, cfg)
+        val = _phi(u) * num / tot
+        rel = 0.0
+        if num > 0:
+            rel = math.hypot(num_err / num, tot_err / tot)
+        return val, abs(val) * rel + _phi(u) * num_err / tot
+
+    return CritResult(*_over_heights(x, point), method)
 
 
-def _height_pdf_boundary(p: CountProblem, i: int, u: float,
+def _height_pdf_boundary(p: CountProblem, i: int, x,
                          cfg: NumericConfig) -> CritResult:
     # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
     # integrand on the slice mean(lam) = -gamma u, times gamma
     tot, tot_err = _total_raw(p, i, "quadrature", cfg)
-    if tot <= 0.0:
-        raise UndefinedDistributionError(
-            f"expected count of index-{i} points vanishes; heights undefined")
-    dens, dens_err = nested_ordered_quadrature(
-        p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-        trace_cap=-p.cap_coeff * u, cap_derivative=True,
-        epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-    val = p.cap_coeff * dens / tot
-    err = p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
-    return CritResult(val, err, "quadrature")
+
+    def point(u):
+        dens, dens_err = nested_ordered_quadrature(
+            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
+            trace_cap=-p.cap_coeff * u, cap_derivative=True,
+            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+        val = p.cap_coeff * dens / tot
+        return val, p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
+
+    return CritResult(*_over_heights(x, point), "quadrature")
 
 
-def height_cdf_general(p: CountProblem, i: int, u: float, method: str,
+def height_cdf_general(p: CountProblem, i: int, u, method: str,
                        cfg: NumericConfig) -> CritResult:
-    """Upper-tail fraction F_i(u): expected share of index-i points above u."""
+    """Upper-tail fraction F_i at the heights u (a scalar or an array):
+    expected share of index-i points above u, over one index total."""
     if method == "quadrature":
-        tot = total_quadrature(p, i, cfg)
-        ab = above_quadrature(p, i, u, cfg)
+        total, above = total_quadrature, above_quadrature
     elif method == "monte-carlo":
-        tot = total_mc(p, i, cfg)
-        ab = above_mc(p, i, u, cfg)
+        total, above = total_mc, above_mc
     else:
         raise MethodError(f"unknown general-path method {method!r}")
-    if tot.value <= 0.0:
-        raise UndefinedDistributionError(
-            f"expected count of index-{i} points vanishes; heights undefined")
-    val = ab.value / tot.value
-    rel = tot.error / tot.value
-    if ab.value > 0:
-        rel = math.hypot(ab.error / ab.value, rel)
-        err = val * rel
-    else:
-        err = ab.error / tot.value
-    return CritResult(val, err, method)
+    tot = total(p, i, cfg)
+    _check_total(tot.value, i)
+
+    def point(v):
+        ab = above(p, i, v, cfg)
+        val = ab.value / tot.value
+        rel = tot.error / tot.value
+        if ab.value > 0:
+            rel = math.hypot(ab.error / ab.value, rel)
+            return val, val * rel
+        return val, ab.error / tot.value
+
+    return CritResult(*_over_heights(u, point), method)
+
+
+# ---------------------------------------------------------------------------
+# closed forms, N = 2: the shared upper-tail integral
+# ---------------------------------------------------------------------------
+
+
+def _upper_tail_quad(pdf, u: float) -> float:
+    """int_u^inf pdf(t) dt by 1-d quadrature on [max(u, -OUTER_TAIL),
+    max(u, 0) + OUTER_TAIL].  Minima integrate their own density
+    h_0(t) = h_2(-t): the complement 1 - F_2(-u) cancels to rounding in
+    their upper tail."""
+    lo = max(u, -OUTER_TAIL)
+    hi = max(lo, 0.0) + OUTER_TAIL
+    val, _ = integrate.quad(lambda t: float(pdf(t)), lo, hi,
+                            epsabs=1e-13, epsrel=1e-11, limit=200)
+    return min(val, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# public operations on either model
+# ---------------------------------------------------------------------------
+
+
+def resolve_method(model, method: str, threshold: bool) -> str:
+    """The route `auto` takes for a model: the N = 2 closed forms;
+    quadrature where affordable (N <= 3 totals, N <= 2 thresholded, since
+    the latter nests an outer integral); Monte Carlo beyond.  Any other
+    method passes through."""
+    if method != "auto":
+        return method
+    if model.n == 2:
+        return "closed-form"
+    if model.n > 3 or (model.n == 3 and threshold):
+        return "monte-carlo"
+    return "quadrature"
+
+
+def _check_index(model, i: int) -> None:
+    if not 0 <= i <= model.n:
+        raise ParameterError(f"index must lie in 0..{model.n}, got {i}")
+
+
+def _require_n2(model) -> None:
+    if model.n != 2:
+        raise MethodError("closed forms are available only for N = 2")
+
+
+def expected_crit_total(model, i: int, method: str = "auto",
+                        config: NumericConfig | None = None) -> CritResult:
+    """Expected number of index-i critical points per unit volume (R^N) or
+    per unit surface area (S^N)."""
+    _check_index(model, i)
+    cfg = config or NumericConfig()
+    method = resolve_method(model, method, threshold=False)
+    if method == "closed-form":
+        _require_n2(model)
+        return CritResult(model.closed_total_n2(i), 1e-15, "closed-form")
+    if method == "quadrature":
+        return total_quadrature(model.problem(), i, cfg)
+    if method == "monte-carlo":
+        return total_mc(model.problem(), i, cfg)
+    raise MethodError(f"unknown method {method!r}")
+
+
+def expected_crit_above(model, i: int, u: float, method: str = "auto",
+                        config: NumericConfig | None = None) -> CritResult:
+    """Expected number per unit volume (area) of index-i critical points
+    above u."""
+    _check_index(model, i)
+    cfg = config or NumericConfig()
+    if math.isinf(u) and u < 0:
+        return expected_crit_total(model, i, method, config)
+    method = resolve_method(model, method, threshold=True)
+    if method == "closed-form":
+        _require_n2(model)
+        tot = model.closed_total_n2(i)
+        frac = model.closed_cdf_n2(i, u)
+        return CritResult(tot * frac, tot * 1e-11, "closed-form")
+    if method == "quadrature":
+        return above_quadrature(model.problem(), i, u, cfg)
+    if method == "monte-carlo":
+        return above_mc(model.problem(), i, u, cfg)
+    raise MethodError(f"unknown method {method!r}")
+
+
+def height_pdf_result(model, i: int, x, method: str = "auto",
+                      config: NumericConfig | None = None) -> CritResult:
+    """h_i at the heights x with its error.  Value and error are floats for
+    a scalar x and arrays of x's shape otherwise; a closed form states one
+    nominal error for every height."""
+    _check_index(model, i)
+    cfg = config or NumericConfig()
+    method = resolve_method(model, method, threshold=True)
+    if method == "closed-form":
+        _require_n2(model)
+        val = model.closed_pdf_n2(i, x)
+        return CritResult(float(val) if np.isscalar(x) else val, 1e-15,
+                          "closed-form")
+    return height_pdf_general(model.problem(), i, x, method, cfg)
+
+
+def height_cdf_result(model, i: int, u, method: str = "auto",
+                      config: NumericConfig | None = None) -> CritResult:
+    """F_i at the heights u with its error, shaped as in height_pdf_result."""
+    _check_index(model, i)
+    cfg = config or NumericConfig()
+    method = resolve_method(model, method, threshold=True)
+    if method == "closed-form":
+        _require_n2(model)
+        val, _ = _over_heights(u, lambda v: (model.closed_cdf_n2(i, v), 0.0))
+        return CritResult(val, 1e-11, "closed-form")
+    return height_cdf_general(model.problem(), i, u, method, cfg)
+
+
+def height_density(model, i: int, x, method: str = "auto",
+                   config: NumericConfig | None = None):
+    """Density h_i of the height of a typical index-i critical point.
+
+    Scalar x gives a float; array x gives an array.
+    """
+    return height_pdf_result(model, i, x, method, config).value
+
+
+def height_cdf(model, i: int, u, method: str = "auto",
+               config: NumericConfig | None = None):
+    """Upper-tail fraction F_i(u): expected share of index-i points above u.
+
+    F_i is nonincreasing with F_i(-inf) = 1; the complementary lower-tail
+    distribution is 1 - F_i(u).
+    """
+    return height_cdf_result(model, i, u, method, config).value

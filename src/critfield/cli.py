@@ -28,14 +28,15 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from . import _kacrice as kr
+from ._kacrice import (expected_crit_above, expected_crit_total,
+                       height_cdf_result, height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
 from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
                      ImpossibleFieldError, InsufficientDataError,
                      InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
 from .fields import SynthesisSpec
-from .fyodorov import fyodorov_expected_crit
+from .fyodorov import fyodorov_expected_crit, goe_method
 from .goi import NumericConfig
 
 CSV_HEADER = ["space", "N", "eta2", "kappa2", "regime", "index",
@@ -130,14 +131,9 @@ def _build_model(args: argparse.Namespace):
     raise ConfigError(f"unknown space {space!r}")
 
 
-def _space_mod(model):
-    return (eu, "euclidean") if isinstance(model, eu.EuclideanModel) else (sp, "sphere")
-
-
 def _numeric_config(args: argparse.Namespace) -> NumericConfig:
     return NumericConfig(
         mc_samples=int(args.samples) if args.samples is not None else 200000,
-        workers=int(args.workers) if args.workers is not None else 1,
         seed=int(args.seed) if args.seed is not None else None,
     )
 
@@ -149,9 +145,8 @@ def _require_seed(args: argparse.Namespace, why: str) -> None:
 
 def _method_uses_mc(model, method: str, threshold: bool) -> bool:
     if method == "fyodorov":
-        return model.n + 1 > 2
-    mod, _ = _space_mod(model)
-    return mod._resolve_method(model, method, threshold) == "monte-carlo"
+        return goe_method(model.n + 1) == "monte-carlo"
+    return resolve_method(model, method, threshold) == "monte-carlo"
 
 
 class _RowSink:
@@ -167,9 +162,8 @@ class _RowSink:
 
     def add(self, model, index: int, grid_value: float, quantity: str,
             value: float, error: float, method: str) -> None:
-        _, space = _space_mod(model)
         self.rows.append([
-            space, str(model.n), _fmt(model.eta2), _fmt(model.kappa2),
+            model.space, str(model.n), _fmt(model.eta2), _fmt(model.kappa2),
             model.regime, str(index), _fmt(grid_value), quantity,
             _fmt(value), _fmt(error), method, self.seed_str,
         ])
@@ -199,10 +193,7 @@ def _count_above(model, i: int, u: float, method: str, cfg: NumericConfig):
     if method == "fyodorov":
         thr = None if (math.isinf(u) and u < 0) else u
         return fyodorov_expected_crit(model, i, thr, config=cfg)
-    mod, _ = _space_mod(model)
-    if isinstance(model, eu.EuclideanModel):
-        return mod.expected_crit_above(model, i, u, method, cfg)
-    return mod.expected_crit_above_sphere(model, i, u, method, cfg)
+    return expected_crit_above(model, i, u, method, cfg)
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -230,7 +221,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
         raise ConfigError("--threshold must be a number, not nan")
     if args.volume is not None and args.whole_sphere:
         raise ConfigError("--volume and --whole-sphere conflict")
-    if isinstance(model, sp.SphereModel):
+    if model.space == "sphere":
         scale = sp.sphere_area(model.n) if args.whole_sphere else \
             (float(args.volume) if args.volume is not None else 1.0)
     else:
@@ -261,8 +252,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
         raise ConfigError("heights supports auto, closed-form, quadrature, "
                           "monte-carlo")
     cfg = _numeric_config(args)
-    mod, _ = _space_mod(model)
-    resolved = mod._resolve_method(model, method, threshold=True)
+    resolved = resolve_method(model, method, threshold=True)
     if resolved == "monte-carlo":
         _require_seed(args, "Monte Carlo sampling is in play")
     want = args.quantity or "both"
@@ -274,28 +264,14 @@ def cmd_heights(args: argparse.Namespace) -> int:
         indices = list(range(model.n + 1))
     else:
         indices = [int(args.index)]
-        if not 0 <= indices[0] <= model.n:
-            raise ParameterError(
-                f"index must lie in 0..{model.n}, got {indices[0]}")
     sink = _RowSink(args)
-    p = None if resolved == "closed-form" else mod._problem(model)
     for i in indices:
         for q in quantities:
-            for x in grid:
-                x = float(x)
-                if resolved == "closed-form":
-                    if q == "height-pdf":
-                        v = mod._closed_pdf_n2(model, i, x)
-                        sink.add(model, i, x, q, float(v), 1e-15, resolved)
-                    else:
-                        v = mod._closed_cdf_n2(model, i, x)
-                        sink.add(model, i, x, q, float(v), 1e-11, resolved)
-                else:
-                    if q == "height-pdf":
-                        r = kr.height_pdf_general(p, i, x, resolved, cfg)
-                    else:
-                        r = kr.height_cdf_general(p, i, x, resolved, cfg)
-                    sink.add(model, i, x, q, r.value, r.error, r.method)
+            fn = height_pdf_result if q == "height-pdf" else height_cdf_result
+            r = fn(model, i, grid, resolved, cfg)
+            errors = np.broadcast_to(r.error, grid.shape)
+            for x, v, e in zip(grid, r.value, errors):
+                sink.add(model, i, float(x), q, v, e, r.method)
     sink.flush()
     return 0
 
@@ -334,26 +310,19 @@ def _suite_closed_vs_quadrature(tol: float, lines: list) -> bool:
         ("sphere-boundary", sp.model_from_legendre(3)),
     ]
     for name, model in models:
-        mod, _ = _space_mod(model)
-        euclidean = isinstance(model, eu.EuclideanModel)
         for i in range(3):
-            if euclidean:
-                closed = mod.expected_crit_total(model, i, "closed-form", cfg)
-                quad = mod.expected_crit_total(model, i, "quadrature", cfg)
-            else:
-                closed = mod.expected_crit_total_sphere(model, i, "closed-form", cfg)
-                quad = mod.expected_crit_total_sphere(model, i, "quadrature", cfg)
+            closed = expected_crit_total(model, i, "closed-form", cfg)
+            quad = expected_crit_total(model, i, "quadrature", cfg)
             ok, line = _check_line(f"{name} total[{i}]", closed.value,
                                    quad.value, tol)
             lines.append(line)
             all_ok &= ok
-        p = mod._problem(model)
         pdf_tol = max(tol, 1e-5)
         for x in (-1.0, 0.0, 1.5):
-            closed_v = mod._closed_pdf_n2(model, 2, x)
-            quad_v = kr.height_pdf_general(p, 2, x, "quadrature", cfg).value
-            ok, line = _check_line(f"{name} pdf2({x})", float(closed_v),
-                                   quad_v, pdf_tol)
+            closed_v = height_pdf_result(model, 2, x, "closed-form", cfg).value
+            quad_v = height_pdf_result(model, 2, x, "quadrature", cfg).value
+            ok, line = _check_line(f"{name} pdf2({x})", closed_v, quad_v,
+                                   pdf_tol)
             lines.append(line)
             all_ok &= ok
     return all_ok
@@ -501,8 +470,6 @@ def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
                    help="evaluation route (default auto)")
     g.add_argument("--samples", type=int,
                    help="Monte Carlo sample count (default 200000)")
-    g.add_argument("--workers", type=int,
-                   help="independent sampling streams (default 1)")
     g.add_argument("--seed", type=int,
                    help="RNG seed; required whenever sampling happens")
 
@@ -586,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-csv", help="write raw detections here")
     p.add_argument("--seed", type=int, help="RNG seed (required)")
     p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--json", help="write a JSON report to this path")
     p.set_defaults(func=cmd_simulate)
 

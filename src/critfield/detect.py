@@ -18,10 +18,10 @@ from scipy.spatial import cKDTree
 from scipy.special import kolmogi
 
 from .errors import InsufficientDataError, ParameterError
-from .euclidean import expected_crit_total, height_cdf
+from ._kacrice import expected_crit_total, height_cdf
 from .fields import (PlanarWaveField, SphericalHarmonicField, SynthesisSpec,
                      synthesize, tangent_frames)
-from .sphere import expected_crit_total_sphere, height_cdf_sphere, sphere_area
+from .sphere import sphere_area
 
 MAX_NEWTON_ITER = 60
 GRAD_TOL_FACTOR = 1e-10
@@ -521,18 +521,10 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
     mean = inten.mean(axis=0)
     se = inten.std(axis=0, ddof=1) / math.sqrt(n_reps)
 
-    if on_sphere:
-        theory = np.array([expected_crit_total_sphere(model, i).value
-                           for i in range(3)])
+    theory = np.array([expected_crit_total(model, i).value for i in range(3)])
 
-        def ref(i):
-            return lambda u: height_cdf_sphere(model, i, u)
-    else:
-        theory = np.array([expected_crit_total(model, i).value
-                           for i in range(3)])
-
-        def ref(i):
-            return lambda u: height_cdf(model, i, u)
+    def ref(i):
+        return lambda u: height_cdf(model, i, u)
 
     pooled = {}
     ks = {}

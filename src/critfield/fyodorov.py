@@ -28,8 +28,6 @@ from scipy.special import gammaln, log_ndtr
 
 from ._kacrice import CountProblem, CritResult
 from .errors import MethodError, ParameterError, RegimeError
-from .euclidean import EuclideanModel
-from .euclidean import _problem as _euclid_problem
 from .goi import (
     GoiEnsemble,
     IndexedFunctional,
@@ -38,8 +36,6 @@ from .goi import (
     nested_ordered_quadrature,
     validate_ensemble,
 )
-from .sphere import SphereModel
-from .sphere import _problem as _sphere_problem
 
 
 @dataclass(frozen=True)
@@ -85,16 +81,24 @@ def goi_to_goe_np1(ensemble: GoiEnsemble, functional: IndexedFunctional) -> GoeR
     )
 
 
+def goe_method(goe_size: int, method: str = "auto") -> str:
+    """The route `auto` takes for an expectation over GOE(goe_size):
+    quadrature up to GOE(2), Monte Carlo beyond.  Any other method passes
+    through."""
+    if method != "auto":
+        return method
+    # quadrature over the ordered GOE(3) region takes 35-60 ms per value
+    # and 0.1-0.3 s with a threshold (2-core machine, one BLAS thread);
+    # auto still samples from GOE(3) up
+    return "quadrature" if goe_size <= 2 else "monte-carlo"
+
+
 def reduced_expectation(reduction: GoeReduction, method: str = "auto",
                         config: NumericConfig | None = None) -> tuple[float, float]:
     """Evaluate the reduced expectation; returns (value, error_estimate)."""
     cfg = config or NumericConfig()
     m = reduction.goe.n
-    if method == "auto":
-        # quadrature over the ordered GOE(3) region takes 35-60 ms per value
-        # and 0.1-0.3 s with a threshold (2-core machine, one BLAS thread);
-        # auto still samples from GOE(3) up
-        method = "quadrature" if m <= 2 else "monte-carlo"
+    method = goe_method(m, method)
     pref = math.exp(reduction.log_prefactor)
     if method == "monte-carlo":
         mean, se = _goe_weighted_mc(
@@ -139,18 +143,12 @@ def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.nda
     return bb * bb / (2.0 * a) - mu * mu / (2.0 * c) + tail - 0.5 * math.log(a)
 
 
-def _problem_for(model) -> CountProblem:
-    if isinstance(model, EuclideanModel):
-        return _euclid_problem(model)
-    if isinstance(model, SphereModel):
-        return _sphere_problem(model)
-    raise ParameterError(f"unsupported model type {type(model).__name__}")
-
-
-def _check_regime(model):
-    p = _problem_for(model)
+def _check_regime(model) -> CountProblem:
+    if not hasattr(model, "problem"):
+        raise ParameterError(f"unsupported model type {type(model).__name__}")
+    p = model.problem()
     if p.c_cond <= 0.0:
-        if isinstance(model, EuclideanModel):
+        if model.space == "euclidean":
             detail = f"kappa^2 = {model.kappa2:.12g} must be < 1"
         else:
             detail = (f"kappa^2 - eta^2 = {model.kappa2 - model.eta2:.12g} "
@@ -177,8 +175,7 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
         raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
     pref = math.exp(p.log_prefactor)
     m = p.n + 1
-    if method == "auto":
-        method = "quadrature" if m <= 2 else "monte-carlo"
+    method = goe_method(m, method)
 
     if u is None or (math.isinf(u) and u < 0):
         # unconditional route: one reduction at shift 0 under c_total

@@ -146,10 +146,9 @@ class IndexedFunctional:
 class NumericConfig:
     """Shared numeric knobs for expectation evaluation.
 
-    mc_samples is the total matrix count; it is split evenly across
-    ``workers`` deterministic substreams derived from ``seed``, so results
-    are reproducible for a fixed (seed, workers) pair regardless of how the
-    work is scheduled.
+    mc_samples is the total matrix count, drawn in chunks of mc_batch from
+    one stream derived from ``seed``, so a fixed seed gives the same
+    results on every run.
 
     With a seed, every Monte Carlo value over one GOI(c) ensemble reads the
     same eigenvalue draw (see eigen_batches; up to BANK_ENTRIES = 3 draws
@@ -161,7 +160,6 @@ class NumericConfig:
     quad_abs_tol: float = 1e-12
     mc_samples: int = 200_000
     mc_batch: int = 200_000
-    workers: int = 1
     seed: int | None = None
 
 
@@ -651,14 +649,6 @@ def _expectation_quadrature(ensemble: GoiEnsemble, functional: IndexedFunctional
 # ---------------------------------------------------------------------------
 
 
-def worker_streams(seed: int | None, workers: int) -> list[np.random.Generator]:
-    """Deterministic per-worker generators derived from (seed, worker index)."""
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(workers)]
-
-
 # Seeded eigenvalue batches kept at once: one command reads at most three
 # (GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind tail uniforms).
 BANK_ENTRIES = 3
@@ -668,7 +658,8 @@ _bank: "OrderedDict[tuple, list]" = OrderedDict()
 def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig,
                   tail_uniforms: bool = False) -> list:
     """The Monte Carlo draw of config: a list of (uniforms or None, ascending
-    eigenvalue rows (k, N)) per mc_batch chunk of each worker stream.
+    eigenvalue rows (k, N)) per mc_batch chunk of the seed's stream (the
+    first child of SeedSequence(seed)).
 
     With tail_uniforms each chunk first draws k uniforms on (0, 1] from its
     stream (as 1 - random), then its matrices.  Seeded draws are kept (read
@@ -679,26 +670,23 @@ def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig,
     total = int(config.mc_samples)
     if total < 2:
         raise ParameterError("mc_samples must be >= 2")
-    key = (ensemble.n, ensemble.c, config.seed, config.workers, total,
-           config.mc_batch, tail_uniforms)
+    key = (ensemble.n, ensemble.c, config.seed, total, config.mc_batch,
+           tail_uniforms)
     if config.seed is not None and key in _bank:
         _bank.move_to_end(key)
         return _bank[key]
-    rngs = worker_streams(config.seed, config.workers)
-    per = [total // len(rngs)] * len(rngs)
-    per[0] += total - sum(per)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     batches = []
-    for rng, quota in zip(rngs, per):
-        done = 0
-        while done < quota:
-            k = min(config.mc_batch, quota - done)
-            uni = 1.0 - rng.random(k) if tail_uniforms else None
-            lam = np.linalg.eigvalsh(sample_goi(ensemble, size=k, rng=rng))
-            for arr in (uni, lam):
-                if arr is not None:
-                    arr.flags.writeable = False
-            batches.append((uni, lam))
-            done += k
+    done = 0
+    while done < total:
+        k = min(config.mc_batch, total - done)
+        uni = 1.0 - rng.random(k) if tail_uniforms else None
+        lam = np.linalg.eigvalsh(sample_goi(ensemble, size=k, rng=rng))
+        for arr in (uni, lam):
+            if arr is not None:
+                arr.flags.writeable = False
+        batches.append((uni, lam))
+        done += k
     if config.seed is not None:
         _bank[key] = batches
         if len(_bank) > BANK_ENTRIES:

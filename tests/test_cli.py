@@ -86,6 +86,25 @@ def test_heights_both_quantities(capsys):
     assert float(rows[3]["value"]) == 1.0
 
 
+GOLDEN_HEIGHTS = Path(__file__).parent / "data" / "closed_form_heights.csv"
+
+
+def test_closed_form_heights_match_golden_csv(capsys):
+    # Euclidean interior and boundary, sphere interior and the degree-3
+    # harmonic; the golden file holds the four outputs under one header
+    cases = [["--eta2", "1", "--kappa2", "1"],
+             ["--eta2", "1", "--kappa2", "2"],
+             ["--space", "sphere", "--eta2", "0.8", "--kappa2", "1.1"],
+             ["--space", "sphere", "--legendre", "3"]]
+    lines = [HEADER_LINE]
+    for model in cases:
+        code, out = run(capsys, "heights", *model, "--grid=-3:3:0.25",
+                        "--quantity", "both")
+        assert code == 0
+        lines += out.splitlines()[1:]
+    assert "\n".join(lines) + "\n" == GOLDEN_HEIGHTS.read_text()
+
+
 def test_density_negative_grid(capsys):
     code, out = run(capsys, "density", "--eta2", "1", "--kappa2", "0.5",
                     "--index", "0", "--grid", "-1:1:0.5")

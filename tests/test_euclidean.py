@@ -15,13 +15,13 @@ from critfield import (
     expected_crit_total,
     height_cdf,
     height_density,
-    hessian_ensembles,
     model_from_rho,
     model_from_shape,
 )
 from critfield import _kacrice as kr
 from critfield import euclidean as eu
 from critfield import sphere as sp
+from critfield.goi import validate_ensemble
 
 PHI = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
 
@@ -52,15 +52,14 @@ def test_model_shape_roundtrip():
     assert almost.kappa2 <= almost.kappa2_bound
 
 
-def test_hessian_ensembles_structure():
+def test_count_problem_structure():
     m = model_from_shape(2, 1.0, 0.6)
-    h = hessian_ensembles(m)
-    assert h.scale == pytest.approx(math.sqrt(8 * m.rho2), rel=1e-14)
-    assert h.unconditional.c == 0.5
-    assert h.conditional.c == pytest.approx((1 - 0.6) / 2, rel=1e-14)
-    assert h.shift_coeff == pytest.approx(m.kappa / math.sqrt(2), rel=1e-14)
-    hb = hessian_ensembles(model_from_shape(2, 1.0, 2.0))
-    assert hb.conditional.degenerate
+    p = m.problem()
+    assert p.c_total == 0.5
+    assert p.c_cond == pytest.approx((1 - 0.6) / 2, rel=1e-14)
+    assert p.shift_coeff == pytest.approx(m.kappa / math.sqrt(2), rel=1e-14)
+    pb = model_from_shape(2, 1.0, 2.0).problem()
+    assert validate_ensemble(pb.n, pb.c_cond).degenerate
 
 
 def test_rice_line_counts():
@@ -206,12 +205,12 @@ def test_boundary_monte_carlo_pdf(space, eta2, kappa2):
     mod = eu if space == "euclidean" else sp
     m = mod.model_from_shape(2, eta2, kappa2)
     assert m.boundary
-    p = mod._problem(m)
+    p = m.problem()
     cfg = NumericConfig(mc_samples=200_000, seed=3)
     for i in range(3):
         for x in (-1.2, -0.4, 0.3, 1.2):
             got = kr.height_pdf_general(p, i, x, "monte-carlo", cfg)
-            want = float(mod._closed_pdf_n2(m, i, x))
+            want = float(m.closed_pdf_n2(i, x))
             assert abs(got.value - want) <= 4.0 * got.error
 
 

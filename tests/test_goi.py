@@ -22,8 +22,7 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
-from critfield.goi import (BANK_ENTRIES, eigen_batches,
-                           nested_ordered_quadrature, worker_streams)
+from critfield.goi import BANK_ENTRIES, eigen_batches, nested_ordered_quadrature
 
 
 @pytest.fixture
@@ -176,16 +175,10 @@ def test_trace_cap_quadrature_matches_monte_carlo():
 def test_mc_reproducible_streams():
     ens = validate_ensemble(2, -0.5)  # degenerate: MC is the only route
     f = IndexedFunctional(index=1)
-    cfg = NumericConfig(mc_samples=50_000, seed=99, workers=3)
+    cfg = NumericConfig(mc_samples=50_000, seed=99)
     a = goi_expectation(ens, f, "monte-carlo", cfg)
     b = goi_expectation(ens, f, "monte-carlo", cfg)
     assert a == b
-    streams = worker_streams(99, 3)
-    assert len(streams) == 3
-    x = [s.standard_normal() for s in streams]
-    assert len(set(x)) == 3
-    with pytest.raises(ParameterError):
-        worker_streams(1, 0)
 
 
 def test_method_dispatch_and_errors():
@@ -227,7 +220,7 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
     # GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind the tail uniforms
     assert len(draws) == 3
     # each row equals the row of a call that draws its own samples
-    p = eu._problem(eu.model_from_shape(3, 1.2, 0.9))
+    p = eu.model_from_shape(3, 1.2, 0.9).problem()
     cfg = NumericConfig(mc_samples=2000, seed=3)
     for row in rows:
         goi._bank.clear()
@@ -236,6 +229,27 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
         r = fn(p, int(row["index"]), float(row["grid_value"]), "monte-carlo", cfg)
         assert (cli._fmt(r.value), cli._fmt(r.error)) == (row["value"], row["error"])
     assert len(draws) == 3 + 2 * len(rows)
+
+
+def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
+    # the index total E_GOI(c_tot)[g_i(0)] does not depend on the height, so
+    # a height grid reduces it once per index and quantity, not per point
+    totals = []
+    real = kr.mc_eigen_expectation
+
+    def counting(ens, eval_batch, cfg):
+        if ens.c == 0.5:        # GOI(c_tot) on R^N
+            totals.append(eval_batch.__self__.index)
+        return real(ens, eval_batch, cfg)
+
+    monkeypatch.setattr(kr, "mc_eigen_expectation", counting)
+    args = ["heights", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
+            "--grid=-1:1:0.5", "--quantity", "both", "--samples", "2000",
+            "--seed", "1"]
+    assert cli.main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2 * 4 * 5
+    assert sorted(totals) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_unseeded_monte_carlo_draws_afresh(empty_bank):

@@ -33,10 +33,10 @@ def _closed_slack(total: float) -> float:
 @pytest.mark.parametrize("kappa2", [0.36, 1.0, 1.44, 1.9, 1.99, 2.0])
 def test_error_column_covers_closed_form_n2(kappa2):
     m = model_from_shape(2, 1.0, kappa2)
-    p = eu._problem(m)
+    p = m.problem()
     cfg = NumericConfig()
     for i in range(3):
-        closed_total = eu._closed_total_n2(m, i)
+        closed_total = m.closed_total_n2(i)
         tot = expected_crit_total(m, i, "quadrature", cfg)
         assert abs(tot.value - closed_total) <= tot.error + _closed_slack(closed_total)
         for u in (-0.8, 0.5):
@@ -45,7 +45,7 @@ def test_error_column_covers_closed_form_n2(kappa2):
             assert abs(ab.value - want) <= ab.error + _closed_slack(closed_total)
         for x in (-0.9, 0.0, 0.7):
             pdf = kr.height_pdf_general(p, i, x, "quadrature", cfg)
-            want = float(eu._closed_pdf_n2(m, i, x))
+            want = float(m.closed_pdf_n2(i, x))
             assert abs(pdf.value - want) <= pdf.error + _closed_slack(1.0)
 
 
@@ -63,11 +63,11 @@ def test_boundary_pdf_on_the_trace_slice(space, eta2, kappa2):
     mod = eu if space == "euclidean" else sp
     m = mod.model_from_shape(2, eta2, kappa2)
     assert m.boundary
-    p = mod._problem(m)
+    p = m.problem()
     for i in range(3):
         for x in (-1.4, -0.2, 0.3, 1.2, 2.5):
             got = kr.height_pdf_general(p, i, x, "quadrature", NumericConfig())
-            want = float(mod._closed_pdf_n2(m, i, x))
+            want = float(m.closed_pdf_n2(i, x))
             assert got.value == pytest.approx(want, rel=1e-8, abs=1e-14)
             assert abs(got.value - want) <= got.error + _closed_slack(1.0)
 
@@ -118,7 +118,7 @@ def test_totals_index_symmetry_and_euler(n, data):
 def test_upper_tail_fraction_nonincreasing_n2(data, u, du):
     for mod, models in ((eu, euclid_models), (sp, sphere_models)):
         m = data.draw(models(2))
-        p = mod._problem(m)
+        p = m.problem()
         for i in range(3):
             a = kr.height_cdf_general(p, i, u, "quadrature", NumericConfig())
             b = kr.height_cdf_general(p, i, u + du, "quadrature", NumericConfig())
@@ -127,7 +127,7 @@ def test_upper_tail_fraction_nonincreasing_n2(data, u, du):
 
 def test_upper_tail_fraction_nonincreasing_n3():
     m = model_from_shape(3, 1.0, 1.6)          # within 0.07 of the boundary
-    p = eu._problem(m)
+    p = m.problem()
     f = [kr.height_cdf_general(p, 1, u, "quadrature", NumericConfig())
          for u in (-0.5, 0.4)]
     assert f[1].value <= f[0].value + f[0].error + f[1].error

@@ -14,9 +14,10 @@ from critfield.euclidean import model_from_shape as euclid_from_shape
 from critfield.sphere import (euler_characteristic, expected_crit_above_sphere,
                               expected_crit_total_sphere,
                               height_cdf_sphere, height_density_sphere,
-                              hessian_ensembles_sphere, model_from_C,
+                              model_from_C,
                               model_from_legendre, model_from_shape,
                               sphere_area)
+from critfield.goi import validate_ensemble
 
 
 def closed_total(eta2: float, i: int) -> float:
@@ -73,17 +74,16 @@ def test_legendre_preset():
         model_from_legendre(1)
 
 
-def test_hessian_ensembles():
+def test_count_problem():
     m = model_from_shape(2, 0.8, 1.5)
-    ens = hessian_ensembles_sphere(m)
-    assert ens.scale == pytest.approx(math.sqrt(2.0 * m.c2), rel=1e-14)
-    assert ens.unconditional.c == pytest.approx((1.0 + 0.8) / 2.0, rel=1e-14)
-    assert ens.conditional.c == pytest.approx((1.0 + 0.8 - 1.5) / 2.0, rel=1e-14)
-    assert ens.shift_coeff == pytest.approx(math.sqrt(1.5 / 2.0), rel=1e-14)
-    assert not ens.conditional.degenerate
+    p = m.problem()
+    assert p.c_total == pytest.approx((1.0 + 0.8) / 2.0, rel=1e-14)
+    assert p.c_cond == pytest.approx((1.0 + 0.8 - 1.5) / 2.0, rel=1e-14)
+    assert p.shift_coeff == pytest.approx(math.sqrt(1.5 / 2.0), rel=1e-14)
+    assert not validate_ensemble(p.n, p.c_cond).degenerate
     # boundary model: conditional c = (1 + eta^2 - kappa^2)/2 = -1/N
-    bens = hessian_ensembles_sphere(model_from_legendre(2))
-    assert bens.conditional.degenerate
+    pb = model_from_legendre(2).problem()
+    assert validate_ensemble(pb.n, pb.c_cond).degenerate
 
 
 def test_closed_totals():
