@@ -11,7 +11,10 @@ A model of either geometry (euclidean.EuclideanModel, sphere.SphereModel)
 supplies (pref, c_tot, c_cnd, b, gamma) through problem() and its N = 2
 closed forms through closed_total_n2, closed_pdf_n2 and closed_cdf_n2; this
 module holds the public operations on either model, evaluates the template
-by quadrature or Monte Carlo and propagates error estimates.  Height
+by quadrature or Monte Carlo and propagates error estimates.  Every
+unshifted or trace-capped expectation is one goi.goi_expectation call; only
+the shifted numerators (heights as a batch axis) and the boundary trace
+slice call the quadrature engine directly.  Height
 densities and upper-tail height fractions follow as ratios of the same
 quantities, so prefactors cancel.
 """
@@ -30,11 +33,11 @@ from .goi import (
     IndexedFunctional,
     NumericConfig,
     NODE_LADDER,
-    QUADRATURE_MAX_N,
     _gauss_on,
+    abs_prod_weight,
     batch_mean,
     eigen_batches,
-    mc_eigen_expectation,
+    goi_expectation,
     nested_ordered_quadrature,
     validate_ensemble,
 )
@@ -96,43 +99,26 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / SQRT2PI
 
 
-def _abs_prod_weight(shift):
-    """prod_j |lam_j - shift| on the engine's (batch, points) arrays; an
-    array shift holds one entry per batch row."""
-    shift = np.asarray(shift, dtype=float)
-    if shift.ndim:
-        shift = shift[:, None]
-
-    def weight(lam):
-        out = lam[0] - shift
-        for v in lam[1:]:
-            out *= v - shift
-        return np.abs(out, out=out)
-    return weight
-
-
 # ---------------------------------------------------------------------------
 # totals
 # ---------------------------------------------------------------------------
 
 
-def total_quadrature(p: CountProblem, i: int, cfg: NumericConfig) -> CritResult:
-    if p.n > QUADRATURE_MAX_N:
-        raise MethodError(
-            f"quadrature supports N <= {QUADRATURE_MAX_N}; use monte-carlo")
-    val, err = nested_ordered_quadrature(
-        p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-        epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-    pref = math.exp(p.log_prefactor)
-    return CritResult(pref * val, pref * err, "quadrature")
+def _index_total(p: CountProblem, i: int, method: str, cfg: NumericConfig,
+                 trace_cap: float | None = None) -> tuple[float, float]:
+    """E_GOI(c_tot)[g_i(0)], restricted to mean(lam) <= trace_cap if one
+    is given, and its error."""
+    fn = IndexedFunctional(index=i, trace_cap=trace_cap)
+    return goi_expectation(p.total_ensemble(), fn, method, cfg)
 
 
-def total_mc(p: CountProblem, i: int, cfg: NumericConfig) -> CritResult:
-    ens = p.total_ensemble()
-    fn = IndexedFunctional(index=i, shift=0.0)
-    val, err = mc_eigen_expectation(ens, fn.evaluate, cfg)
+def count_total(p: CountProblem, i: int, method: str, cfg: NumericConfig,
+                trace_cap: float | None = None) -> CritResult:
+    """Expected index-i count pref * E_GOI(c_tot)[g_i(0)]; with a trace cap
+    -gamma u, the boundary-regime count above u."""
+    val, err = _index_total(p, i, method, cfg, trace_cap)
     pref = math.exp(p.log_prefactor)
-    return CritResult(pref * val, pref * err, "monte-carlo")
+    return CritResult(pref * val, pref * err, method)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +163,11 @@ def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
                           cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
     """E_GOI(c_cnd)[g_i(b x)] and its error at each height x; the heights
     are a batch axis of the quadrature engine, taken OUTER_CHUNK at a time."""
-    vals, errs = [], []
+    vals, errs = [np.zeros(0)], [np.zeros(0)]
     for s in range(0, x.size, OUTER_CHUNK):
         beta = p.shift_coeff * x[s:s + OUTER_CHUNK]
         v, e = nested_ordered_quadrature(
-            p.n, p.c_cond, _abs_prod_weight(beta), n_lower=i, split=beta,
+            p.n, p.c_cond, abs_prod_weight(beta), n_lower=i, split=beta,
             epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
         vals.append(v)
         errs.append(e)
@@ -190,20 +176,10 @@ def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
 
 def above_quadrature(p: CountProblem, i: int, u: float,
                      cfg: NumericConfig) -> CritResult:
-    if math.isinf(u) and u < 0:
-        return total_quadrature(p, i, cfg)
-    if p.n > QUADRATURE_MAX_N:
-        raise MethodError(
-            f"quadrature supports N <= {QUADRATURE_MAX_N}; use monte-carlo")
     if math.isinf(u):
         return CritResult(0.0, 0.0, "quadrature")
-    pref = math.exp(p.log_prefactor)
     if p.boundary:
-        cap = -p.cap_coeff * u
-        val, err = nested_ordered_quadrature(
-            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-            trace_cap=cap, epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        return CritResult(pref * val, pref * err, "quadrature")
+        return count_total(p, i, "quadrature", cfg, trace_cap=-p.cap_coeff * u)
 
     # The outer integrand phi(x) E[g_i(b x)] is a polynomial times the normal
     # density, so only [-OUTER_TAIL, OUTER_TAIL] (shifted right for large u)
@@ -231,18 +207,13 @@ def above_quadrature(p: CountProblem, i: int, u: float,
             break
         k += 1
     err += _outer_tail_bound(p, hi) + (_outer_tail_bound(p, -lo) if u < lo else 0.0)
+    pref = math.exp(p.log_prefactor)
     return CritResult(pref * val, pref * err, "quadrature")
 
 
 def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResult:
-    if math.isinf(u) and u < 0:
-        return total_mc(p, i, cfg)
-    pref = math.exp(p.log_prefactor)
     if p.boundary:
-        ens = p.total_ensemble()
-        fn = IndexedFunctional(index=i, shift=0.0, trace_cap=-p.cap_coeff * u)
-        val, err = mc_eigen_expectation(ens, fn.evaluate, cfg)
-        return CritResult(pref * val, pref * err, "monte-carlo")
+        return count_total(p, i, "monte-carlo", cfg, trace_cap=-p.cap_coeff * u)
 
     # Double sampling: x from the normal upper tail above u (one matrix per
     # x), scaled by the tail mass so the estimator stays unbiased.  The
@@ -261,7 +232,20 @@ def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResul
     batches = eigen_batches(ens, cfg, tail_uniforms=True)
     mean, se = batch_mean((values(uni, lam) for uni, lam in batches),
                           int(cfg.mc_samples))
+    pref = math.exp(p.log_prefactor)
     return CritResult(pref * tail * mean, pref * tail * se, "monte-carlo")
+
+
+def count_above(p: CountProblem, i: int, u: float, method: str,
+                cfg: NumericConfig) -> CritResult:
+    """Expected index-i count above u by quadrature or Monte Carlo."""
+    if math.isinf(u) and u < 0:
+        return count_total(p, i, method, cfg)
+    if method == "quadrature":
+        return above_quadrature(p, i, u, cfg)
+    if method == "monte-carlo":
+        return above_mc(p, i, u, cfg)
+    raise MethodError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +253,15 @@ def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResul
 # ---------------------------------------------------------------------------
 
 
-def _over_heights(x, point):
-    """(values, errors) of point(u) -> (value, error) at every height of x:
-    floats for a scalar x, arrays of x's shape otherwise."""
-    if np.isscalar(x):
-        return point(float(x))
+def _over_heights(x, point, *cols):
+    """(values, errors) of point(u, *row) -> (value, error) at every height
+    u of x, where row holds the entries at u of the columns cols (flat
+    arrays over x): floats for a scalar x, arrays of x's shape otherwise."""
     xs = np.asarray(x, dtype=float)
-    out = np.array([point(float(u)) for u in xs.ravel()]).reshape(xs.shape + (2,))
+    out = np.array([point(float(u), *row) for u, *row in zip(xs.ravel(), *cols)])
+    if np.isscalar(x):
+        return float(out[0, 0]), float(out[0, 1])
+    out = out.reshape(xs.shape + (2,))
     return out[..., 0], out[..., 1]
 
 
@@ -283,20 +269,6 @@ def _check_total(tot: float, i: int) -> None:
     if tot <= 0.0:
         raise UndefinedDistributionError(
             f"expected count of index-{i} points vanishes; heights undefined")
-
-
-def _total_raw(p: CountProblem, i: int, method: str,
-               cfg: NumericConfig) -> tuple[float, float]:
-    if method == "quadrature":
-        tot, err = nested_ordered_quadrature(
-            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-    else:
-        ens = p.total_ensemble()
-        fn = IndexedFunctional(index=i, shift=0.0)
-        tot, err = mc_eigen_expectation(ens, fn.evaluate, cfg)
-    _check_total(tot, i)
-    return tot, err
 
 
 def height_pdf_general(p: CountProblem, i: int, x, method: str,
@@ -308,42 +280,42 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
     boundary regime c_cnd = -1/N: Monte Carlo samples that degenerate
     ensemble as it is, and quadrature, which needs a density, integrates on
-    the trace slice mean(lam) = -gamma u instead.
+    the trace slice mean(lam) = -gamma u instead.  Quadrature numerators
+    take the heights as a batch axis of the engine.
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
+    tot, tot_err = _index_total(p, i, method, cfg)
+    _check_total(tot, i)
     if p.boundary and method == "quadrature":
-        return _height_pdf_boundary(p, i, x, cfg)
-    tot, tot_err = _total_raw(p, i, method, cfg)
+        return _height_pdf_boundary(p, i, x, tot, tot_err, cfg)
+    us = np.asarray(x, dtype=float).ravel()
+    if method == "quadrature":
+        num, num_err = _shifted_expectations(p, i, us, cfg)
+    else:
+        ens = p.cond_ensemble()
+        num, num_err = np.array([
+            goi_expectation(ens, IndexedFunctional(index=i, shift=p.shift_coeff * u),
+                            method, cfg)
+            for u in us.tolist()]).reshape(-1, 2).T
 
-    def point(u):
-        beta = p.shift_coeff * u
-        if method == "quadrature":
-            num, num_err = nested_ordered_quadrature(
-                p.n, p.c_cond, _abs_prod_weight(beta), n_lower=i, split=beta,
-                epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        else:
-            ens = p.cond_ensemble()
-            fn = IndexedFunctional(index=i, shift=beta)
-            num, num_err = mc_eigen_expectation(ens, fn.evaluate, cfg)
+    def point(u, num, num_err):
         val = _phi(u) * num / tot
         rel = 0.0
         if num > 0:
             rel = math.hypot(num_err / num, tot_err / tot)
         return val, abs(val) * rel + _phi(u) * num_err / tot
 
-    return CritResult(*_over_heights(x, point), method)
+    return CritResult(*_over_heights(x, point, num, num_err), method)
 
 
-def _height_pdf_boundary(p: CountProblem, i: int, x,
-                         cfg: NumericConfig) -> CritResult:
+def _height_pdf_boundary(p: CountProblem, i: int, x, tot: float,
+                         tot_err: float, cfg: NumericConfig) -> CritResult:
     # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
     # integrand on the slice mean(lam) = -gamma u, times gamma
-    tot, tot_err = _total_raw(p, i, "quadrature", cfg)
-
     def point(u):
         dens, dens_err = nested_ordered_quadrature(
-            p.n, p.c_total, _abs_prod_weight(0.0), n_lower=i, split=0.0,
+            p.n, p.c_total, abs_prod_weight(0.0), n_lower=i, split=0.0,
             trace_cap=-p.cap_coeff * u, cap_derivative=True,
             epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
         val = p.cap_coeff * dens / tot
@@ -356,17 +328,11 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
                        cfg: NumericConfig) -> CritResult:
     """Upper-tail fraction F_i at the heights u (a scalar or an array):
     expected share of index-i points above u, over one index total."""
-    if method == "quadrature":
-        total, above = total_quadrature, above_quadrature
-    elif method == "monte-carlo":
-        total, above = total_mc, above_mc
-    else:
-        raise MethodError(f"unknown general-path method {method!r}")
-    tot = total(p, i, cfg)
+    tot = count_total(p, i, method, cfg)
     _check_total(tot.value, i)
 
     def point(v):
-        ab = above(p, i, v, cfg)
+        ab = count_above(p, i, v, method, cfg)
         val = ab.value / tot.value
         rel = tot.error / tot.value
         if ab.value > 0:
@@ -433,11 +399,7 @@ def expected_crit_total(model, i: int, method: str = "auto",
     if method == "closed-form":
         _require_n2(model)
         return CritResult(model.closed_total_n2(i), 1e-15, "closed-form")
-    if method == "quadrature":
-        return total_quadrature(model.problem(), i, cfg)
-    if method == "monte-carlo":
-        return total_mc(model.problem(), i, cfg)
-    raise MethodError(f"unknown method {method!r}")
+    return count_total(model.problem(), i, method, cfg)
 
 
 def expected_crit_above(model, i: int, u: float, method: str = "auto",
@@ -454,11 +416,7 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
         tot = model.closed_total_n2(i)
         frac = model.closed_cdf_n2(i, u)
         return CritResult(tot * frac, tot * 1e-11, "closed-form")
-    if method == "quadrature":
-        return above_quadrature(model.problem(), i, u, cfg)
-    if method == "monte-carlo":
-        return above_mc(model.problem(), i, u, cfg)
-    raise MethodError(f"unknown method {method!r}")
+    return count_above(model.problem(), i, u, method, cfg)
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",

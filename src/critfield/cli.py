@@ -552,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dedup radius (default 1e-6 grid steps)")
     p.add_argument("--points-csv", help="write raw detections here")
     p.add_argument("--seed", type=int, help="RNG seed (required)")
-    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
     p.add_argument("--json", help="write a JSON report to this path")
     p.set_defaults(func=cmd_simulate)
 

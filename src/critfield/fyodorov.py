@@ -96,28 +96,28 @@ def goe_method(goe_size: int, method: str = "auto") -> str:
 def reduced_expectation(reduction: GoeReduction, method: str = "auto",
                         config: NumericConfig | None = None) -> tuple[float, float]:
     """Evaluate the reduced expectation; returns (value, error_estimate)."""
-    cfg = config or NumericConfig()
-    m = reduction.goe.n
-    method = goe_method(m, method)
+    half = 9.0 * max(1.0, math.sqrt(reduction.coupling)) + abs(reduction.shift)
+    val, err = _goe_expectation(reduction.goe.n, reduction.eigen_position,
+                                reduction.log_weight, half, method,
+                                config or NumericConfig())
     pref = math.exp(reduction.log_prefactor)
+    return pref * val, pref * err
+
+
+def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
+                     cfg: NumericConfig) -> tuple[float, float]:
+    """E_GOE(m)[exp(log_w(lam_pos))] and its error by the route `method`
+    (`auto` as goe_method); quadrature truncates to the box |mean(lam)| <=
+    half, gaps up to 2 half."""
+    method = goe_method(m, method)
     if method == "monte-carlo":
-        mean, se = _goe_weighted_mc(
-            reduction.goe, reduction.eigen_position,
-            lambda mu: np.exp(reduction.log_weight(mu)), cfg)
-        return pref * mean, pref * se
+        return _goe_weighted_mc(validate_ensemble(m, 0.0), pos,
+                                lambda mu: np.exp(log_w(mu)), cfg)
     if method == "quadrature":
-        if m > 3:
-            raise MethodError("quadrature supports GOE size <= 3; use monte-carlo")
-        half = 9.0 * max(1.0, math.sqrt(reduction.coupling)) + abs(reduction.shift)
-        pos = reduction.eigen_position
-
-        def weight(lam):
-            return np.exp(reduction.log_weight(lam[pos]))
-
-        val, err = nested_ordered_quadrature(
-            m, 0.0, weight, n_lower=0, split=None, box_half=half,
+        return nested_ordered_quadrature(
+            m, 0.0, lambda lam: np.exp(log_w(lam[pos])), n_lower=0,
+            split=None, box_half=half,
             epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        return pref * val, pref * err
     raise MethodError(f"unknown method {method!r}")
 
 
@@ -175,7 +175,6 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
         raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
     pref = math.exp(p.log_prefactor)
     m = p.n + 1
-    method = goe_method(m, method)
 
     if u is None or (math.isinf(u) and u < 0):
         # unconditional route: one reduction at shift 0 under c_total
@@ -194,22 +193,7 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
         return 0.5 * np.asarray(mu, dtype=float) ** 2 \
             + log_threshold_factor(mu, b, c, u)
 
-    goe = validate_ensemble(m, 0.0)
-    if method == "monte-carlo":
-        mean, se = _goe_weighted_mc(goe, i, lambda mu: np.exp(log_w(mu)), cfg)
-        scale = pref * math.exp(log_pref_red)
-        return CritResult(scale * mean, scale * se, "fyodorov")
-    if method == "quadrature":
-        if m > 3:
-            raise MethodError("quadrature supports GOE size <= 3; use monte-carlo")
-        half = 9.0 * max(1.0, math.sqrt(c + b * b)) + abs(u)
-
-        def weight(lam):
-            return np.exp(log_w(lam[i]))
-
-        val, err = nested_ordered_quadrature(
-            m, 0.0, weight, n_lower=0, split=None, box_half=half,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        scale = pref * math.exp(log_pref_red)
-        return CritResult(scale * val, scale * err, "fyodorov")
-    raise MethodError(f"unknown method {method!r}")
+    half = 9.0 * max(1.0, math.sqrt(c + b * b)) + abs(u)
+    val, err = _goe_expectation(m, i, log_w, half, method, cfg)
+    scale = pref * math.exp(log_pref_red)
+    return CritResult(scale * val, scale * err, "fyodorov")

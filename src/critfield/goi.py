@@ -581,8 +581,14 @@ def nested_ordered_quadrature(n: int, c: float,
     error is the sum of those rule differences, a Cauchy-Schwarz bound on
     the part cut off by the truncation (sqrt of the weight's second moment
     over the box, by a coarse rule, times sqrt of the law's exact mass
-    outside the box), and a rounding allowance.
+    outside the box), and a rounding allowance.  Matrices larger than
+    QUADRATURE_MAX_N raise MethodError.
     """
+    if n > QUADRATURE_MAX_N:
+        raise MethodError(
+            f"quadrature supports matrices of size <= {QUADRATURE_MAX_N} "
+            f"(N <= {QUADRATURE_MAX_N}, or GOE(N+1) of size <= "
+            f"{QUADRATURE_MAX_N}), got size {n}; use monte-carlo")
     if c + 1.0 / n <= 0.0:
         raise DegenerateEnsembleError(
             "quadrature needs a nondegenerate ensemble (c > -1/N)")
@@ -625,23 +631,20 @@ def nested_ordered_quadrature(n: int, c: float,
     return val, err
 
 
-def _expectation_quadrature(ensemble: GoiEnsemble, functional: IndexedFunctional,
-                            config: NumericConfig) -> tuple[float, float]:
-    n = ensemble.n
-    if functional.index > n:
-        raise ParameterError(f"index {functional.index} out of range for N={n}")
-    shift = functional.shift
+def abs_prod_weight(shift):
+    """prod_j |lam_j - shift|, the weight of an indexed functional, on the
+    engine's (batch, points) arrays; an array shift holds one entry per
+    batch row."""
+    shift = np.asarray(shift, dtype=float)
+    if shift.ndim:
+        shift = shift[:, None]
 
     def weight(lam):
         out = lam[0] - shift
-        for x in lam[1:]:
-            out *= x - shift
+        for v in lam[1:]:
+            out *= v - shift
         return np.abs(out, out=out)
-
-    return nested_ordered_quadrature(
-        n, ensemble.c, weight, n_lower=functional.index, split=shift,
-        trace_cap=functional.trace_cap,
-        epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -743,14 +746,14 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
                   if ensemble.n <= QUADRATURE_MAX_N and not ensemble.degenerate
                   else "monte-carlo")
     if method == "quadrature":
-        if ensemble.n > QUADRATURE_MAX_N:
-            raise MethodError(
-                f"quadrature supports N <= {QUADRATURE_MAX_N}; "
-                f"use method='monte-carlo' for N={ensemble.n}")
         if ensemble.degenerate:
             raise DegenerateEnsembleError(
                 "no eigenvalue density at c = -1/N; use method='monte-carlo'")
-        return _expectation_quadrature(ensemble, functional, config)
+        return nested_ordered_quadrature(
+            ensemble.n, ensemble.c, abs_prod_weight(functional.shift),
+            n_lower=functional.index, split=functional.shift,
+            trace_cap=functional.trace_cap,
+            epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
     if method == "monte-carlo":
         return mc_eigen_expectation(ensemble, functional.evaluate, config)
     raise MethodError(f"unknown method {method!r}")

@@ -190,6 +190,11 @@ def test_config_exit_codes(capsys):
     # malformed grid
     assert run(capsys, "density", "--eta2", "1", "--kappa2", "0.5",
                "--index", "0", "--grid", "0:1")[0] == 2
+    # quadrature beyond N = 3, off and on the boundary regime
+    for kappa2 in ("0.9", "1.5"):
+        assert run(capsys, "heights", "--N", "4", "--eta2", "1", "--kappa2", kappa2,
+                   "--grid=0:0.5:0.5", "--quantity", "pdf",
+                   "--method", "quadrature")[0] == 2
 
 
 def test_nan_threshold_exits_2(capsys):

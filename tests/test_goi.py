@@ -235,14 +235,14 @@ def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
     # the index total E_GOI(c_tot)[g_i(0)] does not depend on the height, so
     # a height grid reduces it once per index and quantity, not per point
     totals = []
-    real = kr.mc_eigen_expectation
+    real = goi.mc_eigen_expectation
 
     def counting(ens, eval_batch, cfg):
         if ens.c == 0.5:        # GOI(c_tot) on R^N
             totals.append(eval_batch.__self__.index)
         return real(ens, eval_batch, cfg)
 
-    monkeypatch.setattr(kr, "mc_eigen_expectation", counting)
+    monkeypatch.setattr(goi, "mc_eigen_expectation", counting)
     args = ["heights", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
             "--grid=-1:1:0.5", "--quantity", "both", "--samples", "2000",
             "--seed", "1"]

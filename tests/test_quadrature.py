@@ -147,3 +147,29 @@ def test_n3_thresholded_counts_match_kinematic_formula():
             * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
     assert abs(alt - want) <= sum(r.error for r in rows) + 8.0 * EPS * abs(want)
     assert alt == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,kappa2", [(2, 0.8), (3, 0.9)])
+def test_quadrature_height_pdf_integrates_to_one(n, kappa2):
+    # each h_i is a density: a Gauss-Legendre rule on [-13, 13], split at
+    # 0, sums it to 1 within the summed error column
+    t, w = np.polynomial.legendre.leggauss(32)
+    x = np.concatenate([6.5 * (t - 1.0), 6.5 * (t + 1.0)])
+    w = np.concatenate([6.5 * w, 6.5 * w])
+    m = model_from_shape(n, 1.0, kappa2)
+    for i in range(n + 1):
+        pdf = kr.height_pdf_result(m, i, x, "quadrature")
+        assert abs(w @ pdf.value - 1.0) <= w @ pdf.error + 1e-8
+
+
+def test_array_grid_pdf_matches_pointwise():
+    # heights are a batch axis of the engine: each row of an array grid
+    # lies within its error of the same height evaluated alone
+    m = model_from_shape(3, 1.0, 0.9)
+    grid = -1.0 + 0.1 * np.arange(21)      # the CLI grid -1:1:0.1
+    for i in range(4):
+        batch = kr.height_pdf_result(m, i, grid, "quadrature")
+        assert batch.value.shape == batch.error.shape == grid.shape
+        for x, v, e in zip(grid, batch.value, batch.error):
+            alone = kr.height_pdf_result(m, i, float(x), "quadrature")
+            assert abs(v - alone.value) <= e
