@@ -7,11 +7,13 @@ Both geometries reduce expected critical-point counts to the same template:
     boundary regime              = pref * E_GOI(c_tot)[g_i(0); mean(lam) <= -gamma u]
 
 where g_i(a) is the indexed absolute-determinant functional with shift a.
-A model of either geometry (euclidean.EuclideanModel, sphere.SphereModel)
-supplies (pref, c_tot, c_cnd, b, gamma) through problem() and its N = 2
-closed forms through closed_total_n2, closed_pdf_n2 and closed_cdf_n2; this
-module holds the public operations on either model, evaluates the template
-by quadrature or Monte Carlo and propagates error estimates.  Every
+IsotropicModel writes the Hessian law of both geometries once, with the
+sphere's eta^2 as a curvature term (0 on R^N): shape, regime, (pref, c_tot,
+c_cnd, b, gamma) through problem(), and the N = 2 height laws.  A geometry
+(euclidean.EuclideanModel, sphere.SphereModel) adds its curvature,
+prefactor and N = 2 totals.  This module holds the public operations on
+either model, evaluates the template by quadrature or Monte Carlo and
+propagates error estimates.  Every
 unshifted or trace-capped expectation is one goi.goi_expectation call; only
 the shifted numerators (heights as a batch axis) and the boundary trace
 slice call the quadrature engine directly.  Height
@@ -21,13 +23,14 @@ quantities, so prefactors cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from .errors import MethodError, ParameterError, UndefinedDistributionError
+from .errors import (InvalidCovarianceError, MethodError, ParameterError,
+                     UndefinedDistributionError)
 from .goi import (
     GoiEnsemble,
     IndexedFunctional,
@@ -93,6 +96,97 @@ class CountProblem:
 
     def cond_ensemble(self) -> GoiEnsemble:
         return validate_ensemble(self.n, self.c_cond)
+
+
+class IsotropicModel:
+    """Shape, regime, count parameters and N = 2 height laws of a
+    unit-variance isotropic field on R^N or S^N.
+
+    A geometry is a frozen dataclass of its covariance derivatives and
+    supplies n, eta2, raw_kappa2 (the unclamped kappa^2), curvature (how
+    eta^2 enters the Hessian law: 0 on R^N, eta^2 on S^N), log_prefactor
+    and closed_total_n2(i).  With e2 = curvature the Hessian law reads
+    c_tot = (1 + e2)/2, c_cnd = (1 + e2 - kappa^2)/2, and feasibility
+    requires kappa^2 - e2 <= (N+2)/N, with equality the boundary regime.
+    """
+
+    def __post_init__(self):
+        derivs = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "n"}
+        if not all(math.isfinite(v) for v in derivs.values()):
+            raise InvalidCovarianceError(
+                f"covariance derivatives must be finite, got {derivs}")
+
+    @property
+    def eta(self) -> float:
+        return math.sqrt(self.eta2)
+
+    @property
+    def gap_bound(self) -> float:
+        """(N+2)/N, the largest kappa^2 - curvature of any such field."""
+        return (self.n + 2.0) / self.n
+
+    @property
+    def kappa2(self) -> float:
+        return min(self.raw_kappa2, self.curvature + self.gap_bound)
+
+    @property
+    def kappa(self) -> float:
+        return math.sqrt(self.kappa2)
+
+    @property
+    def boundary(self) -> bool:
+        return self.raw_kappa2 - self.curvature >= self.gap_bound - REGIME_TOL
+
+    @property
+    def regime(self) -> str:
+        return "boundary" if self.boundary else "nonboundary"
+
+    def problem(self) -> CountProblem:
+        n = self.n
+        e2 = self.curvature
+        return CountProblem(
+            n=n,
+            log_prefactor=self.log_prefactor,
+            c_total=(1.0 + e2) / 2.0,
+            c_cond=(1.0 + e2 - self.kappa2) / 2.0,
+            shift_coeff=self.kappa / math.sqrt(2.0),
+            cap_coeff=math.sqrt((n + 2.0 + n * e2) / (2.0 * n)),
+            boundary=self.boundary,
+        )
+
+    def closed_pdf_n2(self, i: int, x):
+        x = np.asarray(x, dtype=float)
+        e2 = self.curvature
+        if self.boundary:
+            if i == 1:
+                return _h1_n2_boundary(x, e2)
+            return _h2_n2_boundary(x, e2) if i == 2 else _h2_n2_boundary(-x, e2)
+        k2 = self.kappa2
+        if i == 1:
+            return _h1_n2(x, e2, k2)
+        return _h2_n2(x, e2, k2) if i == 2 else _h2_n2(-x, e2, k2)
+
+    def closed_cdf_n2(self, i: int, u: float) -> float:
+        """Upper-tail fraction F_i(u) for N = 2, exact up to 1-d integration."""
+        if u == math.inf:       # the maxima tail below reads inf * 0 there
+            return 0.0
+        e2 = self.curvature
+        if self.boundary:
+            if i == 1:
+                return float(ndtr(-u * math.sqrt(3.0 + e2)))
+            if i == 2:
+                a = max(u, 0.0)
+                pref = (2.0 * math.sqrt(3.0 + e2)
+                        / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2))))
+                val = pref * ((e2 + 2.0) * a * math.exp(-0.5 * a * a)
+                              + e2 * SQRT2PI * ndtr(-a)
+                              + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
+                              * ndtr(-a * math.sqrt(3.0 + e2)))
+                return float(min(val, 1.0))
+        elif i == 1:
+            return float(ndtr(-u * math.sqrt((3.0 + e2) / (3.0 + e2 - self.kappa2))))
+        return _upper_tail_quad(lambda t: self.closed_pdf_n2(i, t), u)
 
 
 def _phi(x: float) -> float:
@@ -344,8 +438,39 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
 
 
 # ---------------------------------------------------------------------------
-# closed forms, N = 2: the shared upper-tail integral
+# closed forms, N = 2: height densities (e2 = curvature) and the upper tail
 # ---------------------------------------------------------------------------
+
+
+def _h1_n2(x, e2, k2):
+    b = 3.0 + e2 - k2
+    return np.sqrt((3.0 + e2) / (2.0 * math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
+
+
+def _h2_n2(x, e2, k2):
+    k = math.sqrt(k2)
+    a = 2.0 + e2 - k2
+    b = 3.0 + e2 - k2
+    pref = 2.0 * math.sqrt(3.0 + e2) / (2.0 + e2 * math.sqrt(3.0 + e2))
+    phi = np.exp(-0.5 * x * x) / SQRT2PI
+    t1 = (e2 + k2 * (x * x - 1.0)) * phi * ndtr(k * x / math.sqrt(a))
+    t2 = k * math.sqrt(a) / (2.0 * math.pi) * x * np.exp(-0.5 * (2.0 + e2) * x * x / a)
+    t3 = (np.sqrt(2.0 / (math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
+          * ndtr(k * x / math.sqrt(a * b)))
+    return pref * (t1 + t2 + t3)
+
+
+def _h2_n2_boundary(x, e2):
+    x = np.asarray(x, dtype=float)
+    pref = 2.0 * math.sqrt(3.0 + e2) / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2)))
+    out = pref * (((e2 + 2.0) * x * x - 2.0) * np.exp(-0.5 * x * x)
+                  + 2.0 * np.exp(-0.5 * (3.0 + e2) * x * x))
+    return np.where(x >= 0.0, out, 0.0)
+
+
+def _h1_n2_boundary(x, e2):
+    x = np.asarray(x, dtype=float)
+    return math.sqrt(3.0 + e2) / SQRT2PI * np.exp(-0.5 * (3.0 + e2) * x * x)
 
 
 def _upper_tail_quad(pdf, u: float) -> float:

@@ -138,6 +138,16 @@ def _numeric_config(args: argparse.Namespace) -> NumericConfig:
     )
 
 
+def _indices(args: argparse.Namespace, model) -> list:
+    if args.index is None or args.index == "all":
+        return list(range(model.n + 1))
+    try:
+        return [int(args.index)]
+    except ValueError:
+        raise ConfigError(f"--index must be an integer or 'all', got "
+                          f"{args.index!r}") from None
+
+
 def _require_seed(args: argparse.Namespace, why: str) -> None:
     if args.seed is None:
         raise ConfigError(f"--seed is required: {why}")
@@ -221,6 +231,9 @@ def cmd_expect(args: argparse.Namespace) -> int:
         raise ConfigError("--threshold must be a number, not nan")
     if args.volume is not None and args.whole_sphere:
         raise ConfigError("--volume and --whole-sphere conflict")
+    if args.volume is not None and not (math.isfinite(args.volume)
+                                        and args.volume > 0):
+        raise ConfigError(f"--volume must be finite and > 0, got {args.volume}")
     if model.space == "sphere":
         scale = sp.sphere_area(model.n) if args.whole_sphere else \
             (float(args.volume) if args.volume is not None else 1.0)
@@ -228,10 +241,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
         if args.whole_sphere:
             raise ConfigError("--whole-sphere applies to sphere models only")
         scale = float(args.volume) if args.volume is not None else 1.0
-    if args.index is None or args.index == "all":
-        indices = list(range(model.n + 1))
-    else:
-        indices = [int(args.index)]
+    indices = _indices(args, model)
     threshold = not (math.isinf(u) and u < 0)
     if _method_uses_mc(model, method, threshold):
         _require_seed(args, "Monte Carlo sampling is in play")
@@ -260,10 +270,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
                   "both": ["height-pdf", "height-cdf"]}.get(want)
     if quantities is None:
         raise ConfigError(f"unknown quantity {want!r}")
-    if args.index is None or args.index == "all":
-        indices = list(range(model.n + 1))
-    else:
-        indices = [int(args.index)]
+    indices = _indices(args, model)
     sink = _RowSink(args)
     for i in indices:
         for q in quantities:
@@ -358,6 +365,8 @@ def _suite_cross_path(tol: float, cfg: NumericConfig, lines: list) -> bool:
 def cmd_validate(args: argparse.Namespace) -> int:
     suite = args.suite or "all"
     tol = float(args.tol) if args.tol is not None else 1e-6
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     lines: list[str] = []
     ok = True
     if suite in ("closed-vs-quadrature", "all"):
@@ -378,6 +387,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _floats(flag: str, text) -> list:
+    """A comma-separated list of numbers."""
+    try:
+        return [float(v) for v in str(text).split(",")]
+    except ValueError:
+        raise ConfigError(f"--{flag} must be comma-separated numbers, got "
+                          f"{text!r}") from None
+
+
 def _build_spec(args: argparse.Namespace) -> SynthesisSpec:
     kind = args.kind
     if kind is None:
@@ -394,9 +412,9 @@ def _build_spec(args: argparse.Namespace) -> SynthesisSpec:
     if kind == "custom-spectral":
         if not args.radii or not args.weights:
             raise ConfigError("custom-spectral needs --radii and --weights")
-        radii = [float(v) for v in str(args.radii).split(",")]
-        weights = [float(v) for v in str(args.weights).split(",")]
-        return SynthesisSpec.custom_spectral(radii, weights, n_waves)
+        return SynthesisSpec.custom_spectral(_floats("radii", args.radii),
+                                             _floats("weights", args.weights),
+                                             n_waves)
     if kind == "spherical-harmonic":
         if args.degree is None:
             raise ConfigError("spherical-harmonic needs --degree")
@@ -602,6 +620,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(_fold_negative_values(argv))
     try:
         _load_config(args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "density":
             _require(args, ["index", "grid"])
         if args.command == "heights":

@@ -20,7 +20,7 @@ from scipy.special import kolmogi
 from .errors import InsufficientDataError, ParameterError
 from ._kacrice import expected_crit_total, height_cdf
 from .fields import (PlanarWaveField, SphericalHarmonicField, SynthesisSpec,
-                     synthesize, tangent_frames)
+                     _positive, synthesize, tangent_frames)
 from .sphere import sphere_area
 
 MAX_NEWTON_ITER = 60
@@ -99,6 +99,17 @@ def _check_step(step: float, model):
             stacklevel=3)
 
 
+def _check_scan(grid_step: float | None, merge_radius: float | None) -> None:
+    """Reject a grid step that is not finite and > 0 and a merge radius
+    that is not finite and >= 0; None keeps either default."""
+    if grid_step is not None:
+        _positive("grid step", grid_step)
+    if merge_radius is not None and not (math.isfinite(merge_radius)
+                                         and merge_radius >= 0.0):
+        raise ParameterError(
+            f"merge radius must be finite and >= 0, got {merge_radius}")
+
+
 def _sign_change_cells(sx: np.ndarray, sy: np.ndarray, wrap_cols: bool):
     """Cells where both gradient components change sign among the corners."""
 
@@ -140,6 +151,7 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
                                merge_radius: float | None = None,
                                max_iter: int = MAX_NEWTON_ITER) -> DetectionResult:
     """All critical points of the field inside the rectangle [lo, hi]."""
+    _check_scan(grid_step, merge_radius)
     model = field.model
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -316,6 +328,7 @@ def find_critical_points_sphere(field: SphericalHarmonicField,
                                 merge_radius: float | None = None,
                                 max_iter: int = MAX_NEWTON_ITER) -> DetectionResult:
     """All critical points on the whole sphere; merge radius is angular."""
+    _check_scan(grid_step, merge_radius)
     model = field.model
     step = grid_step if grid_step is not None else _default_step(model)
     _check_step(step, model)
@@ -333,15 +346,13 @@ def find_critical_points_sphere(field: SphericalHarmonicField,
 
 def _newton_sphere(field, centers, step, eps_g, max_iter):
     def local(p):
-        _, g, h = field.ambient(p)
-        radial = (g * p).sum(axis=-1)
+        amb = field.ambient(p)
+        g = amb[1]
         fr = tangent_frames(p)
 
         def hessian(keep):
-            h2 = np.einsum("kai,kij,kbj->kab", fr[keep], h[keep], fr[keep])
-            h2[:, 0, 0] -= radial[keep]
-            h2[:, 1, 1] -= radial[keep]
-            return h2
+            return field.covariant_hessian(p[keep], fr[keep],
+                                           tuple(a[keep] for a in amb))
 
         def move(keep, d):
             q = p[keep] + np.einsum("ka,kai->ki", d, fr[keep])
@@ -474,8 +485,13 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
     if n_reps < 2:
         raise ParameterError("n_reps must be >= 2")
     on_sphere = spec.kind == "spherical-harmonic"
-    if not on_sphere and (side is None or side <= 0):
-        raise ParameterError("planar studies need a positive domain side")
+    if not on_sphere:
+        if side is None:
+            raise ParameterError("planar studies need a domain side")
+        _positive("side", side)
+    _check_scan(grid_step, merge_radius)
+    if seed is not None and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     streams = np.random.SeedSequence(seed).spawn(n_reps)
 
     counts = np.zeros((n_reps, 3))

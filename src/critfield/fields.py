@@ -23,6 +23,14 @@ KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
          "spherical-harmonic")
 
 
+def _positive(name: str, value: float) -> float:
+    """value as a float if it is finite and > 0; ParameterError otherwise."""
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    return v
+
+
 @dataclass(frozen=True)
 class SynthesisSpec:
     """Recipe for one random field; see the preset constructors."""
@@ -35,31 +43,29 @@ class SynthesisSpec:
     weights: tuple = ()             # custom-spectral
     degree: int = 0                 # spherical-harmonic
 
+    def __post_init__(self):
+        if self.n_waves < 1:
+            raise ParameterError(f"n_waves must be >= 1, got {self.n_waves}")
+
     @classmethod
     def gaussian_covariance(cls, length_scale: float, n_waves: int = 2000):
         """cov(h) = exp(-|h|^2 / (2 ell^2)): eta^2 = 2 ell^2, kappa^2 = 1."""
-        if length_scale <= 0:
-            raise ParameterError("length_scale must be positive")
         return cls(kind="gaussian-covariance", n_waves=n_waves,
-                   length_scale=float(length_scale))
+                   length_scale=_positive("length_scale", length_scale))
 
     @classmethod
     def plane_wave(cls, wavenumber: float, n_waves: int = 2000):
         """cov(h) = J0(r |h|): a random Helmholtz solution, kappa^2 = 2."""
-        if wavenumber <= 0:
-            raise ParameterError("wavenumber must be positive")
         return cls(kind="plane-wave", n_waves=n_waves,
-                   wavenumber=float(wavenumber))
+                   wavenumber=_positive("wavenumber", wavenumber))
 
     @classmethod
     def custom_spectral(cls, radii, weights, n_waves: int = 2000):
         """Ring mixture: cov(h) = sum_i w_i J0(r_i |h|), weights normalized."""
-        radii = tuple(float(r) for r in radii)
-        weights = tuple(float(w) for w in weights)
+        radii = tuple(_positive("radius", r) for r in radii)
+        weights = tuple(_positive("weight", w) for w in weights)
         if len(radii) != len(weights) or not radii:
             raise ParameterError("radii and weights must be equal-length, nonempty")
-        if any(r <= 0 for r in radii) or any(w <= 0 for w in weights):
-            raise ParameterError("radii and weights must be positive")
         tot = sum(weights)
         return cls(kind="custom-spectral", n_waves=n_waves, radii=radii,
                    weights=tuple(w / tot for w in weights))

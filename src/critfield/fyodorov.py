@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from ._kacrice import CountProblem, CritResult
+from ._kacrice import CountProblem, CritResult, IsotropicModel
 from .errors import MethodError, ParameterError, RegimeError
 from .goi import (
     GoiEnsemble,
@@ -144,7 +144,7 @@ def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.nda
 
 
 def _check_regime(model) -> CountProblem:
-    if not hasattr(model, "problem"):
+    if not isinstance(model, IsotropicModel):
         raise ParameterError(f"unsupported model type {type(model).__name__}")
     p = model.problem()
     if p.c_cond <= 0.0:

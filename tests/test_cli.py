@@ -195,6 +195,18 @@ def test_config_exit_codes(capsys):
         assert run(capsys, "heights", "--N", "4", "--eta2", "1", "--kappa2", kappa2,
                    "--grid=0:0.5:0.5", "--quantity", "pdf",
                    "--method", "quadrature")[0] == 2
+    # a region volume that is not finite and positive
+    for volume in ("nan", "inf", "-2"):
+        assert run(capsys, "expect", "--eta2", "1", "--kappa2", "1",
+                   "--volume", volume) == (2, "")
+    assert run(capsys, "expect", "--eta2", "1", "--kappa2", "1",
+               "--index", "x") == (2, "")
+    # a negative seed, for Monte Carlo and for field synthesis
+    assert run(capsys, "expect", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
+               "--method", "monte-carlo", "--seed", "-1") == (2, "")
+    assert run(capsys, "simulate", "--kind", "plane-wave", "--wavenumber",
+               "10", "--side", "3", "--reps", "2", "--seed", "-1") == (2, "")
+    assert run(capsys, "validate", "--tol", "nan") == (2, "")
 
 
 def test_nan_threshold_exits_2(capsys):
@@ -247,6 +259,10 @@ def test_model_exit_codes(capsys):
     # fyodorov route outside its regime
     assert run(capsys, "expect", "--eta2", "1", "--kappa2", "1.5",
                "--method", "fyodorov", "--seed", "1")[0] == 3
+    # an infinite covariance derivative
+    assert run(capsys, "expect", "--rho1=-1", "--rho2", "inf") == (3, "")
+    assert run(capsys, "expect", "--space", "sphere", "--c1", "1", "--c2",
+               "inf") == (3, "")
 
 
 def test_validate_suite(capsys):
@@ -303,6 +319,40 @@ def test_simulate_sphere_euler(tmp_path, capsys):
                "--degree", "2", "--reps", "2")[0] == 2   # seed required
     assert run(capsys, "simulate", "--wavenumber", "3", "--side", "4",
                "--reps", "2", "--seed", "1")[0] == 2     # kind required
+
+
+PLANE_SIM = ["simulate", "--kind", "plane-wave", "--wavenumber", "10",
+             "--side", "3", "--reps", "2", "--seed", "1"]
+SPHERE_SIM = ["simulate", "--kind", "spherical-harmonic", "--degree", "20",
+              "--reps", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    PLANE_SIM + ["--side", "nan"],
+    PLANE_SIM + ["--side", "inf"],
+    PLANE_SIM + ["--grid-step", "0"],
+    PLANE_SIM + ["--grid-step", "nan"],
+    PLANE_SIM + ["--grid-step", "-0.1"],
+    SPHERE_SIM + ["--grid-step", "0"],
+    SPHERE_SIM + ["--grid-step", "nan"],
+    PLANE_SIM + ["--n-waves", "0"],
+    PLANE_SIM + ["--wavenumber", "inf"],
+    ["simulate", "--kind", "custom-spectral", "--radii", "1,x", "--weights",
+     "1,1", "--side", "3", "--reps", "2", "--seed", "1"],
+    PLANE_SIM + ["--merge-radius", "-1"],
+    PLANE_SIM + ["--merge-radius", "nan"],
+], ids=["side-nan", "side-inf", "step-0", "step-nan", "step-negative",
+        "sphere-step-0", "sphere-step-nan", "n-waves-0", "wavenumber-inf",
+        "radii-not-numbers", "merge-radius-negative", "merge-radius-nan"])
+def test_simulate_bad_numbers_exit_2_before_synthesis(capsys, monkeypatch, argv):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("a field was synthesized")
+
+    monkeypatch.setattr("critfield.detect.synthesize", no_synthesis)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("model", [

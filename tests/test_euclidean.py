@@ -49,7 +49,7 @@ def test_model_shape_roundtrip():
     assert b.boundary and b.regime == "boundary"
     # kappa^2 stays clamped at the bound even with rounding noise
     almost = model_from_rho(2, b.rho1 * (1 + 1e-12), b.rho2)
-    assert almost.kappa2 <= almost.kappa2_bound
+    assert almost.kappa2 <= almost.gap_bound
 
 
 def test_count_problem_structure():

@@ -240,6 +240,28 @@ def test_small_sphere_recovers_planar_heights():
                 assert ps == pytest.approx(pe, rel=tol, abs=1e-10)
 
 
+@pytest.mark.parametrize("kappa2", [0.5, 1.0, 1.5, 2.0 + 1e-8])
+def test_planar_n2_laws_are_the_zero_curvature_limit(kappa2):
+    # eta^2 enters the sphere's Hessian law only as curvature: at eta^2 ->
+    # 0 its N = 2 height laws and count parameters are the planar ones at
+    # the same gap kappa^2 - eta^2, boundary regime included
+    eta2 = 1e-8
+    ms = model_from_shape(2, eta2, kappa2)
+    me = euclid_from_shape(2, 1.0, kappa2 - eta2)
+    assert ms.boundary == me.boundary
+    x = np.linspace(-4.0, 4.0, 33)
+    for i in range(3):
+        assert np.allclose(ms.closed_pdf_n2(i, x), me.closed_pdf_n2(i, x),
+                           rtol=0.0, atol=1e-7)
+        for u in x[::4]:
+            assert ms.closed_cdf_n2(i, u) == pytest.approx(
+                me.closed_cdf_n2(i, u), rel=0.0, abs=1e-7)
+    ps, pe = ms.problem(), me.problem()
+    for name in ("c_total", "c_cond", "cap_coeff"):
+        assert getattr(ps, name) == pytest.approx(getattr(pe, name),
+                                                  rel=0.0, abs=1e-7)
+
+
 def test_parameter_errors():
     m = model_from_shape(2, 1.0, 1.0)
     with pytest.raises(ParameterError):
