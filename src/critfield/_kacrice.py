@@ -16,9 +16,12 @@ either model, evaluates the template by quadrature or Monte Carlo and
 propagates error estimates.  Every
 unshifted or trace-capped expectation is one goi.goi_expectation call; only
 the shifted numerators (heights as a batch axis) and the boundary trace
-slice call the quadrature engine directly.  Height
-densities and upper-tail height fractions follow as ratios of the same
-quantities, so prefactors cancel.
+slice call the quadrature engine directly.  Every outer height integral,
+closed-form N = 2 tail or quadrature count above u, is one _upper_tails
+call: one Gauss rule on the pieces between the sorted heights, summed from
+the top.  Monte Carlo counts above u and the boundary trace slice stay per
+height; they are the oracles.  Height densities and upper-tail height
+fractions follow as ratios of the same quantities, so prefactors cancel.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import (InvalidCovarianceError, MethodError, ParameterError,
@@ -51,14 +53,18 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # regime; beyond it the model is rejected as impossible.
 REGIME_TOL = 1e-9
 
-# Outer threshold integrals run on [u, u + OUTER_TAIL]; beyond that the
-# standard normal envelope contributes below any tolerance used here.
+# Outer threshold integrals run on [max(u, -OUTER_TAIL), max(u, 0) +
+# OUTER_TAIL]; beyond that the standard normal envelope contributes below
+# any tolerance used here.
 OUTER_TAIL = 13.0
 # Gauss nodes per piece of the outer height integral (first rung of
 # goi.NODE_LADDER, cap), and heights handed to the quadrature engine per call.
 OUTER_START_NODES = 24
 OUTER_MAX_NODES = 256
 OUTER_CHUNK = 8
+# Outer-rule tolerances of the N = 2 closed-form tails (see CritResult).
+CLOSED_ABS_TOL = 1e-13
+CLOSED_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,8 @@ class CritResult:
     outer height integral) the difference to the rule with the next smaller
     Gauss node count, a bound on every truncated tail, and a rounding
     allowance.
-    Closed forms report a nominal floating point / 1-d integration residual.
+    Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
+    tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.
     """
 
@@ -167,30 +174,77 @@ class IsotropicModel:
             return _h1_n2(x, e2, k2)
         return _h2_n2(x, e2, k2) if i == 2 else _h2_n2(-x, e2, k2)
 
-    def closed_cdf_n2(self, i: int, u: float) -> float:
-        """Upper-tail fraction F_i(u) for N = 2, exact up to 1-d integration."""
-        if u == math.inf:       # the maxima tail below reads inf * 0 there
-            return 0.0
+    def closed_cdf_n2(self, i: int, u) -> CritResult:
+        """Upper-tail fraction F_i at the heights u (an array) for N = 2.
+        Index 1 and the boundary maxima have erfc forms; minima integrate
+        their own density h_0(t) = h_2(-t), since the complement
+        1 - F_2(-u) cancels to rounding in their upper tail."""
+        u = np.asarray(u, dtype=float)
         e2 = self.curvature
-        if self.boundary:
-            if i == 1:
-                return float(ndtr(-u * math.sqrt(3.0 + e2)))
-            if i == 2:
-                a = max(u, 0.0)
-                pref = (2.0 * math.sqrt(3.0 + e2)
-                        / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2))))
-                val = pref * ((e2 + 2.0) * a * math.exp(-0.5 * a * a)
-                              + e2 * SQRT2PI * ndtr(-a)
-                              + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
-                              * ndtr(-a * math.sqrt(3.0 + e2)))
-                return float(min(val, 1.0))
-        elif i == 1:
-            return float(ndtr(-u * math.sqrt((3.0 + e2) / (3.0 + e2 - self.kappa2))))
-        return _upper_tail_quad(lambda t: self.closed_pdf_n2(i, t), u)
+        if i == 1:
+            s = 3.0 + e2 if self.boundary else (3.0 + e2) / (3.0 + e2 - self.kappa2)
+            return CritResult(ndtr(-u * math.sqrt(s)), CLOSED_REL_TOL, "closed-form")
+        if self.boundary and i == 2:
+            # every term underflows to 0 before a = 40; the clip keeps
+            # u = inf off inf * 0
+            a = np.clip(u, 0.0, 40.0)
+            pref = (2.0 * math.sqrt(3.0 + e2)
+                    / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2))))
+            val = pref * ((e2 + 2.0) * a * np.exp(-0.5 * a * a)
+                          + e2 * SQRT2PI * ndtr(-a)
+                          + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
+                          * ndtr(-a * math.sqrt(3.0 + e2)))
+            return CritResult(np.minimum(val, 1.0), CLOSED_REL_TOL, "closed-form")
+        val, err = _upper_tails(lambda t: (self.closed_pdf_n2(i, t), 0.0), u,
+                                CLOSED_ABS_TOL, CLOSED_REL_TOL)
+        return CritResult(np.minimum(val, 1.0), np.maximum(err, CLOSED_REL_TOL),
+                          "closed-form")
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / SQRT2PI
+def _phi(x):
+    return np.exp(-0.5 * x * x) / SQRT2PI
+
+
+def _shaped(x, val, err, method: str) -> CritResult:
+    """CritResult at the heights x: floats for a scalar x, else of x's shape."""
+    val, err = np.broadcast_arrays(val, err)
+    if np.isscalar(x):
+        return CritResult(val.item(), err.item(), method)
+    return CritResult(val.reshape(np.shape(x)), err.reshape(np.shape(x)), method)
+
+
+def _upper_tails(integrand, u, epsabs: float, epsrel: float):
+    """int_u^top of integrand(x) -> (values, errors) at every height of the
+    array u, top = max(u, 0) + OUTER_TAIL over the finite heights (tail 0 at
+    or above it), and its error.  One Gauss rule runs on the pieces between
+    the sorted heights, clipped below at -OUTER_TAIL and split at 0, where
+    the boundary minima density ends, summed from the top; it climbs
+    NODE_LADDER until every tail is within max(epsabs, epsrel |tail|) of the
+    rung below (that difference plus the integrand's error is the error) or
+    reaches OUTER_MAX_NODES."""
+    u = np.asarray(u, dtype=float)
+    top = float(np.max(u, where=np.isfinite(u), initial=0.0)) + OUTER_TAIL
+    lo = np.clip(u, -OUTER_TAIL, top).ravel()
+    edges = np.unique(np.append(lo, [max(lo.min(), 0.0), top]))
+    first = np.searchsorted(edges, lo)      # each height's first piece
+
+    def rung(m):
+        x, w = _gauss_on(edges[:-1], edges[1:], m)
+        val, err = integrand(x)
+        pieces = np.stack([w * val, w * err]).reshape(2, -1, m).sum(axis=2)
+        tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
+        return np.append(tails, np.zeros((2, 1)), axis=1)[:, first]
+
+    k = NODE_LADDER.index(OUTER_START_NODES)
+    below = rung(NODE_LADDER[k - 1])[0]
+    while True:
+        val, inner_err = rung(NODE_LADDER[k])
+        err = np.abs(val - below) + inner_err
+        if (np.all(err <= np.maximum(epsabs, epsrel * np.abs(val)))
+                or NODE_LADDER[k] >= OUTER_MAX_NODES):
+            return val.reshape(u.shape), err.reshape(u.shape)
+        below = val
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -268,50 +322,26 @@ def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
     return np.concatenate(vals), np.concatenate(errs)
 
 
-def above_quadrature(p: CountProblem, i: int, u: float,
+def above_quadrature(p: CountProblem, i: int, u: np.ndarray,
                      cfg: NumericConfig) -> CritResult:
-    if math.isinf(u):
-        return CritResult(0.0, 0.0, "quadrature")
-    if p.boundary:
-        return count_total(p, i, "quadrature", cfg, trace_cap=-p.cap_coeff * u)
+    """Non-boundary expected index-i count above each height of the array u.
+    The outer integrand phi(x) E[g_i(b x)] is a polynomial times the normal
+    density; its tails cut off beyond |x| = OUTER_TAIL are bounded."""
+    def integrand(x):
+        e, e_err = _shifted_expectations(p, i, x, cfg)
+        phi = _phi(x)
+        return phi * e, phi * e_err
 
-    # The outer integrand phi(x) E[g_i(b x)] is a polynomial times the normal
-    # density, so only [-OUTER_TAIL, OUTER_TAIL] (shifted right for large u)
-    # is integrated, with a Gauss rule split at x = 0 (where the boundary
-    # limit of the integrand has its kink); the cut tails are bounded.
-    lo = max(u, -OUTER_TAIL)
-    hi = max(lo, 0.0) + OUTER_TAIL
-    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
-    levels: dict = {}
-
-    def level(m: int):
-        if m not in levels:
-            x, w = _gauss_on(np.array(edges[:-1]), np.array(edges[1:]), m)
-            e, e_err = _shifted_expectations(p, i, x, cfg)
-            wphi = w * np.exp(-0.5 * x * x) / SQRT2PI
-            levels[m] = (float(wphi @ e), float(wphi @ e_err))
-        return levels[m]
-
-    k = NODE_LADDER.index(OUTER_START_NODES)
-    while True:
-        val, inner_err = level(NODE_LADDER[k])
-        err = abs(val - level(NODE_LADDER[k - 1])[0]) + inner_err
-        if (err <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(val))
-                or NODE_LADDER[k] >= OUTER_MAX_NODES):
-            break
-        k += 1
-    err += _outer_tail_bound(p, hi) + (_outer_tail_bound(p, -lo) if u < lo else 0.0)
+    val, err = _upper_tails(integrand, u, cfg.quad_abs_tol, cfg.quad_rel_tol)
+    err = np.where(u < math.inf, err + 2.0 * _outer_tail_bound(p, OUTER_TAIL), 0.0)
     pref = math.exp(p.log_prefactor)
     return CritResult(pref * val, pref * err, "quadrature")
 
 
 def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResult:
-    if p.boundary:
-        return count_total(p, i, "monte-carlo", cfg, trace_cap=-p.cap_coeff * u)
-
-    # Double sampling: x from the normal upper tail above u (one matrix per
-    # x), scaled by the tail mass so the estimator stays unbiased.  The
-    # uniforms lie in (0, 1], which keeps ndtri away from its -inf endpoint.
+    # Double sampling (non-boundary): x from the normal upper tail above u
+    # (one matrix per x), scaled by the tail mass so the estimator stays
+    # unbiased; uniforms in (0, 1] keep ndtri away from its -inf endpoint.
     ens = p.cond_ensemble()
     tail = float(ndtr(-u))
     if tail == 0.0:
@@ -330,33 +360,30 @@ def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResul
     return CritResult(pref * tail * mean, pref * tail * se, "monte-carlo")
 
 
-def count_above(p: CountProblem, i: int, u: float, method: str,
+def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
                 cfg: NumericConfig) -> CritResult:
-    """Expected index-i count above u by quadrature or Monte Carlo."""
-    if math.isinf(u) and u < 0:
-        return count_total(p, i, method, cfg)
-    if method == "quadrature":
+    """Expected index-i count above each height of the 1-d array u: in one
+    outer rule by non-boundary quadrature, one height at a time by Monte
+    Carlo and in the boundary regime (a trace-capped total)."""
+    if method not in ("quadrature", "monte-carlo"):
+        raise MethodError(f"unknown method {method!r}")
+    if method == "quadrature" and not p.boundary:
         return above_quadrature(p, i, u, cfg)
-    if method == "monte-carlo":
-        return above_mc(p, i, u, cfg)
-    raise MethodError(f"unknown method {method!r}")
+    rows = []
+    for v in u.tolist():
+        if v == math.inf:
+            rows.append(CritResult(0.0, 0.0, method))
+        elif p.boundary or v == -math.inf:      # the cap is +inf (none) at -inf
+            rows.append(count_total(p, i, method, cfg, trace_cap=-p.cap_coeff * v))
+        else:
+            rows.append(above_mc(p, i, v, cfg))
+    return CritResult(np.array([r.value for r in rows]),
+                      np.array([r.error for r in rows]), method)
 
 
 # ---------------------------------------------------------------------------
 # height distributions, general path
 # ---------------------------------------------------------------------------
-
-
-def _over_heights(x, point, *cols):
-    """(values, errors) of point(u, *row) -> (value, error) at every height
-    u of x, where row holds the entries at u of the columns cols (flat
-    arrays over x): floats for a scalar x, arrays of x's shape otherwise."""
-    xs = np.asarray(x, dtype=float)
-    out = np.array([point(float(u), *row) for u, *row in zip(xs.ravel(), *cols)])
-    if np.isscalar(x):
-        return float(out[0, 0]), float(out[0, 1])
-    out = out.reshape(xs.shape + (2,))
-    return out[..., 0], out[..., 1]
 
 
 def _check_total(tot: float, i: int) -> None:
@@ -381,9 +408,19 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
         raise MethodError(f"unknown general-path method {method!r}")
     tot, tot_err = _index_total(p, i, method, cfg)
     _check_total(tot, i)
-    if p.boundary and method == "quadrature":
-        return _height_pdf_boundary(p, i, x, tot, tot_err, cfg)
     us = np.asarray(x, dtype=float).ravel()
+    if p.boundary and method == "quadrature":
+        # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
+        # integrand on the slice mean(lam) = -gamma u, times gamma
+        dens, dens_err = np.array([
+            nested_ordered_quadrature(
+                p.n, p.c_total, abs_prod_weight(0.0), n_lower=i, split=0.0,
+                trace_cap=-p.cap_coeff * u, cap_derivative=True,
+                epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+            for u in us.tolist()]).reshape(-1, 2).T
+        val = p.cap_coeff * dens / tot
+        return _shaped(x, val, p.cap_coeff * dens_err / tot
+                       + np.abs(val) * tot_err / tot, method)
     if method == "quadrature":
         num, num_err = _shifted_expectations(p, i, us, cfg)
     else:
@@ -392,30 +429,11 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
             goi_expectation(ens, IndexedFunctional(index=i, shift=p.shift_coeff * u),
                             method, cfg)
             for u in us.tolist()]).reshape(-1, 2).T
-
-    def point(u, num, num_err):
-        val = _phi(u) * num / tot
-        rel = 0.0
-        if num > 0:
-            rel = math.hypot(num_err / num, tot_err / tot)
-        return val, abs(val) * rel + _phi(u) * num_err / tot
-
-    return CritResult(*_over_heights(x, point, num, num_err), method)
-
-
-def _height_pdf_boundary(p: CountProblem, i: int, x, tot: float,
-                         tot_err: float, cfg: NumericConfig) -> CritResult:
-    # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
-    # integrand on the slice mean(lam) = -gamma u, times gamma
-    def point(u):
-        dens, dens_err = nested_ordered_quadrature(
-            p.n, p.c_total, abs_prod_weight(0.0), n_lower=i, split=0.0,
-            trace_cap=-p.cap_coeff * u, cap_derivative=True,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-        val = p.cap_coeff * dens / tot
-        return val, p.cap_coeff * dens_err / tot + abs(val) * tot_err / tot
-
-    return CritResult(*_over_heights(x, point), "quadrature")
+    phi = _phi(us)
+    val = phi * num / tot
+    pos = num > 0
+    rel = np.where(pos, np.hypot(num_err / np.where(pos, num, 1.0), tot_err / tot), 0.0)
+    return _shaped(x, val, np.abs(val) * rel + phi * num_err / tot, method)
 
 
 def height_cdf_general(p: CountProblem, i: int, u, method: str,
@@ -424,17 +442,11 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
     expected share of index-i points above u, over one index total."""
     tot = count_total(p, i, method, cfg)
     _check_total(tot.value, i)
-
-    def point(v):
-        ab = count_above(p, i, v, method, cfg)
-        val = ab.value / tot.value
-        rel = tot.error / tot.value
-        if ab.value > 0:
-            rel = math.hypot(ab.error / ab.value, rel)
-            return val, val * rel
-        return val, ab.error / tot.value
-
-    return CritResult(*_over_heights(u, point), method)
+    ab = count_above(p, i, np.asarray(u, dtype=float).ravel(), method, cfg)
+    val = ab.value / tot.value
+    pos = ab.value > 0
+    rel = np.hypot(ab.error / np.where(pos, ab.value, 1.0), tot.error / tot.value)
+    return _shaped(u, val, np.where(pos, val * rel, ab.error / tot.value), method)
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +483,6 @@ def _h2_n2_boundary(x, e2):
 def _h1_n2_boundary(x, e2):
     x = np.asarray(x, dtype=float)
     return math.sqrt(3.0 + e2) / SQRT2PI * np.exp(-0.5 * (3.0 + e2) * x * x)
-
-
-def _upper_tail_quad(pdf, u: float) -> float:
-    """int_u^inf pdf(t) dt by 1-d quadrature on [max(u, -OUTER_TAIL),
-    max(u, 0) + OUTER_TAIL].  Minima integrate their own density
-    h_0(t) = h_2(-t): the complement 1 - F_2(-u) cancels to rounding in
-    their upper tail."""
-    lo = max(u, -OUTER_TAIL)
-    hi = max(lo, 0.0) + OUTER_TAIL
-    val, _ = integrate.quad(lambda t: float(pdf(t)), lo, hi,
-                            epsabs=1e-13, epsrel=1e-11, limit=200)
-    return min(val, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +540,21 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
         _require_n2(model)
         tot = model.closed_total_n2(i)
         frac = model.closed_cdf_n2(i, u)
-        return CritResult(tot * frac, tot * 1e-11, "closed-form")
-    return count_above(model.problem(), i, u, method, cfg)
+        return _shaped(u, tot * frac.value, tot * frac.error, "closed-form")
+    r = count_above(model.problem(), i, np.array([u], dtype=float), method, cfg)
+    return _shaped(u, r.value, r.error, method)
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",
                       config: NumericConfig | None = None) -> CritResult:
     """h_i at the heights x with its error.  Value and error are floats for
-    a scalar x and arrays of x's shape otherwise; a closed form states one
-    nominal error for every height."""
+    a scalar x and arrays of x's shape otherwise."""
     _check_index(model, i)
     cfg = config or NumericConfig()
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":
         _require_n2(model)
-        val = model.closed_pdf_n2(i, x)
-        return CritResult(float(val) if np.isscalar(x) else val, 1e-15,
-                          "closed-form")
+        return _shaped(x, model.closed_pdf_n2(i, x), 1e-15, "closed-form")
     return height_pdf_general(model.problem(), i, x, method, cfg)
 
 
@@ -568,8 +566,8 @@ def height_cdf_result(model, i: int, u, method: str = "auto",
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":
         _require_n2(model)
-        val, _ = _over_heights(u, lambda v: (model.closed_cdf_n2(i, v), 0.0))
-        return CritResult(val, 1e-11, "closed-form")
+        r = model.closed_cdf_n2(i, u)
+        return _shaped(u, r.value, r.error, "closed-form")
     return height_cdf_general(model.problem(), i, u, method, cfg)
 
 

@@ -74,8 +74,9 @@ def parse_grid(text: str) -> np.ndarray:
     return a + step * np.arange(k + 1)
 
 
-def _load_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the flat JSON config file, if any."""
+def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the flat JSON config file, if any.  A value
+    goes through its flag's type as if typed after the flag."""
     if not getattr(args, "config", None):
         return
     try:
@@ -85,14 +86,18 @@ def _load_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot read config {args.config}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a flat JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command")
+    types = {a.dest: a.type for a in sub.choices[args.command]._actions}
     for key, val in data.items():
         dest = key.replace("-", "_")
-        if dest in ("config", "command", "func"):
-            raise ConfigError(f"config key {key!r} is not allowed")
-        if not hasattr(args, dest):
+        if dest in ("config", "help") or dest not in types:
             raise ConfigError(f"config key {key!r} is not a known option")
         if getattr(args, dest) is None:
-            setattr(args, dest, val)
+            kind = types[dest]
+            try:
+                setattr(args, dest, val if kind is None else kind(str(val)))
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad value {val!r}") from None
 
 
 def _build_model(args: argparse.Namespace):
@@ -276,8 +281,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
         for q in quantities:
             fn = height_pdf_result if q == "height-pdf" else height_cdf_result
             r = fn(model, i, grid, resolved, cfg)
-            errors = np.broadcast_to(r.error, grid.shape)
-            for x, v, e in zip(grid, r.value, errors):
+            for x, v, e in zip(grid, r.value, r.error):
                 sink.add(model, i, float(x), q, v, e, r.method)
     sink.flush()
     return 0
@@ -619,7 +623,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = ap.parse_args(_fold_negative_values(argv))
     try:
-        _load_config(args)
+        _load_config(args, ap)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "density":

@@ -539,9 +539,6 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
 
     theory = np.array([expected_crit_total(model, i).value for i in range(3)])
 
-    def ref(i):
-        return lambda u: height_cdf(model, i, u)
-
     pooled = {}
     ks = {}
     for i in range(3):
@@ -549,7 +546,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
             samp = empirical_height_distribution(heights[i])
             pooled[i] = samp
             if i in ks_indices:
-                ks[i] = samp.ks_distance(ref(i))
+                ks[i] = samp.ks_distance(lambda u: height_cdf(model, i, u))
 
     diagnostics = {"newton_lost": n_lost, "newton_singular": n_singular,
                    "newton_stalled": n_stalled, "flagged_points": n_flagged}

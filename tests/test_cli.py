@@ -168,7 +168,7 @@ def test_config_file_fills_gaps_but_flags_win(tmp_path, capsys):
     assert code == 2
 
 
-def test_config_exit_codes(capsys):
+def test_config_exit_codes(capsys, tmp_path):
     # missing required pieces
     assert run(capsys, "density", "--eta2", "1", "--kappa2", "0.5",
                "--grid", "0:1:0.5")[0] == 2          # no --index
@@ -207,6 +207,14 @@ def test_config_exit_codes(capsys):
     assert run(capsys, "simulate", "--kind", "plane-wave", "--wavenumber",
                "10", "--side", "3", "--reps", "2", "--seed", "-1") == (2, "")
     assert run(capsys, "validate", "--tol", "nan") == (2, "")
+    # config values go through their flags' types
+    cfg = tmp_path / "c.json"
+    for bad in ({"seed": "x"}, {"volume": "x"}, {"dim": 2.5}):
+        cfg.write_text(json.dumps({**bad, "eta2": 1, "kappa2": 1}))
+        assert run(capsys, "expect", "--config", str(cfg)) == (2, "")
+    cfg.write_text(json.dumps({"volume": "2", "eta2": 1, "kappa2": 1}))
+    assert run(capsys, "expect", "--config", str(cfg)) == run(
+        capsys, "expect", "--volume", "2", "--eta2", "1", "--kappa2", "1")
 
 
 def test_nan_threshold_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Planar counts and height distributions."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -222,3 +223,28 @@ def test_parameter_errors():
         expected_crit_total(m, 1, "magic")
     with pytest.raises(MethodError):
         expected_crit_total(model_from_shape(3, 1.0, 1.0), 0, "closed-form")
+
+
+def _boundary_minima_tail(u: float, e2: float) -> mp.mpf:
+    # F_0(u) for u < 0 in the N = 2 boundary regime, to 40 digits: the
+    # minima density h_0(t) = h_2(-t) vanishes for t > 0, so F_0(u) is the
+    # integral of h_2 over [0, -u]
+    with mp.workdps(40):
+        e2 = mp.mpf(e2)
+        r = mp.sqrt(3 + e2)
+        pref = 2 * r / (mp.sqrt(2 * mp.pi) * (2 + e2 * r))
+        return mp.quad(lambda x: pref * (((e2 + 2) * x * x - 2) * mp.exp(-x * x / 2)
+                                         + 2 * mp.exp(-(3 + e2) * x * x / 2)),
+                       [0, -mp.mpf(u)])
+
+
+@pytest.mark.parametrize("model", [model_from_shape(2, 1.0, 2.0),
+                                   sp.model_from_legendre(3)],
+                         ids=["plane", "sphere-legendre-3"])
+def test_boundary_minima_tail_within_its_error(model):
+    # the boundary minima density ends at 0 with a jump; the outer rule
+    # splits there, so the tail meets its stated error (0.47906119338038
+    # on the plane)
+    u = -1.757184595999166
+    r = kr.height_cdf_result(model, 0, u)
+    assert abs(r.value - float(_boundary_minima_tail(u, model.curvature))) <= r.error

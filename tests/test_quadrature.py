@@ -162,6 +162,35 @@ def test_quadrature_height_pdf_integrates_to_one(n, kappa2):
         assert abs(w @ pdf.value - 1.0) <= w @ pdf.error + 1e-8
 
 
+@pytest.mark.parametrize("model", [
+    model_from_shape(2, 1.0, 1.0), model_from_shape(2, 1.0, 1.9),
+    model_from_shape(2, 1.0, 2.0), sphere_model_from_shape(2, 1.0, 1.0),
+    sphere_model_from_shape(2, 1.0, 1.9), sp.model_from_legendre(3)],
+    ids=["plane-1", "plane-1.9", "plane-boundary", "sphere-1", "sphere-1.9",
+         "sphere-boundary"])
+def test_array_grid_closed_cdf_matches_pointwise(model):
+    # one outer rule serves the whole grid: each row lies within its error
+    # of the same height computed alone
+    grid = -3.0 + 0.25 * np.arange(25)
+    for i in range(3):
+        batch = kr.height_cdf_result(model, i, grid, "closed-form")
+        assert batch.value.shape == batch.error.shape == grid.shape
+        for x, v, e in zip(grid, batch.value, batch.error):
+            alone = kr.height_cdf_result(model, i, float(x), "closed-form")
+            assert abs(v - alone.value) <= e
+
+
+def test_array_grid_quadrature_cdf_matches_pointwise():
+    m = model_from_shape(2, 1.0, 0.8)
+    grid = np.array([-1.5, -0.5, 0.0, 0.4, 1.3, 2.2])
+    for i in range(3):
+        batch = kr.height_cdf_result(m, i, grid, "quadrature")
+        assert batch.value.shape == batch.error.shape == grid.shape
+        for x, v, e in zip(grid, batch.value, batch.error):
+            alone = kr.height_cdf_result(m, i, float(x), "quadrature")
+            assert abs(v - alone.value) <= e
+
+
 def test_array_grid_pdf_matches_pointwise():
     # heights are a batch axis of the engine: each row of an array grid
     # lies within its error of the same height evaluated alone

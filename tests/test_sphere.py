@@ -254,8 +254,8 @@ def test_planar_n2_laws_are_the_zero_curvature_limit(kappa2):
         assert np.allclose(ms.closed_pdf_n2(i, x), me.closed_pdf_n2(i, x),
                            rtol=0.0, atol=1e-7)
         for u in x[::4]:
-            assert ms.closed_cdf_n2(i, u) == pytest.approx(
-                me.closed_cdf_n2(i, u), rel=0.0, abs=1e-7)
+            assert ms.closed_cdf_n2(i, u).value == pytest.approx(
+                me.closed_cdf_n2(i, u).value, rel=0.0, abs=1e-7)
     ps, pe = ms.problem(), me.problem()
     for name in ("c_total", "c_cond", "cap_coeff"):
         assert getattr(ps, name) == pytest.approx(getattr(pe, name),
