@@ -8,6 +8,7 @@ random harmonics with covariance P_l(<t, s>).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,18 @@ from .sphere import SphereModel, model_from_legendre
 
 KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
          "spherical-harmonic")
+
+# (2l-1)!!, the top of the Legendre-derivative table, overflows float64 at
+# l = 151, and the normalizers of high orders leave the normal floats there.
+MAX_DEGREE = 150
+
+
+def _check_degree(degree: int) -> int:
+    """degree as an int if 2 <= degree <= MAX_DEGREE; ParameterError otherwise."""
+    if not 2 <= degree <= MAX_DEGREE:
+        raise ParameterError(f"spherical harmonic degree must be in "
+                             f"[2, {MAX_DEGREE}], got {degree}")
+    return int(degree)
 
 
 def _positive(name: str, value: float) -> float:
@@ -73,9 +86,7 @@ class SynthesisSpec:
     @classmethod
     def spherical_harmonic(cls, degree: int):
         """Degree-l random harmonic on S^2: cov(t, s) = P_l(<t, s>)."""
-        if degree < 2:
-            raise ParameterError("degree must be >= 2")
-        return cls(kind="spherical-harmonic", degree=int(degree))
+        return cls(kind="spherical-harmonic", degree=_check_degree(degree))
 
 
 class PlanarWaveField:
@@ -168,36 +179,22 @@ class PlanarWaveField:
 def _legendre_q_tables(l: int, z: np.ndarray):
     """Q_m(z) = P_l^m(z) / (1-z^2)^{m/2} with first two z-derivatives.
 
-    Polynomial in z, so the usual n-upward recurrence (n = m..l at fixed m)
-    is stable here and differentiates term by term; only its last two terms
-    are kept.  Returns three (l+1, ...) arrays indexed by m.
+    Q_m = (-1)^m D_m with D_m the m-th derivative of P_l, so dQ_m = -Q_{m+1}
+    and d2Q_m = Q_{m+2}: one table of l+3 rows, built in l steps of the
+    differentiated Legendre equation (DLMF 14.10), (l-m)(l+m+1) D_m =
+    2(m+1) z D_{m+1} - (1-z^2) D_{m+2}, down from D_l = (2l-1)!!.  Scalar
+    coefficients come first, so nothing overflows for l <= MAX_DEGREE.
+    Returns three (l+1, ...) arrays indexed by m.
     """
     z = np.asarray(z, dtype=float)
-    Q = np.empty((l + 1,) + z.shape)
-    dQ = np.empty_like(Q)
-    d2Q = np.empty_like(Q)
-    zero = np.zeros(z.shape)
-    dfact = 1.0
-    for m in range(l + 1):
-        if m:
-            dfact *= 2 * m - 1
-        q0 = np.full(z.shape, ((-1) ** m) * dfact)
-        if m == l:
-            Q[m], dQ[m], d2Q[m] = q0, zero, zero
-            break
-        q1 = z * (2 * m + 1) * q0
-        dq0, dq1 = zero, (2 * m + 1) * q0
-        d2q0 = d2q1 = zero
-        # each step shifts (q0, q1) from (Q_{n-2}, Q_{n-1}) to (Q_{n-1}, Q_n),
-        # so the derivative updates read the already-shifted q0 = Q_{n-1}
-        for n in range(m + 2, l + 1):
-            a = (2 * n - 1) / (n - m)
-            b = (n + m - 1) / (n - m)
-            q0, q1 = q1, a * z * q1 - b * q0
-            dq0, dq1 = dq1, a * (q0 + z * dq1) - b * dq0
-            d2q0, d2q1 = d2q1, a * (2 * dq0 + z * d2q1) - b * d2q0
-        Q[m], dQ[m], d2Q[m] = q1, dq1, d2q1
-    return Q, dQ, d2Q
+    D = np.zeros((l + 3,) + z.shape)
+    D[l] = math.prod(range(1, 2 * l, 2))
+    w = (1.0 - z) * (1.0 + z)
+    for m in range(l - 1, -1, -1):
+        k = 1.0 / ((l - m) * (l + m + 1))
+        D[m] = (2 * (m + 1) * k) * z * D[m + 1] - k * w * D[m + 2]
+    D[1::2] *= -1.0
+    return D[:l + 1], -D[1:l + 2], D[2:]
 
 
 def _sector_tables(l: int, x: np.ndarray, y: np.ndarray):
@@ -211,14 +208,17 @@ def _sector_tables(l: int, x: np.ndarray, y: np.ndarray):
     return C, S
 
 
+@functools.lru_cache(maxsize=None)
 def _sh_norms(l: int) -> np.ndarray:
-    """Normalizers per m, for Y = nn * Q_m(z) * {C_m, S_m}(x, y)."""
+    """Normalizers per m, for Y = nn * Q_m(z) * {C_m, S_m}(x, y); computed
+    once per degree and returned read-only."""
     out = np.empty(l + 1)
     out[0] = math.sqrt((2 * l + 1) / (4 * math.pi))
     for m in range(1, l + 1):
         lognn = 0.5 * (math.log(2 * l + 1) - math.log(2 * math.pi)
                        + gammaln(l - m + 1) - gammaln(l + m + 1))
         out[m] = math.exp(lognn)
+    out.setflags(write=False)
     return out
 
 
@@ -228,12 +228,12 @@ def sh_basis(l: int, pts: np.ndarray) -> np.ndarray:
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     Q, _, _ = _legendre_q_tables(l, z)
     C, S = _sector_tables(l, x, y)
-    nn = _sh_norms(l)
-    rows = [nn[0] * Q[0]]
-    for m in range(1, l + 1):
-        rows.append(nn[m] * Q[m] * C[m])
-        rows.append(nn[m] * Q[m] * S[m])
-    return np.array(rows)
+    nnq = _sh_norms(l).reshape((-1,) + (1,) * z.ndim) * Q
+    out = np.empty((2 * l + 1,) + z.shape)
+    out[0] = nnq[0]
+    out[1::2] = nnq[1:] * C[1:]
+    out[2::2] = nnq[1:] * S[1:]
+    return out
 
 
 class SphericalHarmonicField:
@@ -245,7 +245,7 @@ class SphericalHarmonicField:
     """
 
     def __init__(self, degree: int, coeffs: np.ndarray, model: SphereModel):
-        self.degree = int(degree)
+        self.degree = _check_degree(degree)
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (2 * self.degree + 1,):
             raise ParameterError("coefficient vector has wrong length")
@@ -255,57 +255,48 @@ class SphericalHarmonicField:
     def model(self) -> SphereModel:
         return self._model
 
-    def _split_coeffs(self):
-        l = self.degree
-        a0 = self.coeffs[0]
-        ac = self.coeffs[1::2]
-        as_ = self.coeffs[2::2]
-        assert len(ac) == l and len(as_) == l
-        return a0, ac, as_
+    def _sector_coeffs(self):
+        """Coefficients of C_m and of S_m for m = 0..l (that of S_0 is 0)."""
+        c = self.coeffs
+        return np.concatenate([c[:1], c[1::2]]), np.concatenate([[0.0], c[2::2]])
 
     def ambient(self, pts: np.ndarray):
-        """Value, gradient, Hessian of the ambient extension at pts (n, 3)."""
+        """Value, gradient, Hessian of the ambient extension at pts (n, 3).
+
+        f = sum_m Q_m(z) (wc_m C_m + ws_m S_m), and d/dx (x+iy)^m =
+        m (x+iy)^{m-1} = -i d/dy (x+iy)^m, so every derivative is a sum over
+        m of a Q, dQ or d2Q row times the sector row of order m - s, s the
+        number of derivatives in x and y.
+        """
         pts = np.asarray(pts, dtype=float)
         x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
         l = self.degree
         Q, dQ, d2Q = _legendre_q_tables(l, z)
         C, S = _sector_tables(l, x, y)
-        nn = _sh_norms(l)
-        a0, ac, as_ = self._split_coeffs()
+        a, b = self._sector_coeffs()
+        wc, ws = _sh_norms(l) * a, _sh_norms(l) * b
+        m = np.arange(l + 1)
+        falling = (np.ones(l + 1), m, m * (m - 1))
 
-        shape = x.shape
-        val = nn[0] * a0 * Q[0]
-        g = np.zeros(shape + (3,))
-        h = np.zeros(shape + (3, 3))
-        g[..., 2] += nn[0] * a0 * dQ[0]
-        h[..., 2, 2] += nn[0] * a0 * d2Q[0]
-        for m in range(1, l + 1):
-            wc = nn[m] * ac[m - 1]
-            ws = nn[m] * as_[m - 1]
-            # angular part A = wc*C_m + ws*S_m and its (x, y) derivatives
-            A = wc * C[m] + ws * S[m]
-            Ax = m * (wc * C[m - 1] + ws * S[m - 1])
-            Ay = m * (-wc * S[m - 1] + ws * C[m - 1])
-            if m >= 2:
-                mm = m * (m - 1)
-                Axx = mm * (wc * C[m - 2] + ws * S[m - 2])
-                Axy = mm * (-wc * S[m - 2] + ws * C[m - 2])
-            else:
-                Axx = Axy = np.zeros(shape)
-            val = val + Q[m] * A
-            g[..., 0] += Q[m] * Ax
-            g[..., 1] += Q[m] * Ay
-            g[..., 2] += dQ[m] * A
-            h[..., 0, 0] += Q[m] * Axx
-            h[..., 0, 1] += Q[m] * Axy
-            h[..., 1, 1] += -Q[m] * Axx
-            h[..., 0, 2] += dQ[m] * Ax
-            h[..., 1, 2] += dQ[m] * Ay
-            h[..., 2, 2] += d2Q[m] * A
-        h[..., 1, 0] = h[..., 0, 1]
-        h[..., 2, 0] = h[..., 0, 2]
-        h[..., 2, 1] = h[..., 1, 2]
-        return val, g, h
+        def part(P, s, u, v):
+            # sum over m >= s of P_m (m)_s (u_m C_{m-s} + v_m S_{m-s})
+            f, P = falling[s][s:], P[s:]
+            return (np.einsum("m,m...,m...->...", f * u[s:], P, C[:l + 1 - s])
+                    + np.einsum("m,m...,m...->...", f * v[s:], P, S[:l + 1 - s]))
+
+        def dx(P, s):
+            return part(P, s, wc, ws)
+
+        def dy(P, s):
+            return part(P, s, ws, -wc)
+
+        hxx, hxy = dx(Q, 2), dy(Q, 2)
+        hxz, hyz = dx(dQ, 1), dy(dQ, 1)
+        g = np.stack([dx(Q, 1), dy(Q, 1), dx(dQ, 0)], axis=-1)
+        h = np.stack([np.stack([hxx, hxy, hxz], axis=-1),
+                      np.stack([hxy, -hxx, hyz], axis=-1),
+                      np.stack([hxz, hyz, dx(d2Q, 0)], axis=-1)], axis=-2)
+        return dx(Q, 0), g, h
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         v, _, _ = self.ambient(pts)
@@ -327,9 +318,7 @@ class SphericalHarmonicField:
         m = np.arange(l + 1)
         ct, st = np.cos(theta), np.sin(theta)
         Q, dQ, _ = _legendre_q_tables(l, ct)
-        a0, ac, as_ = self._split_coeffs()
-        a = np.concatenate([[a0], ac])
-        b = np.concatenate([[0.0], as_])
+        a, b = self._sector_coeffs()
         # nn_m sin^{m-1} theta, shape (l+1, len(theta))
         ns = _sh_norms(l)[:, None] * st ** (m - 1)[:, None]
         lat_th = (ns * (m[:, None] * ct * Q - st * st * dQ)).T

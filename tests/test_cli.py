@@ -349,9 +349,11 @@ SPHERE_SIM = ["simulate", "--kind", "spherical-harmonic", "--degree", "20",
      "1,1", "--side", "3", "--reps", "2", "--seed", "1"],
     PLANE_SIM + ["--merge-radius", "-1"],
     PLANE_SIM + ["--merge-radius", "nan"],
+    SPHERE_SIM + ["--degree", "151"],
 ], ids=["side-nan", "side-inf", "step-0", "step-nan", "step-negative",
         "sphere-step-0", "sphere-step-nan", "n-waves-0", "wavenumber-inf",
-        "radii-not-numbers", "merge-radius-negative", "merge-radius-nan"])
+        "radii-not-numbers", "merge-radius-negative", "merge-radius-nan",
+        "degree-above-limit"])
 def test_simulate_bad_numbers_exit_2_before_synthesis(capsys, monkeypatch, argv):
     def no_synthesis(*args, **kwargs):
         raise AssertionError("a field was synthesized")
@@ -361,6 +363,12 @@ def test_simulate_bad_numbers_exit_2_before_synthesis(capsys, monkeypatch, argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_legendre_model_has_no_degree_limit(capsys):
+    # the degree limit is on synthesized fields; a model builds no tables
+    code, out = run(capsys, "expect", "--space", "sphere", "--legendre", "151")
+    assert code == 0 and len(rows_of(out)) == 3
 
 
 @pytest.mark.parametrize("model", [

@@ -1,14 +1,17 @@
 """Synthetic field realizations: derivatives, covariances, exact models."""
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_legendre, j0
 
 from critfield.errors import ConfigError, ParameterError
-from critfield.fields import (PlanarWaveField, SphericalHarmonicField,
-                              SynthesisSpec, _legendre_q_tables, sh_basis,
-                              synthesize, tangent_frames)
+from critfield.fields import (MAX_DEGREE, PlanarWaveField,
+                              SphericalHarmonicField, SynthesisSpec,
+                              _legendre_q_tables, sh_basis, synthesize,
+                              tangent_frames)
 from critfield.sphere import model_from_legendre
 
 
@@ -101,7 +104,15 @@ def _full_table_legendre_q(l, z):
     return Q[:, l], dQ[:, l], d2Q[:, l]
 
 
+def _max_row_error(got, want):
+    # error relative to the largest entry of each row of want
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    return (np.abs(got - want) / np.where(scale > 0, scale, 1.0)).max()
+
+
 def test_legendre_q_tables_match_full_recurrence():
+    # the downward derivative recurrence rounds differently from the upward
+    # n-recurrence, so the two agree to rounding, not bit for bit
     rng = np.random.default_rng(6)
     z = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 17)])
     for l in range(2, 26):
@@ -109,10 +120,42 @@ def test_legendre_q_tables_match_full_recurrence():
         want = _full_table_legendre_q(l, z)
         for a, b in zip(got, want):
             assert a.shape == (l + 1, len(z))
-            assert np.array_equal(a, b)
+            assert _max_row_error(a, b) < 1e-13
     # P_l^0 = P_l on the nose, poles included
     assert np.allclose(_legendre_q_tables(7, z)[0][0], eval_legendre(7, z),
                        atol=1e-12)
+
+
+def _exact_q_rows(l, z):
+    # (-1)^m d^m/dz^m P_l at z for m = 0..l+2, from the exact rational
+    # coefficients of P_l = 2^-l sum_k (-1)^k C(l,k) C(2l-2k,l) z^(l-2k)
+    coeffs = [Fraction(0)] * (l + 1)
+    for k in range(l // 2 + 1):
+        coeffs[l - 2 * k] = Fraction((-1) ** k * math.comb(l, k)
+                                     * math.comb(2 * l - 2 * k, l), 2 ** l)
+    rows = []
+    with mpmath.workdps(120):
+        zz = [mpmath.mpf(float(v)) for v in z]
+        for m in range(l + 3):
+            poly = [mpmath.mpf(c.numerator) / c.denominator
+                    for c in reversed(coeffs)]
+            rows.append([float((-1) ** m * mpmath.polyval(poly, v)) for v in zz])
+            coeffs = [c * p for p, c in enumerate(coeffs)][1:] or [Fraction(0)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("l", [20, 60, MAX_DEGREE])
+def test_legendre_q_tables_match_exact_polynomials(l):
+    z = np.array([0.0, 0.3, -0.77, 0.999, 1.0 - 1e-8, 1.0, -1.0])
+    exact = _exact_q_rows(l, z)
+    Q, dQ, d2Q = _legendre_q_tables(l, z)
+    # dQ_m = -Q_{m+1} and d2Q_m = Q_{m+2}, rows l+1 and l+2 being 0.  The
+    # tables meet 2e-15 at l = 150.  1 - z^2 formed as 1 - z*z instead of
+    # (1-z)(1+z) loses relative precision near the poles, up to 6e-14 here.
+    for got, want in ((Q, exact[:l + 1]), (dQ, -exact[1:l + 2]),
+                      (d2Q, exact[2:])):
+        assert np.all(np.isfinite(got))
+        assert _max_row_error(got, want) < 1e-14
 
 
 def test_plane_wave_solves_helmholtz():
@@ -236,6 +279,22 @@ def test_covariant_hessian_matches_geodesic_second_derivative():
     assert np.allclose(H[:, 0, 1], mixed, atol=1e-5)
 
 
+@pytest.mark.parametrize("l", [20, 40, MAX_DEGREE])
+def test_high_degree_ambient_is_laplace_eigenfunction(l):
+    f = synthesize(SynthesisSpec.spherical_harmonic(l), rng=l)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    near_poles = unit([[1e-9, 0.0, 1.0], [0.0, -1e-9, -1.0]])
+    pts = np.vstack([unit(np.random.default_rng(l + 1).normal(size=(40, 3))),
+                     axes, near_poles])
+    val = f.value(pts)
+    lap = np.trace(f.covariant_hessian(pts, tangent_frames(pts)),
+                   axis1=-2, axis2=-1)
+    scale = np.abs(val).max() * l * (l + 1)
+    assert np.abs(lap + l * (l + 1) * val).max() < 1e-12 * scale
+    assert np.abs(val - f.coeffs @ sh_basis(l, pts)).max() < (
+        1e-12 * np.abs(val).max())
+
+
 def test_spherical_harmonic_is_laplace_eigenfunction():
     l = 6
     f = synthesize(SynthesisSpec.spherical_harmonic(l), rng=31)
@@ -271,6 +330,13 @@ def test_spec_validation():
         SynthesisSpec.custom_spectral([1.0, -2.0], [1.0, 1.0])
     with pytest.raises(ParameterError):
         SynthesisSpec.spherical_harmonic(1)
+    # (2l-1)!! overflows float64 past MAX_DEGREE: refused, not garbage
+    assert SynthesisSpec.spherical_harmonic(MAX_DEGREE).degree == MAX_DEGREE
+    with pytest.raises(ParameterError, match=str(MAX_DEGREE)):
+        SynthesisSpec.spherical_harmonic(MAX_DEGREE + 1)
+    with pytest.raises(ParameterError, match=str(MAX_DEGREE)):
+        SphericalHarmonicField(MAX_DEGREE + 1, np.zeros(2 * MAX_DEGREE + 3),
+                               model_from_legendre(MAX_DEGREE + 1))
     with pytest.raises(ConfigError):
         synthesize(SynthesisSpec(kind="white-noise"), rng=0)
     # weights come out normalized
