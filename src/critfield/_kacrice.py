@@ -65,6 +65,11 @@ OUTER_CHUNK = 8
 # Outer-rule tolerances of the N = 2 closed-form tails (see CritResult).
 CLOSED_ABS_TOL = 1e-13
 CLOSED_REL_TOL = 1e-11
+# The N = 2 maxima density (_h2_n2) leaves its erfc closed form where the
+# terms cancel by more than this factor (3 digits), for an integral on
+# this many Gauss-Legendre nodes.
+H2_CANCEL = 1e3
+H2_NODES = 48
 
 
 @dataclass(frozen=True)
@@ -460,6 +465,13 @@ def _h1_n2(x, e2, k2):
 
 
 def _h2_n2(x, e2, k2):
+    """The maxima density h_2: its erfc closed form where the three terms
+    cancel by less than a factor H2_CANCEL, and elsewhere the same density
+    as one integral with a positive integrand (_h2_n2_integral).  The
+    terms cancel at negative heights, where the first two orders of their
+    expansions in 1/z vanish (z = k x / sqrt(2 + e2 - k2)), and near the
+    boundary at any height."""
+    x = np.asarray(x, dtype=float)
     k = math.sqrt(k2)
     a = 2.0 + e2 - k2
     b = 3.0 + e2 - k2
@@ -469,7 +481,46 @@ def _h2_n2(x, e2, k2):
     t2 = k * math.sqrt(a) / (2.0 * math.pi) * x * np.exp(-0.5 * (2.0 + e2) * x * x / a)
     t3 = (np.sqrt(2.0 / (math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
           * ndtr(k * x / math.sqrt(a * b)))
-    return pref * (t1 + t2 + t3)
+    out = np.atleast_1d(pref * (t1 + t2 + t3))
+    cancel = np.atleast_1d(np.abs(t1) + np.abs(t2) + np.abs(t3)
+                           > H2_CANCEL * np.abs(t1 + t2 + t3))
+    if cancel.any():
+        out[cancel] = _h2_n2_integral(np.atleast_1d(x)[cancel], e2, k2)
+    return out.reshape(x.shape)
+
+
+def _h2_n2_integral(x, e2, k2):
+    """h_2 at the heights x (an array) as one integral with a positive
+    integrand, with a = 2 + e2 - k2, z = k x / sqrt(a) and g(u) = e^{-u} -
+    1 + u >= 0:
+
+        h_2(x) = pref / pi int_0^inf exp(-x^2/2 - (t - z)^2/2) g(a t^2/2) dt.
+
+    The integrand sits within 10 of t = z above 0, or, for z < 0, below
+    t = z + sqrt(z^2 + 100), where exp(z t - t^2/2) has fallen by e^-50.
+    """
+    a = 2.0 + e2 - k2
+    pref = 2.0 * math.sqrt(3.0 + e2) / (2.0 + e2 * math.sqrt(3.0 + e2))
+    z = math.sqrt(k2 / a) * x
+    lo = np.maximum(z - 10.0, 0.0)
+    hi = z + np.sqrt(np.minimum(z, 0.0) ** 2 + 100.0)
+    t, w = _gauss_on(lo[:, None], hi[:, None], H2_NODES)
+    f = (np.exp(-0.5 * (x[:, None] ** 2 + (t - z[:, None]) ** 2))
+         * _expm1_tail(0.5 * a * t * t))
+    return pref / math.pi * (w * f).sum(axis=-1)
+
+
+def _expm1_tail(u):
+    """e^{-u} - 1 + u for u >= 0, by its series below 0.5."""
+    out = np.expm1(-u) + u
+    small = u < 0.5
+    term = 0.5 * u[small] ** 2
+    acc = term.copy()
+    for n in range(3, 22):
+        term = term * (-u[small] / n)
+        acc += term
+    out[small] = acc
+    return out
 
 
 def _h2_n2_boundary(x, e2):

@@ -14,23 +14,26 @@ import warnings
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import kolmogi
 
 from .errors import InsufficientDataError, ParameterError
 from ._kacrice import expected_crit_total, height_cdf
 from .fields import (PlanarWaveField, SphericalHarmonicField, SynthesisSpec,
-                     _positive, synthesize, tangent_frames)
+                     _positive, synthesize, tangent_frames, taylor_evaluate)
 from .sphere import sphere_area
 
 MAX_NEWTON_ITER = 60
 GRAD_TOL_FACTOR = 1e-10
-# planar Newton runs its trig in float32 while |grad| is at or above this
-# factor times the gradient scale: far above float32 rounding (about 1e-5
-# relative) and far above GRAD_TOL_FACTOR, so only float64 gradients
-# decide convergence
-FLOAT32_GRAD_FACTOR = 1e-3
 HESS_TOL_FACTOR = 1e-6
+# planar Taylor models stay within this factor of the value, gradient and
+# Hessian scales: far below GRAD_TOL_FACTOR, near the rounding of the
+# float64 sums over the waves
+TAYLOR_TOL_FACTOR = 1e-13
+# radius in grid steps of a planar Newton walker's model about the node
+# its start cell shares, beyond which it is evaluated directly
+NEWTON_MODEL_RADIUS = 3.0
+# model coefficients gathered per block of planar Newton walkers
+MODEL_BLOCK = 2 ** 18
 # a walker that does not halve |grad| within this many iterations is stalled
 STALL_ITERS = 3
 # default dedup radius in grid steps: walkers that converged to one
@@ -41,8 +44,6 @@ DEDUP_FACTOR = 1e-6
 # window, against edge effects
 WINDOW_MARGIN = 0.5
 
-# entries of one block's planar phase matrix (walkers x waves) in Newton
-PHASE_BLOCK = 2 ** 20
 # walker states of the batched Newton iteration
 _ACTIVE, _CONVERGED, _LOST, _SINGULAR, _STALLED = range(5)
 
@@ -134,16 +135,75 @@ def _result(points, state) -> DetectionResult:
                            n_stalled=int((state == _STALLED).sum()))
 
 
-def _plane_candidates(field: PlanarWaveField, lo, hi, step: float) -> np.ndarray:
-    """Centers of the grid cells over [lo, hi] where both gradient
-    components change sign."""
-    xs = np.arange(lo[0], hi[0] + step * 0.5, step)
-    ys = np.arange(lo[1], hi[1] + step * 0.5, step)
-    g = field.grid_gradient(xs, ys)
-    cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
-                               wrap_cols=False)
-    return np.stack([xs[cells[:, 0]] + step / 2.0,
-                     ys[cells[:, 1]] + step / 2.0], axis=-1)
+class _PlaneLattice:
+    """The grid of a planar detection and the factors it is scanned with.
+
+    The field is translated so that the window's corner lo is the origin,
+    with its phases reduced mod 2 pi, so that far windows keep their
+    precision.  Nodes are (a h, b h) in those coordinates.  The scan's
+    separable factors ex[a], ey[b] (PlanarWaveField.grid_factors) are kept
+    for _WalkerModels: their products are the e^{i(<w, t> + p)} at the
+    nodes that seed its Taylor models.
+    """
+
+    def __init__(self, field: PlanarWaveField, lo, hi, step: float):
+        self.lo = np.asarray(lo, dtype=float)
+        self.step = step
+        self.field = field.translated(self.lo)
+        span = np.asarray(hi, dtype=float) - self.lo
+        self.xs = np.arange(0.0, span[0] + step * 0.5, step)
+        self.ys = np.arange(0.0, span[1] + step * 0.5, step)
+        self.ex, self.ey = self.field.grid_factors(self.xs, self.ys)
+
+    def candidates(self) -> np.ndarray:
+        """Centers of the grid cells where both gradient components change
+        sign, in the caller's coordinates."""
+        g = self.field.factor_gradient(self.ex, self.ey)
+        cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
+                                   wrap_cols=False)
+        return self.lo + np.stack([self.xs[cells[:, 0]] + self.step / 2.0,
+                                   self.ys[cells[:, 1]] + self.step / 2.0], axis=-1)
+
+
+class _WalkerModels:
+    """The local Taylor models of planar Newton walkers
+    (PlanarWaveField.taylor_models).
+
+    The candidate cells {2a, 2a+1} x {2b, 2b+1} of the lattice share the
+    model about their common corner, the node (2a+1, 2b+1), which lies
+    0.71 steps from each start.  The order meets TAYLOR_TOL_FACTOR within
+    NEWTON_MODEL_RADIUS steps of the node, or, where the order limit does
+    not reach that far for fields with long wave vectors, within half of it
+    as often as needed.  A walker beyond that radius from its node is
+    evaluated directly.
+    """
+
+    def __init__(self, lattice: _PlaneLattice, centers: np.ndarray):
+        self.lo, self.step, self.field = lattice.lo, lattice.step, lattice.field
+        cells = np.floor((centers - self.lo) / self.step).astype(np.int64)
+        self.nodes, which = np.unique(2 * (cells // 2) + 1, axis=0,
+                                      return_inverse=True)
+        self.which = which.ravel()
+        m = self.field.model
+        tol = TAYLOR_TOL_FACTOR * np.array(
+            [1.0, math.sqrt(-2.0 * m.rho1), math.sqrt(12.0 * m.rho2)])
+        self.radius = NEWTON_MODEL_RADIUS
+        while (order := self.field.taylor_order(self.radius * self.step, tol)) is None:
+            self.radius *= 0.5
+        self.coef = self.field.taylor_models(lattice.ex, lattice.ey, self.nodes,
+                                             self.step, order)
+
+    def evaluate(self, p: np.ndarray, walkers: np.ndarray):
+        """Value, gradient and Hessian at the points p (lattice coordinates)
+        of the walkers."""
+        k = self.which[walkers]
+        u = p / self.step - self.nodes[k]
+        val, grad, hess = taylor_evaluate(self.coef[k], u, self.step)
+        far = np.linalg.norm(u, axis=1) > self.radius
+        if far.any():
+            val[far], hess[far] = self.field.value_and_hessian(p[far])
+            grad[far] = self.field.gradient(p[far])
+        return val, grad, hess
 
 
 def find_critical_points_plane(field: PlanarWaveField, lo, hi,
@@ -160,16 +220,24 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
     step = grid_step if grid_step is not None else _default_step(model)
     _check_step(step, model)
 
-    centers = _plane_candidates(field, lo, hi, step)
+    lattice = _PlaneLattice(field, lo, hi, step)
+    centers = lattice.candidates()
+    models = _WalkerModels(lattice, centers)
+    del lattice                          # the factor tables' last use
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * model.rho1)
     eps_h = HESS_TOL_FACTOR * math.sqrt(12.0 * model.rho2)
 
-    pts, ok, state = _newton_plane(field, centers, step, eps_g, max_iter)
-    pts = pts[ok]
+    pts, ok, state = _newton_plane(field, centers, step, eps_g, max_iter, models)
+    walkers = np.flatnonzero(ok)
     # clip to the requested rectangle before deduplicating
-    inside = np.all((pts >= lo - 1e-9) & (pts <= hi + 1e-9), axis=1)
-    pts = _merge_points(pts[inside], _dedup_radius(merge_radius, step))
-    return _result(_classify_plane(field, pts, eps_h), state)
+    walkers = walkers[np.all((pts[walkers] >= lo - 1e-9)
+                             & (pts[walkers] <= hi + 1e-9), axis=1)]
+    walkers = walkers[_merge_points(pts[walkers], _dedup_radius(merge_radius, step))]
+    vals, _, hess = models.evaluate(pts[walkers] - models.lo, walkers)
+    # the working memory goes before the long-lived results are built, so
+    # that they do not pin it in the heap
+    del models
+    return _result(_classify_plane(pts[walkers], hess, vals, eps_h), state)
 
 
 def _stalled(gn, idx, ref, since) -> np.ndarray:
@@ -183,19 +251,31 @@ def _stalled(gn, idx, ref, since) -> np.ndarray:
     return since[idx] >= STALL_ITERS
 
 
+def _newton_steps(g, h, step):
+    """Newton steps -h^{-1} g capped at one grid step, for the Hessians
+    that are not singular, and the mask of those that are."""
+    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    bad = np.abs(det) < 1e-300
+    d = np.linalg.solve(h[~bad], -g[~bad][..., None])[..., 0]
+    dn = np.linalg.norm(d, axis=1)
+    cap = dn > step
+    d[cap] *= (step / dn[cap])[:, None]
+    return d, bad
+
+
 def _newton(centers, step, eps_g, max_iter, local, dist, block):
     """Damped batched Newton from every candidate, on the plane or sphere.
 
-    local(p) returns, at the walkers' points p, the gradient (k, 2) in an
-    orthonormal tangent frame, a function that gives the Hessian (j, 2, 2)
-    in that frame for the walkers a mask keeps, and a function that moves
-    those walkers by frame steps (j, 2).  dist(p, q) is the distance
-    between points.  Each iteration takes the active walkers in blocks of
-    at most `block`, and caps each step at one grid step.  Each walker
-    ends converged (|grad| < eps_g), lost (more than 3 steps from its
-    start), singular, or stalled (the progress rule, or still running
-    after max_iter iterations).  Returns the points, the converged mask and the
-    walker states.
+    local(p, idx) returns, at the points p of the walkers idx, the gradient
+    (k, 2) in an orthonormal tangent frame, a function that gives the
+    Hessian (j, 2, 2) in that frame for the walkers a mask keeps, and a
+    function that moves those walkers by frame steps (j, 2).  dist(p, q) is
+    the distance between points.  Each iteration takes the active walkers
+    in blocks of at most `block`, and caps each step at one grid step.
+    Each walker ends converged (|grad| < eps_g), lost (more than 3 steps
+    from its start), singular, or stalled (the progress rule, or still
+    running after max_iter iterations).  Returns the points, the converged
+    mask and the walker states.
     """
     pts = centers.copy()
     state = np.full(len(pts), _ACTIVE, dtype=np.int8)
@@ -207,22 +287,16 @@ def _newton(centers, step, eps_g, max_iter, local, dist, block):
             break
         for start in range(0, active.size, block):
             idx = active[start:start + block]
-            g, hessian, move = local(pts[idx])
+            g, hessian, move = local(pts[idx], idx)
             gn = np.linalg.norm(g, axis=1)
             hit = gn < eps_g
             stalled = _stalled(gn, idx, ref, since) & ~hit
             state[idx[hit]] = _CONVERGED
             state[idx[stalled]] = _STALLED
             go = ~(hit | stalled)
-            h = hessian(go)
-            det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-            bad = np.abs(det) < 1e-300
+            d, bad = _newton_steps(g[go], hessian(go), step)
             state[idx[go][bad]] = _SINGULAR
             go[go] = ~bad
-            d = np.linalg.solve(h[~bad], -g[go][..., None])[..., 0]
-            dn = np.linalg.norm(d, axis=1)
-            cap = dn > step
-            d[cap] *= (step / dn[cap])[:, None]
             moved = idx[go]
             pts[moved] = move(go, d)
             state[moved[dist(pts[moved], centers[moved]) > 3.0 * step]] = _LOST
@@ -232,31 +306,36 @@ def _newton(centers, step, eps_g, max_iter, local, dist, block):
     return pts, state == _CONVERGED, state
 
 
-def _newton_plane(field, centers, step, eps_g, max_iter):
-    near_g = FLOAT32_GRAD_FACTOR * math.sqrt(-2.0 * field.model.rho1)
-    # about the candidates' midpoint the phases stay at the scale of the
-    # window wherever it lies, which keeps their float32 cast accurate
-    mid = (0.5 * (centers.min(axis=0) + centers.max(axis=0)) if len(centers)
-           else np.zeros(2))
-    field = field.translated(mid)
+def _newton_plane(field, centers, step, eps_g, max_iter, models=None):
+    """Planar Newton on the walkers' local Taylor models (_WalkerModels).
+    models are those of the centers, built from the lattice of field whose
+    cell centers they are; None builds them from a lattice through the
+    centers."""
+    if len(centers) == 0:
+        state = np.zeros(0, dtype=np.int8)
+        return centers.copy(), state == _CONVERGED, state
+    if models is None:
+        models = _WalkerModels(_PlaneLattice(field, centers.min(axis=0) - 0.5 * step,
+                                             centers.max(axis=0) + 0.5 * step, step),
+                               centers)
 
-    def local(p):
-        # one phase matrix per step, cast once to float32: sin for every
-        # walker and cos only for the walkers that go on to a Newton step;
-        # walkers with |grad| below near_g get a float64 gradient
-        arg = field.phase(p)
-        arg32 = arg.astype(np.float32)
-        g = field.gradient_at_phase(arg32)
-        near = np.linalg.norm(g, axis=1) < near_g
-        g[near] = field.gradient_at_phase(arg[near])
-        return (g, lambda keep: field.hessian_at_phase(arg32, keep),
-                lambda keep, d: p[keep] + d)
+    def local(p, idx):
+        _, g, h = models.evaluate(p, idx)
+        return g, lambda keep: h[keep], lambda keep, d: p[keep] + d
 
-    # walkers are independent, so blocks keep the phase matrix small
-    pts, ok, state = _newton(centers - mid, step, eps_g, max_iter, local,
+    # walkers are independent, so blocks keep their gathered models small
+    pts, ok, state = _newton(centers - models.lo, step, eps_g, max_iter, local,
                              lambda p, q: np.abs(p - q).max(axis=1),
-                             max(PHASE_BLOCK // len(field.phases), 1))
-    return pts + mid, ok, state
+                             max(MODEL_BLOCK // models.coef[0].size, 1))
+    # each converged walker takes one more step, free on its model, which
+    # takes its gradient from below eps_g to rounding: the point then stays
+    # critical under other evaluations of the field too, such as direct
+    # sums far from the origin, whose phases round at 1e-11
+    done = np.flatnonzero(ok)
+    g, hessian, move = local(pts[done], done)
+    d, bad = _newton_steps(g, hessian(slice(None)), step)
+    pts[done[~bad]] = move(~bad, d)
+    return pts + models.lo, ok, state
 
 
 def _classify(pts, hess, vals, eps_h) -> list:
@@ -267,27 +346,26 @@ def _classify(pts, hess, vals, eps_h) -> list:
             for k, lam in enumerate(eigs)]
 
 
-def _classify_plane(field, pts, eps_h):
-    if len(pts) == 0:
-        return []
-    vals, hess = field.value_and_hessian(pts)
-    return _classify(pts, hess, vals, eps_h)
+# the plane classifies the values and Hessians its walkers' models give
+_classify_plane = _classify
 
 
 def _merge_points(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Deduplicate: each cluster chained within radius keeps its
-    lowest-index member, in index order."""
+    """Deduplicate: the indices of the points that stay, each cluster
+    chained within radius keeping its lowest-index member, in index order."""
     if len(pts) == 0:
-        return pts
-    # imported here so that importing critfield does not load csgraph
+        return np.zeros(0, dtype=np.int64)
+    # imported here so that importing critfield does not load csgraph or
+    # scipy.spatial
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                       shape=(len(pts), len(pts)))
     _, labels = connected_components(graph, directed=False)
     _, first = np.unique(labels, return_index=True)
-    return pts[np.sort(first)]
+    return np.sort(first)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +418,13 @@ def find_critical_points_sphere(field: SphericalHarmonicField,
 
     pts, ok, state = _newton_sphere(field, centers, step, eps_g, max_iter)
     # chordal dedup radius matching the angular one for small angles
-    pts = _merge_points(pts[ok], 2.0 * math.sin(min(merge, math.pi) / 2.0))
+    pts = pts[ok]
+    pts = pts[_merge_points(pts, 2.0 * math.sin(min(merge, math.pi) / 2.0))]
     return _result(_classify_sphere(field, pts, eps_h), state)
 
 
 def _newton_sphere(field, centers, step, eps_g, max_iter):
-    def local(p):
+    def local(p, idx):
         amb = field.ambient(p)
         g = amb[1]
         fr = tangent_frames(p)

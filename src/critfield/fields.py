@@ -26,6 +26,10 @@ KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
 # (2l-1)!!, the top of the Legendre-derivative table, overflows float64 at
 # l = 151, and the normalizers of high orders leave the normal floats there.
 MAX_DEGREE = 150
+# largest total degree of a planar Taylor model, and nodes per pair of
+# matrix products when building them (PlanarWaveField.taylor_models)
+MAX_TAYLOR_ORDER = 32
+TAYLOR_NODE_BLOCK = 16
 
 
 def _check_degree(degree: int) -> int:
@@ -98,12 +102,9 @@ class PlanarWaveField:
         self.phases = np.asarray(phases, dtype=float)
         self.scale = math.sqrt(2.0 / len(phases))
         self._model = model
-        ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
-        # the wave vectors and their outer products in each precision the
-        # phase helpers compute in
-        self._waves = {np.dtype(np.float64): (self.omegas, ww),
-                       np.dtype(np.float32): (self.omegas.astype(np.float32),
-                                              ww.astype(np.float32))}
+        # [w^T; p]: the phase matrix is one product [t, 1] @ this table
+        self._phase_table = np.vstack([self.omegas.T, self.phases])
+        self._ww = (self.omegas[:, :, None] * self.omegas[:, None, :]).reshape(-1, 4)
 
     @property
     def model(self) -> EuclideanModel:
@@ -111,7 +112,9 @@ class PlanarWaveField:
 
     def phase(self, pts: np.ndarray) -> np.ndarray:
         """The phase matrix <w_k, t> + p_k; shape (..., K)."""
-        return np.asarray(pts, dtype=float) @ self.omegas.T + self.phases
+        pts = np.asarray(pts, dtype=float)
+        ones = np.ones(pts.shape[:-1] + (1,))
+        return np.concatenate([pts, ones], axis=-1) @ self._phase_table
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self.scale * np.cos(self.phase(pts)).sum(axis=-1)
@@ -128,27 +131,16 @@ class PlanarWaveField:
         return self.scale * c.sum(axis=-1), self._hessian_at_cos(c)
 
     def gradient_at_phase(self, arg: np.ndarray) -> np.ndarray:
-        """Gradient from a phase matrix, so callers can share one.  The
-        trig and the sums run in the precision of arg (float64 or
-        float32); the result is float64."""
-        w, _ = self._waves[arg.dtype]
-        return -self.scale * (np.sin(arg) @ w).astype(float, copy=False)
+        """Gradient from a phase matrix, so callers can share one."""
+        return -self.scale * (np.sin(arg) @ self.omegas)
 
     def hessian_at_phase(self, arg: np.ndarray, rows=None) -> np.ndarray:
         """Hessian from a phase matrix, at the given rows of it only (a
-        mask or index array over the leading axis) if rows is set; in the
-        precision of arg, returned as float64 like the gradient."""
-        if rows is None:
-            c = np.cos(arg)
-        else:
-            c = arg[rows]               # a copy, so cos can run in place
-            np.cos(c, out=c)
-        return self._hessian_at_cos(c)
+        mask or index array over the leading axis) if rows is set."""
+        return self._hessian_at_cos(np.cos(arg if rows is None else arg[rows]))
 
     def _hessian_at_cos(self, c: np.ndarray) -> np.ndarray:
-        _, ww = self._waves[c.dtype]
-        h = -self.scale * (c @ ww).astype(float, copy=False)
-        return h.reshape(c.shape[:-1] + (2, 2))
+        return (-self.scale * (c @ self._ww)).reshape(c.shape[:-1] + (2, 2))
 
     def translated(self, shift) -> "PlanarWaveField":
         """The field t -> f(t + shift), its phases reduced mod 2 pi."""
@@ -156,24 +148,128 @@ class PlanarWaveField:
                         2.0 * math.pi)
         return PlanarWaveField(self.omegas, phases, self._model)
 
-    def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2).
+    def grid_factors(self, xs: np.ndarray, ys: np.ndarray):
+        """The separable factors of the field on the grid (xs[a], ys[b]):
+        ex[a] = e^{i(w_x xs[a] + p)} and ey[b] = e^{i w_y ys[b]}, of shapes
+        (len(xs), K) and (len(ys), K), whose product ex[a] * ey[b] is
+        e^{i(<w, (xs[a], ys[b])> + p)}."""
+        # in place, so that no factor-sized temporary is left to the heap
+        ax = np.multiply.outer(np.asarray(xs, dtype=float), self.omegas[:, 0])
+        ax += self.phases
+        ex = 1j * ax
+        del ax
+        ey = 1j * np.multiply.outer(np.asarray(ys, dtype=float), self.omegas[:, 1])
+        return np.exp(ex, out=ex), np.exp(ey, out=ey)
 
-        On a grid the phase factorizes, e^{i(<w, (x_a, y_b)> + p)} =
-        e^{i(w_x x_a + p)} e^{i w_y y_b}, so each component is the
-        imaginary part of one complex matrix product (EX diag(w)) @ EY^T
-        instead of a sine per grid point and wave.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2)."""
+        return self.factor_gradient(*self.grid_factors(xs, ys))
+
+    def factor_gradient(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+        """Gradient on the grid of the factors ex, ey (see grid_factors):
+        each component is the imaginary part of one complex matrix product
+        (EX diag(w)) @ EY^T instead of a sine per grid point and wave."""
         wx, wy = self.omegas[:, 0], self.omegas[:, 1]
-        ex = np.exp(1j * (np.multiply.outer(xs, wx) + self.phases))
-        ey_t = np.exp(1j * np.multiply.outer(wy, ys))
-        g = np.empty((len(xs), len(ys), 2))
-        g[..., 0] = ((ex * wx) @ ey_t).imag
-        g[..., 1] = ((ex * wy) @ ey_t).imag
+        g = np.empty((len(ex), len(ey), 2))
+        g[..., 0] = ((ex * wx) @ ey.T).imag
+        g[..., 1] = ((ex * wy) @ ey.T).imag
         g *= -self.scale
         return g
+
+    def taylor_order(self, radius: float, tol) -> int | None:
+        """The smallest total degree m <= MAX_TAYLOR_ORDER whose local Taylor
+        model (taylor_models) is within tol = (value, gradient, Hessian)
+        tolerances of the field everywhere within radius of its center;
+        None if no such m exists.
+
+        With x_k = |w_k| radius and T_n(x) = sum_{j >= n} x^j / j!
+        <= x^n / n! / (1 - x / (n + 1)), the remainders are at most
+        scale sum_k |w_k|^d T_{m+1-d}(x_k) for d = 0, 1, 2 derivatives.
+        """
+        w = np.linalg.norm(self.omegas, axis=1)
+        x = w * radius
+        for m in range(2, MAX_TAYLOR_ORDER + 1):
+            if np.all(x < m):
+                bounds = [self.scale * (w ** d * _exp_tail(x, m + 1 - d)).sum()
+                          for d in range(3)]
+                if all(b <= t for b, t in zip(bounds, tol)):
+                    return m
+        return None
+
+    def taylor_models(self, ex: np.ndarray, ey: np.ndarray, nodes: np.ndarray,
+                      h: float, order: int) -> np.ndarray:
+        """Local Taylor models of total degree m = order about the grid
+        nodes (n, 2), integer indices into the factors ex, ey of
+        grid_factors: coefficient blocks B of shape (n, m+1, m+1), zero
+        above degree m, for taylor_evaluate.
+
+        About a center c, in steps u = (t - c) / h, with E_k = e^{i(<w_k, c>
+        + p_k)} = ex[a] * ey[b],
+
+            f(c + h u) = scale Re sum_k E_k e^{i h <w_k, u>}
+                       = sum_{i + j <= m} B_ij u_x^i u_y^j + remainder,
+
+        B_ij = scale Re(i^{i+j} A_ij), A_ij = sum_k E_k (h w_kx)^i (h w_ky)^j
+        / (i! j!).  i^{i+j} is real for even i + j and imaginary for odd, so
+        the even-degree coefficients are Re E @ one per-field table and the
+        odd ones Im E @ another: two real matrix products per block of
+        TAYLOR_NODE_BLOCK nodes.  taylor_order bounds the remainder.
+        """
+        m = order
+        out = np.zeros((len(nodes), m + 1, m + 1))
+        k = np.arange(m + 1)
+        i, j = np.nonzero(np.add.outer(k, k) <= m)
+        n = i + j
+        inv_fact = 1.0 / np.cumprod(np.maximum(k, 1.0))
+        # Re(i^n A) is Re A, -Im A, -Re A, Im A for n = 0, 1, 2, 3 mod 4
+        sign = np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
+        c = self.scale * sign * inv_fact[i] * inv_fact[j]
+        px = _powers(h * self.omegas[:, 0], m)
+        py = _powers(h * self.omegas[:, 1], m)
+        parts = []
+        for part in (n % 2 == 0, n % 2 == 1):
+            table = px[:, i[part]] * py[:, j[part]]
+            table *= c[part]
+            parts.append((i[part], j[part], table))
+        for s in range(0, len(nodes), TAYLOR_NODE_BLOCK):
+            block = out[s:s + TAYLOR_NODE_BLOCK]
+            a, b = nodes[s:s + TAYLOR_NODE_BLOCK].T
+            e = ex[a] * ey[b]
+            for re_im, (ib, jb, table) in zip((e.real, e.imag), parts):
+                block[:, ib, jb] = re_im @ table
+        return out
+
+
+def _exp_tail(x: np.ndarray, n: int) -> np.ndarray:
+    """An upper bound on sum_{j >= n} x^j / j! for 0 <= x < n + 1."""
+    return x ** n / math.factorial(n) / (1.0 - x / (n + 1))
+
+
+def _powers(x: np.ndarray, m: int) -> np.ndarray:
+    """x^k for k = 0..m along a new last axis."""
+    out = np.empty(np.shape(x) + (m + 1,))
+    out[..., 0] = 1.0
+    out[..., 1:] = np.asarray(x)[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def taylor_evaluate(coef: np.ndarray, u: np.ndarray, h: float):
+    """Value (n,), gradient (n, 2) and Hessian (n, 2, 2) of the local Taylor
+    models coef (n, m+1, m+1) (PlanarWaveField.taylor_models) at the
+    offsets u (n, 2) from their centers, in steps of h."""
+    m = coef.shape[-1] - 1
+    k = np.arange(m + 1)
+    p = _powers(u, m)
+    # d[:, a, s] = d^s/du_a^s of the powers of u_a
+    d = np.zeros(p.shape[:2] + (3, m + 1))
+    d[..., 0, :] = p
+    d[..., 1, 1:] = k[1:] * p[..., :-1]
+    d[..., 2, 2:] = (k[2:] * (k[2:] - 1)) * p[..., :-2]
+    # z[:, s, t] = d^s/du_x^s d^t/du_y^t of the model
+    z = d[:, 0] @ coef @ d[:, 1].swapaxes(-1, -2)
+    grad = np.stack([z[:, 1, 0], z[:, 0, 1]], axis=-1) / h
+    hess = z[:, [[2, 1], [1, 0]], [[0, 1], [1, 2]]] / (h * h)
+    return z[:, 0, 0], grad, hess
 
 
 def _legendre_q_tables(l: int, z: np.ndarray):

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogi
 
-from critfield.detect import (_CHART_TILT, GRAD_TOL_FACTOR,
-                              MAX_NEWTON_ITER, PHASE_BLOCK, HeightSample,
-                              _chart_candidates, _merge_points, _newton,
-                              _newton_plane, _newton_sphere,
-                              _plane_candidates, _sign_change_cells,
-                              empirical_height_distribution,
+from critfield.detect import (_CHART_TILT, GRAD_TOL_FACTOR, MAX_NEWTON_ITER,
+                              NEWTON_MODEL_RADIUS, HeightSample, _PlaneLattice,
+                              _WalkerModels, _chart_candidates, _merge_points,
+                              _newton, _newton_plane, _newton_sphere,
+                              _sign_change_cells, empirical_height_distribution,
                               find_critical_points,
                               find_critical_points_plane,
                               find_critical_points_sphere, ks_critical,
@@ -19,7 +20,8 @@ from critfield.detect import (_CHART_TILT, GRAD_TOL_FACTOR,
 from critfield.errors import InsufficientDataError, ParameterError
 from critfield.euclidean import model_from_rho
 from critfield.fields import (PlanarWaveField, SphericalHarmonicField,
-                              SynthesisSpec, synthesize, tangent_frames)
+                              SynthesisSpec, synthesize, tangent_frames,
+                              taylor_evaluate)
 from critfield.sphere import model_from_legendre
 
 PI = math.pi
@@ -296,8 +298,8 @@ def plane_setup(seed, side=6.0, spec=SynthesisSpec.plane_wave(10.0), lo=0.0):
     f = synthesize(spec, rng=seed)
     step = f.model.eta / 6.0
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * f.model.rho1)
-    return f, step, eps_g, _plane_candidates(f, (lo, lo), (lo + side, lo + side),
-                                             step)
+    lattice = _PlaneLattice(f, (lo, lo), (lo + side, lo + side), step)
+    return f, step, eps_g, lattice.candidates()
 
 
 def sphere_setup(seed, degree=20):
@@ -315,9 +317,9 @@ def sphere_setup(seed, degree=20):
     (SynthesisSpec.custom_spectral([4.0, 12.0], [1.0, 2.0]), 21)],
     ids=["11", "12", "gaussian-covariance", "custom-spectral"])
 def test_plane_detection_keeps_every_plain_newton_point(spec, seed):
-    # planar Newton runs in float32 away from convergence; against plain
-    # float64 Newton it keeps every point, and every point it returns has
-    # a float64 gradient below the tolerance
+    # planar Newton runs on local Taylor models; against plain float64
+    # Newton it keeps every point, and every point it returns has a float64
+    # gradient below the tolerance
     side = 6.0
     f, step, eps_g, centers = plane_setup(seed, side, spec)
     plain = plain_newton(plane_derivs(f), lambda p, d, fr: p + d,
@@ -333,16 +335,48 @@ def test_plane_detection_keeps_every_plain_newton_point(spec, seed):
 
 
 def float64_newton_plane(field, centers, step, eps_g, max_iter):
-    # planar Newton with all trig in float64, kept as the reference
-    def local(p):
-        arg = field.phase(p)
-        return (field.gradient_at_phase(arg),
-                lambda keep: field.hessian_at_phase(arg, keep),
+    # planar Newton on the pointwise float64 trig sums, kept as the reference
+    def local(p, idx):
+        return (field.gradient(p), lambda keep: field.hessian(p[keep]),
                 lambda keep, d: p[keep] + d)
 
     return _newton(centers, step, eps_g, max_iter, local,
-                   lambda p, q: np.abs(p - q).max(axis=1),
-                   max(PHASE_BLOCK // len(field.phases), 1))
+                   lambda p, q: np.abs(p - q).max(axis=1), len(centers))
+
+
+PLANAR_KINDS = [SynthesisSpec.plane_wave(10.0),
+                SynthesisSpec.gaussian_covariance(0.2),
+                SynthesisSpec.custom_spectral([4.0, 12.0], [1.0, 2.0])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(range(len(PLANAR_KINDS))),
+       seed=st.integers(0, 2 ** 16), lo=st.sampled_from([0.0, 5000.0]),
+       steps_per_eta=st.sampled_from([6.0, 2.0]),
+       cell=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+       r=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * PI))
+def test_local_models_match_pointwise_derivatives(kind, seed, lo, steps_per_eta,
+                                                  cell, r, angle):
+    # a walker's Taylor model against the trig sums of the window's field,
+    # anywhere within the model's radius; on a coarse lattice the order
+    # limit does not reach NEWTON_MODEL_RADIUS, and the radius shrinks
+    f = synthesize(PLANAR_KINDS[kind], rng=seed)
+    step = f.model.eta / steps_per_eta
+    lattice = _PlaneLattice(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
+    center = lattice.lo + (np.array(cell) + 0.5) * step
+    models = _WalkerModels(lattice, center[None])
+    assert 0.0 < models.radius <= NEWTON_MODEL_RADIUS
+    if steps_per_eta == 2.0:
+        assert models.radius < NEWTON_MODEL_RADIUS
+    u = r * models.radius * np.array([[math.cos(angle), math.sin(angle)]])
+    val, grad, hess = taylor_evaluate(models.coef, u, step)
+    t = (models.nodes[0] + u) * step
+    m = f.model
+    assert abs(val[0] - lattice.field.value(t)[0]) < 1e-12
+    assert (np.abs(grad - lattice.field.gradient(t)).max()
+            < 1e-12 * math.sqrt(-2.0 * m.rho1))
+    assert (np.abs(hess - lattice.field.hessian(t)).max()
+            < 1e-12 * math.sqrt(12.0 * m.rho2))
 
 
 @pytest.mark.parametrize("key,lo,side", [((11, 0), 0.0, 10.0),
@@ -351,10 +385,11 @@ def float64_newton_plane(field, centers, step, eps_g, max_iter):
                                          ((11, 0), 5000.0, 3.0)],
                          ids=["panel-0", "panel-1", "panel-2", "far-window"])
 def test_mixed_precision_funnel_matches_float64_newton(key, lo, side):
-    # the benchmark's plane fields, and a window far from the origin where
-    # float32 phases would be too coarse without the shift to the window:
-    # every walker ends in the same state, and converged walkers agree to
-    # Newton precision
+    # Newton on local Taylor models against Newton on the trig sums, on the
+    # benchmark's plane fields and a window far from the origin, whose
+    # phases are kept small by the shift to the window: every walker ends
+    # in the same state, converged walkers agree to Newton precision, and
+    # every returned point has a float64 gradient below the tolerance
     f, step, eps_g, centers = plane_setup(key, side, lo=lo)
     pts, ok, state = _newton_plane(f, centers, step, eps_g, MAX_NEWTON_ITER)
     ref_pts, ref_ok, ref_state = float64_newton_plane(f, centers, step, eps_g,
@@ -410,11 +445,11 @@ def test_merge_keeps_lowest_index_member():
     pts = np.array([b + 2e-12, a + 1e-12, a, b, a + 2e-12, [2.0, 2.0]])
     out = _merge_points(pts, 1e-9)
     # one member per cluster, the lowest index, in index order; no means
-    assert np.array_equal(out, pts[[0, 1, 5]])
+    assert np.array_equal(out, [0, 1, 5])
     # a chain joins clusters whose ends are farther apart than the radius
     chain = np.array([[0.0, 0.0], [0.6e-9, 0.0], [1.2e-9, 0.0]])
-    assert np.array_equal(_merge_points(chain, 1e-9), chain[:1])
-    assert _merge_points(np.empty((0, 2)), 1e-9).shape == (0, 2)
+    assert np.array_equal(_merge_points(chain, 1e-9), [0])
+    assert _merge_points(np.empty((0, 2)), 1e-9).shape == (0,)
 
 
 def test_default_dedup_keeps_close_distinct_points():

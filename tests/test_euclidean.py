@@ -200,6 +200,40 @@ def test_closed_upper_tail_of_minima_does_not_cancel():
     assert expected_crit_above(model_from_shape(2, 1, 1.99), 0, 0.5).value < 1e-20
 
 
+def _h2_mp(x, e2, k2):
+    # the erfc closed form of the N = 2 maxima density, at 50 digits
+    with mp.workdps(50):
+        x, e2, k2 = mp.mpf(x), mp.mpf(e2), mp.mpf(k2)
+        k, a, b = mp.sqrt(k2), 2 + e2 - k2, 3 + e2 - k2
+        pref = 2 * mp.sqrt(3 + e2) / (2 + e2 * mp.sqrt(3 + e2))
+        t1 = (e2 + k2 * (x * x - 1)) * mp.npdf(x) * mp.ncdf(k * x / mp.sqrt(a))
+        t2 = k * mp.sqrt(a) / (2 * mp.pi) * x * mp.exp(-(2 + e2) * x * x / (2 * a))
+        t3 = (mp.sqrt(2 / (mp.pi * b)) * mp.exp(-(3 + e2) * x * x / (2 * b))
+              * mp.ncdf(k * x / mp.sqrt(a * b)))
+        return pref * (t1 + t2 + t3)
+
+
+def test_extrema_densities_near_the_boundary_match_mpmath():
+    # at kappa^2 = 1.99 the erfc terms of h_2 at negative heights (h_0 at
+    # positive ones) cancel by up to 8 orders of magnitude; the densities
+    # hold 1e-12 relative wherever they are normal floats, and the minima
+    # tail F_0(0.5) stays within its error
+    m = model_from_shape(2, 1.0, 1.99)
+    xs = np.linspace(-8.0, 8.0, 97)
+    for i, sign in ((0, -1.0), (2, 1.0)):
+        got = m.closed_pdf_n2(i, xs)
+        want = np.array([float(_h2_mp(sign * x, 0.0, 1.99)) for x in xs])
+        normal = want > 1e-290
+        assert normal.sum() > 40
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+        assert np.all(np.abs(got[~normal]) <= 1e-290)
+    with mp.workdps(30):
+        tail = mp.quad(lambda t: _h2_mp(-t, 0.0, 1.99), [0.5, 1.0, 2.0, mp.inf])
+    assert float(tail) == pytest.approx(9.0754e-22, rel=1e-4)
+    r = kr.height_cdf_result(m, 0, 0.5)
+    assert abs(r.value - float(tail)) <= r.error
+
+
 @pytest.mark.parametrize("space,eta2,kappa2", [("euclidean", 1.0, 2.0),
                                                ("sphere", 1.0, 3.0)])
 def test_boundary_monte_carlo_pdf(space, eta2, kappa2):
