@@ -3,25 +3,28 @@
 Both geometries reduce expected critical-point counts to the same template:
 
     E[count of index i]          = pref * E_GOI(c_tot)[g_i(0)]
-    E[count of index i above u]  = pref * int_u^inf phi(x) E_GOI(c_cnd)[g_i(b x)] dx
-    boundary regime              = pref * E_GOI(c_tot)[g_i(0); mean(lam) <= -gamma u]
+    E[count of index i above u]  = pref * E_GOI(c_tot)[g_i(0) Phi((-gamma u - mean(lam)) / w)]
+    height density h_i(u)        = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)]
 
 where g_i(a) is the indexed absolute-determinant functional with shift a.
-IsotropicModel writes the Hessian law of both geometries once, with the
-sphere's eta^2 as a curvature term (0 on R^N): shape, regime, (pref, c_tot,
-c_cnd, b, gamma) through problem(), and the N = 2 height laws.  A geometry
+The height X and the Hessian (law GOI(c_tot)) are jointly Gaussian, and
+given the Hessian X depends only on its trace: X | mean(lam) = m is
+N(-m / gamma, (w / gamma)^2).  So a count above u integrates the height out
+as a Gaussian edge of width w on the trace cap -gamma u; the boundary
+regime is w = 0, the hard cap mean(lam) <= -gamma u.  IsotropicModel
+writes the Hessian law of both geometries once, with the sphere's eta^2 as
+a curvature term (0 on R^N): shape, regime, (pref, c_tot, c_cnd, b, gamma,
+w) through problem(), and the N = 2 height laws.  A geometry
 (euclidean.EuclideanModel, sphere.SphereModel) adds its curvature,
 prefactor and N = 2 totals.  This module holds the public operations on
 either model, evaluates the template by quadrature or Monte Carlo and
-propagates error estimates.  Every
-unshifted or trace-capped expectation is one goi.goi_expectation call; only
-the shifted numerators (heights as a batch axis) and the boundary trace
-slice call the quadrature engine directly.  Every outer height integral,
-closed-form N = 2 tail or quadrature count above u, is one _upper_tails
-call: one Gauss rule on the pieces between the sorted heights, summed from
-the top.  Monte Carlo counts above u and the boundary trace slice stay per
-height; they are the oracles.  Height densities and upper-tail height
-fractions follow as ratios of the same quantities, so prefactors cancel.
+propagates error estimates.  Every total and every count above u is one
+goi.goi_expectation call, for both methods and both regimes; only the
+shifted density numerators (heights as a batch axis) and the boundary trace
+slice call the quadrature engine directly.  The N = 2 closed-form tails
+without an erfc form integrate their density in one _upper_tails call.
+Height densities and upper-tail height fractions follow as ratios of the
+same quantities, so prefactors cancel.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import (InvalidCovarianceError, MethodError, ParameterError,
                      UndefinedDistributionError)
@@ -37,11 +40,11 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
+    EDGE_BAND,
     NODE_LADDER,
+    STEEP_WIDTH,
     _gauss_on,
     abs_prod_weight,
-    batch_mean,
-    eigen_batches,
     goi_expectation,
     nested_ordered_quadrature,
     validate_ensemble,
@@ -53,15 +56,16 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # regime; beyond it the model is rejected as impossible.
 REGIME_TOL = 1e-9
 
-# Outer threshold integrals run on [max(u, -OUTER_TAIL), max(u, 0) +
+# Closed-form tail integrals run on [max(u, -OUTER_TAIL), max(u, 0) +
 # OUTER_TAIL]; beyond that the standard normal envelope contributes below
 # any tolerance used here.
 OUTER_TAIL = 13.0
-# Gauss nodes per piece of the outer height integral (first rung of
-# goi.NODE_LADDER, cap), and heights handed to the quadrature engine per call.
+# Gauss nodes per piece of a closed-form tail integral (first rung of
+# goi.NODE_LADDER, cap).
 OUTER_START_NODES = 24
 OUTER_MAX_NODES = 256
-OUTER_CHUNK = 8
+# Heights handed to the quadrature engine per call of the density numerators.
+HEIGHT_CHUNK = 8
 # Outer-rule tolerances of the N = 2 closed-form tails (see CritResult).
 CLOSED_ABS_TOL = 1e-13
 CLOSED_REL_TOL = 1e-11
@@ -77,10 +81,10 @@ class CritResult:
     """A computed expected count (or derived scalar) with its error estimate.
 
     error is one standard error for monte-carlo results.  For quadrature it
-    covers the whole quadrature error: on every axis (gaps, trace, and the
-    outer height integral) the difference to the rule with the next smaller
-    Gauss node count, a bound on every truncated tail, and a rounding
-    allowance.
+    covers the whole quadrature error: on every axis (gaps and trace) the
+    difference to the rule with the next smaller Gauss node count, a bound
+    on every truncated tail (the trace cap's edge beyond its band among
+    them), and a rounding allowance.
     Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
     tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.
@@ -101,6 +105,7 @@ class CountProblem:
     c_cond: float
     shift_coeff: float
     cap_coeff: float
+    edge_width: float
     boundary: bool
 
     def total_ensemble(self) -> GoiEnsemble:
@@ -128,6 +133,10 @@ class IsotropicModel:
         if not all(math.isfinite(v) for v in derivs.values()):
             raise InvalidCovarianceError(
                 f"covariance derivatives must be finite, got {derivs}")
+        # kappa^2 = 0 would decouple the height from the Hessian's trace
+        if not self.raw_kappa2 > 0.0:
+            raise InvalidCovarianceError(
+                f"kappa^2 underflows to {self.raw_kappa2} for {derivs}")
 
     @property
     def eta(self) -> float:
@@ -155,15 +164,22 @@ class IsotropicModel:
         return "boundary" if self.boundary else "nonboundary"
 
     def problem(self) -> CountProblem:
+        """The template's parameters; in the boundary regime gamma keeps
+        its closed form and w is exactly 0."""
         n = self.n
         e2 = self.curvature
+        c_tot, c_cnd = (1.0 + e2) / 2.0, (1.0 + e2 - self.kappa2) / 2.0
+        b = self.kappa / math.sqrt(2.0)
         return CountProblem(
             n=n,
             log_prefactor=self.log_prefactor,
-            c_total=(1.0 + e2) / 2.0,
-            c_cond=(1.0 + e2 - self.kappa2) / 2.0,
-            shift_coeff=self.kappa / math.sqrt(2.0),
-            cap_coeff=math.sqrt((n + 2.0 + n * e2) / (2.0 * n)),
+            c_total=c_tot,
+            c_cond=c_cnd,
+            shift_coeff=b,
+            cap_coeff=(math.sqrt((n + 2.0 + n * e2) / (2.0 * n)) if self.boundary
+                       else (1.0 + n * c_tot) / (n * b)),
+            edge_width=(0.0 if self.boundary
+                        else math.sqrt((1.0 + n * c_cnd) * (1.0 + n * c_tot)) / (n * b)),
             boundary=self.boundary,
         )
 
@@ -200,8 +216,14 @@ class IsotropicModel:
                           + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
                           * ndtr(-a * math.sqrt(3.0 + e2)))
             return CritResult(np.minimum(val, 1.0), CLOSED_REL_TOL, "closed-form")
+        # the extrema densities step at 0 over a width sqrt(a) / kappa, a = 2
+        # + e2 - kappa^2, that vanishes at the boundary: a steep step gets
+        # pieces of its own
+        width = math.sqrt(max(2.0 + e2 - self.kappa2, 0.0) / self.kappa2)
+        splits = [0.0] + ([-EDGE_BAND * width, EDGE_BAND * width]
+                          if width < STEEP_WIDTH else [])
         val, err = _upper_tails(lambda t: (self.closed_pdf_n2(i, t), 0.0), u,
-                                CLOSED_ABS_TOL, CLOSED_REL_TOL)
+                                CLOSED_ABS_TOL, CLOSED_REL_TOL, splits)
         return CritResult(np.minimum(val, 1.0), np.maximum(err, CLOSED_REL_TOL),
                           "closed-form")
 
@@ -218,19 +240,19 @@ def _shaped(x, val, err, method: str) -> CritResult:
     return CritResult(val.reshape(np.shape(x)), err.reshape(np.shape(x)), method)
 
 
-def _upper_tails(integrand, u, epsabs: float, epsrel: float):
+def _upper_tails(integrand, u, epsabs: float, epsrel: float, splits):
     """int_u^top of integrand(x) -> (values, errors) at every height of the
     array u, top = max(u, 0) + OUTER_TAIL over the finite heights (tail 0 at
     or above it), and its error.  One Gauss rule runs on the pieces between
-    the sorted heights, clipped below at -OUTER_TAIL and split at 0, where
-    the boundary minima density ends, summed from the top; it climbs
+    the sorted heights, clipped below at -OUTER_TAIL and split at the
+    heights splits (where the integrand steps), summed from the top; it climbs
     NODE_LADDER until every tail is within max(epsabs, epsrel |tail|) of the
     rung below (that difference plus the integrand's error is the error) or
     reaches OUTER_MAX_NODES."""
     u = np.asarray(u, dtype=float)
     top = float(np.max(u, where=np.isfinite(u), initial=0.0)) + OUTER_TAIL
     lo = np.clip(u, -OUTER_TAIL, top).ravel()
-    edges = np.unique(np.append(lo, [max(lo.min(), 0.0), top]))
+    edges = np.unique(np.concatenate([lo, np.clip(splits, lo.min(), top), [top]]))
     first = np.searchsorted(edges, lo)      # each height's first piece
 
     def rung(m):
@@ -253,137 +275,50 @@ def _upper_tails(integrand, u, epsabs: float, epsrel: float):
 
 
 # ---------------------------------------------------------------------------
-# totals
+# totals and counts above a threshold
 # ---------------------------------------------------------------------------
 
 
-def _index_total(p: CountProblem, i: int, method: str, cfg: NumericConfig,
-                 trace_cap: float | None = None) -> tuple[float, float]:
-    """E_GOI(c_tot)[g_i(0)], restricted to mean(lam) <= trace_cap if one
-    is given, and its error."""
-    fn = IndexedFunctional(index=i, trace_cap=trace_cap)
-    return goi_expectation(p.total_ensemble(), fn, method, cfg)
-
-
-def count_total(p: CountProblem, i: int, method: str, cfg: NumericConfig,
-                trace_cap: float | None = None) -> CritResult:
-    """Expected index-i count pref * E_GOI(c_tot)[g_i(0)]; with a trace cap
-    -gamma u, the boundary-regime count above u."""
-    val, err = _index_total(p, i, method, cfg, trace_cap)
+def count_total(p: CountProblem, i: int, method: str,
+                cfg: NumericConfig) -> CritResult:
+    """Expected index-i count pref * E_GOI(c_tot)[g_i(0)]."""
+    val, err = goi_expectation(p.total_ensemble(), IndexedFunctional(index=i),
+                               method, cfg)
     pref = math.exp(p.log_prefactor)
     return CritResult(pref * val, pref * err, method)
 
 
-# ---------------------------------------------------------------------------
-# counts above a threshold
-# ---------------------------------------------------------------------------
-
-
-def _frobenius_moments(n: int, c: float) -> list[float]:
-    """Upper bounds on E ||M||_F^k, k = 0..N, for M ~ GOI(c).
-
-    ||M||_F^2 = |diag|^2 + 2 sum_(i<j) M_ij^2 has mean T = N (1 + c) +
-    N (N - 1) / 2 and variance 2 tr((I + c 1 1^T)^2) + N (N - 1); Lyapunov's
-    inequality gives E ||M||_F^k <= (E ||M||_F^4)^(k/4) for k <= 4.
-    """
-    t = n * (1.0 + c) + 0.5 * n * (n - 1)
-    m4 = t * t + 2.0 * n * (1.0 + 2.0 * c + c * c * n) + n * (n - 1)
-    return [m4 ** (0.25 * k) for k in range(n + 1)]
-
-
-def _normal_tail_moment(h: float, k: int) -> float:
-    """int_h^inf x^k phi(x) dx for h >= 0."""
-    if k == 0:
-        return float(ndtr(-h))
-    if k == 1:
-        return _phi(h)
-    return h ** (k - 1) * _phi(h) + (k - 1) * _normal_tail_moment(h, k - 2)
-
-
-def _outer_tail_bound(p: CountProblem, h: float) -> float:
-    """Bound on int_(|x| >= h, one side) phi(x) E_GOI(c_cnd)[g_i(b x)] dx.
-
-    g_i(b x) <= prod_j (|lam_j| + |b x|) <= (||M||_F + |b x|)^N; expand the
-    binomial and integrate each power of x against the normal tail.
-    """
-    b = abs(p.shift_coeff)
-    mom = _frobenius_moments(p.n, p.c_cond)
-    return sum(math.comb(p.n, k) * b ** (p.n - k) * mom[k]
-               * _normal_tail_moment(h, p.n - k) for k in range(p.n + 1))
+def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
+                cfg: NumericConfig) -> CritResult:
+    """Expected index-i count above each height of the 1-d array u, pref
+    E_GOI(c_tot)[g_i(0) Phi((-gamma u - mean(lam)) / w)] (see the module
+    doc), one expectation per height: 0 at u = inf, the total at -inf."""
+    rows = []
+    for v in u.tolist():
+        if v == math.inf:
+            rows.append((0.0, 0.0))
+            continue
+        cap = None if v == -math.inf else -p.cap_coeff * v
+        fn = IndexedFunctional(index=i, trace_cap=cap, cap_edge=p.edge_width)
+        rows.append(goi_expectation(p.total_ensemble(), fn, method, cfg))
+    val, err = np.array(rows, dtype=float).reshape(-1, 2).T
+    pref = math.exp(p.log_prefactor)
+    return CritResult(pref * val, pref * err, method)
 
 
 def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
                           cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
     """E_GOI(c_cnd)[g_i(b x)] and its error at each height x; the heights
-    are a batch axis of the quadrature engine, taken OUTER_CHUNK at a time."""
+    are a batch axis of the quadrature engine, taken HEIGHT_CHUNK at a time."""
     vals, errs = [np.zeros(0)], [np.zeros(0)]
-    for s in range(0, x.size, OUTER_CHUNK):
-        beta = p.shift_coeff * x[s:s + OUTER_CHUNK]
+    for s in range(0, x.size, HEIGHT_CHUNK):
+        beta = p.shift_coeff * x[s:s + HEIGHT_CHUNK]
         v, e = nested_ordered_quadrature(
             p.n, p.c_cond, abs_prod_weight(beta), n_lower=i, split=beta,
             epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
         vals.append(v)
         errs.append(e)
     return np.concatenate(vals), np.concatenate(errs)
-
-
-def above_quadrature(p: CountProblem, i: int, u: np.ndarray,
-                     cfg: NumericConfig) -> CritResult:
-    """Non-boundary expected index-i count above each height of the array u.
-    The outer integrand phi(x) E[g_i(b x)] is a polynomial times the normal
-    density; its tails cut off beyond |x| = OUTER_TAIL are bounded."""
-    def integrand(x):
-        e, e_err = _shifted_expectations(p, i, x, cfg)
-        phi = _phi(x)
-        return phi * e, phi * e_err
-
-    val, err = _upper_tails(integrand, u, cfg.quad_abs_tol, cfg.quad_rel_tol)
-    err = np.where(u < math.inf, err + 2.0 * _outer_tail_bound(p, OUTER_TAIL), 0.0)
-    pref = math.exp(p.log_prefactor)
-    return CritResult(pref * val, pref * err, "quadrature")
-
-
-def above_mc(p: CountProblem, i: int, u: float, cfg: NumericConfig) -> CritResult:
-    # Double sampling (non-boundary): x from the normal upper tail above u
-    # (one matrix per x), scaled by the tail mass so the estimator stays
-    # unbiased; uniforms in (0, 1] keep ndtri away from its -inf endpoint.
-    ens = p.cond_ensemble()
-    tail = float(ndtr(-u))
-    if tail == 0.0:
-        return CritResult(0.0, 0.0, "monte-carlo")
-
-    def values(uni, lam):
-        x = -ndtri(tail * uni)
-        beta = p.shift_coeff * x
-        vals = np.abs(lam - beta[:, None]).prod(axis=1)
-        return np.where((lam < beta[:, None]).sum(axis=1) == i, vals, 0.0)
-
-    batches = eigen_batches(ens, cfg, tail_uniforms=True)
-    mean, se = batch_mean((values(uni, lam) for uni, lam in batches),
-                          int(cfg.mc_samples))
-    pref = math.exp(p.log_prefactor)
-    return CritResult(pref * tail * mean, pref * tail * se, "monte-carlo")
-
-
-def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
-                cfg: NumericConfig) -> CritResult:
-    """Expected index-i count above each height of the 1-d array u: in one
-    outer rule by non-boundary quadrature, one height at a time by Monte
-    Carlo and in the boundary regime (a trace-capped total)."""
-    if method not in ("quadrature", "monte-carlo"):
-        raise MethodError(f"unknown method {method!r}")
-    if method == "quadrature" and not p.boundary:
-        return above_quadrature(p, i, u, cfg)
-    rows = []
-    for v in u.tolist():
-        if v == math.inf:
-            rows.append(CritResult(0.0, 0.0, method))
-        elif p.boundary or v == -math.inf:      # the cap is +inf (none) at -inf
-            rows.append(count_total(p, i, method, cfg, trace_cap=-p.cap_coeff * v))
-        else:
-            rows.append(above_mc(p, i, v, cfg))
-    return CritResult(np.array([r.value for r in rows]),
-                      np.array([r.error for r in rows]), method)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +346,8 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
-    tot, tot_err = _index_total(p, i, method, cfg)
+    tot, tot_err = goi_expectation(p.total_ensemble(), IndexedFunctional(index=i),
+                                   method, cfg)
     _check_total(tot, i)
     us = np.asarray(x, dtype=float).ravel()
     if p.boundary and method == "quadrature":
@@ -543,9 +479,10 @@ def _h1_n2_boundary(x, e2):
 
 def resolve_method(model, method: str, threshold: bool) -> str:
     """The route `auto` takes for a model: the N = 2 closed forms;
-    quadrature where affordable (N <= 3 totals, N <= 2 thresholded, since
-    the latter nests an outer integral); Monte Carlo beyond.  Any other
-    method passes through."""
+    quadrature for N = 3 totals; Monte Carlo beyond, and for N = 3 heights
+    and thresholds, where a grid costs quadrature an engine call per count
+    and per few densities but Monte Carlo one seeded draw per ensemble,
+    shared by every height.  Any other method passes through."""
     if method != "auto":
         return method
     if model.n == 2:
@@ -558,6 +495,11 @@ def resolve_method(model, method: str, threshold: bool) -> str:
 def _check_index(model, i: int) -> None:
     if not 0 <= i <= model.n:
         raise ParameterError(f"index must lie in 0..{model.n}, got {i}")
+
+
+def _check_heights(x) -> None:
+    if np.isnan(x).any():
+        raise ParameterError("heights and thresholds must not be nan")
 
 
 def _require_n2(model) -> None:
@@ -583,6 +525,7 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
     """Expected number per unit volume (area) of index-i critical points
     above u."""
     _check_index(model, i)
+    _check_heights(u)
     cfg = config or NumericConfig()
     if math.isinf(u) and u < 0:
         return expected_crit_total(model, i, method, config)
@@ -601,6 +544,7 @@ def height_pdf_result(model, i: int, x, method: str = "auto",
     """h_i at the heights x with its error.  Value and error are floats for
     a scalar x and arrays of x's shape otherwise."""
     _check_index(model, i)
+    _check_heights(x)
     cfg = config or NumericConfig()
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":
@@ -613,6 +557,7 @@ def height_cdf_result(model, i: int, u, method: str = "auto",
                       config: NumericConfig | None = None) -> CritResult:
     """F_i at the heights u with its error, shaped as in height_pdf_result."""
     _check_index(model, i)
+    _check_heights(u)
     cfg = config or NumericConfig()
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":

@@ -328,6 +328,13 @@ def _suite_closed_vs_quadrature(tol: float, lines: list) -> bool:
                                    quad.value, tol)
             lines.append(line)
             all_ok &= ok
+            for u in (-0.5, 0.8):
+                closed = expected_crit_above(model, i, u, "closed-form", cfg)
+                quad = expected_crit_above(model, i, u, "quadrature", cfg)
+                ok, line = _check_line(f"{name} above[{i}]({u})", closed.value,
+                                       quad.value, tol)
+                lines.append(line)
+                all_ok &= ok
         pdf_tol = max(tol, 1e-5)
         for x in (-1.0, 0.0, 1.5):
             closed_v = height_pdf_result(model, 2, x, "closed-form", cfg).value

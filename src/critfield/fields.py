@@ -120,24 +120,15 @@ class PlanarWaveField:
         return self.scale * np.cos(self.phase(pts)).sum(axis=-1)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return self.gradient_at_phase(self.phase(pts))
+        return -self.scale * (np.sin(self.phase(pts)) @ self.omegas)
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
-        return self.hessian_at_phase(self.phase(pts))
+        return self._hessian_at_cos(np.cos(self.phase(pts)))
 
     def value_and_hessian(self, pts: np.ndarray):
         """Value and Hessian from one phase matrix and one cosine."""
         c = np.cos(self.phase(pts))
         return self.scale * c.sum(axis=-1), self._hessian_at_cos(c)
-
-    def gradient_at_phase(self, arg: np.ndarray) -> np.ndarray:
-        """Gradient from a phase matrix, so callers can share one."""
-        return -self.scale * (np.sin(arg) @ self.omegas)
-
-    def hessian_at_phase(self, arg: np.ndarray, rows=None) -> np.ndarray:
-        """Hessian from a phase matrix, at the given rows of it only (a
-        mask or index array over the leading axis) if rows is set."""
-        return self._hessian_at_cos(np.cos(arg if rows is None else arg[rows]))
 
     def _hessian_at_cos(self, c: np.ndarray) -> np.ndarray:
         return (-self.scale * (c @ self._ww)).reshape(c.shape[:-1] + (2, 2))

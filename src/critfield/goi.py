@@ -14,9 +14,9 @@ This module provides validation, sampling, the ordered-eigenvalue density,
 and expectations of indexed absolute-determinant functionals
 
     g(lam) = prod_j |lam_j - a| * 1{lam_i < a < lam_(i+1)}
-             (* 1{mean(lam) <= trace_cap}),
+             (* Phi((trace_cap - mean(lam)) / cap_edge)),
 
-evaluated either by a product Gauss rule in trace-gap coordinates over the
+(cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either by a product Gauss rule in trace-gap coordinates over the
 ordered region (N <= 3) or by Monte Carlo on sampled matrices (any N).
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
@@ -113,17 +113,23 @@ class IndexedFunctional:
     Represents g(lam) = prod_j |lam_j - shift| on the event that exactly
     ``index`` eigenvalues lie below ``shift`` (lam_0 = -inf, lam_(N+1) = +inf
     conventions make index 0 and index N the extreme cases).  When
-    ``trace_cap`` is set, the event also requires mean(lam) <= trace_cap;
-    that variant drives the boundary-regime counts.
+    ``trace_cap`` is set, g is also weighted by the trace cap's Gaussian
+    edge Phi((trace_cap - mean(lam)) / cap_edge); with cap_edge = 0 (the
+    boundary regime) that is the event mean(lam) <= trace_cap.  Counts
+    above a height are this weight with the height integrated out.
     """
 
     index: int
     shift: float = 0.0
     trace_cap: float | None = None
+    cap_edge: float = 0.0
 
     def __post_init__(self):
         if self.index < 0:
             raise ParameterError(f"index must be >= 0, got {self.index}")
+        if not 0.0 <= self.cap_edge < math.inf:
+            raise ParameterError(
+                f"cap_edge must be finite and >= 0, got {self.cap_edge}")
 
     @property
     def mode(self) -> str:
@@ -137,9 +143,12 @@ class IndexedFunctional:
         vals = np.abs(lam - self.shift).prod(axis=1)
         below = (lam < self.shift).sum(axis=1)
         mask = below == self.index
-        if self.trace_cap is not None:
-            mask &= lam.mean(axis=1) <= self.trace_cap
-        return np.where(mask, vals, 0.0)
+        if self.trace_cap is None:
+            return np.where(mask, vals, 0.0)
+        mean = lam.mean(axis=1)
+        if not self.cap_edge:
+            return np.where(mask & (mean <= self.trace_cap), vals, 0.0)
+        return np.where(mask, vals, 0.0) * ndtr((self.trace_cap - mean) / self.cap_edge)
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ class NumericConfig:
     results on every run.
 
     With a seed, every Monte Carlo value over one GOI(c) ensemble reads the
-    same eigenvalue draw (see eigen_batches; up to BANK_ENTRIES = 3 draws
+    same eigenvalue draw (see eigen_batches; up to BANK_ENTRIES = 2 draws
     are kept), so the rows of one command use common random numbers and
     their errors are correlated.  Without a seed each value draws afresh.
     """
@@ -254,7 +263,11 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # lam_k < a < lam_(k+1) and a trace cap s <= N cap are limits on z at each
 # d, so every region is a product Gauss-Legendre rule: z innermost, between
 # its per-point limits, and the gaps split at every d where two limits cross
-# or a steep limit passes z = 0 (the integrand is smooth in between).
+# or a steep limit passes z = 0 or z = +-EDGE_BAND (the integrand is smooth
+# in between).  A cap with a Gaussian edge of width w (in mean(lam)) weights
+# the integrand by Phi((cap - s/N) / w): z ends EDGE_BAND widths above the
+# cap, the band within EDGE_BAND widths of it is a z piece of its own, and
+# the gaps also split where an index limit crosses either end of the band.
 
 # |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
 Z_TRUNC = 12.0
@@ -269,6 +282,11 @@ MAX_NODES = {"z": 512, "d": 256}
 # The line where a limit passes z = 0 is a breakpoint when that limit
 # crosses one standard deviation of z within this many units of gap.
 STEEP_WIDTH = 0.5
+# A steep step in z (the cap's edge, or a steep index limit passing the
+# center of the trace law) gets pieces of its own within this many of its
+# standard deviations; Phi(-EDGE_BAND) = 6.2e-16 is the edge's weight at the
+# end of its band.
+EDGE_BAND = 8.0
 # Points evaluated per vectorized block; keeps temporaries near 128 kB each.
 BLOCK_POINTS = 1 << 14
 
@@ -342,8 +360,8 @@ def _ratio(num, den):
 class _TraceGapRule:
     """Product Gauss rule for one (ensemble, region) and a batch of splits."""
 
-    def __init__(self, n, c, weight, n_lower, split, trace_cap, box_half,
-                 cap_derivative):
+    def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge,
+                 box_half, cap_derivative):
         self.n = n
         self.sigma = math.sqrt(n * (1.0 + n * c))
         self.weight = weight
@@ -363,16 +381,21 @@ class _TraceGapRule:
                 lims.append((n * a, -n * self.A[n_lower - 1], "upper"))
         self.index_limits = lims
         self.cap_s = None if trace_cap is None else n * float(trace_cap)
+        # the cap's edge width in s (0: a hard cap) and the band around it
+        self.edge_s = 0.0 if trace_cap is None else n * float(cap_edge)
+        band = ((0.0, -EDGE_BAND * self.edge_s, EDGE_BAND * self.edge_s)
+                if self.edge_s else (0.0,))
         # where the integrand is not smooth in d: limit crossings, and where
-        # a steep limit passes the center of the trace law (near the
-        # boundary regime sigma -> 0 this is a step of width ~ sigma in d)
+        # a steep limit passes the center of the trace law or its band (near
+        # the boundary regime sigma -> 0 this is a step of width ~ sigma in d)
+        steep = (0.0, -EDGE_BAND * self.sigma, EDGE_BAND * self.sigma)
         kinks = []
         for alpha, beta, _ in lims:
             if self.cap_s is not None:
-                kinks.append((alpha - self.cap_s, beta))
+                kinks += [(alpha - (self.cap_s + o), beta) for o in band]
             if (not self.slice
                     and self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0)):
-                kinks.append((alpha, beta))
+                kinks += [(alpha - o, beta) for o in steep]
         self.kinks = kinks
         # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
         # gives the box |s/N - anchor| <= half (anchor = split or 0) with
@@ -401,16 +424,20 @@ class _TraceGapRule:
     def tail_bound(self) -> np.ndarray:
         """Cauchy-Schwarz bound on the part cut off by the truncation:
         sqrt(E[w^2] P(outside)), E[w^2] over the whole box (no index region
-        or cap) by a coarse rule."""
-        if self.p_out == 0.0:
+        or cap) by a coarse rule; beyond the band of a cap's edge, whose
+        weight is below Phi(-EDGE_BAND) there, Phi(-EDGE_BAND) sqrt(E[w^2])."""
+        if self.p_out == 0.0 and not self.edge_s:
             return np.zeros(self.batch)
         whole = copy.copy(self)
         whole.index_limits, whole.kinks = [], []
         if not self.slice:
-            whole.cap_s = None
-        second = whole.integrate(tuple(START_NODES[ax[0]] for ax in self.axes),
-                                 second=True)[2]
-        return np.sqrt(np.maximum(second, 0.0) * self.p_out)
+            whole.cap_s, whole.edge_s = None, 0.0
+        second = np.maximum(whole.integrate(
+            tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
+        bound = np.sqrt(second * self.p_out)
+        if self.edge_s:
+            bound += ndtr(-EDGE_BAND) * np.sqrt(second)
+        return bound
 
     # -- gap axes ----------------------------------------------------------
 
@@ -462,7 +489,8 @@ class _TraceGapRule:
         else:
             lo, hi = _pieces(self._outer_breakpoints(), self.gap_top)
         d0, w0 = _gauss_on(lo, hi, nn["d0"])
-        per_node = nn.get("z", 1) * (1 if self.n == 2 else 4 * nn["d1"])
+        per_node = (nn.get("z", 1) * (2 if self.edge_s else 1)
+                    * (1 if self.n == 2 else 4 * nn["d1"]))
         step = max(1, BLOCK_POINTS // (B * per_node))
         for s in range(0, d0.shape[1], step):
             dd, ww = d0[:, s:s + step], w0[:, s:s + step]
@@ -490,6 +518,12 @@ class _TraceGapRule:
                 vand = vand * (mu[j] - mu[i])
         g = wgap * vand * np.exp(log_g + self.log_norm)
         lo, hi = self._z_limits(gaps, wgap)
+        if self.edge_s:
+            # the edge's band is a z piece of its own: each gap point twice
+            mid = np.clip((self.cap_s - EDGE_BAND * self.edge_s) / self.sigma, lo, hi)
+            lo, hi = np.concatenate([lo, mid], -1), np.concatenate([mid, hi], -1)
+            g = np.concatenate([g, g], -1)
+            mu = [np.concatenate([m, m], -1) for m in mu]
         if self.slice:
             z = lo[..., None]
             fz = np.where(hi > lo, n / self.sigma * np.exp(-0.5 * lo * lo), 0.0)
@@ -505,6 +539,8 @@ class _TraceGapRule:
             g *= half
         fz *= g[..., None]
         z *= self.sigma / n   # now the mean eigenvalue s/N
+        if self.edge_s:
+            fz *= ndtr((self.cap_s - n * z) / self.edge_s)
         rows, shape = z.shape[0], z.shape
         lam = tuple((z + m[..., None]).reshape(rows, -1) for m in mu)
         del z
@@ -544,7 +580,7 @@ class _TraceGapRule:
             inside = (lo < cap) & (cap < hi)
             return cap / self.sigma, np.where(inside, np.inf, -np.inf)
         if self.cap_s is not None:
-            hi = np.minimum(hi, self.cap_s)
+            hi = np.minimum(hi, self.cap_s + EDGE_BAND * self.edge_s)
         lo = np.maximum(lo / self.sigma, self.z_lo)
         hi = np.minimum(hi / self.sigma, self.z_hi)
         return lo, np.maximum(hi, lo)
@@ -554,6 +590,7 @@ def nested_ordered_quadrature(n: int, c: float,
                               weight: Callable[[tuple], "NDArray | float"],
                               n_lower: int, split: "float | NDArray | None",
                               trace_cap: float | None = None,
+                              cap_edge: float = 0.0,
                               box_half: float | None = None,
                               epsabs: float = 1e-12,
                               epsrel: float = 1e-9,
@@ -562,11 +599,13 @@ def nested_ordered_quadrature(n: int, c: float,
 
     The region is lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N
     with k = n_lower; split=None (with n_lower=0) gives the full ordered
-    simplex.  An optional trace cap restricts to mean(lam) <= trace_cap, and
-    cap_derivative=True returns d/d(trace_cap) of that capped integral (the
-    integrand on the slice mean(lam) = trace_cap).  box_half, if given, sets
-    the truncation: |mean(lam) - anchor| <= box_half (anchor = split, its
-    first entry for a batch, or 0) and eigenvalue gaps up to 2 box_half.
+    simplex.  An optional trace cap restricts to mean(lam) <= trace_cap, or
+    with cap_edge = w > 0 weights the integrand by Phi((trace_cap -
+    mean(lam)) / w); cap_derivative=True returns d/d(trace_cap) of a hard
+    capped integral (the integrand on the slice mean(lam) = trace_cap).
+    box_half, if given, sets the truncation: |mean(lam) - anchor| <=
+    box_half (anchor = split, its first entry for a batch, or 0) and
+    eigenvalue gaps up to 2 box_half.
 
     split may be an array: each entry is one region, and weight sees the
     batch as rows.  weight is called with a tuple of N arrays of shape
@@ -594,10 +633,10 @@ def nested_ordered_quadrature(n: int, c: float,
             "quadrature needs a nondegenerate ensemble (c > -1/N)")
     if n_lower < 0 or n_lower > n:
         raise ParameterError(f"invalid block split {n_lower} of {n}")
-    if cap_derivative and trace_cap is None:
-        raise ParameterError("cap_derivative needs a trace_cap")
-    rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, box_half,
-                         cap_derivative)
+    if cap_derivative and (trace_cap is None or cap_edge):
+        raise ParameterError("cap_derivative needs a hard trace_cap")
+    rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, cap_edge,
+                         box_half, cap_derivative)
     axes = rule.axes
     rung = {ax: NODE_LADDER.index(START_NODES[ax[0]]) for ax in axes}
     cache: dict = {}
@@ -652,29 +691,25 @@ def abs_prod_weight(shift):
 # ---------------------------------------------------------------------------
 
 
-# Seeded eigenvalue batches kept at once: one command reads at most three
-# (GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind tail uniforms).
-BANK_ENTRIES = 3
+# Seeded eigenvalue batches kept at once: one command reads at most two,
+# GOI(c_tot) (totals and counts above a height) and GOI(c_cnd) (densities).
+BANK_ENTRIES = 2
 _bank: "OrderedDict[tuple, list]" = OrderedDict()
 
 
-def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig,
-                  tail_uniforms: bool = False) -> list:
-    """The Monte Carlo draw of config: a list of (uniforms or None, ascending
-    eigenvalue rows (k, N)) per mc_batch chunk of the seed's stream (the
-    first child of SeedSequence(seed)).
+def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig) -> list:
+    """The Monte Carlo draw of config: a list of ascending eigenvalue rows
+    (k, N), one per mc_batch chunk of the seed's stream (the first child of
+    SeedSequence(seed)).
 
-    With tail_uniforms each chunk first draws k uniforms on (0, 1] from its
-    stream (as 1 - random), then its matrices.  Seeded draws are kept (read
-    only, at most BANK_ENTRIES, least recently used dropped), so every
-    seeded expectation over one ensemble reuses the same samples; seed=None
-    always draws afresh.
+    Seeded draws are kept (read only, at most BANK_ENTRIES, least recently
+    used dropped), so every seeded expectation over one ensemble reuses the
+    same samples; seed=None always draws afresh.
     """
     total = int(config.mc_samples)
     if total < 2:
         raise ParameterError("mc_samples must be >= 2")
-    key = (ensemble.n, ensemble.c, config.seed, total, config.mc_batch,
-           tail_uniforms)
+    key = (ensemble.n, ensemble.c, config.seed, total, config.mc_batch)
     if config.seed is not None and key in _bank:
         _bank.move_to_end(key)
         return _bank[key]
@@ -683,12 +718,9 @@ def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig,
     done = 0
     while done < total:
         k = min(config.mc_batch, total - done)
-        uni = 1.0 - rng.random(k) if tail_uniforms else None
         lam = np.linalg.eigvalsh(sample_goi(ensemble, size=k, rng=rng))
-        for arr in (uni, lam):
-            if arr is not None:
-                arr.flags.writeable = False
-        batches.append((uni, lam))
+        lam.flags.writeable = False
+        batches.append(lam)
         done += k
     if config.seed is not None:
         _bank[key] = batches
@@ -719,7 +751,7 @@ def mc_eigen_expectation(ensemble: GoiEnsemble,
     config).
     """
     batches = eigen_batches(ensemble, config)
-    return batch_mean((eval_batch(lam) for _, lam in batches),
+    return batch_mean((eval_batch(lam) for lam in batches),
                       int(config.mc_samples))
 
 
@@ -752,7 +784,7 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
         return nested_ordered_quadrature(
             ensemble.n, ensemble.c, abs_prod_weight(functional.shift),
             n_lower=functional.index, split=functional.shift,
-            trace_cap=functional.trace_cap,
+            trace_cap=functional.trace_cap, cap_edge=functional.cap_edge,
             epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
     if method == "monte-carlo":
         return mc_eigen_expectation(ensemble, functional.evaluate, config)

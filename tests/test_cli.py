@@ -271,6 +271,9 @@ def test_model_exit_codes(capsys):
     assert run(capsys, "expect", "--rho1=-1", "--rho2", "inf") == (3, "")
     assert run(capsys, "expect", "--space", "sphere", "--c1", "1", "--c2",
                "inf") == (3, "")
+    # derivatives so small that kappa^2 = C'^2 / C'' underflows to 0
+    assert run(capsys, "expect", "--space", "sphere", "--c1", "1e-170",
+               "--c2", "1", "--threshold", "0.5") == (3, "")
 
 
 def test_validate_suite(capsys):
@@ -278,6 +281,9 @@ def test_validate_suite(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+    # totals, counts above u = -0.5 and 0.8, and pdfs of four N = 2 models
+    assert out.count("above[") == 4 * 3 * 2
+    assert "ok   euclid-boundary above[2](0.8)" in out
     # absurd tolerance must surface failures through exit code 4
     code, out = run(capsys, "validate", "--suite", "closed-vs-quadrature",
                     "--tol", "1e-18")

@@ -257,6 +257,14 @@ def test_parameter_errors():
         expected_crit_total(m, 1, "magic")
     with pytest.raises(MethodError):
         expected_crit_total(model_from_shape(3, 1.0, 1.0), 0, "closed-form")
+    # a nan threshold or height is rejected by every route, not computed
+    for method in ("closed-form", "quadrature", "monte-carlo"):
+        with pytest.raises(ParameterError):
+            expected_crit_above(m, 1, math.nan, method)
+        with pytest.raises(ParameterError):
+            kr.height_pdf_result(m, 0, math.nan, method)
+        with pytest.raises(ParameterError):
+            kr.height_cdf_result(m, 0, [0.1, math.nan], method)
 
 
 def _boundary_minima_tail(u: float, e2: float) -> mp.mpf:

@@ -395,11 +395,6 @@ def test_phase_derivatives_match_pointwise():
     arg = f.phase(pts)
     assert arg.shape == (6, 90)
     assert np.abs(arg - (pts @ f.omegas.T + f.phases)).max() < 1e-13
-    assert np.array_equal(f.gradient_at_phase(arg), f.gradient(pts))
-    assert np.array_equal(f.hessian_at_phase(arg), f.hessian(pts))
-    keep = np.array([False, True, True, False, False, True])
-    assert np.array_equal(f.hessian_at_phase(arg, keep), f.hessian(pts[keep]))
-    assert np.array_equal(arg, f.phase(pts))      # the phase is left intact
     # one phase matrix and one cosine give what value and hessian give
     val, hess = f.value_and_hessian(pts)
     assert np.array_equal(val, f.value(pts))

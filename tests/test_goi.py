@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from critfield import (
     DegenerateEnsembleError,
@@ -75,8 +76,15 @@ def test_indexed_functional_evaluate():
     np.testing.assert_allclose(h.evaluate(np.array([[-2.0, 3.0], [-2.0, 1.0]])),
                                [0.0, 2.0])
     assert h.mode == "abs-det-indicator-with-trace-cap"
+    # a Gaussian edge of width w weights by Phi((cap - mean) / w)
+    e = IndexedFunctional(index=1, shift=0.0, trace_cap=0.0, cap_edge=0.5)
+    np.testing.assert_allclose(e.evaluate(np.array([[-2.0, 3.0], [-2.0, 1.0]])),
+                               [6.0 * ndtr(-1.0), 2.0 * ndtr(1.0)], rtol=1e-15)
     with pytest.raises(ParameterError):
         IndexedFunctional(index=-1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            IndexedFunctional(index=1, trace_cap=0.0, cap_edge=bad)
 
 
 @pytest.mark.parametrize("n,c", [(1, 0.0), (2, 0.0), (2, 0.3), (2, -0.45),
@@ -164,12 +172,14 @@ def test_quadrature_matches_monte_carlo():
 
 def test_trace_cap_quadrature_matches_monte_carlo():
     ens = validate_ensemble(2, 0.5)
-    f = IndexedFunctional(index=2, shift=-0.2, trace_cap=-0.4)
-    qv, _ = goi_expectation(ens, f, "quadrature")
-    mv, me = goi_expectation(ens, f, "monte-carlo",
-                             NumericConfig(mc_samples=200_000, seed=3))
-    assert me > 0
-    assert abs(qv - mv) < 4 * me
+    # a hard cap, and caps with a Gaussian edge, wide and narrow
+    for edge in (0.0, 0.3, 1e-3):
+        f = IndexedFunctional(index=2, shift=-0.2, trace_cap=-0.4, cap_edge=edge)
+        qv, _ = goi_expectation(ens, f, "quadrature")
+        mv, me = goi_expectation(ens, f, "monte-carlo",
+                                 NumericConfig(mc_samples=200_000, seed=3))
+        assert me > 0
+        assert abs(qv - mv) < 4 * me
 
 
 def test_mc_reproducible_streams():
@@ -217,8 +227,9 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
     assert cli.main(args) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2 * 4 * 7
-    # GOI(c_tot), GOI(c_cnd), and GOI(c_cnd) behind the tail uniforms
-    assert len(draws) == 3
+    # GOI(c_tot) for totals and counts above u, GOI(c_cnd) for densities
+    assert len(draws) == 2
+    assert len(goi._bank) == 2
     # each row equals the row of a call that draws its own samples
     p = eu.model_from_shape(3, 1.2, 0.9).problem()
     cfg = NumericConfig(mc_samples=2000, seed=3)
@@ -228,7 +239,9 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
               else kr.height_cdf_general)
         r = fn(p, int(row["index"]), float(row["grid_value"]), "monte-carlo", cfg)
         assert (cli._fmt(r.value), cli._fmt(r.error)) == (row["value"], row["error"])
-    assert len(draws) == 3 + 2 * len(rows)
+    # each density draws both ensembles, each upper-tail fraction GOI(c_tot)
+    n_pdf = sum(row["quantity"] == "height-pdf" for row in rows)
+    assert len(draws) == 2 + 2 * n_pdf + (len(rows) - n_pdf)
 
 
 def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
@@ -238,8 +251,9 @@ def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
     real = goi.mc_eigen_expectation
 
     def counting(ens, eval_batch, cfg):
-        if ens.c == 0.5:        # GOI(c_tot) on R^N
-            totals.append(eval_batch.__self__.index)
+        fn = eval_batch.__self__
+        if ens.c == 0.5 and fn.trace_cap is None:   # GOI(c_tot) on R^N, uncapped
+            totals.append(fn.index)
         return real(ens, eval_batch, cfg)
 
     monkeypatch.setattr(goi, "mc_eigen_expectation", counting)
@@ -250,6 +264,24 @@ def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2 * 4 * 5
     assert sorted(totals) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("model", [eu.model_from_shape(2, 1.0, 2.0),
+                                   eu.model_from_shape(3, 1.3, 5.0 / 3.0)],
+                         ids=["plane-n2", "plane-n3"])
+def test_boundary_mc_count_above_is_the_trace_capped_total(model, empty_bank):
+    # at the boundary the height is -mean(lam) / gamma exactly: a Monte
+    # Carlo count above u is the trace-capped total on the same draw
+    assert model.boundary
+    p = model.problem()
+    cfg = NumericConfig(mc_samples=4000, seed=7)
+    pref = math.exp(p.log_prefactor)
+    for i in range(model.n + 1):
+        for u in (-0.6, 0.0, 0.9):
+            got = kr.count_above(p, i, np.array([u]), "monte-carlo", cfg)
+            fn = IndexedFunctional(index=i, trace_cap=-p.cap_coeff * u)
+            val, err = goi_expectation(p.total_ensemble(), fn, "monte-carlo", cfg)
+            assert (got.value[0], got.error[0]) == (pref * val, pref * err)
 
 
 def test_unseeded_monte_carlo_draws_afresh(empty_bank):
@@ -266,13 +298,13 @@ def test_bank_is_read_only_and_bounded(empty_bank):
     ens = validate_ensemble(3, 0.5)
     for seed in range(BANK_ENTRIES + 2):
         batches = eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
-                                                   seed=seed), tail_uniforms=True)
+                                                   seed=seed))
         assert len(batches) == 3
-        for uni, lam in batches:
-            assert lam.shape == (100, 3) and uni.shape == (100,)
-            assert not lam.flags.writeable and not uni.flags.writeable
+        for lam in batches:
+            assert lam.shape == (100, 3)
+            assert not lam.flags.writeable
             with pytest.raises(ValueError):
                 lam[0, 0] = 0.0
     assert len(goi._bank) == BANK_ENTRIES
     assert eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
-                                            seed=seed), tail_uniforms=True) is batches
+                                            seed=seed)) is batches

@@ -30,7 +30,8 @@ def _closed_slack(total: float) -> float:
     return 8.0 * EPS * total
 
 
-@pytest.mark.parametrize("kappa2", [0.36, 1.0, 1.44, 1.9, 1.99, 2.0])
+@pytest.mark.parametrize("kappa2", [0.36, 1.0, 1.44, 1.9, 1.99, 1.9999, 1.99999,
+                                    1.999999, 1.99999999, 2.0])
 def test_error_column_covers_closed_form_n2(kappa2):
     m = model_from_shape(2, 1.0, kappa2)
     p = m.problem()
@@ -39,7 +40,7 @@ def test_error_column_covers_closed_form_n2(kappa2):
         closed_total = m.closed_total_n2(i)
         tot = expected_crit_total(m, i, "quadrature", cfg)
         assert abs(tot.value - closed_total) <= tot.error + _closed_slack(closed_total)
-        for u in (-0.8, 0.5):
+        for u in (-0.8, 0.5, 1.2):
             ab = expected_crit_above(m, i, u, "quadrature", cfg)
             want = expected_crit_above(m, i, u, "closed-form").value
             assert abs(ab.value - want) <= ab.error + _closed_slack(closed_total)
@@ -138,15 +139,18 @@ def test_n3_thresholded_counts_match_kinematic_formula():
     # sum_i (-1)^(N-i) E[count of index i above u] is the Euler
     # characteristic density of the excursion set,
     # (lambda_2 / 2 pi)^(3/2) (u^2 - 1) phi(u) with lambda_2 = -2 rho'
-    m = model_from_shape(3, 1.0, 1.2)
-    u = 0.7
-    rows = [expected_crit_above(m, i, u, "quadrature") for i in range(4)]
-    alt = sum((-1) ** (3 - i) * r.value for i, r in enumerate(rows))
-    lam2 = -2.0 * m.rho1
-    want = ((lam2 / (2.0 * math.pi)) ** 1.5 * (u * u - 1.0)
-            * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
-    assert abs(alt - want) <= sum(r.error for r in rows) + 8.0 * EPS * abs(want)
-    assert alt == pytest.approx(want, rel=1e-9)
+    # (up to the boundary kappa^2 = 5/3, where the trace cap's edge is
+    # steepest)
+    for kappa2 in (1.2, 1.6, 1.6666):
+        m = model_from_shape(3, 1.0, kappa2)
+        lam2 = -2.0 * m.rho1
+        for u in (-1.0, 0.7, 2.0):
+            rows = [expected_crit_above(m, i, u, "quadrature") for i in range(4)]
+            alt = sum((-1) ** (3 - i) * r.value for i, r in enumerate(rows))
+            want = ((lam2 / (2.0 * math.pi)) ** 1.5 * (u * u - 1.0)
+                    * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+            assert abs(alt - want) <= sum(r.error for r in rows) + 8.0 * EPS * abs(want)
+            assert alt == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,kappa2", [(2, 0.8), (3, 0.9)])
