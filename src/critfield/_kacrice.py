@@ -481,8 +481,9 @@ def resolve_method(model, method: str, threshold: bool) -> str:
     """The route `auto` takes for a model: the N = 2 closed forms;
     quadrature for N = 3 totals; Monte Carlo beyond, and for N = 3 heights
     and thresholds, where a grid costs quadrature an engine call per count
-    and per few densities but Monte Carlo one seeded draw per ensemble,
-    shared by every height.  Any other method passes through."""
+    and per few densities but Monte Carlo one seeded GOE(N) draw, shared
+    by both ensembles and every height.  Any other method passes
+    through."""
     if method != "auto":
         return method
     if model.n == 2:

@@ -18,6 +18,9 @@ and expectations of indexed absolute-determinant functionals
 
 (cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either by a product Gauss rule in trace-gap coordinates over the
 ordered region (N <= 3) or by Monte Carlo on sampled matrices (any N).
+Monte Carlo eigensolves GOE(N) matrices only: a GOI(c) matrix is a GOE
+matrix plus beta(c) times its trace on the diagonal, so every GOI(c) of one
+size reads one seeded GOE draw, each row shifted by its own trace.
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -155,14 +159,16 @@ class IndexedFunctional:
 class NumericConfig:
     """Shared numeric knobs for expectation evaluation.
 
-    mc_samples is the total matrix count, drawn in chunks of mc_batch from
-    one stream derived from ``seed``, so a fixed seed gives the same
-    results on every run.
+    mc_samples (an integer >= 2) is the total matrix count, drawn in chunks
+    of mc_batch (an integer >= 1) from one stream derived from ``seed``, so
+    a fixed seed gives the same results on every run.
 
-    With a seed, every Monte Carlo value over one GOI(c) ensemble reads the
-    same eigenvalue draw (see eigen_batches; up to BANK_ENTRIES = 2 draws
-    are kept), so the rows of one command use common random numbers and
-    their errors are correlated.  Without a seed each value draws afresh.
+    With a seed, every Monte Carlo value over GOI(c) matrices of one size N
+    reads the same GOE(N) eigenvalue draw, each row shifted by its own
+    trace for c != 0 (see eigen_batches; up to BANK_ENTRIES = 2 sizes are
+    kept).  So the rows of one command, and the GOI(N+1, c_tot) and
+    GOE(N+1) routes, use common random numbers and their errors are
+    correlated.  Without a seed each value draws afresh.
     """
 
     quad_rel_tol: float = 1e-9
@@ -170,6 +176,14 @@ class NumericConfig:
     mc_samples: int = 200_000
     mc_batch: int = 200_000
     seed: int | None = None
+
+    def __post_init__(self):
+        for name, low in (("mc_samples", 2), ("mc_batch", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ParameterError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def log_k_norm(n: int) -> float:
@@ -206,13 +220,22 @@ def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
     n = ensemble.n
     k = 1 if size is None else int(size)
     g = rng.standard_normal((k, n, n))
-    m = (g + np.swapaxes(g, 1, 2)) / 2.0  # off-diagonal variance 1/2
+    m = g + np.swapaxes(g, 1, 2)
+    del g
+    m /= 2.0  # off-diagonal variance 1/2
     z = rng.standard_normal((k, n))
-    root = math.sqrt(max(1.0 + n * ensemble.c, 0.0))
-    diag = z + ((root - 1.0) / n) * z.sum(axis=1, keepdims=True)
+    diag = z + trace_shift(ensemble) * z.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     m[:, idx, idx] = diag
     return m[0] if size is None else m
+
+
+def trace_shift(ensemble: GoiEnsemble) -> float:
+    """beta(c) = (sqrt(1 + N c) - 1) / N: the GOI(c) draw of sample_goi is
+    M_0 + beta tr(M_0) I for the GOE draw M_0 of the same stream (0 at c = 0,
+    -1/N at the degenerate boundary)."""
+    n = ensemble.n
+    return (math.sqrt(max(1.0 + n * ensemble.c, 0.0)) - 1.0) / n
 
 
 def ordered_eigenvalue_density(ensemble: GoiEnsemble,
@@ -691,42 +714,83 @@ def abs_prod_weight(shift):
 # ---------------------------------------------------------------------------
 
 
-# Seeded eigenvalue batches kept at once: one command reads at most two,
-# GOI(c_tot) (totals and counts above a height) and GOI(c_cnd) (densities).
+# Seeded GOE draws kept at once, one per matrix size: one command reads at
+# most two sizes, N (GOI(c_tot) and GOI(c_cnd)) and N + 1 (the GOE(N+1)
+# route and the general route at that size).
 BANK_ENTRIES = 2
-_bank: "OrderedDict[tuple, list]" = OrderedDict()
+# Shifted rows kept per draw: one command reads at most GOI(c_tot) and
+# GOI(c_cnd) of a size.
+SHIFTS_PER_DRAW = 2
+_bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
+
+
+def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass
+class _GoeDraw:
+    """A GOE(N) draw as chunks of ascending eigenvalue rows and the traces
+    of their matrices, with the GOI(c) rows served from it, by c."""
+
+    lam: list
+    trace: list
+    shifted: "OrderedDict[float, list]" = field(default_factory=OrderedDict)
+
+    def rows(self, ensemble: GoiEnsemble) -> list:
+        beta = trace_shift(ensemble)
+        if beta == 0.0:
+            return self.lam
+        rows = self.shifted.pop(ensemble.c, None)
+        if rows is None:
+            rows = [_read_only(lam + beta * tr[:, None])
+                    for lam, tr in zip(self.lam, self.trace)]
+        self.shifted[ensemble.c] = rows
+        if len(self.shifted) > SHIFTS_PER_DRAW:
+            self.shifted.popitem(last=False)
+        return rows
 
 
 def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig) -> list:
-    """The Monte Carlo draw of config: a list of ascending eigenvalue rows
-    (k, N), one per mc_batch chunk of the seed's stream (the first child of
-    SeedSequence(seed)).
+    """The Monte Carlo draw of config for ensemble: a list of read-only
+    ascending eigenvalue rows (k, N), one per mc_batch chunk of the seed's
+    stream (the first child of SeedSequence(seed)).
 
-    Seeded draws are kept (read only, at most BANK_ENTRIES, least recently
-    used dropped), so every seeded expectation over one ensemble reuses the
-    same samples; seed=None always draws afresh.
+    Every GOI(c) of size N reads one GOE(N) draw, each row shifted by
+    trace_shift(ensemble) times the trace of its matrix (sample_goi draws
+    GOI(c) that way from the same stream); c = 0 reads the GOE rows.
+    Seeded draws are kept by (N, seed, mc_samples, mc_batch), at most
+    BANK_ENTRIES (least recently used dropped), each with the rows of its
+    last SHIFTS_PER_DRAW couplings; seed=None always draws afresh.
     """
-    total = int(config.mc_samples)
-    if total < 2:
-        raise ParameterError("mc_samples must be >= 2")
-    key = (ensemble.n, ensemble.c, config.seed, total, config.mc_batch)
-    if config.seed is not None and key in _bank:
-        _bank.move_to_end(key)
-        return _bank[key]
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    batches = []
-    done = 0
-    while done < total:
-        k = min(config.mc_batch, total - done)
-        lam = np.linalg.eigvalsh(sample_goi(ensemble, size=k, rng=rng))
-        lam.flags.writeable = False
-        batches.append(lam)
-        done += k
-    if config.seed is not None:
-        _bank[key] = batches
-        if len(_bank) > BANK_ENTRIES:
+    if config.seed is None:
+        return _draw_goe(ensemble.n, config).rows(ensemble)
+    key = (ensemble.n, config.seed, config.mc_samples, config.mc_batch)
+    draw = _bank.pop(key, None)
+    if draw is None:
+        # drop before drawing, so the dropped rows and the new matrices
+        # are never held together
+        while len(_bank) >= BANK_ENTRIES:
             _bank.popitem(last=False)
-    return batches
+        draw = _draw_goe(ensemble.n, config)
+    _bank[key] = draw
+    return draw.rows(ensemble)
+
+
+def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    goe = GoiEnsemble(n, 0.0)
+    draw = _GoeDraw([], [])
+    done = 0
+    while done < config.mc_samples:
+        k = min(config.mc_batch, config.mc_samples - done)
+        m = sample_goi(goe, size=k, rng=rng)
+        draw.trace.append(np.trace(m, axis1=1, axis2=2))
+        draw.lam.append(_read_only(np.linalg.eigvalsh(m)))
+        del m   # before the next chunk is drawn
+        done += k
+    return draw
 
 
 def batch_mean(values, total: int) -> tuple[float, float]:
@@ -751,8 +815,7 @@ def mc_eigen_expectation(ensemble: GoiEnsemble,
     config).
     """
     batches = eigen_batches(ensemble, config)
-    return batch_mean((eval_batch(lam) for lam in batches),
-                      int(config.mc_samples))
+    return batch_mean((eval_batch(lam) for lam in batches), config.mc_samples)
 
 
 def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,

@@ -204,6 +204,9 @@ def test_config_exit_codes(capsys, tmp_path):
     # a negative seed, for Monte Carlo and for field synthesis
     assert run(capsys, "expect", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
                "--method", "monte-carlo", "--seed", "-1") == (2, "")
+    # too few samples
+    assert run(capsys, "expect", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
+               "--method", "monte-carlo", "--samples", "1", "--seed", "1") == (2, "")
     assert run(capsys, "simulate", "--kind", "plane-wave", "--wavenumber",
                "10", "--side", "3", "--reps", "2", "--seed", "-1") == (2, "")
     assert run(capsys, "validate", "--tol", "nan") == (2, "")

@@ -23,7 +23,8 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
-from critfield.goi import BANK_ENTRIES, eigen_batches, nested_ordered_quadrature
+from critfield.goi import (BANK_ENTRIES, SHIFTS_PER_DRAW, eigen_batches,
+                          nested_ordered_quadrature)
 
 
 @pytest.fixture
@@ -227,9 +228,10 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
     assert cli.main(args) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2 * 4 * 7
-    # GOI(c_tot) for totals and counts above u, GOI(c_cnd) for densities
-    assert len(draws) == 2
-    assert len(goi._bank) == 2
+    # one GOE(3) draw: GOI(c_tot) for totals and counts above u and
+    # GOI(c_cnd) for densities are its rows shifted by their traces
+    assert draws == [(0.0, 2000)]
+    assert len(goi._bank) == 1
     # each row equals the row of a call that draws its own samples
     p = eu.model_from_shape(3, 1.2, 0.9).problem()
     cfg = NumericConfig(mc_samples=2000, seed=3)
@@ -239,9 +241,39 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
               else kr.height_cdf_general)
         r = fn(p, int(row["index"]), float(row["grid_value"]), "monte-carlo", cfg)
         assert (cli._fmt(r.value), cli._fmt(r.error)) == (row["value"], row["error"])
-    # each density draws both ensembles, each upper-tail fraction GOI(c_tot)
-    n_pdf = sum(row["quantity"] == "height-pdf" for row in rows)
-    assert len(draws) == 2 + 2 * n_pdf + (len(rows) - n_pdf)
+    # each row, density or upper-tail fraction, draws once
+    assert len(draws) == 1 + len(rows)
+
+
+def test_goe_draw_is_shared_by_the_general_and_fyodorov_routes(
+        monkeypatch, capsys, empty_bank):
+    # GOI(4, c_tot) of expect --N 4 and GOE(4) of the Fyodorov route at
+    # N = 3 read one GOE(4) draw
+    n4 = ["expect", "--N", "4", "--eta2", "1.1", "--kappa2", "0.8",
+          "--samples", "3000", "--seed", "9"]
+    fy = ["expect", "--N", "3", "--eta2", "1.1", "--kappa2", "0.6",
+          "--method", "fyodorov", "--threshold=0.3", "--samples", "3000",
+          "--seed", "9"]
+    alone = []
+    for args in (n4, fy):
+        goi._bank.clear()
+        assert cli.main(args) == 0
+        alone.append(capsys.readouterr().out)
+    goi._bank.clear()
+    draws = []
+    real = goi.sample_goi
+
+    def counting(ens, size=None, rng=None):
+        draws.append((ens.n, ens.c, size))
+        return real(ens, size, rng)
+
+    monkeypatch.setattr(goi, "sample_goi", counting)
+    together = []
+    for args in (n4, fy):
+        assert cli.main(args) == 0
+        together.append(capsys.readouterr().out)
+    assert draws == [(4, 0.0, 3000)]
+    assert together == alone
 
 
 def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
@@ -308,3 +340,42 @@ def test_bank_is_read_only_and_bounded(empty_bank):
     assert len(goi._bank) == BANK_ENTRIES
     assert eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
                                             seed=seed)) is batches
+    # one draw serves every coupling of its size, keeping the last few
+    cfg = NumericConfig(mc_samples=300, mc_batch=100, seed=seed)
+    for c in (-0.2, 0.0, 1.0, 2.0, 0.5):
+        eigen_batches(validate_ensemble(3, c), cfg)
+    assert len(goi._bank) == BANK_ENTRIES
+    draw = goi._bank[(3, seed, 300, 100)]
+    assert len(draw.shifted) == SHIFTS_PER_DRAW
+    assert eigen_batches(validate_ensemble(3, 0.5), cfg) is draw.shifted[0.5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_goi_draw_is_the_goe_shifted_by_its_trace(n, empty_bank):
+    # sample_goi draws GOI(c) as M_0 + beta(c) tr(M_0) I from the same
+    # normals as the GOE draw M_0: the bank shifts GOE rows, not matrices
+    seed = 41
+    cfg = NumericConfig(mc_samples=3000, seed=seed)
+    for c in (-1.0 / n, -0.2, 0.0, 0.5, 3.0):
+        ens = validate_ensemble(n, c)
+        (got,) = eigen_batches(ens, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        want = np.linalg.eigvalsh(sample_goi(ens, size=3000, rng=rng))
+        tol = 1e-13 * (1.0 + np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        if ens.degenerate:
+            assert np.abs(got.mean(axis=1)).max() <= 1e-13
+        assert (np.diff(got, axis=1) >= 0.0).all()
+        assert not got.flags.writeable
+    assert len(goi._bank) == 1
+
+
+def test_numeric_config_rejects_bad_sample_counts():
+    for bad in ({"mc_batch": 0}, {"mc_batch": -5}, {"mc_batch": 2.0},
+                {"mc_samples": 1}, {"mc_samples": 2000.5},
+                {"mc_samples": True}, {"mc_samples": "2000"}):
+        with pytest.raises(ParameterError):
+            NumericConfig(**bad)
+    cfg = NumericConfig(mc_samples=np.int64(2), mc_batch=1)
+    assert cfg.mc_samples == 2
+
