@@ -32,7 +32,8 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
-    mc_eigen_expectation,
+    batch_mean,
+    eigen_batches,
     nested_ordered_quadrature,
     validate_ensemble,
 )
@@ -122,7 +123,8 @@ def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
-    return mc_eigen_expectation(goe, lambda lam: weight_fn(lam[:, pos]), cfg)
+    return batch_mean((weight_fn(lam[:, pos]) for lam in eigen_batches(goe, cfg)),
+                      cfg.mc_samples)
 
 
 def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:

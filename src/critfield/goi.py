@@ -20,7 +20,8 @@ and expectations of indexed absolute-determinant functionals
 ordered region (N <= 3) or by Monte Carlo on sampled matrices (any N).
 Monte Carlo eigensolves GOE(N) matrices only: a GOI(c) matrix is a GOE
 matrix plus beta(c) times its trace on the diagonal, so every GOI(c) of one
-size reads one seeded GOE draw, each row shifted by its own trace.
+size reads one seeded GOE draw, each row shifted by its own trace, and one
+pass over a draw at a given shift and trace cap gives every index.
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
 """
@@ -168,7 +169,10 @@ class NumericConfig:
     trace for c != 0 (see eigen_batches; up to BANK_ENTRIES = 2 sizes are
     kept).  So the rows of one command, and the GOI(N+1, c_tot) and
     GOE(N+1) routes, use common random numbers and their errors are
-    correlated.  Without a seed each value draws afresh.
+    correlated.  One pass over that draw at a given coupling, shift and
+    trace cap gives the values of every index, and the draw keeps them
+    (up to STATS_PER_DRAW), so the other indices of a height read them.
+    Without a seed each value draws afresh and makes its own pass.
     """
 
     quad_rel_tol: float = 1e-9
@@ -219,10 +223,14 @@ def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
         rng = np.random.default_rng()
     n = ensemble.n
     k = 1 if size is None else int(size)
-    g = rng.standard_normal((k, n, n))
-    m = g + np.swapaxes(g, 1, 2)
-    del g
-    m /= 2.0  # off-diagonal variance 1/2
+    m = rng.standard_normal((k, n, n))
+    # symmetrize in place, row by row: (g_ij + g_ji) / 2 has off-diagonal
+    # variance 1/2, and no second k x N x N array is made
+    for i in range(n - 1):
+        half = m[:, i, i + 1:] + m[:, i + 1:, i]
+        half /= 2.0
+        m[:, i, i + 1:] = half
+        m[:, i + 1:, i] = half
     z = rng.standard_normal((k, n))
     diag = z + trace_shift(ensemble) * z.sum(axis=1, keepdims=True)
     idx = np.arange(n)
@@ -718,9 +726,14 @@ def abs_prod_weight(shift):
 # most two sizes, N (GOI(c_tot) and GOI(c_cnd)) and N + 1 (the GOE(N+1)
 # route and the general route at that size).
 BANK_ENTRIES = 2
-# Shifted rows kept per draw: one command reads at most GOI(c_tot) and
-# GOI(c_cnd) of a size.
+# Shifted rows (and their row means) kept per draw: one command reads at
+# most GOI(c_tot) and GOI(c_cnd) of a size.
 SHIFTS_PER_DRAW = 2
+# All-index results kept per draw, one per (coupling, shift, trace cap), each
+# N + 1 (mean, error) pairs: a heights grid of G points makes 2 G + 1 of
+# them and every index reads them again, so a grid of up to 511 points with
+# both quantities makes one pass per point and per quantity.
+STATS_PER_DRAW = 1024
 _bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
 
 
@@ -729,33 +742,55 @@ def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a
 
 
+def _lru(cache: OrderedDict, key, make: Callable, bound: int):
+    """cache[key], made on a miss; the least recently used entry beyond
+    bound is dropped."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    if len(cache) > bound:
+        cache.popitem(last=False)
+    return value
+
+
 @dataclass
 class _GoeDraw:
-    """A GOE(N) draw as chunks of ascending eigenvalue rows and the traces
-    of their matrices, with the GOI(c) rows served from it, by c."""
+    """A GOE(N) draw as chunks of ascending eigenvalue rows, column major
+    (k, N), and the traces of their matrices, with what is served from it:
+    GOI(c) rows and their row means by c, and the all-index results of
+    mc_eigen_expectation by (c, shift, trace_cap, cap_edge)."""
 
     lam: list
     trace: list
     shifted: "OrderedDict[float, list]" = field(default_factory=OrderedDict)
+    means: "OrderedDict[float, list]" = field(default_factory=OrderedDict)
+    stats: "OrderedDict[tuple, NDArray]" = field(default_factory=OrderedDict)
 
     def rows(self, ensemble: GoiEnsemble) -> list:
         beta = trace_shift(ensemble)
         if beta == 0.0:
             return self.lam
-        rows = self.shifted.pop(ensemble.c, None)
-        if rows is None:
-            rows = [_read_only(lam + beta * tr[:, None])
-                    for lam, tr in zip(self.lam, self.trace)]
-        self.shifted[ensemble.c] = rows
-        if len(self.shifted) > SHIFTS_PER_DRAW:
-            self.shifted.popitem(last=False)
-        return rows
+        return _lru(self.shifted, ensemble.c,
+                    lambda: [_read_only(np.asfortranarray(lam + beta * tr[:, None]))
+                             for lam, tr in zip(self.lam, self.trace)],
+                    SHIFTS_PER_DRAW)
+
+    def row_means(self, ensemble: GoiEnsemble) -> list:
+        """mean(lam) of every GOI(c) row, summed along row-major rows as
+        IndexedFunctional.evaluate sums them (numpy sums 8 or more
+        contiguous terms pairwise, so a column-major sum differs in the
+        last bit from N = 8 on)."""
+        return _lru(self.means, ensemble.c,
+                    lambda: [np.ascontiguousarray(lam).mean(axis=1)
+                             for lam in self.rows(ensemble)],
+                    SHIFTS_PER_DRAW)
 
 
 def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig) -> list:
     """The Monte Carlo draw of config for ensemble: a list of read-only
-    ascending eigenvalue rows (k, N), one per mc_batch chunk of the seed's
-    stream (the first child of SeedSequence(seed)).
+    ascending eigenvalue rows (k, N), column major, one per mc_batch chunk
+    of the seed's stream (the first child of SeedSequence(seed)).
 
     Every GOI(c) of size N reads one GOE(N) draw, each row shifted by
     trace_shift(ensemble) times the trace of its matrix (sample_goi draws
@@ -764,18 +799,23 @@ def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig) -> list:
     BANK_ENTRIES (least recently used dropped), each with the rows of its
     last SHIFTS_PER_DRAW couplings; seed=None always draws afresh.
     """
+    return _goe_draw(ensemble.n, config).rows(ensemble)
+
+
+def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:
+    """The GOE(n) draw of config: from the bank when seeded, else fresh."""
     if config.seed is None:
-        return _draw_goe(ensemble.n, config).rows(ensemble)
-    key = (ensemble.n, config.seed, config.mc_samples, config.mc_batch)
+        return _draw_goe(n, config)
+    key = (n, config.seed, config.mc_samples, config.mc_batch)
     draw = _bank.pop(key, None)
     if draw is None:
         # drop before drawing, so the dropped rows and the new matrices
         # are never held together
         while len(_bank) >= BANK_ENTRIES:
             _bank.popitem(last=False)
-        draw = _draw_goe(ensemble.n, config)
+        draw = _draw_goe(n, config)
     _bank[key] = draw
-    return draw.rows(ensemble)
+    return draw
 
 
 def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
@@ -787,10 +827,19 @@ def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
         k = min(config.mc_batch, config.mc_samples - done)
         m = sample_goi(goe, size=k, rng=rng)
         draw.trace.append(np.trace(m, axis1=1, axis2=2))
-        draw.lam.append(_read_only(np.linalg.eigvalsh(m)))
+        lam = np.linalg.eigvalsh(m)
         del m   # before the next chunk is drawn
+        draw.lam.append(_read_only(np.asfortranarray(lam)))
         done += k
     return draw
+
+
+def _mean_error(s: float, s2: float, total: int) -> tuple[float, float]:
+    """Mean and standard error of total samples with sum s and sum of
+    squares s2."""
+    mean = s / total
+    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
+    return mean, math.sqrt(var / total)
 
 
 def batch_mean(values, total: int) -> tuple[float, float]:
@@ -800,22 +849,42 @@ def batch_mean(values, total: int) -> tuple[float, float]:
     for vals in values:
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
-    return mean, math.sqrt(var / total)
+    return _mean_error(s, s2, total)
 
 
-def mc_eigen_expectation(ensemble: GoiEnsemble,
-                         eval_batch: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-                         config: NumericConfig) -> tuple[float, float]:
-    """Mean and standard error of eval_batch(eigenvalues) over GOI samples.
+def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
+                         config: NumericConfig) -> NDArray[np.float64]:
+    """Monte Carlo mean and standard error of the functional at every index
+    0..N (its own index is not read), as an (N + 1, 2) array, in one pass
+    over eigen_batches(ensemble, config).
 
-    eval_batch receives ascending eigenvalue rows (k, N), read only, and
-    must return a value per row.  The samples are eigen_batches(ensemble,
-    config).
+    Per chunk, one loop over the N columns builds prod_j |lam_j - shift|
+    and the number of eigenvalues below the shift, and weights them by the
+    trace cap once; each index then sums its masked values in the order
+    IndexedFunctional.evaluate and batch_mean do, so every result is
+    bitwise theirs.
     """
-    batches = eigen_batches(ensemble, config)
-    return batch_mean((eval_batch(lam) for lam in batches), config.mc_samples)
+    draw = _goe_draw(ensemble.n, config)
+    batches = draw.rows(ensemble)
+    means = (draw.row_means(ensemble) if functional.trace_cap is not None
+             else [None] * len(batches))
+    a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
+    sums = [[0.0, 0.0] for _ in range(ensemble.n + 1)]
+    for lam, mean in zip(batches, means):
+        vals = np.abs(lam[:, 0] - a)
+        below = (lam[:, 0] < a).astype(np.intp)
+        for j in range(1, ensemble.n):
+            vals *= np.abs(lam[:, j] - a)
+            below += lam[:, j] < a
+        if cap is not None:
+            # the weight is in [0, 1], so masking after weighting is exact
+            vals = (vals * ndtr((cap - mean) / edge) if edge
+                    else np.where(mean <= cap, vals, 0.0))
+        for i, acc in enumerate(sums):
+            v = np.where(below == i, vals, 0.0)
+            acc[0] += float(v.sum())
+            acc[1] += float((v * v).sum())
+    return np.array([_mean_error(s, s2, config.mc_samples) for s, s2 in sums])
 
 
 def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
@@ -850,5 +919,15 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
             trace_cap=functional.trace_cap, cap_edge=functional.cap_edge,
             epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
     if method == "monte-carlo":
-        return mc_eigen_expectation(ensemble, functional.evaluate, config)
+        if config.seed is None:
+            stats = mc_eigen_expectation(ensemble, functional, config)
+        else:
+            # one pass per (coupling, shift, cap) serves every index
+            key = (ensemble.c, functional.shift, functional.trace_cap,
+                   functional.cap_edge)
+            stats = _lru(_goe_draw(ensemble.n, config).stats, key,
+                         lambda: mc_eigen_expectation(ensemble, functional, config),
+                         STATS_PER_DRAW)
+        mean, err = stats[functional.index]
+        return float(mean), float(err)
     raise MethodError(f"unknown method {method!r}")

@@ -1,9 +1,13 @@
 """Ensemble-level checks: constants, validation, sampling, expectations."""
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from critfield import (
@@ -23,8 +27,9 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
-from critfield.goi import (BANK_ENTRIES, SHIFTS_PER_DRAW, eigen_batches,
-                          nested_ordered_quadrature)
+from critfield.goi import (BANK_ENTRIES, SHIFTS_PER_DRAW, batch_mean,
+                          eigen_batches, mc_eigen_expectation,
+                          nested_ordered_quadrature, trace_shift)
 
 
 @pytest.fixture
@@ -277,16 +282,16 @@ def test_goe_draw_is_shared_by_the_general_and_fyodorov_routes(
 
 
 def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
-    # the index total E_GOI(c_tot)[g_i(0)] does not depend on the height, so
-    # a height grid reduces it once per index and quantity, not per point
-    totals = []
+    # at one height the product, the index and the cap weight serve every
+    # index, so a seeded height grid makes one pass per distinct (coupling,
+    # shift, cap): the uncapped total, each density numerator and each count
+    # above u, read by all four indices
+    passes = []
     real = goi.mc_eigen_expectation
 
-    def counting(ens, eval_batch, cfg):
-        fn = eval_batch.__self__
-        if ens.c == 0.5 and fn.trace_cap is None:   # GOI(c_tot) on R^N, uncapped
-            totals.append(fn.index)
-        return real(ens, eval_batch, cfg)
+    def counting(ens, fn, cfg):
+        passes.append((ens.c, fn.shift, fn.trace_cap))
+        return real(ens, fn, cfg)
 
     monkeypatch.setattr(goi, "mc_eigen_expectation", counting)
     args = ["heights", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
@@ -295,7 +300,11 @@ def test_heights_reduce_each_index_total_once(monkeypatch, capsys, empty_bank):
     assert cli.main(args) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 2 * 4 * 5
-    assert sorted(totals) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert len(set(passes)) == len(passes) == 1 + 5 + 5
+    c_tot = 0.5   # GOI(c_tot) on R^N
+    assert passes.count((c_tot, 0.0, None)) == 1
+    assert sum(c != c_tot for c, _, _ in passes) == 5
+    assert sum(cap is not None for _, _, cap in passes) == 5
 
 
 @pytest.mark.parametrize("model", [eu.model_from_shape(2, 1.0, 2.0),
@@ -379,3 +388,74 @@ def test_numeric_config_rejects_bad_sample_counts():
     cfg = NumericConfig(mc_samples=np.int64(2), mc_batch=1)
     assert cfg.mc_samples == 2
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_sample_goi_symmetrizes_in_place_bitwise(n):
+    # the in-place symmetrization gives the bits of (g + g^T) / 2 built
+    # beside g from the same stream
+    for c in (-1.0 / n, 0.0, 0.5):
+        ens = validate_ensemble(n, c)
+        got = sample_goi(ens, size=400, rng=np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((400, n, n))
+        want = (g + np.swapaxes(g, 1, 2)) / 2.0
+        z = rng.standard_normal((400, n))
+        idx = np.arange(n)
+        want[:, idx, idx] = z + trace_shift(ens) * z.sum(axis=1, keepdims=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 5, 8]),
+       coupling=st.sampled_from(["boundary", "goe", "positive"]),
+       shift=st.sampled_from([0.0, -0.35, 0.6]),
+       cap=st.sampled_from(["none", "hard", "soft"]),
+       samples=st.integers(2, 700), batch=st.integers(1, 800),
+       seed=st.integers(0, 2 ** 20))
+def test_all_index_pass_is_bitwise_the_per_index_reduction(
+        n, coupling, shift, cap, samples, batch, seed):
+    # one pass gives every index the bits of IndexedFunctional.evaluate on
+    # row-major rows plus batch_mean, chunk by chunk
+    goi._bank.clear()
+    c = {"boundary": -1.0 / n, "goe": 0.0, "positive": 0.7}[coupling]
+    ens = validate_ensemble(n, c)
+    trace_cap, edge = {"none": (None, 0.0), "hard": (0.05, 0.0),
+                       "soft": (-0.1, 0.3)}[cap]
+    cfg = NumericConfig(mc_samples=samples, mc_batch=batch, seed=seed)
+    got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
+    assert got.shape == (n + 1, 2)
+    for i in range(n + 1):
+        fn = IndexedFunctional(i, shift, trace_cap, edge)
+        want = batch_mean((fn.evaluate(np.ascontiguousarray(lam))
+                           for lam in eigen_batches(ens, cfg)), samples)
+        assert tuple(got[i]) == want
+        assert goi_expectation(ens, fn, "monte-carlo", cfg) == want
+    goi._bank.clear()
+
+
+def test_evicted_draw_is_freed_and_kept_sums_are_bounded(monkeypatch, empty_bank):
+    ens = validate_ensemble(3, 0.5)
+    cfg = NumericConfig(mc_samples=300, mc_batch=100, seed=0)
+    fn = IndexedFunctional(1, shift=0.2, trace_cap=0.1, cap_edge=0.3)
+    goi_expectation(ens, fn, "monte-carlo", cfg)
+    draw = goi._bank[(3, 0, 300, 100)]
+    rows = draw.lam + draw.shifted[0.5]
+    assert all(lam.flags.f_contiguous and not lam.flags.writeable for lam in rows)
+    chunks = [weakref.ref(a) for a in rows + draw.means[0.5]]
+    del rows
+    assert len(draw.stats) == 1
+    del draw
+    for seed in range(1, BANK_ENTRIES + 1):
+        goi_expectation(ens, fn, "monte-carlo",
+                        NumericConfig(mc_samples=300, mc_batch=100, seed=seed))
+    gc.collect()
+    assert (3, 0, 300, 100) not in goi._bank
+    assert all(r() is None for r in chunks)
+    # a sweep over more heights than STATS_PER_DRAW keeps only the last ones
+    monkeypatch.setattr(goi, "STATS_PER_DRAW", 3)
+    seeded = NumericConfig(mc_samples=300, mc_batch=100, seed=1)
+    for u in np.linspace(-1.0, 1.0, 7):
+        for i in range(4):
+            goi_expectation(ens, IndexedFunctional(i, shift=u), "monte-carlo", seeded)
+    assert len(goi._bank[(3, 1, 300, 100)].stats) == 3
