@@ -482,9 +482,9 @@ def resolve_method(model, method: str, threshold: bool) -> str:
     quadrature for N = 3 totals; Monte Carlo beyond, and for N = 3 heights
     and thresholds, where a grid costs quadrature an engine call per count
     and per few densities but Monte Carlo one seeded GOE(N) draw, shared
-    by both ensembles and every height, and one pass over it per height
-    and quantity, shared by every index.  Any other method passes
-    through."""
+    by both ensembles (a coupling moves each row's height by its trace)
+    and every height, and one pass over it per height and quantity,
+    shared by every index.  Any other method passes through."""
     if method != "auto":
         return method
     if model.n == 2:

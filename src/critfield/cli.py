@@ -42,6 +42,11 @@ from .goi import NumericConfig
 CSV_HEADER = ["space", "N", "eta2", "kappa2", "regime", "index",
               "grid_value", "quantity", "value", "error", "method", "seed"]
 
+# Points a height grid may hold: each point is at least one pass over a
+# Monte Carlo draw or one quadrature value per index, so a larger grid is
+# a typo, not a plot.
+MAX_GRID_POINTS = 100_000
+
 CONFIG_EXIT_ERRORS = (ConfigError, ParameterError, MethodError)
 MODEL_EXIT_ERRORS = (ImpossibleFieldError, InvalidCovarianceError,
                      RegimeError, DegenerateEnsembleError,
@@ -70,8 +75,11 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError("grid step must be positive")
     if b < a:
         raise ConfigError("grid end must not precede its start")
-    k = int(math.floor((b - a) / step + 1e-9))
-    return a + step * np.arange(k + 1)
+    span = (b - a) / step + 1e-9
+    if not span < MAX_GRID_POINTS:   # also an infinite span
+        raise ConfigError(
+            f"grid {text!r} holds more than {MAX_GRID_POINTS} points")
+    return a + step * np.arange(math.floor(span) + 1)
 
 
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:

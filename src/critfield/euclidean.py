@@ -90,5 +90,5 @@ def model_from_shape(n: int, eta2: float, kappa2: float) -> EuclideanModel:
     """Model with prescribed (eta^2, kappa^2); rho' = -kappa^2/eta^2 etc."""
     if eta2 <= 0 or kappa2 <= 0:
         raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
-    return model_from_rho(n, -kappa2 / eta2, kappa2 / (eta2 * eta2))
+    return model_from_rho(n, -kappa2 / eta2, kappa2 / eta2 / eta2)
 

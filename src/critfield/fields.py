@@ -152,10 +152,6 @@ class PlanarWaveField:
         ey = 1j * np.multiply.outer(np.asarray(ys, dtype=float), self.omegas[:, 1])
         return np.exp(ex, out=ex), np.exp(ey, out=ey)
 
-    def grid_gradient(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Gradient at every (xs[a], ys[b]); shape (len(xs), len(ys), 2)."""
-        return self.factor_gradient(*self.grid_factors(xs, ys))
-
     def factor_gradient(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
         """Gradient on the grid of the factors ex, ey (see grid_factors):
         each component is the imaginary part of one complex matrix product

@@ -123,7 +123,7 @@ def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
-    return batch_mean((weight_fn(lam[:, pos]) for lam in eigen_batches(goe, cfg)),
+    return batch_mean((weight_fn(lam[:, pos]) for lam in eigen_batches(goe.n, cfg)),
                       cfg.mc_samples)
 
 

@@ -16,12 +16,14 @@ and expectations of indexed absolute-determinant functionals
     g(lam) = prod_j |lam_j - a| * 1{lam_i < a < lam_(i+1)}
              (* Phi((trace_cap - mean(lam)) / cap_edge)),
 
-(cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either by a product Gauss rule in trace-gap coordinates over the
-ordered region (N <= 3) or by Monte Carlo on sampled matrices (any N).
-Monte Carlo eigensolves GOE(N) matrices only: a GOI(c) matrix is a GOE
-matrix plus beta(c) times its trace on the diagonal, so every GOI(c) of one
-size reads one seeded GOE draw, each row shifted by its own trace, and one
-pass over a draw at a given shift and trace cap gives every index.
+(cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either
+by a product Gauss rule in trace-gap coordinates over the ordered region
+(N <= 3) or by Monte Carlo on sampled matrices (any N).  Monte Carlo
+eigensolves GOE(N) matrices only: a GOI(c) matrix is a GOE matrix plus
+beta(c) times its trace on the diagonal, so every GOI(c) of one size reads
+one seeded GOE draw with each row's height moved by beta(c) times its own
+trace, and one pass over a draw at a given shift and trace cap gives every
+index.
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
 """
@@ -136,12 +138,6 @@ class IndexedFunctional:
             raise ParameterError(
                 f"cap_edge must be finite and >= 0, got {self.cap_edge}")
 
-    @property
-    def mode(self) -> str:
-        if self.trace_cap is None:
-            return "abs-det-indicator"
-        return "abs-det-indicator-with-trace-cap"
-
     def evaluate(self, lam: NDArray[np.float64]) -> NDArray[np.float64]:
         """Evaluate g on a batch of ascending eigenvalue rows (k, N)."""
         lam = np.atleast_2d(lam)
@@ -165,8 +161,8 @@ class NumericConfig:
     a fixed seed gives the same results on every run.
 
     With a seed, every Monte Carlo value over GOI(c) matrices of one size N
-    reads the same GOE(N) eigenvalue draw, each row shifted by its own
-    trace for c != 0 (see eigen_batches; up to BANK_ENTRIES = 2 sizes are
+    reads the same GOE(N) eigenvalue draw, each row at its own height for
+    c != 0 (see mc_eigen_expectation; up to BANK_ENTRIES = 2 sizes are
     kept).  So the rows of one command, and the GOI(N+1, c_tot) and
     GOE(N+1) routes, use common random numbers and their errors are
     correlated.  One pass over that draw at a given coupling, shift and
@@ -726,20 +722,12 @@ def abs_prod_weight(shift):
 # most two sizes, N (GOI(c_tot) and GOI(c_cnd)) and N + 1 (the GOE(N+1)
 # route and the general route at that size).
 BANK_ENTRIES = 2
-# Shifted rows (and their row means) kept per draw: one command reads at
-# most GOI(c_tot) and GOI(c_cnd) of a size.
-SHIFTS_PER_DRAW = 2
 # All-index results kept per draw, one per (coupling, shift, trace cap), each
 # N + 1 (mean, error) pairs: a heights grid of G points makes 2 G + 1 of
 # them and every index reads them again, so a grid of up to 511 points with
 # both quantities makes one pass per point and per quantity.
 STATS_PER_DRAW = 1024
 _bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
-
-
-def _read_only(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    a.flags.writeable = False
-    return a
 
 
 def _lru(cache: OrderedDict, key, make: Callable, bound: int):
@@ -757,49 +745,24 @@ def _lru(cache: OrderedDict, key, make: Callable, bound: int):
 @dataclass
 class _GoeDraw:
     """A GOE(N) draw as chunks of ascending eigenvalue rows, column major
-    (k, N), and the traces of their matrices, with what is served from it:
-    GOI(c) rows and their row means by c, and the all-index results of
+    (k, N), and the traces of their matrices, with the all-index results of
     mc_eigen_expectation by (c, shift, trace_cap, cap_edge)."""
 
     lam: list
     trace: list
-    shifted: "OrderedDict[float, list]" = field(default_factory=OrderedDict)
-    means: "OrderedDict[float, list]" = field(default_factory=OrderedDict)
     stats: "OrderedDict[tuple, NDArray]" = field(default_factory=OrderedDict)
 
-    def rows(self, ensemble: GoiEnsemble) -> list:
-        beta = trace_shift(ensemble)
-        if beta == 0.0:
-            return self.lam
-        return _lru(self.shifted, ensemble.c,
-                    lambda: [_read_only(np.asfortranarray(lam + beta * tr[:, None]))
-                             for lam, tr in zip(self.lam, self.trace)],
-                    SHIFTS_PER_DRAW)
 
-    def row_means(self, ensemble: GoiEnsemble) -> list:
-        """mean(lam) of every GOI(c) row, summed along row-major rows as
-        IndexedFunctional.evaluate sums them (numpy sums 8 or more
-        contiguous terms pairwise, so a column-major sum differs in the
-        last bit from N = 8 on)."""
-        return _lru(self.means, ensemble.c,
-                    lambda: [np.ascontiguousarray(lam).mean(axis=1)
-                             for lam in self.rows(ensemble)],
-                    SHIFTS_PER_DRAW)
+def eigen_batches(n: int, config: NumericConfig) -> list:
+    """The GOE(n) Monte Carlo draw of config: a list of read-only ascending
+    eigenvalue rows (k, n), column major, one per mc_batch chunk of the
+    seed's stream (the first child of SeedSequence(seed)).
 
-
-def eigen_batches(ensemble: GoiEnsemble, config: NumericConfig) -> list:
-    """The Monte Carlo draw of config for ensemble: a list of read-only
-    ascending eigenvalue rows (k, N), column major, one per mc_batch chunk
-    of the seed's stream (the first child of SeedSequence(seed)).
-
-    Every GOI(c) of size N reads one GOE(N) draw, each row shifted by
-    trace_shift(ensemble) times the trace of its matrix (sample_goi draws
-    GOI(c) that way from the same stream); c = 0 reads the GOE rows.
-    Seeded draws are kept by (N, seed, mc_samples, mc_batch), at most
-    BANK_ENTRIES (least recently used dropped), each with the rows of its
-    last SHIFTS_PER_DRAW couplings; seed=None always draws afresh.
+    Seeded draws are kept by (n, seed, mc_samples, mc_batch), at most
+    BANK_ENTRIES (least recently used dropped); seed=None always draws
+    afresh.
     """
-    return _goe_draw(ensemble.n, config).rows(ensemble)
+    return _goe_draw(n, config).lam
 
 
 def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:
@@ -829,7 +792,9 @@ def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
         draw.trace.append(np.trace(m, axis1=1, axis2=2))
         lam = np.linalg.eigvalsh(m)
         del m   # before the next chunk is drawn
-        draw.lam.append(_read_only(np.asfortranarray(lam)))
+        lam = np.asfortranarray(lam)
+        lam.flags.writeable = False
+        draw.lam.append(lam)
         done += k
     return draw
 
@@ -856,27 +821,32 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
                          config: NumericConfig) -> NDArray[np.float64]:
     """Monte Carlo mean and standard error of the functional at every index
     0..N (its own index is not read), as an (N + 1, 2) array, in one pass
-    over eigen_batches(ensemble, config).
+    over the GOE(N) draw eigen_batches(N, config).
 
-    Per chunk, one loop over the N columns builds prod_j |lam_j - shift|
-    and the number of eigenvalues below the shift, and weights them by the
-    trace cap once; each index then sums its masked values in the order
-    IndexedFunctional.evaluate and batch_mean do, so every result is
-    bitwise theirs.
+    sample_goi draws GOI(c) as M_0 + beta tr(M_0) I (beta = trace_shift)
+    from the stream of the GOE draw M_0, so each GOE row is compared with
+    its own height shift - beta tr, and its GOI(c) mean is tr sqrt(1 + N c)
+    / N (0 at c = -1/N, up to the rounding of 1 + N c).  Per chunk, one loop over the N columns
+    builds prod_j |lam_j - height| and the number of eigenvalues below the
+    height, and weights them by the trace cap once; each index then sums
+    its masked values in the order IndexedFunctional.evaluate and
+    batch_mean do.
     """
-    draw = _goe_draw(ensemble.n, config)
-    batches = draw.rows(ensemble)
-    means = (draw.row_means(ensemble) if functional.trace_cap is not None
-             else [None] * len(batches))
+    n = ensemble.n
+    draw = _goe_draw(n, config)
+    beta = trace_shift(ensemble)
+    root = math.sqrt(max(1.0 + n * ensemble.c, 0.0))
     a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
-    sums = [[0.0, 0.0] for _ in range(ensemble.n + 1)]
-    for lam, mean in zip(batches, means):
-        vals = np.abs(lam[:, 0] - a)
-        below = (lam[:, 0] < a).astype(np.intp)
-        for j in range(1, ensemble.n):
-            vals *= np.abs(lam[:, j] - a)
-            below += lam[:, j] < a
+    sums = [[0.0, 0.0] for _ in range(n + 1)]
+    for lam, tr in zip(draw.lam, draw.trace):
+        h = a - beta * tr if beta else a
+        vals = np.abs(lam[:, 0] - h)
+        below = (lam[:, 0] < h).astype(np.intp)
+        for j in range(1, n):
+            vals *= np.abs(lam[:, j] - h)
+            below += lam[:, j] < h
         if cap is not None:
+            mean = tr * root / n
             # the weight is in [0, 1], so masking after weighting is exact
             vals = (vals * ndtr((cap - mean) / edge) if edge
                     else np.where(mean <= cap, vals, 0.0))

@@ -99,7 +99,7 @@ def model_from_shape(n: int, eta2: float, kappa2: float) -> SphereModel:
     """Sphere model with prescribed (eta^2, kappa^2)."""
     if eta2 <= 0 or kappa2 <= 0:
         raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
-    return model_from_C(n, kappa2 / eta2, kappa2 / (eta2 * eta2))
+    return model_from_C(n, kappa2 / eta2, kappa2 / eta2 / eta2)
 
 
 def model_from_legendre(degree: int) -> SphereModel:

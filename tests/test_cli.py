@@ -35,7 +35,9 @@ def test_parse_grid():
     assert len(g) == 241 and g[-1] == pytest.approx(6.0)
     assert np.allclose(parse_grid("0:1:0.3"), [0, 0.3, 0.6, 0.9])
     for bad in ("1:2", "a:b:c", "0:1:-0.5", "1:0:0.5", "0:1:0",
-                "nan", "inf", "nan:1:0.5", "0:inf:1", "0:1:inf"):
+                "nan", "inf", "nan:1:0.5", "0:inf:1", "0:1:inf",
+                # too many points, or a point count that overflows
+                "0:1e308:1e-308", "-1e308:1e308:1", "0:1e9:1e-3"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
@@ -277,6 +279,14 @@ def test_model_exit_codes(capsys):
     # derivatives so small that kappa^2 = C'^2 / C'' underflows to 0
     assert run(capsys, "expect", "--space", "sphere", "--c1", "1e-170",
                "--c2", "1", "--threshold", "0.5") == (3, "")
+    # a tiny eta^2: kappa^2 / eta^4 overflows (exit 3) or stays finite
+    for space in ("euclidean", "sphere"):
+        assert run(capsys, "expect", "--space", space, "--N", "2", "--eta2",
+                   "1e-170", "--kappa2", "1") == (3, "")
+        code, out = run(capsys, "expect", "--space", space, "--N", "2",
+                        "--eta2", "1e-300", "--kappa2", "1e-300")
+        assert code == 0
+        assert all(math.isfinite(float(r["value"])) for r in rows_of(out))
 
 
 def test_validate_suite(capsys):

@@ -59,7 +59,7 @@ def test_grid_gradient_matches_pointwise(spec):
     ys = np.linspace(-2.0, 9.0, 41)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)
-    g = f.grid_gradient(xs, ys)
+    g = f.factor_gradient(*f.grid_factors(xs, ys))
     assert g.shape == (len(xs), len(ys), 2)
     tol = 1e-10 * math.sqrt(-2.0 * f.model.rho1)
     assert np.abs(g - f.gradient(pts)).max() < tol

@@ -27,9 +27,9 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
-from critfield.goi import (BANK_ENTRIES, SHIFTS_PER_DRAW, batch_mean,
-                          eigen_batches, mc_eigen_expectation,
-                          nested_ordered_quadrature, trace_shift)
+from critfield.goi import (BANK_ENTRIES, batch_mean, eigen_batches,
+                          mc_eigen_expectation, nested_ordered_quadrature,
+                          trace_shift)
 
 
 @pytest.fixture
@@ -81,7 +81,6 @@ def test_indexed_functional_evaluate():
     h = IndexedFunctional(index=1, shift=0.0, trace_cap=0.0)
     np.testing.assert_allclose(h.evaluate(np.array([[-2.0, 3.0], [-2.0, 1.0]])),
                                [0.0, 2.0])
-    assert h.mode == "abs-det-indicator-with-trace-cap"
     # a Gaussian edge of width w weights by Phi((cap - mean) / w)
     e = IndexedFunctional(index=1, shift=0.0, trace_cap=0.0, cap_edge=0.5)
     np.testing.assert_allclose(e.evaluate(np.array([[-2.0, 3.0], [-2.0, 1.0]])),
@@ -336,10 +335,9 @@ def test_unseeded_monte_carlo_draws_afresh(empty_bank):
 
 
 def test_bank_is_read_only_and_bounded(empty_bank):
-    ens = validate_ensemble(3, 0.5)
     for seed in range(BANK_ENTRIES + 2):
-        batches = eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
-                                                   seed=seed))
+        batches = eigen_batches(3, NumericConfig(mc_samples=300, mc_batch=100,
+                                                 seed=seed))
         assert len(batches) == 3
         for lam in batches:
             assert lam.shape == (100, 3)
@@ -347,36 +345,61 @@ def test_bank_is_read_only_and_bounded(empty_bank):
             with pytest.raises(ValueError):
                 lam[0, 0] = 0.0
     assert len(goi._bank) == BANK_ENTRIES
-    assert eigen_batches(ens, NumericConfig(mc_samples=300, mc_batch=100,
-                                            seed=seed)) is batches
-    # one draw serves every coupling of its size, keeping the last few
     cfg = NumericConfig(mc_samples=300, mc_batch=100, seed=seed)
-    for c in (-0.2, 0.0, 1.0, 2.0, 0.5):
-        eigen_batches(validate_ensemble(3, c), cfg)
+    assert eigen_batches(3, cfg) is batches
+    # one draw serves every coupling of its size: a coupling moves the
+    # height, and nothing is stored per coupling but its all-index results
+    for c in (-1.0 / 3.0, -0.2, 0.0, 1.0, 2.0, 0.5):
+        goi_expectation(validate_ensemble(3, c), IndexedFunctional(1, shift=0.3),
+                        "monte-carlo", cfg)
     assert len(goi._bank) == BANK_ENTRIES
     draw = goi._bank[(3, seed, 300, 100)]
-    assert len(draw.shifted) == SHIFTS_PER_DRAW
-    assert eigen_batches(validate_ensemble(3, 0.5), cfg) is draw.shifted[0.5]
+    assert draw.lam is batches
+    assert len(draw.stats) == 6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_goi_draw_is_the_goe_shifted_by_its_trace(n, empty_bank):
     # sample_goi draws GOI(c) as M_0 + beta(c) tr(M_0) I from the same
-    # normals as the GOE draw M_0: the bank shifts GOE rows, not matrices
-    seed = 41
-    cfg = NumericConfig(mc_samples=3000, seed=seed)
+    # normals as the GOE draw M_0, so the pass over the GOE draw, at each
+    # row's own height, gives the values of the GOI(c) eigenvalues up to
+    # rounding
+    seed, samples = 41, 3000
+    cfg = NumericConfig(mc_samples=samples, seed=seed)
     for c in (-1.0 / n, -0.2, 0.0, 0.5, 3.0):
         ens = validate_ensemble(n, c)
-        (got,) = eigen_batches(ens, cfg)
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        want = np.linalg.eigvalsh(sample_goi(ens, size=3000, rng=rng))
-        tol = 1e-13 * (1.0 + np.abs(want).max())
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        lam = np.linalg.eigvalsh(sample_goi(ens, size=samples, rng=rng))
         if ens.degenerate:
-            assert np.abs(got.mean(axis=1)).max() <= 1e-13
-        assert (np.diff(got, axis=1) >= 0.0).all()
-        assert not got.flags.writeable
+            assert np.abs(lam.mean(axis=1)).max() <= 1e-13
+        for shift, cap, edge in ((0.3, None, 0.0), (-0.2, 0.1, 0.0),
+                                 (0.6, -0.1, 0.3)):
+            got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, cap, edge), cfg)
+            for i in range(n + 1):
+                vals = IndexedFunctional(i, shift, cap, edge).evaluate(lam)
+                mean, square = vals.mean(), (vals * vals).mean()
+                assert got[i][0] == pytest.approx(mean, rel=1e-9, abs=1e-14)
+                # the pass's error is sqrt of E[v^2] - mean^2, which cancels
+                # down to the rounding of E[v^2] when v is nearly constant
+                se = vals.std(ddof=1) / math.sqrt(samples)
+                assert got[i][1] == pytest.approx(
+                    se, rel=1e-9, abs=math.sqrt(1e-14 * square / samples))
     assert len(goi._bank) == 1
+
+
+def test_degenerate_ensemble_is_the_zero_matrix(empty_bank):
+    # at N = 1, c = -1 every GOI sample is the zero matrix, so |det(M - a)|
+    # is |a| on index 1 (a > 0) and nothing else; the mean and the standard
+    # error of a constant keep only the rounding of summing it
+    ens = validate_ensemble(1, -1.0)
+    for cfg in (NumericConfig(mc_samples=300, mc_batch=100, seed=1),
+                NumericConfig(mc_samples=4000, seed=7),
+                NumericConfig(mc_samples=200_000, seed=1)):
+        below = goi_expectation(ens, IndexedFunctional(1, shift=0.6), "monte-carlo", cfg)
+        assert below[0] == pytest.approx(0.6, rel=1e-15, abs=0.0)
+        assert 0.0 <= below[1] <= 1e-9
+        assert goi_expectation(ens, IndexedFunctional(0, shift=0.6),
+                               "monte-carlo", cfg) == (0.0, 0.0)
 
 
 def test_numeric_config_rejects_bad_sample_counts():
@@ -415,8 +438,11 @@ def test_sample_goi_symmetrizes_in_place_bitwise(n):
        seed=st.integers(0, 2 ** 20))
 def test_all_index_pass_is_bitwise_the_per_index_reduction(
         n, coupling, shift, cap, samples, batch, seed):
-    # one pass gives every index the bits of IndexedFunctional.evaluate on
-    # row-major rows plus batch_mean, chunk by chunk
+    # one pass gives every index IndexedFunctional.evaluate on row-major
+    # GOI(c) rows plus batch_mean, chunk by chunk: bitwise on the GOE rows
+    # themselves (c = 0, no cap), else up to rounding, since the pass
+    # compares lam_j with shift - beta tr where the rows hold lam_j + beta
+    # tr, and takes a cap's mean from the trace
     goi._bank.clear()
     c = {"boundary": -1.0 / n, "goe": 0.0, "positive": 0.7}[coupling]
     ens = validate_ensemble(n, c)
@@ -425,12 +451,28 @@ def test_all_index_pass_is_bitwise_the_per_index_reduction(
     cfg = NumericConfig(mc_samples=samples, mc_batch=batch, seed=seed)
     got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
     assert got.shape == (n + 1, 2)
+    draw, beta = goi._bank[(n, seed, samples, batch)], trace_shift(ens)
+    rows = [np.ascontiguousarray(lam + beta * tr[:, None])
+            for lam, tr in zip(draw.lam, draw.trace)]
     for i in range(n + 1):
         fn = IndexedFunctional(i, shift, trace_cap, edge)
-        want = batch_mean((fn.evaluate(np.ascontiguousarray(lam))
-                           for lam in eigen_batches(ens, cfg)), samples)
-        assert tuple(got[i]) == want
-        assert goi_expectation(ens, fn, "monte-carlo", cfg) == want
+        want = batch_mean((fn.evaluate(lam) for lam in rows), samples)
+        if c == 0.0 and trace_cap is None:
+            assert tuple(got[i]) == want
+        else:
+            # each factor |lam_j - a| rounds within a few ulps of M, the
+            # row's largest |GOE eigenvalue|, |beta tr| or |a|, so a product
+            # within a few n ulps of M^n; an error is the square root of a
+            # difference of sums of squares, so it keeps fewer digits
+            scale = batch_mean(
+                (np.maximum(np.abs(lam).max(axis=1, initial=abs(shift)),
+                            np.abs(beta * tr)) ** n
+                 for lam, tr in zip(draw.lam, draw.trace)), samples)[0]
+            assert got[i][0] == pytest.approx(want[0], rel=1e-12,
+                                              abs=1e-13 * scale)
+            assert got[i][1] == pytest.approx(want[1], rel=1e-6,
+                                              abs=1e-7 * scale)
+        assert goi_expectation(ens, fn, "monte-carlo", cfg) == tuple(got[i])
     goi._bank.clear()
 
 
@@ -440,10 +482,9 @@ def test_evicted_draw_is_freed_and_kept_sums_are_bounded(monkeypatch, empty_bank
     fn = IndexedFunctional(1, shift=0.2, trace_cap=0.1, cap_edge=0.3)
     goi_expectation(ens, fn, "monte-carlo", cfg)
     draw = goi._bank[(3, 0, 300, 100)]
-    rows = draw.lam + draw.shifted[0.5]
-    assert all(lam.flags.f_contiguous and not lam.flags.writeable for lam in rows)
-    chunks = [weakref.ref(a) for a in rows + draw.means[0.5]]
-    del rows
+    assert all(lam.flags.f_contiguous and not lam.flags.writeable
+               for lam in draw.lam)
+    chunks = [weakref.ref(a) for a in draw.lam]
     assert len(draw.stats) == 1
     del draw
     for seed in range(1, BANK_ENTRIES + 1):
