@@ -20,9 +20,10 @@ prefactor and N = 2 totals.  This module holds the public operations on
 either model, evaluates the template by quadrature or Monte Carlo and
 propagates error estimates.  Every total and every count above u is one
 goi.goi_expectation call, for both methods and both regimes; only the
-shifted density numerators (heights as a batch axis) and the boundary trace
-slice call the quadrature engine directly.  The N = 2 closed-form tails
-without an erfc form integrate their density in one _upper_tails call.
+shifted density numerators (heights as a batch axis) call the quadrature
+engine directly, in the boundary regime too, where GOI(c_cnd = -1/N) is a
+trace law of width 0.  The N = 2 closed-form tails without an erfc form
+integrate their density in one _upper_tails call.
 Height densities and upper-tail height fractions follow as ratios of the
 same quantities, so prefactors cancel.
 """
@@ -106,7 +107,6 @@ class CountProblem:
     shift_coeff: float
     cap_coeff: float
     edge_width: float
-    boundary: bool
 
     def total_ensemble(self) -> GoiEnsemble:
         return validate_ensemble(self.n, self.c_total)
@@ -180,7 +180,6 @@ class IsotropicModel:
                        else (1.0 + n * c_tot) / (n * b)),
             edge_width=(0.0 if self.boundary
                         else math.sqrt((1.0 + n * c_cnd) * (1.0 + n * c_tot)) / (n * b)),
-            boundary=self.boundary,
         )
 
     def closed_pdf_n2(self, i: int, x):
@@ -339,10 +338,10 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
 
     This is the exact integrand ratio
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
-    boundary regime c_cnd = -1/N: Monte Carlo samples that degenerate
-    ensemble as it is, and quadrature, which needs a density, integrates on
-    the trace slice mean(lam) = -gamma u instead.  Quadrature numerators
-    take the heights as a batch axis of the engine.
+    boundary regime c_cnd = -1/N, a degenerate ensemble that both methods
+    evaluate as it is: Monte Carlo samples it, and quadrature integrates
+    its zero-trace matrices over the eigenvalue gaps alone.  Quadrature
+    numerators take the heights as a batch axis of the engine.
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
@@ -350,18 +349,6 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
                                    method, cfg)
     _check_total(tot, i)
     us = np.asarray(x, dtype=float).ravel()
-    if p.boundary and method == "quadrature":
-        # h_i(u) = -d/du E[g_i(0); mean(lam) <= -gamma u] / total: the
-        # integrand on the slice mean(lam) = -gamma u, times gamma
-        dens, dens_err = np.array([
-            nested_ordered_quadrature(
-                p.n, p.c_total, abs_prod_weight(0.0), n_lower=i, split=0.0,
-                trace_cap=-p.cap_coeff * u, cap_derivative=True,
-                epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
-            for u in us.tolist()]).reshape(-1, 2).T
-        val = p.cap_coeff * dens / tot
-        return _shaped(x, val, p.cap_coeff * dens_err / tot
-                       + np.abs(val) * tot_err / tot, method)
     if method == "quadrature":
         num, num_err = _shifted_expectations(p, i, us, cfg)
     else:

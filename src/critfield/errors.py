@@ -14,7 +14,9 @@ class ParameterError(CritfieldError, ValueError):
 
 
 class DegenerateEnsembleError(CritfieldError, ValueError):
-    """Operation requires a nondegenerate ensemble (c strictly above -1/N)."""
+    """Operation requires an eigenvalue density, which the degenerate
+    ensemble (c = -1/N, every trace 0) lacks; its expectations are
+    available by either method."""
 
 
 class InvalidCovarianceError(CritfieldError, ValueError):

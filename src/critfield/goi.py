@@ -61,9 +61,10 @@ class GoiEnsemble:
     c : float
         Diagonal coupling; must satisfy c >= -1/N.
     degenerate : bool
-        True when c is within tolerance of -1/N.  Degenerate ensembles can
-        be sampled (the zero eigendirection of the diagonal covariance is
-        dropped exactly) but have no eigenvalue density.
+        True when c is within tolerance of -1/N (trace_root is 0).  Every
+        matrix of a degenerate ensemble has trace exactly 0: it can be
+        sampled and integrated (a trace law of width 0) but has no
+        eigenvalue density.
     """
 
     n: int
@@ -81,16 +82,27 @@ def validate_ensemble(n: int, c: float) -> GoiEnsemble:
     Raises
     ------
     ParameterError
-        If c < -1/N beyond tolerance; the message names the -1/N bound.
+        If c is not finite, or c < -1/N beyond tolerance; the message names
+        the -1/N bound.
     """
     if n < 1:
         raise ParameterError(f"matrix size must be >= 1, got {n}")
-    slack = c + 1.0 / n
-    if slack < -DEGENERACY_TOL:
+    if not math.isfinite(c):
+        raise ParameterError(f"GOI coupling must be finite, got c={c}")
+    if c + 1.0 / n < -DEGENERACY_TOL:
         raise ParameterError(
             f"c={c} is not a valid GOI coupling for N={n}: the diagonal "
             f"covariance I + c 1 1^T requires c >= -1/N = {-1.0 / n}")
-    return GoiEnsemble(n=n, c=float(c), degenerate=abs(slack) <= DEGENERACY_TOL)
+    return GoiEnsemble(n=n, c=float(c), degenerate=trace_root(n, c) == 0.0)
+
+
+def trace_root(n: int, c: float) -> float:
+    """sqrt(1 + N c), the scale of a GOI(c) trace against the GOE's: exactly
+    0 when c + 1/N <= DEGENERACY_TOL, the degenerate ensemble, whose every
+    matrix has trace 0."""
+    if c + 1.0 / n <= DEGENERACY_TOL:
+        return 0.0
+    return math.sqrt(1.0 + n * c)
 
 
 class EigenvalueVector:
@@ -204,9 +216,9 @@ def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
 
     The diagonal is generated as B z with z standard normal and
     B = I + ((sqrt(1 + N c) - 1)/N) 1 1^T, a symmetric square root of
-    I + c 1 1^T.  At c = -1/N the root's trace factor is exactly zero, so
-    the zero eigendirection is dropped exactly and every sample has zero
-    trace up to rounding in the subtraction.
+    I + c 1 1^T.  For the degenerate ensemble the root's trace factor is
+    exactly zero (trace_root), so the zero eigendirection is dropped exactly
+    and every sample has zero trace up to rounding in the subtraction.
 
     Parameters
     ----------
@@ -237,9 +249,8 @@ def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
 def trace_shift(ensemble: GoiEnsemble) -> float:
     """beta(c) = (sqrt(1 + N c) - 1) / N: the GOI(c) draw of sample_goi is
     M_0 + beta tr(M_0) I for the GOE draw M_0 of the same stream (0 at c = 0,
-    -1/N at the degenerate boundary)."""
-    n = ensemble.n
-    return (math.sqrt(max(1.0 + n * ensemble.c, 0.0)) - 1.0) / n
+    -1/N for the degenerate ensemble)."""
+    return (trace_root(ensemble.n, ensemble.c) - 1.0) / ensemble.n
 
 
 def ordered_eigenvalue_density(ensemble: GoiEnsemble,
@@ -295,6 +306,9 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # the integrand by Phi((cap - s/N) / w): z ends EDGE_BAND widths above the
 # cap, the band within EDGE_BAND widths of it is a z piece of its own, and
 # the gaps also split where an index limit crosses either end of the band.
+# The degenerate ensemble (c = -1/N) is a trace law of width sigma = 0: the
+# z axis is the single point s = 0, with weight sqrt(2 pi) (the z rule's
+# share of the normalization), and the gaps split where a limit passes it.
 
 # |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
 Z_TRUNC = 12.0
@@ -388,11 +402,10 @@ class _TraceGapRule:
     """Product Gauss rule for one (ensemble, region) and a batch of splits."""
 
     def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge,
-                 box_half, cap_derivative):
+                 box_half):
         self.n = n
-        self.sigma = math.sqrt(n * (1.0 + n * c))
+        self.sigma = math.sqrt(n * (1.0 + n * c)) if trace_root(n, c) else 0.0
         self.weight = weight
-        self.slice = cap_derivative
         self.scalar = split is None or np.ndim(split) == 0
         a = np.atleast_1d(np.asarray(0.0 if split is None else split, dtype=float))
         self.batch = a.size
@@ -415,13 +428,13 @@ class _TraceGapRule:
         # where the integrand is not smooth in d: limit crossings, and where
         # a steep limit passes the center of the trace law or its band (near
         # the boundary regime sigma -> 0 this is a step of width ~ sigma in d)
-        steep = (0.0, -EDGE_BAND * self.sigma, EDGE_BAND * self.sigma)
+        steep = ((0.0, -EDGE_BAND * self.sigma, EDGE_BAND * self.sigma)
+                 if self.sigma else (0.0,))
         kinks = []
         for alpha, beta, _ in lims:
             if self.cap_s is not None:
                 kinks += [(alpha - (self.cap_s + o), beta) for o in band]
-            if (not self.slice
-                    and self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0)):
+            if self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0):
                 kinks += [(alpha - o, beta) for o in steep]
         self.kinks = kinks
         # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
@@ -435,17 +448,12 @@ class _TraceGapRule:
             self.z_lo = n * (anchor - box_half) / self.sigma
             self.z_hi = n * (anchor + box_half) / self.sigma
             self.gap_top = 2.0 * float(box_half)
-        # mass of the law outside the box (on a slice: of the slice's
-        # density, whose gaps follow the law of mu); |mu|^2 is chi-square
-        # with (N - 1)(N + 2) / 2 degrees of freedom
-        gap_out = _chi2_sf(0.5 * self.gap_top ** 2, (n - 1) * (n + 2) // 2)
-        if self.slice:
-            z_c = self.cap_s / self.sigma
-            self.p_out = float(gap_out * n / self.sigma * math.exp(-0.5 * z_c * z_c)
-                               / math.sqrt(2.0 * math.pi))
-        else:
-            self.p_out = float(gap_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
-        self.axes = [f"d{j}" for j in range(n - 1)] + ([] if self.slice else ["z"])
+        # mass of the law outside the box; |mu|^2 is chi-square with
+        # (N - 1)(N + 2) / 2 degrees of freedom
+        self.p_out = _chi2_sf(0.5 * self.gap_top ** 2, (n - 1) * (n + 2) // 2)
+        if self.sigma:
+            self.p_out = float(self.p_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
+        self.axes = [f"d{j}" for j in range(n - 1)] + (["z"] if self.sigma else [])
         self.log_norm = -0.5 * math.log(n) - log_k_norm(n)
 
     def tail_bound(self) -> np.ndarray:
@@ -457,8 +465,7 @@ class _TraceGapRule:
             return np.zeros(self.batch)
         whole = copy.copy(self)
         whole.index_limits, whole.kinks = [], []
-        if not self.slice:
-            whole.cap_s, whole.edge_s = None, 0.0
+        whole.cap_s, whole.edge_s = None, 0.0
         second = np.maximum(whole.integrate(
             tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
         bound = np.sqrt(second * self.p_out)
@@ -545,17 +552,17 @@ class _TraceGapRule:
                 vand = vand * (mu[j] - mu[i])
         g = wgap * vand * np.exp(log_g + self.log_norm)
         lo, hi = self._z_limits(gaps, wgap)
-        if self.edge_s:
-            # the edge's band is a z piece of its own: each gap point twice
-            mid = np.clip((self.cap_s - EDGE_BAND * self.edge_s) / self.sigma, lo, hi)
-            lo, hi = np.concatenate([lo, mid], -1), np.concatenate([mid, hi], -1)
-            g = np.concatenate([g, g], -1)
-            mu = [np.concatenate([m, m], -1) for m in mu]
-        if self.slice:
+        if not self.sigma:
             z = lo[..., None]
-            fz = np.where(hi > lo, n / self.sigma * np.exp(-0.5 * lo * lo), 0.0)
-            fz = fz[..., None]
+            fz = np.where(hi > lo, math.sqrt(2.0 * math.pi), 0.0)[..., None]
         else:
+            if self.edge_s:
+                # the edge's band is a z piece of its own: each gap point twice
+                mid = np.clip((self.cap_s - EDGE_BAND * self.edge_s) / self.sigma,
+                              lo, hi)
+                lo, hi = np.concatenate([lo, mid], -1), np.concatenate([mid, hi], -1)
+                g = np.concatenate([g, g], -1)
+                mu = [np.concatenate([m, m], -1) for m in mu]
             t, wt = _gauss_legendre(nn["z"])
             half = 0.5 * (hi - lo)
             z = (lo + half)[..., None] + half[..., None] * t
@@ -589,8 +596,8 @@ class _TraceGapRule:
             acc[2] += (fw * w).reshape(rows, -1).sum(axis=1)
 
     def _z_limits(self, gaps, wgap):
-        """Per-point z interval [lo, hi] (slice: lo = the slice, hi > lo
-        marks points inside the region)."""
+        """Per-point z interval [lo, hi] (a trace law of width 0: lo = the
+        point z = 0, hi > lo marks points inside the region)."""
         n = self.n
         shape = wgap.shape
         lo = np.full(shape, -np.inf)
@@ -602,10 +609,11 @@ class _TraceGapRule:
                 lo = np.maximum(lo, s)
             else:
                 hi = np.minimum(hi, s)
-        if self.slice:
-            cap = np.full(shape, self.cap_s)
-            inside = (lo < cap) & (cap < hi)
-            return cap / self.sigma, np.where(inside, np.inf, -np.inf)
+        if not self.sigma:
+            inside = (lo < 0.0) & (0.0 < hi)
+            if self.cap_s is not None and not self.edge_s:
+                inside &= 0.0 <= self.cap_s
+            return np.zeros(shape), np.where(inside, np.inf, -np.inf)
         if self.cap_s is not None:
             hi = np.minimum(hi, self.cap_s + EDGE_BAND * self.edge_s)
         lo = np.maximum(lo / self.sigma, self.z_lo)
@@ -620,19 +628,17 @@ def nested_ordered_quadrature(n: int, c: float,
                               cap_edge: float = 0.0,
                               box_half: float | None = None,
                               epsabs: float = 1e-12,
-                              epsrel: float = 1e-9,
-                              *, cap_derivative: bool = False):
+                              epsrel: float = 1e-9):
     """Integrate weight(lam) f_c(lam) over an ordered eigenvalue region.
 
     The region is lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N
     with k = n_lower; split=None (with n_lower=0) gives the full ordered
     simplex.  An optional trace cap restricts to mean(lam) <= trace_cap, or
     with cap_edge = w > 0 weights the integrand by Phi((trace_cap -
-    mean(lam)) / w); cap_derivative=True returns d/d(trace_cap) of a hard
-    capped integral (the integrand on the slice mean(lam) = trace_cap).
-    box_half, if given, sets the truncation: |mean(lam) - anchor| <=
-    box_half (anchor = split, its first entry for a batch, or 0) and
-    eigenvalue gaps up to 2 box_half.
+    mean(lam)) / w).  At c = -1/N (trace_root 0) the trace is exactly 0
+    and the rule integrates over the gaps alone.  box_half, if given, sets
+    the truncation: |mean(lam) - anchor| <= box_half (anchor = split, its
+    first entry for a batch, or 0) and eigenvalue gaps up to 2 box_half.
 
     split may be an array: each entry is one region, and weight sees the
     batch as rows.  weight is called with a tuple of N arrays of shape
@@ -648,22 +654,18 @@ def nested_ordered_quadrature(n: int, c: float,
     the part cut off by the truncation (sqrt of the weight's second moment
     over the box, by a coarse rule, times sqrt of the law's exact mass
     outside the box), and a rounding allowance.  Matrices larger than
-    QUADRATURE_MAX_N raise MethodError.
+    QUADRATURE_MAX_N raise MethodError, and an invalid c ParameterError.
     """
     if n > QUADRATURE_MAX_N:
         raise MethodError(
             f"quadrature supports matrices of size <= {QUADRATURE_MAX_N} "
             f"(N <= {QUADRATURE_MAX_N}, or GOE(N+1) of size <= "
             f"{QUADRATURE_MAX_N}), got size {n}; use monte-carlo")
-    if c + 1.0 / n <= 0.0:
-        raise DegenerateEnsembleError(
-            "quadrature needs a nondegenerate ensemble (c > -1/N)")
+    validate_ensemble(n, c)
     if n_lower < 0 or n_lower > n:
         raise ParameterError(f"invalid block split {n_lower} of {n}")
-    if cap_derivative and (trace_cap is None or cap_edge):
-        raise ParameterError("cap_derivative needs a hard trace_cap")
     rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, cap_edge,
-                         box_half, cap_derivative)
+                         box_half)
     axes = rule.axes
     rung = {ax: NODE_LADDER.index(START_NODES[ax[0]]) for ax in axes}
     cache: dict = {}
@@ -825,8 +827,8 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
 
     sample_goi draws GOI(c) as M_0 + beta tr(M_0) I (beta = trace_shift)
     from the stream of the GOE draw M_0, so each GOE row is compared with
-    its own height shift - beta tr, and its GOI(c) mean is tr sqrt(1 + N c)
-    / N (0 at c = -1/N, up to the rounding of 1 + N c).  Per chunk, one loop over the N columns
+    its own height shift - beta tr, and its GOI(c) mean is tr trace_root / N
+    (exactly 0 at c = -1/N).  Per chunk, one loop over the N columns
     builds prod_j |lam_j - height| and the number of eigenvalues below the
     height, and weights them by the trace cap once; each index then sums
     its masked values in the order IndexedFunctional.evaluate and
@@ -835,7 +837,7 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     n = ensemble.n
     draw = _goe_draw(n, config)
     beta = trace_shift(ensemble)
-    root = math.sqrt(max(1.0 + n * ensemble.c, 0.0))
+    root = trace_root(n, ensemble.c)
     a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
     sums = [[0.0, 0.0] for _ in range(n + 1)]
     for lam, tr in zip(draw.lam, draw.trace):
@@ -862,9 +864,9 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
                     config: NumericConfig | None = None) -> tuple[float, float]:
     """E[g(lam)] for an indexed absolute-determinant functional.
 
-    method "quadrature" integrates the ordered-eigenvalue density over the
-    index region (N <= 3, nondegenerate only); "monte-carlo" averages over
-    sampled matrices and works for every valid ensemble; "auto" picks
+    method "quadrature" integrates over the index region in trace-gap
+    coordinates (N <= 3; at c = -1/N over the gaps alone, the trace being
+    0); "monte-carlo" averages over sampled matrices (any N); "auto" picks
     quadrature when available.
 
     Returns (value, error_estimate): the quadrature error (see
@@ -876,13 +878,8 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
         raise ParameterError(
             f"index {functional.index} out of range for N={ensemble.n}")
     if method == "auto":
-        method = ("quadrature"
-                  if ensemble.n <= QUADRATURE_MAX_N and not ensemble.degenerate
-                  else "monte-carlo")
+        method = "quadrature" if ensemble.n <= QUADRATURE_MAX_N else "monte-carlo"
     if method == "quadrature":
-        if ensemble.degenerate:
-            raise DegenerateEnsembleError(
-                "no eigenvalue density at c = -1/N; use method='monte-carlo'")
         return nested_ordered_quadrature(
             ensemble.n, ensemble.c, abs_prod_weight(functional.shift),
             n_lower=functional.index, split=functional.shift,

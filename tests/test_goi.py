@@ -56,6 +56,9 @@ def test_validate_ensemble_bounds():
     assert "-1/N" in str(exc.value) or "-0.5" in str(exc.value)
     with pytest.raises(ParameterError):
         validate_ensemble(0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            validate_ensemble(2, bad)
 
 
 def test_eigenvalue_vector_order():
@@ -166,6 +169,16 @@ def test_degenerate_sampler_zero_trace():
     assert np.abs(np.trace(mats, axis1=-2, axis2=-1)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n,c", [(49, -1.0 / 49.0), (3, -1.0 / 3.0 + 5e-10)])
+def test_every_degenerate_ensemble_samples_zero_traces(n, c):
+    # 1 + 49 (-1/49) rounds to 1.1e-16, and c here is 5e-10 above -1/3:
+    # both are flagged degenerate, so their traces must vanish too
+    ens = validate_ensemble(n, c)
+    assert ens.degenerate
+    mats = sample_goi(ens, size=200, rng=np.random.default_rng(8))
+    assert np.abs(np.trace(mats, axis1=-2, axis2=-1)).max() <= 1e-12
+
+
 def test_quadrature_matches_monte_carlo():
     ens = validate_ensemble(2, 0.3)
     f = IndexedFunctional(index=1, shift=0.4)
@@ -204,12 +217,30 @@ def test_method_dispatch_and_errors():
     assert e > 0
     with pytest.raises(MethodError):
         goi_expectation(big, f, "quadrature")
-    with pytest.raises(DegenerateEnsembleError):
-        goi_expectation(validate_ensemble(2, -0.5), f, "quadrature")
     with pytest.raises(MethodError):
         goi_expectation(validate_ensemble(2, 0.0), f, "simpson")
     with pytest.raises(ParameterError):
         goi_expectation(validate_ensemble(2, 0.0), IndexedFunctional(index=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degenerate_quadrature_matches_monte_carlo(n):
+    # GOI(-1/N) is a trace law of width 0: quadrature integrates its
+    # zero-trace matrices over the gaps alone.  At N = 1 every matrix is 0,
+    # so both methods give the same constant up to rounding.
+    ens = validate_ensemble(n, -1.0 / n)
+    cfg = NumericConfig(mc_samples=400_000, seed=21)
+    caps = [(None, 0.0), (0.2, 0.0), (-0.1, 0.0), (0.1, 0.4)]
+    for shift in (-0.7, 0.0, 0.4, 1.3):
+        for cap, edge in caps:
+            for i in range(n + 1):
+                fn = IndexedFunctional(i, shift=shift, trace_cap=cap, cap_edge=edge)
+                qv, qe = goi_expectation(ens, fn, "quadrature")
+                mv, me = goi_expectation(ens, fn, "monte-carlo", cfg)
+                if n == 1:
+                    assert abs(qv - mv) <= 1e-15
+                else:
+                    assert abs(qv - mv) <= 4.0 * me + qe
 
 
 def test_ensemble_dataclass_guard():

@@ -60,7 +60,7 @@ def test_no_count_above_infinite_threshold(kappa2):
 
 @pytest.mark.parametrize("space,eta2,kappa2", [("euclidean", 1.0, 2.0),
                                                ("sphere", 1.0, 3.0)])
-def test_boundary_pdf_on_the_trace_slice(space, eta2, kappa2):
+def test_boundary_pdf_by_the_degenerate_ensemble(space, eta2, kappa2):
     mod = eu if space == "euclidean" else sp
     m = mod.model_from_shape(2, eta2, kappa2)
     assert m.boundary
@@ -153,7 +153,7 @@ def test_n3_thresholded_counts_match_kinematic_formula():
             assert alt == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,kappa2", [(2, 0.8), (3, 0.9)])
+@pytest.mark.parametrize("n,kappa2", [(2, 0.8), (3, 0.9), (3, 5.0 / 3.0)])
 def test_quadrature_height_pdf_integrates_to_one(n, kappa2):
     # each h_i is a density: a Gauss-Legendre rule on [-13, 13], split at
     # 0, sums it to 1 within the summed error column
