@@ -71,9 +71,9 @@ HEIGHT_CHUNK = 8
 CLOSED_ABS_TOL = 1e-13
 CLOSED_REL_TOL = 1e-11
 # The N = 2 maxima density (_h2_n2) leaves its erfc closed form where the
-# terms cancel by more than this factor (3 digits), for an integral on
+# terms cancel by more than this factor (2 digits), for an integral on
 # this many Gauss-Legendre nodes.
-H2_CANCEL = 1e3
+H2_CANCEL = 1e2
 H2_NODES = 48
 
 
@@ -221,8 +221,7 @@ class IsotropicModel:
         width = math.sqrt(max(2.0 + e2 - self.kappa2, 0.0) / self.kappa2)
         splits = [0.0] + ([-EDGE_BAND * width, EDGE_BAND * width]
                           if width < STEEP_WIDTH else [])
-        val, err = _upper_tails(lambda t: (self.closed_pdf_n2(i, t), 0.0), u,
-                                CLOSED_ABS_TOL, CLOSED_REL_TOL, splits)
+        val, err = _upper_tails(lambda t: self.closed_pdf_n2(i, t), u, splits)
         return CritResult(np.minimum(val, 1.0), np.maximum(err, CLOSED_REL_TOL),
                           "closed-form")
 
@@ -239,15 +238,15 @@ def _shaped(x, val, err, method: str) -> CritResult:
     return CritResult(val.reshape(np.shape(x)), err.reshape(np.shape(x)), method)
 
 
-def _upper_tails(integrand, u, epsabs: float, epsrel: float, splits):
-    """int_u^top of integrand(x) -> (values, errors) at every height of the
-    array u, top = max(u, 0) + OUTER_TAIL over the finite heights (tail 0 at
-    or above it), and its error.  One Gauss rule runs on the pieces between
-    the sorted heights, clipped below at -OUTER_TAIL and split at the
-    heights splits (where the integrand steps), summed from the top; it climbs
-    NODE_LADDER until every tail is within max(epsabs, epsrel |tail|) of the
-    rung below (that difference plus the integrand's error is the error) or
-    reaches OUTER_MAX_NODES."""
+def _upper_tails(density, u, splits):
+    """int_u^top of density(x) and its error at every height of the array
+    u, top = max(u, 0) + OUTER_TAIL over the finite heights (tail 0 at or
+    above it).  One Gauss rule runs on the pieces between the sorted
+    heights, clipped below at -OUTER_TAIL and split at the heights splits
+    (where the density steps), summed from the top; it climbs NODE_LADDER
+    until every tail is within max(CLOSED_ABS_TOL, CLOSED_REL_TOL |tail|)
+    of the rung below (that difference is the error) or reaches
+    OUTER_MAX_NODES."""
     u = np.asarray(u, dtype=float)
     top = float(np.max(u, where=np.isfinite(u), initial=0.0)) + OUTER_TAIL
     lo = np.clip(u, -OUTER_TAIL, top).ravel()
@@ -256,17 +255,16 @@ def _upper_tails(integrand, u, epsabs: float, epsrel: float, splits):
 
     def rung(m):
         x, w = _gauss_on(edges[:-1], edges[1:], m)
-        val, err = integrand(x)
-        pieces = np.stack([w * val, w * err]).reshape(2, -1, m).sum(axis=2)
-        tails = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1]
-        return np.append(tails, np.zeros((2, 1)), axis=1)[:, first]
+        pieces = (w * density(x)).reshape(-1, m).sum(axis=1)
+        tails = np.cumsum(pieces[::-1])[::-1]
+        return np.append(tails, 0.0)[first]
 
     k = NODE_LADDER.index(OUTER_START_NODES)
-    below = rung(NODE_LADDER[k - 1])[0]
+    below = rung(NODE_LADDER[k - 1])
     while True:
-        val, inner_err = rung(NODE_LADDER[k])
-        err = np.abs(val - below) + inner_err
-        if (np.all(err <= np.maximum(epsabs, epsrel * np.abs(val)))
+        val = rung(NODE_LADDER[k])
+        err = np.abs(val - below)
+        if (np.all(err <= np.maximum(CLOSED_ABS_TOL, CLOSED_REL_TOL * np.abs(val)))
                 or NODE_LADDER[k] >= OUTER_MAX_NODES):
             return val.reshape(u.shape), err.reshape(u.shape)
         below = val
@@ -305,16 +303,15 @@ def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
     return CritResult(pref * val, pref * err, method)
 
 
-def _shifted_expectations(p: CountProblem, i: int, x: np.ndarray,
-                          cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_expectations(p: CountProblem, i: int,
+                          x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E_GOI(c_cnd)[g_i(b x)] and its error at each height x; the heights
     are a batch axis of the quadrature engine, taken HEIGHT_CHUNK at a time."""
     vals, errs = [np.zeros(0)], [np.zeros(0)]
     for s in range(0, x.size, HEIGHT_CHUNK):
         beta = p.shift_coeff * x[s:s + HEIGHT_CHUNK]
         v, e = nested_ordered_quadrature(
-            p.n, p.c_cond, abs_prod_weight(beta), n_lower=i, split=beta,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+            p.n, p.c_cond, abs_prod_weight(beta), n_lower=i, split=beta)
         vals.append(v)
         errs.append(e)
     return np.concatenate(vals), np.concatenate(errs)
@@ -350,7 +347,7 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     _check_total(tot, i)
     us = np.asarray(x, dtype=float).ravel()
     if method == "quadrature":
-        num, num_err = _shifted_expectations(p, i, us, cfg)
+        num, num_err = _shifted_expectations(p, i, us)
     else:
         ens = p.cond_ensemble()
         num, num_err = np.array([

@@ -32,8 +32,8 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
-    batch_mean,
-    eigen_batches,
+    _goe_draw,
+    _mean_error,
     nested_ordered_quadrature,
     validate_ensemble,
 )
@@ -117,14 +117,12 @@ def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
     if method == "quadrature":
         return nested_ordered_quadrature(
             m, 0.0, lambda lam: np.exp(log_w(lam[pos])), n_lower=0,
-            split=None, box_half=half,
-            epsabs=cfg.quad_abs_tol, epsrel=cfg.quad_rel_tol)
+            split=None, box_half=half)
     raise MethodError(f"unknown method {method!r}")
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
-    return batch_mean((weight_fn(lam[:, pos]) for lam in eigen_batches(goe.n, cfg)),
-                      cfg.mc_samples)
+    return _mean_error(weight_fn(_goe_draw(goe.n, cfg).lam[:, pos]))
 
 
 def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:

@@ -166,11 +166,12 @@ class IndexedFunctional:
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Shared numeric knobs for expectation evaluation.
+    """The two settings of Monte Carlo evaluation.
 
-    mc_samples (an integer >= 2) is the total matrix count, drawn in chunks
-    of mc_batch (an integer >= 1) from one stream derived from ``seed``, so
-    a fixed seed gives the same results on every run.
+    mc_samples (an integer >= 2) is the number of matrices drawn, from one
+    stream derived from ``seed`` (None, or an integer >= 0), so a fixed
+    seed gives the same results on every run.  Quadrature has no settings:
+    it refines to QUAD_ABS_TOL and QUAD_REL_TOL.
 
     With a seed, every Monte Carlo value over GOI(c) matrices of one size N
     reads the same GOE(N) eigenvalue draw, each row at its own height for
@@ -183,19 +184,20 @@ class NumericConfig:
     Without a seed each value draws afresh and makes its own pass.
     """
 
-    quad_rel_tol: float = 1e-9
-    quad_abs_tol: float = 1e-12
     mc_samples: int = 200_000
-    mc_batch: int = 200_000
     seed: int | None = None
 
     def __post_init__(self):
-        for name, low in (("mc_samples", 2), ("mc_batch", 1)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ParameterError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not _is_int(self.mc_samples) or self.mc_samples < 2:
+            raise ParameterError(
+                f"mc_samples must be an integer >= 2, got {self.mc_samples!r}")
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
+            raise ParameterError(
+                f"seed must be None or an integer >= 0, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def log_k_norm(n: int) -> float:
@@ -330,6 +332,10 @@ STEEP_WIDTH = 0.5
 EDGE_BAND = 8.0
 # Points evaluated per vectorized block; keeps temporaries near 128 kB each.
 BLOCK_POINTS = 1 << 14
+# Refinement stops once the error is within max(QUAD_ABS_TOL, QUAD_REL_TOL
+# |value|).
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,14 +445,15 @@ class _TraceGapRule:
         self.kinks = kinks
         # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
         # gives the box |s/N - anchor| <= half (anchor = split or 0) with
-        # gaps up to 2 half
-        if box_half is None:
-            self.z_lo, self.z_hi = -Z_TRUNC, Z_TRUNC
-            self.gap_top = GAP_TOP if n > 1 else 0.0
-        else:
+        # gaps up to 2 half; a trace law of width 0 is the single point
+        # s = 0, so only its gaps are cut
+        self.z_lo, self.z_hi = -Z_TRUNC, Z_TRUNC
+        self.gap_top = GAP_TOP if n > 1 else 0.0
+        if box_half is not None:
             anchor = float(a[0]) if split is not None else 0.0
-            self.z_lo = n * (anchor - box_half) / self.sigma
-            self.z_hi = n * (anchor + box_half) / self.sigma
+            if self.sigma:
+                self.z_lo = n * (anchor - box_half) / self.sigma
+                self.z_hi = n * (anchor + box_half) / self.sigma
             self.gap_top = 2.0 * float(box_half)
         # mass of the law outside the box; |mu|^2 is chi-square with
         # (N - 1)(N + 2) / 2 degrees of freedom
@@ -626,9 +633,7 @@ def nested_ordered_quadrature(n: int, c: float,
                               n_lower: int, split: "float | NDArray | None",
                               trace_cap: float | None = None,
                               cap_edge: float = 0.0,
-                              box_half: float | None = None,
-                              epsabs: float = 1e-12,
-                              epsrel: float = 1e-9):
+                              box_half: float | None = None):
     """Integrate weight(lam) f_c(lam) over an ordered eigenvalue region.
 
     The region is lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N
@@ -648,12 +653,12 @@ def nested_ordered_quadrature(n: int, c: float,
     The rule is a product Gauss-Legendre rule in trace-gap coordinates (see
     above).  Each axis is checked against the rule with the next smaller
     node count of NODE_LADDER and refined until the error meets
-    max(epsabs, epsrel |value|) or the node cap is reached.  Returns
-    (value, error), arrays for an array split and floats otherwise.  The
-    error is the sum of those rule differences, a Cauchy-Schwarz bound on
-    the part cut off by the truncation (sqrt of the weight's second moment
-    over the box, by a coarse rule, times sqrt of the law's exact mass
-    outside the box), and a rounding allowance.  Matrices larger than
+    max(QUAD_ABS_TOL, QUAD_REL_TOL |value|) or the node cap is reached.
+    Returns (value, error), arrays for an array split and floats otherwise.
+    The error is the sum of those rule differences, a Cauchy-Schwarz bound
+    on the part cut off by the truncation (sqrt of the weight's second
+    moment over the box, by a coarse rule, times sqrt of the law's exact
+    mass outside the box), and a rounding allowance.  Matrices larger than
     QUADRATURE_MAX_N raise MethodError, and an invalid c ParameterError.
     """
     if n > QUADRATURE_MAX_N:
@@ -683,7 +688,7 @@ def nested_ordered_quadrature(n: int, c: float,
                  for ax in axes}
         err = (sum(diffs.values(), tail)
                + 100.0 * np.finfo(float).eps * absval)
-        tol = np.maximum(epsabs, epsrel * np.abs(val))
+        tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(val))
         bad = err > tol
         if not bad.any():
             break
@@ -729,134 +734,108 @@ BANK_ENTRIES = 2
 # them and every index reads them again, so a grid of up to 511 points with
 # both quantities makes one pass per point and per quantity.
 STATS_PER_DRAW = 1024
+# Matrices sampled and eigensolved at a time; a draw's stream is cut into
+# chunks of this size, so it fixes which normals make which matrix.
+MC_BATCH = 200_000
 _bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
 
 
 def _lru(cache: OrderedDict, key, make: Callable, bound: int):
-    """cache[key], made on a miss; the least recently used entry beyond
-    bound is dropped."""
+    """cache[key], made on a miss.  Least recently used entries are dropped
+    before make runs, so at most bound are kept, and a dropped value and
+    the one being made are never held together."""
     value = cache.pop(key, None)
     if value is None:
+        while len(cache) >= bound:
+            cache.popitem(last=False)
         value = make()
     cache[key] = value
-    if len(cache) > bound:
-        cache.popitem(last=False)
     return value
 
 
 @dataclass
 class _GoeDraw:
-    """A GOE(N) draw as chunks of ascending eigenvalue rows, column major
-    (k, N), and the traces of their matrices, with the all-index results of
-    mc_eigen_expectation by (c, shift, trace_cap, cap_edge)."""
+    """A GOE(N) draw: its ascending eigenvalue rows as one read-only
+    column-major (k, N) array, the (k,) traces of its matrices, and the
+    all-index results of mc_eigen_expectation by (c, shift, trace_cap,
+    cap_edge)."""
 
-    lam: list
-    trace: list
+    lam: NDArray[np.float64]
+    trace: NDArray[np.float64]
     stats: "OrderedDict[tuple, NDArray]" = field(default_factory=OrderedDict)
 
 
-def eigen_batches(n: int, config: NumericConfig) -> list:
-    """The GOE(n) Monte Carlo draw of config: a list of read-only ascending
-    eigenvalue rows (k, n), column major, one per mc_batch chunk of the
-    seed's stream (the first child of SeedSequence(seed)).
-
-    Seeded draws are kept by (n, seed, mc_samples, mc_batch), at most
-    BANK_ENTRIES (least recently used dropped); seed=None always draws
-    afresh.
-    """
-    return _goe_draw(n, config).lam
-
-
 def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:
-    """The GOE(n) draw of config: from the bank when seeded, else fresh."""
+    """The GOE(n) draw of config, from the seed's stream (the first child of
+    SeedSequence(seed)).  Seeded draws are kept by (n, seed, mc_samples),
+    at most BANK_ENTRIES (least recently used dropped); seed=None always
+    draws afresh."""
     if config.seed is None:
         return _draw_goe(n, config)
-    key = (n, config.seed, config.mc_samples, config.mc_batch)
-    draw = _bank.pop(key, None)
-    if draw is None:
-        # drop before drawing, so the dropped rows and the new matrices
-        # are never held together
-        while len(_bank) >= BANK_ENTRIES:
-            _bank.popitem(last=False)
-        draw = _draw_goe(n, config)
-    _bank[key] = draw
-    return draw
+    return _lru(_bank, (n, config.seed, config.mc_samples),
+                lambda: _draw_goe(n, config), BANK_ENTRIES)
 
 
 def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     goe = GoiEnsemble(n, 0.0)
-    draw = _GoeDraw([], [])
-    done = 0
-    while done < config.mc_samples:
-        k = min(config.mc_batch, config.mc_samples - done)
-        m = sample_goi(goe, size=k, rng=rng)
-        draw.trace.append(np.trace(m, axis1=1, axis2=2))
-        lam = np.linalg.eigvalsh(m)
-        del m   # before the next chunk is drawn
-        lam = np.asfortranarray(lam)
-        lam.flags.writeable = False
-        draw.lam.append(lam)
-        done += k
-    return draw
+    k = config.mc_samples
+    for s in range(0, k, MC_BATCH):
+        m = sample_goi(goe, size=min(MC_BATCH, k - s), rng=rng)
+        tr = np.trace(m, axis1=1, axis2=2)
+        rows = np.linalg.eigvalsh(m)
+        # the matrices are freed before the draw's arrays are made and
+        # before the next chunk is drawn, so no two are held together
+        del m
+        if not s:
+            lam, trace = np.empty((k, n), order="F"), np.empty(k)
+        lam[s:s + len(rows)] = rows
+        trace[s:s + len(rows)] = tr
+    lam.flags.writeable = trace.flags.writeable = False
+    return _GoeDraw(lam, trace)
 
 
-def _mean_error(s: float, s2: float, total: int) -> tuple[float, float]:
-    """Mean and standard error of total samples with sum s and sum of
-    squares s2."""
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0) * total / (total - 1)
-    return mean, math.sqrt(var / total)
-
-
-def batch_mean(values, total: int) -> tuple[float, float]:
-    """Mean and standard error of total samples whose values arrive as
-    batch arrays."""
-    s = s2 = 0.0
-    for vals in values:
-        s += float(vals.sum())
-        s2 += float((vals * vals).sum())
-    return _mean_error(s, s2, total)
+def _mean_error(v: NDArray[np.float64]) -> tuple[float, float]:
+    """Mean and standard error of the samples v, the variance taken about
+    the mean in a second pass."""
+    k = v.size
+    mean = float(v.sum()) / k
+    var = float(np.square(v - mean).sum()) / (k - 1)
+    return mean, math.sqrt(var / k)
 
 
 def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
                          config: NumericConfig) -> NDArray[np.float64]:
     """Monte Carlo mean and standard error of the functional at every index
     0..N (its own index is not read), as an (N + 1, 2) array, in one pass
-    over the GOE(N) draw eigen_batches(N, config).
+    over the GOE(N) draw of config.
 
     sample_goi draws GOI(c) as M_0 + beta tr(M_0) I (beta = trace_shift)
     from the stream of the GOE draw M_0, so each GOE row is compared with
     its own height shift - beta tr, and its GOI(c) mean is tr trace_root / N
-    (exactly 0 at c = -1/N).  Per chunk, one loop over the N columns
-    builds prod_j |lam_j - height| and the number of eigenvalues below the
-    height, and weights them by the trace cap once; each index then sums
-    its masked values in the order IndexedFunctional.evaluate and
-    batch_mean do.
+    (exactly 0 at c = -1/N).  One loop over the N columns builds
+    prod_j |lam_j - height| and the number of eigenvalues below the height,
+    weighted by the trace cap once; each index then reduces its masked
+    values with _mean_error, as IndexedFunctional.evaluate would give them.
     """
     n = ensemble.n
     draw = _goe_draw(n, config)
+    lam, tr = draw.lam, draw.trace
     beta = trace_shift(ensemble)
-    root = trace_root(n, ensemble.c)
     a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
-    sums = [[0.0, 0.0] for _ in range(n + 1)]
-    for lam, tr in zip(draw.lam, draw.trace):
-        h = a - beta * tr if beta else a
-        vals = np.abs(lam[:, 0] - h)
-        below = (lam[:, 0] < h).astype(np.intp)
-        for j in range(1, n):
-            vals *= np.abs(lam[:, j] - h)
-            below += lam[:, j] < h
-        if cap is not None:
-            mean = tr * root / n
-            # the weight is in [0, 1], so masking after weighting is exact
-            vals = (vals * ndtr((cap - mean) / edge) if edge
-                    else np.where(mean <= cap, vals, 0.0))
-        for i, acc in enumerate(sums):
-            v = np.where(below == i, vals, 0.0)
-            acc[0] += float(v.sum())
-            acc[1] += float((v * v).sum())
-    return np.array([_mean_error(s, s2, config.mc_samples) for s, s2 in sums])
+    h = a - beta * tr if beta else a
+    vals = np.abs(lam[:, 0] - h)
+    below = (lam[:, 0] < h).astype(np.intp)
+    for j in range(1, n):
+        vals *= np.abs(lam[:, j] - h)
+        below += lam[:, j] < h
+    if cap is not None:
+        mean = tr * trace_root(n, ensemble.c) / n
+        # the weight is in [0, 1], so masking after weighting is exact
+        vals = (vals * ndtr((cap - mean) / edge) if edge
+                else np.where(mean <= cap, vals, 0.0))
+    return np.array([_mean_error(np.where(below == i, vals, 0.0))
+                     for i in range(n + 1)])
 
 
 def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
@@ -883,8 +862,7 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
         return nested_ordered_quadrature(
             ensemble.n, ensemble.c, abs_prod_weight(functional.shift),
             n_lower=functional.index, split=functional.shift,
-            trace_cap=functional.trace_cap, cap_edge=functional.cap_edge,
-            epsabs=config.quad_abs_tol, epsrel=config.quad_rel_tol)
+            trace_cap=functional.trace_cap, cap_edge=functional.cap_edge)
     if method == "monte-carlo":
         if config.seed is None:
             stats = mc_eigen_expectation(ensemble, functional, config)

@@ -75,12 +75,11 @@ def test_rice_line_cross_path():
 
 def test_planar_n2_quadrature_cross_path():
     m = euclid_from_shape(2, 1.0, 0.49)
-    cfg = NumericConfig(quad_rel_tol=1e-8, quad_abs_tol=1e-11)
     ref = expected_crit_total(m, 1)
-    red = fyodorov_expected_crit(m, 1, method="quadrature", config=cfg)
+    red = fyodorov_expected_crit(m, 1, method="quadrature")
     assert red.value == pytest.approx(ref.value, rel=1e-7)
     ref_u = expected_crit_above(m, 1, 0.5)
-    red_u = fyodorov_expected_crit(m, 1, 0.5, method="quadrature", config=cfg)
+    red_u = fyodorov_expected_crit(m, 1, 0.5, method="quadrature")
     assert red_u.value == pytest.approx(ref_u.value, rel=1e-7)
 
 

@@ -27,9 +27,8 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
-from critfield.goi import (BANK_ENTRIES, batch_mean, eigen_batches,
-                          mc_eigen_expectation, nested_ordered_quadrature,
-                          trace_shift)
+from critfield.goi import (BANK_ENTRIES, mc_eigen_expectation,
+                          nested_ordered_quadrature, trace_shift)
 
 
 @pytest.fixture
@@ -102,6 +101,14 @@ def test_density_normalizes(n, c):
     val, err = nested_ordered_quadrature(n, c, lambda lam: 1.0,
                                          n_lower=0, split=None)
     assert val == pytest.approx(1.0, abs=5e-9)
+
+
+def test_degenerate_box_truncation_cuts_only_the_gaps():
+    # a trace law of width 0 has no trace axis to truncate: box_half cuts
+    # the gaps, and the law's mass outside them is part of the error
+    val, err = nested_ordered_quadrature(2, -0.5, lambda lam: 1.0, 0, None,
+                                         box_half=3.0)
+    assert abs(val - 1.0) <= err
 
 
 def test_density_basic_properties():
@@ -367,26 +374,38 @@ def test_unseeded_monte_carlo_draws_afresh(empty_bank):
 
 def test_bank_is_read_only_and_bounded(empty_bank):
     for seed in range(BANK_ENTRIES + 2):
-        batches = eigen_batches(3, NumericConfig(mc_samples=300, mc_batch=100,
-                                                 seed=seed))
-        assert len(batches) == 3
-        for lam in batches:
-            assert lam.shape == (100, 3)
-            assert not lam.flags.writeable
+        draw = goi._goe_draw(3, NumericConfig(mc_samples=300, seed=seed))
+        assert draw.lam.shape == (300, 3) and draw.trace.shape == (300,)
+        assert draw.lam.flags.f_contiguous
+        for arr in (draw.lam, draw.trace):
+            assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                lam[0, 0] = 0.0
+                arr[0] = 0.0
     assert len(goi._bank) == BANK_ENTRIES
-    cfg = NumericConfig(mc_samples=300, mc_batch=100, seed=seed)
-    assert eigen_batches(3, cfg) is batches
+    cfg = NumericConfig(mc_samples=300, seed=seed)
+    assert goi._goe_draw(3, cfg) is draw
     # one draw serves every coupling of its size: a coupling moves the
     # height, and nothing is stored per coupling but its all-index results
     for c in (-1.0 / 3.0, -0.2, 0.0, 1.0, 2.0, 0.5):
         goi_expectation(validate_ensemble(3, c), IndexedFunctional(1, shift=0.3),
                         "monte-carlo", cfg)
     assert len(goi._bank) == BANK_ENTRIES
-    draw = goi._bank[(3, seed, 300, 100)]
-    assert draw.lam is batches
+    assert goi._bank[(3, seed, 300)] is draw
     assert len(draw.stats) == 6
+
+
+def test_draw_is_sampled_mc_batch_matrices_at_a_time(monkeypatch, empty_bank):
+    # the draw is one array, filled chunk by chunk from the seed's stream
+    monkeypatch.setattr(goi, "MC_BATCH", 100)
+    seed = 5
+    draw = goi._goe_draw(3, NumericConfig(mc_samples=300, seed=seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    chunks = [sample_goi(validate_ensemble(3, 0.0), size=100, rng=rng)
+              for _ in range(3)]
+    assert np.array_equal(draw.lam, np.concatenate(
+        [np.linalg.eigvalsh(m) for m in chunks]))
+    assert np.array_equal(draw.trace, np.concatenate(
+        [np.trace(m, axis1=1, axis2=2) for m in chunks]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -423,24 +442,25 @@ def test_degenerate_ensemble_is_the_zero_matrix(empty_bank):
     # is |a| on index 1 (a > 0) and nothing else; the mean and the standard
     # error of a constant keep only the rounding of summing it
     ens = validate_ensemble(1, -1.0)
-    for cfg in (NumericConfig(mc_samples=300, mc_batch=100, seed=1),
+    for cfg in (NumericConfig(mc_samples=300, seed=1),
                 NumericConfig(mc_samples=4000, seed=7),
                 NumericConfig(mc_samples=200_000, seed=1)):
         below = goi_expectation(ens, IndexedFunctional(1, shift=0.6), "monte-carlo", cfg)
         assert below[0] == pytest.approx(0.6, rel=1e-15, abs=0.0)
-        assert 0.0 <= below[1] <= 1e-9
+        assert 0.0 <= below[1] <= 1e-15
         assert goi_expectation(ens, IndexedFunctional(0, shift=0.6),
                                "monte-carlo", cfg) == (0.0, 0.0)
 
 
 def test_numeric_config_rejects_bad_sample_counts():
-    for bad in ({"mc_batch": 0}, {"mc_batch": -5}, {"mc_batch": 2.0},
-                {"mc_samples": 1}, {"mc_samples": 2000.5},
-                {"mc_samples": True}, {"mc_samples": "2000"}):
+    for bad in ({"mc_samples": 1}, {"mc_samples": 2000.5},
+                {"mc_samples": True}, {"mc_samples": "2000"},
+                {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": True}):
         with pytest.raises(ParameterError):
             NumericConfig(**bad)
-    cfg = NumericConfig(mc_samples=np.int64(2), mc_batch=1)
-    assert cfg.mc_samples == 2
+    cfg = NumericConfig(mc_samples=np.int64(2), seed=np.int64(0))
+    assert (cfg.mc_samples, cfg.seed) == (2, 0)
+    assert NumericConfig(seed=None).seed is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -470,64 +490,62 @@ def test_sample_goi_symmetrizes_in_place_bitwise(n):
 def test_all_index_pass_is_bitwise_the_per_index_reduction(
         n, coupling, shift, cap, samples, batch, seed):
     # one pass gives every index IndexedFunctional.evaluate on row-major
-    # GOI(c) rows plus batch_mean, chunk by chunk: bitwise on the GOE rows
-    # themselves (c = 0, no cap), else up to rounding, since the pass
-    # compares lam_j with shift - beta tr where the rows hold lam_j + beta
-    # tr, and takes a cap's mean from the trace
+    # GOI(c) rows plus _mean_error: bitwise on the GOE rows themselves
+    # (c = 0, no cap), else up to rounding, since the pass compares lam_j
+    # with shift - beta tr where the rows hold lam_j + beta tr, and takes a
+    # cap's mean from the trace
     goi._bank.clear()
     c = {"boundary": -1.0 / n, "goe": 0.0, "positive": 0.7}[coupling]
     ens = validate_ensemble(n, c)
     trace_cap, edge = {"none": (None, 0.0), "hard": (0.05, 0.0),
                        "soft": (-0.1, 0.3)}[cap]
-    cfg = NumericConfig(mc_samples=samples, mc_batch=batch, seed=seed)
-    got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
+    cfg = NumericConfig(mc_samples=samples, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goi, "MC_BATCH", batch)
+        got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
     assert got.shape == (n + 1, 2)
-    draw, beta = goi._bank[(n, seed, samples, batch)], trace_shift(ens)
-    rows = [np.ascontiguousarray(lam + beta * tr[:, None])
-            for lam, tr in zip(draw.lam, draw.trace)]
+    draw, beta = goi._bank[(n, seed, samples)], trace_shift(ens)
+    rows = np.ascontiguousarray(draw.lam + beta * draw.trace[:, None])
+    # each factor |lam_j - a| rounds within a few ulps of M, the row's
+    # largest |GOE eigenvalue|, |beta tr| or |a|, so a product within a few
+    # n ulps of M^n
+    scale = goi._mean_error(np.maximum(
+        np.abs(draw.lam).max(axis=1, initial=abs(shift)),
+        np.abs(beta * draw.trace)) ** n)[0]
     for i in range(n + 1):
         fn = IndexedFunctional(i, shift, trace_cap, edge)
-        want = batch_mean((fn.evaluate(lam) for lam in rows), samples)
+        want = goi._mean_error(fn.evaluate(rows))
         if c == 0.0 and trace_cap is None:
             assert tuple(got[i]) == want
         else:
-            # each factor |lam_j - a| rounds within a few ulps of M, the
-            # row's largest |GOE eigenvalue|, |beta tr| or |a|, so a product
-            # within a few n ulps of M^n; an error is the square root of a
-            # difference of sums of squares, so it keeps fewer digits
-            scale = batch_mean(
-                (np.maximum(np.abs(lam).max(axis=1, initial=abs(shift)),
-                            np.abs(beta * tr)) ** n
-                 for lam, tr in zip(draw.lam, draw.trace)), samples)[0]
             assert got[i][0] == pytest.approx(want[0], rel=1e-12,
                                               abs=1e-13 * scale)
-            assert got[i][1] == pytest.approx(want[1], rel=1e-6,
-                                              abs=1e-7 * scale)
+            assert got[i][1] == pytest.approx(want[1], rel=1e-9,
+                                              abs=1e-13 * scale)
         assert goi_expectation(ens, fn, "monte-carlo", cfg) == tuple(got[i])
     goi._bank.clear()
 
 
 def test_evicted_draw_is_freed_and_kept_sums_are_bounded(monkeypatch, empty_bank):
     ens = validate_ensemble(3, 0.5)
-    cfg = NumericConfig(mc_samples=300, mc_batch=100, seed=0)
+    cfg = NumericConfig(mc_samples=300, seed=0)
     fn = IndexedFunctional(1, shift=0.2, trace_cap=0.1, cap_edge=0.3)
     goi_expectation(ens, fn, "monte-carlo", cfg)
-    draw = goi._bank[(3, 0, 300, 100)]
-    assert all(lam.flags.f_contiguous and not lam.flags.writeable
-               for lam in draw.lam)
-    chunks = [weakref.ref(a) for a in draw.lam]
+    draw = goi._bank[(3, 0, 300)]
+    assert draw.lam.flags.f_contiguous and not draw.lam.flags.writeable
+    arrays = [weakref.ref(draw.lam), weakref.ref(draw.trace)]
     assert len(draw.stats) == 1
     del draw
     for seed in range(1, BANK_ENTRIES + 1):
         goi_expectation(ens, fn, "monte-carlo",
-                        NumericConfig(mc_samples=300, mc_batch=100, seed=seed))
+                        NumericConfig(mc_samples=300, seed=seed))
     gc.collect()
-    assert (3, 0, 300, 100) not in goi._bank
-    assert all(r() is None for r in chunks)
+    assert (3, 0, 300) not in goi._bank
+    assert all(r() is None for r in arrays)
     # a sweep over more heights than STATS_PER_DRAW keeps only the last ones
     monkeypatch.setattr(goi, "STATS_PER_DRAW", 3)
-    seeded = NumericConfig(mc_samples=300, mc_batch=100, seed=1)
+    seeded = NumericConfig(mc_samples=300, seed=1)
     for u in np.linspace(-1.0, 1.0, 7):
         for i in range(4):
             goi_expectation(ens, IndexedFunctional(i, shift=u), "monte-carlo", seeded)
-    assert len(goi._bank[(3, 1, 300, 100)].stats) == 3
+    assert len(goi._bank[(3, 1, 300)].stats) == 3
