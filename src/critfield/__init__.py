@@ -13,9 +13,9 @@ from .errors import (CritfieldError, ParameterError, DegenerateEnsembleError,
 from .goi import (GoiEnsemble, EigenvalueVector, IndexedFunctional,
                   NumericConfig, validate_ensemble, k_norm, log_k_norm,
                   sample_goi, ordered_eigenvalue_density, goi_expectation)
-from ._kacrice import (CritResult, expected_crit_total, expected_crit_above,
-                       height_density, height_cdf, height_pdf_result,
-                       height_cdf_result, resolve_method)
+from ._kacrice import (CritResult, expected_crit_total, expected_crit_totals,
+                       expected_crit_above, height_density, height_cdf,
+                       height_pdf_result, height_cdf_result, resolve_method)
 from .euclidean import EuclideanModel, model_from_rho, model_from_shape
 from .sphere import (SphereModel, model_from_C, model_from_legendre,
                      expected_crit_total_sphere, expected_crit_above_sphere,
@@ -41,8 +41,9 @@ __all__ = [
     "GoiEnsemble", "EigenvalueVector", "IndexedFunctional", "NumericConfig",
     "validate_ensemble", "k_norm", "log_k_norm", "sample_goi",
     "ordered_eigenvalue_density", "goi_expectation", "CritResult",
-    "expected_crit_total", "expected_crit_above", "height_density",
-    "height_cdf", "height_pdf_result", "height_cdf_result", "resolve_method",
+    "expected_crit_total", "expected_crit_totals", "expected_crit_above",
+    "height_density", "height_cdf", "height_pdf_result", "height_cdf_result",
+    "resolve_method",
     "EuclideanModel", "model_from_rho", "model_from_shape",
     "SphereModel", "model_from_C", "model_from_legendre",
     "sphere_model_from_shape", "expected_crit_total_sphere",

@@ -18,8 +18,9 @@ w) through problem(), and the N = 2 height laws.  A geometry
 (euclidean.EuclideanModel, sphere.SphereModel) adds its curvature,
 prefactor and N = 2 totals.  This module holds the public operations on
 either model, evaluates the template by quadrature or Monte Carlo and
-propagates error estimates.  Every total and every count above u is one
-goi.goi_expectation call, for both methods and both regimes; only the
+propagates error estimates.  Every count above u is one
+goi.goi_expectation call, for both methods and both regimes, and so is
+every total, a quadrature total serving its mirror index N - i too; only the
 shifted density numerators (heights as a batch axis) call the quadrature
 engine directly, in the boundary regime too, where GOI(c_cnd = -1/N) is a
 trace law of width 0.  The N = 2 closed-form tails without an erfc form
@@ -75,6 +76,13 @@ CLOSED_REL_TOL = 1e-11
 # this many Gauss-Legendre nodes.
 H2_CANCEL = 1e2
 H2_NODES = 48
+
+
+def check_finite(*named: tuple[str, float]) -> None:
+    """Reject a non-finite model input (name, value), naming it."""
+    for name, v in named:
+        if not math.isfinite(v):
+            raise InvalidCovarianceError(f"{name} must be finite (got {v})")
 
 
 @dataclass(frozen=True)
@@ -276,13 +284,30 @@ def _upper_tails(density, u, splits):
 # ---------------------------------------------------------------------------
 
 
-def count_total(p: CountProblem, i: int, method: str,
-                cfg: NumericConfig) -> CritResult:
-    """Expected index-i count pref * E_GOI(c_tot)[g_i(0)]."""
-    val, err = goi_expectation(p.total_ensemble(), IndexedFunctional(index=i),
-                               method, cfg)
+def count_totals(p: CountProblem, indices, method: str,
+                 cfg: NumericConfig) -> list[CritResult]:
+    """Expected index-i counts pref * E_GOI(c_tot)[g_i(0)], one per entry
+    of indices.
+
+    GOI(c) is invariant under H -> -H, which maps g_i(0) to g_(N-i)(0), so
+    the two totals are equal at every c, c = -1/N included.  Quadrature
+    integrates once per pair {i, N - i}, at i' = min(i, N - i), and both
+    indices get that value and error: the totals of all indices cost
+    floor(N/2) + 1 engine calls.  Monte Carlo reads every index as asked,
+    one pass serving them all.  Nothing is kept between calls.
+    """
+    ens = p.total_ensemble()
     pref = math.exp(p.log_prefactor)
-    return CritResult(pref * val, pref * err, method)
+    by_index: dict = {}
+    out = []
+    for i in indices:
+        j = min(i, p.n - i) if method == "quadrature" else i
+        if j not in by_index:
+            by_index[j] = goi_expectation(ens, IndexedFunctional(index=j),
+                                          method, cfg)
+        val, err = by_index[j]
+        out.append(CritResult(pref * val, pref * err, method))
+    return out
 
 
 def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
@@ -365,7 +390,7 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
                        cfg: NumericConfig) -> CritResult:
     """Upper-tail fraction F_i at the heights u (a scalar or an array):
     expected share of index-i points above u, over one index total."""
-    tot = count_total(p, i, method, cfg)
+    tot = count_totals(p, [i], method, cfg)[0]
     _check_total(tot.value, i)
     ab = count_above(p, i, np.asarray(u, dtype=float).ravel(), method, cfg)
     val = ab.value / tot.value
@@ -463,12 +488,14 @@ def _h1_n2_boundary(x, e2):
 
 def resolve_method(model, method: str, threshold: bool) -> str:
     """The route `auto` takes for a model: the N = 2 closed forms;
-    quadrature for N = 3 totals; Monte Carlo beyond, and for N = 3 heights
-    and thresholds, where a grid costs quadrature an engine call per count
-    and per few densities but Monte Carlo one seeded GOE(N) draw, shared
-    by both ensembles (a coupling moves each row's height by its trace)
-    and every height, and one pass over it per height and quantity,
-    shared by every index.  Any other method passes through."""
+    quadrature for N = 3 totals, two engine calls for all four indices
+    (index N - i mirrors index i, see count_totals); Monte Carlo beyond,
+    and for N = 3 heights and thresholds, where a grid costs quadrature an
+    engine call per count and per few densities but Monte Carlo one
+    seeded GOE(N) draw, shared by both ensembles (a coupling moves each
+    row's height by its trace) and every height, and one pass over it per
+    height and quantity, shared by every index.  Any other method passes
+    through."""
     if method != "auto":
         return method
     if model.n == 2:
@@ -493,17 +520,30 @@ def _require_n2(model) -> None:
         raise MethodError("closed forms are available only for N = 2")
 
 
-def expected_crit_total(model, i: int, method: str = "auto",
-                        config: NumericConfig | None = None) -> CritResult:
-    """Expected number of index-i critical points per unit volume (R^N) or
-    per unit surface area (S^N)."""
-    _check_index(model, i)
+def expected_crit_totals(model, indices, method: str = "auto",
+                         config: NumericConfig | None = None) -> list[CritResult]:
+    """Expected numbers of critical points of each index in indices, per
+    unit volume (R^N) or per unit surface area (S^N), in that order.
+
+    One call shares work between its indices: quadrature integrates once
+    per mirror pair {i, N - i} (see count_totals)."""
+    indices = list(indices)
+    for i in indices:
+        _check_index(model, i)
     cfg = config or NumericConfig()
     method = resolve_method(model, method, threshold=False)
     if method == "closed-form":
         _require_n2(model)
-        return CritResult(model.closed_total_n2(i), 1e-15, "closed-form")
-    return count_total(model.problem(), i, method, cfg)
+        return [CritResult(model.closed_total_n2(i), 1e-15, "closed-form")
+                for i in indices]
+    return count_totals(model.problem(), indices, method, cfg)
+
+
+def expected_crit_total(model, i: int, method: str = "auto",
+                        config: NumericConfig | None = None) -> CritResult:
+    """Expected number of index-i critical points per unit volume (R^N) or
+    per unit surface area (S^N)."""
+    return expected_crit_totals(model, [i], method, config)[0]
 
 
 def expected_crit_above(model, i: int, u: float, method: str = "auto",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from ._kacrice import (expected_crit_above, expected_crit_total,
+from ._kacrice import (expected_crit_above, expected_crit_totals,
                        height_cdf_result, height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
 from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
@@ -258,9 +258,12 @@ def cmd_expect(args: argparse.Namespace) -> int:
     threshold = not (math.isinf(u) and u < 0)
     if _method_uses_mc(model, method, threshold):
         _require_seed(args, "Monte Carlo sampling is in play")
+    if threshold or method == "fyodorov":
+        results = [_count_above(model, i, u, method, cfg) for i in indices]
+    else:
+        results = expected_crit_totals(model, indices, method, cfg)
     sink = _RowSink(args)
-    for i in indices:
-        r = _count_above(model, i, u, method, cfg)
+    for i, r in zip(indices, results):
         sink.add(model, i, u, "expected-count",
                  scale * r.value, scale * r.error, r.method)
     sink.flush()
@@ -329,11 +332,11 @@ def _suite_closed_vs_quadrature(tol: float, lines: list) -> bool:
         ("sphere-boundary", sp.model_from_legendre(3)),
     ]
     for name, model in models:
+        closed_totals = expected_crit_totals(model, range(3), "closed-form", cfg)
+        quad_totals = expected_crit_totals(model, range(3), "quadrature", cfg)
         for i in range(3):
-            closed = expected_crit_total(model, i, "closed-form", cfg)
-            quad = expected_crit_total(model, i, "quadrature", cfg)
-            ok, line = _check_line(f"{name} total[{i}]", closed.value,
-                                   quad.value, tol)
+            ok, line = _check_line(f"{name} total[{i}]", closed_totals[i].value,
+                                   quad_totals[i].value, tol)
             lines.append(line)
             all_ok &= ok
             for u in (-0.5, 0.8):

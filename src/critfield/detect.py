@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import kolmogi
 
 from .errors import InsufficientDataError, ParameterError
-from ._kacrice import expected_crit_total, height_cdf
+from ._kacrice import expected_crit_totals, height_cdf
 from .fields import (PlanarWaveField, SphericalHarmonicField, SynthesisSpec,
                      _positive, synthesize, tangent_frames, taylor_evaluate)
 from .sphere import sphere_area
@@ -616,7 +616,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
     mean = inten.mean(axis=0)
     se = inten.std(axis=0, ddof=1) / math.sqrt(n_reps)
 
-    theory = np.array([expected_crit_total(model, i).value for i in range(3)])
+    theory = np.array([r.value for r in expected_crit_totals(model, range(3))])
 
     pooled = {}
     ks = {}

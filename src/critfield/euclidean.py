@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ._kacrice import (REGIME_TOL, CountProblem, CritResult,  # noqa: F401
-                       IsotropicModel, expected_crit_above,
+                       IsotropicModel, check_finite, expected_crit_above,
                        expected_crit_total, height_cdf, height_density,
                        resolve_method)
 from .errors import ImpossibleFieldError, InvalidCovarianceError
@@ -70,6 +70,7 @@ def model_from_rho(n: int, rho1: float, rho2: float) -> EuclideanModel:
     """
     if n < 1:
         raise InvalidCovarianceError(f"dimension must be >= 1, got {n}")
+    check_finite(("rho'(0)", rho1), ("rho''(0)", rho2))
     if not (rho1 < 0.0):
         raise InvalidCovarianceError(
             f"rho'(0) must be negative (got {rho1}); the field would have "
@@ -88,6 +89,7 @@ def model_from_rho(n: int, rho1: float, rho2: float) -> EuclideanModel:
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> EuclideanModel:
     """Model with prescribed (eta^2, kappa^2); rho' = -kappa^2/eta^2 etc."""
+    check_finite(("eta^2", eta2), ("kappa^2", kappa2))
     if eta2 <= 0 or kappa2 <= 0:
         raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
     return model_from_rho(n, -kappa2 / eta2, kappa2 / eta2 / eta2)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from ._kacrice import (REGIME_TOL, CritResult, IsotropicModel,
-                       expected_crit_above, expected_crit_total, height_cdf,
-                       height_density)
+from ._kacrice import (REGIME_TOL, CritResult, IsotropicModel, check_finite,
+                       expected_crit_above, expected_crit_total,
+                       expected_crit_totals, height_cdf, height_density)
 from .errors import ImpossibleFieldError, InvalidCovarianceError
 from .goi import NumericConfig
 
@@ -77,6 +77,7 @@ def model_from_C(n: int, c1: float, c2: float) -> SphereModel:
     """
     if n < 1:
         raise InvalidCovarianceError(f"dimension must be >= 1, got {n}")
+    check_finite(("C'(1)", c1), ("C''(1)", c2))
     if not (c1 > 0.0):
         raise InvalidCovarianceError(
             f"C'(1) must be positive (got {c1}); the field would have no "
@@ -97,6 +98,7 @@ def model_from_C(n: int, c1: float, c2: float) -> SphereModel:
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> SphereModel:
     """Sphere model with prescribed (eta^2, kappa^2)."""
+    check_finite(("eta^2", eta2), ("kappa^2", kappa2))
     if eta2 <= 0 or kappa2 <= 0:
         raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
     return model_from_C(n, kappa2 / eta2, kappa2 / eta2 / eta2)
@@ -131,14 +133,11 @@ def euler_characteristic(model: SphereModel, method: str = "auto",
     for even N and 0 for odd N, independent of the covariance, which makes
     this a sharp end-to-end consistency check of the count machinery.
     """
-    cfg = config or NumericConfig()
     area = sphere_area(model.n)
     acc = 0.0
     err = 0.0
-    tag = method
-    for i in range(model.n + 1):
-        r = expected_crit_total(model, i, method, cfg)
+    totals = expected_crit_totals(model, range(model.n + 1), method, config)
+    for i, r in enumerate(totals):
         acc += (-1) ** i * r.value
         err += r.error
-        tag = r.method
-    return CritResult(area * acc, area * err, tag)
+    return CritResult(area * acc, area * err, totals[-1].method)

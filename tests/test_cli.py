@@ -289,6 +289,21 @@ def test_model_exit_codes(capsys):
         assert all(math.isfinite(float(r["value"])) for r in rows_of(out))
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["--eta2", "1", "--kappa2", "nan"], "kappa^2"),
+    (["--eta2", "inf", "--kappa2", "1"], "eta^2"),
+    (["--rho1", "nan", "--rho2", "1"], "rho'(0)"),
+    (["--rho1=-1", "--rho2", "nan"], "rho''(0)"),
+    (["--space", "sphere", "--eta2", "nan", "--kappa2", "1"], "eta^2"),
+    (["--space", "sphere", "--eta2", "1", "--kappa2=-inf"], "kappa^2"),
+    (["--space", "sphere", "--c1", "nan", "--c2", "1"], "C'(1)"),
+    (["--space", "sphere", "--c1", "1", "--c2", "nan"], "C''(1)"),
+])
+def test_non_finite_model_input_is_named(capsys, argv, name):
+    assert main(["expect", "--N", "3", *argv]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+
+
 def test_validate_suite(capsys):
     code, out = run(capsys, "validate", "--suite", "closed-vs-quadrature")
     assert code == 0
@@ -403,15 +418,25 @@ def test_threshold_plus_inf_gives_zero_rows(capsys, model):
     assert all(float(r["value"]) == 0.0 for r in rows)
 
 
-def test_console_script_entry_point():
+def _run_module(*argv):
     # the child imports the same critfield as this process, installed or not
     src = str(Path(critfield.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "critfield.cli", "expect", "--eta2", "1",
-         "--kappa2", "0.5", "--index", "1"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_entry_point():
+    proc = _run_module("critfield.cli", "expect", "--eta2", "1",
+                       "--kappa2", "0.5", "--index", "1")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == HEADER_LINE
+
+
+def test_package_runs_as_module():
+    proc = _run_module("critfield", "expect", "--N", "2", "--eta2", "1",
+                       "--kappa2", "0.8")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER_LINE

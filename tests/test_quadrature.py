@@ -18,7 +18,9 @@ from critfield import (
 )
 from critfield import _kacrice as kr
 from critfield import euclidean as eu
+from critfield import goi
 from critfield import sphere as sp
+from critfield.cli import main
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
@@ -206,3 +208,53 @@ def test_array_grid_pdf_matches_pointwise():
         for x, v, e in zip(grid, batch.value, batch.error):
             alone = kr.height_pdf_result(m, i, float(x), "quadrature")
             assert abs(v - alone.value) <= e
+
+
+@PROPERTY
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), a=st.floats(-2.0, 2.0))
+def test_engine_mirror_symmetry(data, n, a):
+    # H -> -H leaves GOI(c) invariant and maps index i below the split a to
+    # index N - i below -a: two separate integrals that must agree
+    c = data.draw(st.one_of(st.just(-1.0 / n),
+                            st.floats(-1.0 / n, 2.0, exclude_min=True)))
+    i = data.draw(st.integers(0, n))
+    v, e = goi.nested_ordered_quadrature(n, c, goi.abs_prod_weight(a),
+                                         n_lower=i, split=a)
+    w, f = goi.nested_ordered_quadrature(n, c, goi.abs_prod_weight(-a),
+                                         n_lower=n - i, split=-a)
+    assert abs(v - w) <= e + f
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    calls = []
+    engine = goi.nested_ordered_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return engine(*args, **kwargs)
+    monkeypatch.setattr(goi, "nested_ordered_quadrature", counted)
+    return calls
+
+
+QUAD_EXPECT = ["expect", "--method", "quadrature", "--eta2", "0.8",
+               "--kappa2", "1.1"]
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["--N", "3"], 2),
+    (["--N", "3", "--space", "sphere", "--whole-sphere"], 2),
+    (["--N", "2"], 2),
+    (["--N", "3", "--index", "2"], 1),
+])
+def test_totals_cost_one_engine_call_per_mirror_pair(engine_calls, capsys,
+                                                      argv, calls):
+    assert main(QUAD_EXPECT + argv) == 0
+    assert len(engine_calls) == calls
+
+
+def test_euler_characteristic_one_engine_call_per_mirror_pair(engine_calls):
+    m = sphere_model_from_shape(3, 0.8, 1.1)
+    chi = euler_characteristic(m, method="quadrature")
+    assert len(engine_calls) == 2
+    assert abs(chi.value) <= chi.error
