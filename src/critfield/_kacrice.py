@@ -85,6 +85,24 @@ def check_finite(*named: tuple[str, float]) -> None:
             raise InvalidCovarianceError(f"{name} must be finite (got {v})")
 
 
+def shape_ratios(eta2: float, kappa2: float) -> tuple[float, float]:
+    """kappa^2/eta^2 and kappa^2/eta^4 of a shape pair, from which both
+    geometries build their covariance derivatives.  Rejects a pair that is
+    not finite and positive, or whose ratios leave the floating-point range,
+    naming the pair."""
+    check_finite(("eta^2", eta2), ("kappa^2", kappa2))
+    if eta2 <= 0 or kappa2 <= 0:
+        raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
+    r1 = kappa2 / eta2
+    r2 = r1 / eta2
+    # r1 = inf or 0 carries over to r2
+    if not 0.0 < r2 < math.inf:
+        raise InvalidCovarianceError(
+            f"(eta^2, kappa^2) = ({eta2:g}, {kappa2:g}) is out of range: "
+            f"kappa^2/eta^4 {'overflows' if r2 else 'underflows'}")
+    return r1, r2
+
+
 @dataclass(frozen=True)
 class CritResult:
     """A computed expected count (or derived scalar) with its error estimate.

@@ -3,8 +3,10 @@
 Candidates come from sign changes of the gradient components over a regular
 grid; a damped batched Newton iteration polishes them, then walkers that
 reached the same point are deduplicated.  On the sphere the scan runs in two
-rotated charts so every point is far from some chart's poles, and Newton
-steps live in the tangent plane with projection back to the sphere.
+rotated lat-long charts that split the sphere between them with a small
+overlap: each keeps only the candidates far from its own poles, where its
+cells are wide.  Newton steps live in the tangent plane with projection back
+to the sphere.
 """
 from __future__ import annotations
 
@@ -43,6 +45,10 @@ DEDUP_FACTOR = 1e-6
 # planar studies count points at least this many grid steps inside the
 # window, against edge effects
 WINDOW_MARGIN = 0.5
+# the sphere charts' bands overlap by this many grid steps on either side
+# of the angle pi/4 from the poles +-z (_chart_candidates); wider than the
+# 3-step reach of a Newton walker, so a point near the seam keeps walkers
+CHART_OVERLAP = 4.0
 
 # walker states of the batched Newton iteration
 _ACTIVE, _CONVERGED, _LOST, _SINGULAR, _STALLED = range(5)
@@ -340,10 +346,11 @@ def _newton_plane(field, centers, step, eps_g, max_iter, models=None):
 
 def _classify(pts, hess, vals, eps_h) -> list:
     eigs = np.linalg.eigvalsh(hess)
-    return [CriticalPoint(location=pts[k].copy(), height=float(vals[k]),
-                          index=int((lam < 0.0).sum()), hess_eigs=lam.copy(),
-                          flagged=bool(np.abs(lam).min() < eps_h))
-            for k, lam in enumerate(eigs)]
+    index = (eigs < 0.0).sum(axis=1).tolist()
+    flagged = (np.abs(eigs).min(axis=1) < eps_h).tolist()
+    return [CriticalPoint(location=loc.copy(), height=h, index=i,
+                          hess_eigs=lam.copy(), flagged=f)
+            for loc, h, i, lam, f in zip(pts, vals.tolist(), index, eigs, flagged)]
 
 
 # the plane classifies the values and Hessians its walkers' models give
@@ -380,6 +387,13 @@ def _chart_candidates(field: SphericalHarmonicField, step: float) -> np.ndarray:
     """Cell centers (unit vectors) where both frame components of the
     gradient change sign, collected over two rotated lat-long charts.
 
+    The untilted chart keeps the cells at least pi/4 - margin from its poles
+    +-z, the tilted one those within pi/4 + margin of +-z (so at least
+    pi/4 - margin from its own poles +-x), with margin CHART_OVERLAP grid
+    steps; once margin reaches pi/4 both keep every cell.  Each chart thus
+    works only where its cells are wide, and scans only the latitude rows
+    that can hold a kept cell.
+
     The tilted chart scans the harmonic p -> f(R p), whose coefficients
     come from an exact projection, so both charts are separable scans."""
     n_th = max(int(math.ceil(math.pi / step)), 8)
@@ -388,16 +402,26 @@ def _chart_candidates(field: SphericalHarmonicField, step: float) -> np.ndarray:
     ph = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
     tc = 0.5 * (th[:-1] + th[1:])
     pc = ph + math.pi / n_ph
+    margin = CHART_OVERLAP * step
+    # cell rows of the bands, one row wider against rounding at the edges
+    rows = np.flatnonzero(np.minimum(tc, math.pi - tc)
+                          >= math.pi / 4.0 - margin - step)
+    lo, hi = rows[0], rows[-1] + 2
 
     centers = []
     for chart, rot in ((field, None), (field.rotated(_CHART_TILT), _CHART_TILT)):
-        c1, c2 = chart.chart_gradient(th, ph)
+        c1, c2 = chart.chart_gradient(th[lo:hi], ph)
         cells = _sign_change_cells(np.signbit(c1), np.signbit(c2),
                                    wrap_cols=True)
-        t, p = tc[cells[:, 0]], pc[cells[:, 1]]
+        t, p = tc[lo + cells[:, 0]], pc[cells[:, 1]]
         c = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
                       np.cos(t)], axis=-1)
-        centers.append(c if rot is None else c @ rot.T)
+        if rot is not None:
+            c = c @ rot.T
+        # angle from the nearer of the poles +-z
+        polar = np.arccos(np.minimum(np.abs(c[:, 2]), 1.0))
+        centers.append(c[polar >= math.pi / 4.0 - margin] if rot is None
+                       else c[polar <= math.pi / 4.0 + margin])
     return np.concatenate(centers, axis=0)
 
 

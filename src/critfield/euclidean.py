@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ._kacrice import (REGIME_TOL, CountProblem, CritResult,  # noqa: F401
                        IsotropicModel, check_finite, expected_crit_above,
                        expected_crit_total, height_cdf, height_density,
-                       resolve_method)
+                       resolve_method, shape_ratios)
 from .errors import ImpossibleFieldError, InvalidCovarianceError
 
 
@@ -89,8 +89,6 @@ def model_from_rho(n: int, rho1: float, rho2: float) -> EuclideanModel:
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> EuclideanModel:
     """Model with prescribed (eta^2, kappa^2); rho' = -kappa^2/eta^2 etc."""
-    check_finite(("eta^2", eta2), ("kappa^2", kappa2))
-    if eta2 <= 0 or kappa2 <= 0:
-        raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
-    return model_from_rho(n, -kappa2 / eta2, kappa2 / eta2 / eta2)
+    r1, r2 = shape_ratios(eta2, kappa2)
+    return model_from_rho(n, -r1, r2)
 

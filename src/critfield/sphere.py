@@ -26,7 +26,8 @@ from scipy.special import gammaln
 
 from ._kacrice import (REGIME_TOL, CritResult, IsotropicModel, check_finite,
                        expected_crit_above, expected_crit_total,
-                       expected_crit_totals, height_cdf, height_density)
+                       expected_crit_totals, height_cdf, height_density,
+                       shape_ratios)
 from .errors import ImpossibleFieldError, InvalidCovarianceError
 from .goi import NumericConfig
 
@@ -98,10 +99,7 @@ def model_from_C(n: int, c1: float, c2: float) -> SphereModel:
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> SphereModel:
     """Sphere model with prescribed (eta^2, kappa^2)."""
-    check_finite(("eta^2", eta2), ("kappa^2", kappa2))
-    if eta2 <= 0 or kappa2 <= 0:
-        raise InvalidCovarianceError("eta^2 and kappa^2 must be positive")
-    return model_from_C(n, kappa2 / eta2, kappa2 / eta2 / eta2)
+    return model_from_C(n, *shape_ratios(eta2, kappa2))
 
 
 def model_from_legendre(degree: int) -> SphereModel:

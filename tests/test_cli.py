@@ -304,6 +304,21 @@ def test_non_finite_model_input_is_named(capsys, argv, name):
     assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
 
 
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+@pytest.mark.parametrize("eta2,kappa2,what", [
+    ("1e-300", "1e300", "overflows"), ("1e300", "1e-300", "underflows")])
+def test_out_of_range_shape_pair_is_named(capsys, space, eta2, kappa2, what):
+    # finite inputs whose ratio kappa^2/eta^4 leaves the float range: the
+    # message names the pair given, not a covariance derivative built from it
+    assert main(["expect", "--space", space, "--N", "2", "--eta2", eta2,
+                 "--kappa2", kappa2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: (eta^2, kappa^2) = ({float(eta2):g}, "
+                          f"{float(kappa2):g}) is out of range")
+    assert what in err
+    assert "rho" not in err and "C'" not in err
+
+
 def test_validate_suite(capsys):
     code, out = run(capsys, "validate", "--suite", "closed-vs-quadrature")
     assert code == 0
@@ -361,6 +376,29 @@ def test_simulate_sphere_euler(tmp_path, capsys):
                "--degree", "2", "--reps", "2")[0] == 2   # seed required
     assert run(capsys, "simulate", "--wavenumber", "3", "--side", "4",
                "--reps", "2", "--seed", "1")[0] == 2     # kind required
+
+
+def test_sphere_report_golden(capsys):
+    # the lines every detection of these fields must keep; the Newton
+    # failure counts may only fall (138 lost and 434 stalled walkers when
+    # both charts scanned the whole sphere)
+    code, out = run(capsys, "simulate", "--kind", "spherical-harmonic",
+                    "--degree", "20", "--reps", "3", "--seed", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:9] == [
+        "  index 0: intensity 9.60235 +/- 0.19 (theory 9.66661)",
+        "  index 1: intensity 19.0455 +/- 0.11 (theory 19.1741)",
+        "  index 2: intensity 9.60235 +/- 0.14 (theory 9.66661)",
+        "  index 0: KS 0.1524 over 362 heights (crit 1% if iid 0.08555)",
+        "  index 1: KS 0.04149 over 718 heights (crit 1% if iid 0.06074)",
+        "  index 2: KS 0.1506 over 362 heights (crit 1% if iid 0.08555)",
+        "  euler_mismatches: 0",
+        "  flagged_points: 0",
+    ]
+    diag = dict(line.strip().split(": ") for line in lines[7:])
+    assert int(diag["newton_lost"]) < 138
+    assert int(diag["newton_stalled"]) < 434
 
 
 PLANE_SIM = ["simulate", "--kind", "plane-wave", "--wavenumber", "10",

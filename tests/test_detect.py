@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.special import kolmogi
 
-from critfield.detect import (_CHART_TILT, GRAD_TOL_FACTOR, MAX_NEWTON_ITER,
-                              NEWTON_MODEL_RADIUS, HeightSample, _PlaneLattice,
-                              _WalkerModels, _chart_candidates, _merge_points,
-                              _newton, _newton_plane, _newton_sphere,
+from critfield.detect import (_CHART_TILT, CHART_OVERLAP, DEDUP_FACTOR,
+                              GRAD_TOL_FACTOR, HESS_TOL_FACTOR,
+                              MAX_NEWTON_ITER, NEWTON_MODEL_RADIUS,
+                              HeightSample, _PlaneLattice, _WalkerModels,
+                              _chart_candidates, _classify_sphere,
+                              _merge_points, _newton, _newton_plane,
+                              _newton_sphere,
                               _sign_change_cells, empirical_height_distribution,
                               find_critical_points,
                               find_critical_points_plane,
@@ -102,8 +106,8 @@ def test_sphere_detection_degree2():
 def test_sphere_detection_morse_sum(degree, seed):
     f = synthesize(SynthesisSpec.spherical_harmonic(degree), rng=seed)
     res = find_critical_points_sphere(f)
-    # spurious pole-adjacent candidates of one chart fail Newton and are
-    # covered by the other chart, so the Morse sum is the real invariant
+    # each chart keeps only the candidates far from its own poles, so the
+    # Morse sum checks that the two bands together miss no point
     chi = (len(res.by_index(0)) - len(res.by_index(1)) + len(res.by_index(2)))
     assert chi == 2
     assert not any(p.flagged for p in res.points)
@@ -201,9 +205,15 @@ def test_write_points_csv(tmp_path):
 # the separable chart scan and the Newton progress rule against references
 # ---------------------------------------------------------------------------
 
-def pointwise_chart_candidates(field, step):
+def pole_angle(c, axis):
+    # angle of the unit vectors c from the nearer of the poles +-e_axis
+    return np.arccos(np.minimum(np.abs(c[:, axis]), 1.0))
+
+
+def pointwise_chart_cells(field, step):
     # the pointwise scan, kept as the reference: tangent_gradient at every
-    # point of both charts' lat-long grids, projected on the chart frames
+    # point of both charts' whole lat-long grids, projected on the chart
+    # frames; returns the untilted and the tilted chart's cell centers
     n_th = max(int(math.ceil(PI / step)), 8)
     n_ph = max(int(math.ceil(2.0 * PI / step)), 16)
     th = np.linspace(0.0, PI, n_th + 1)[1:-1]
@@ -226,18 +236,77 @@ def pointwise_chart_candidates(field, step):
         cells = _sign_change_cells(np.signbit(c1), np.signbit(c2),
                                    wrap_cols=True)
         centers.append(c_std[cells[:, 0], cells[:, 1]] @ rot.T)
-    return np.concatenate(centers, axis=0)
+    return centers
 
 
-@pytest.mark.parametrize("degree,seed", [(2, 77), (8, 6), (20, 1), (20, 2),
-                                         (25, 3)])
-def test_chart_candidates_match_pointwise_scan(degree, seed):
+def chart_bands(untilted, tilted, step):
+    # the band rule: the untilted chart keeps the cells at least
+    # pi/4 - margin from +-z, the tilted one those within pi/4 + margin of
+    # +-z, with margin CHART_OVERLAP grid steps
+    margin = CHART_OVERLAP * step
+    return (untilted[pole_angle(untilted, 2) >= PI / 4 - margin],
+            tilted[pole_angle(tilted, 2) <= PI / 4 + margin])
+
+
+# a grid step of eta/4 at degree 2 makes the overlap margin exceed pi/4,
+# where both charts keep every cell
+@pytest.mark.parametrize("degree,seed,steps_per_eta", [
+    (2, 77, 6), (8, 6, 6), (20, 1, 6), (20, 2, 6), (25, 3, 6), (2, 77, 4)],
+    ids=["2-77", "8-6", "20-1", "20-2", "25-3", "2-77-coarse"])
+def test_chart_candidates_match_pointwise_scan(degree, seed, steps_per_eta):
     f = synthesize(SynthesisSpec.spherical_harmonic(degree), rng=seed)
-    step = f.model.eta / 6.0
+    step = f.model.eta / steps_per_eta
     got = _chart_candidates(f, step)
-    want = pointwise_chart_candidates(f, step)
+    want = np.concatenate(chart_bands(*pointwise_chart_cells(f, step), step))
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-15
+
+
+def panel_field_12_7():
+    # a degree-20 harmonic with a minimum and a saddle 0.005 apart, less
+    # than half a grid step
+    l = 20
+    coeffs = np.random.default_rng((12, 7)).normal(
+        0.0, math.sqrt(4.0 * PI / (2 * l + 1)), size=2 * l + 1)
+    return SphericalHarmonicField(l, coeffs, model_from_legendre(l))
+
+
+@pytest.mark.parametrize("field", [
+    *(synthesize(SynthesisSpec.spherical_harmonic(d), rng=s)
+      for d, s in [(2, 77), (3, 5), (8, 6), (20, 1), (40, 2)]),
+    panel_field_12_7()], ids=["2", "3", "8", "20", "40", "panel-12-7"])
+def test_chart_bands_lose_no_point(field):
+    # detection from the two charts' bands finds the points that Newton
+    # from both charts' whole grids finds
+    m = field.model
+    step = m.eta / 6.0
+    margin = CHART_OVERLAP * step
+    full = pointwise_chart_cells(field, step)
+    untilted, tilted = chart_bands(*full, step)
+    got = _chart_candidates(field, step)
+    assert np.abs(got - np.concatenate([untilted, tilted])).max() < 1e-15
+    # each chart's candidates lie at least pi/4 - margin from its own poles
+    # (+-z untilted, +-x tilted), up to rounding of the band's edge
+    assert pole_angle(got[:len(untilted)], 2).min() >= PI / 4 - margin
+    assert pole_angle(got[len(untilted):], 0).min() >= PI / 4 - margin - 1e-12
+
+    pts, ok, _ = _newton_sphere(field, np.concatenate(full), step,
+                                GRAD_TOL_FACTOR * math.sqrt(m.c1),
+                                MAX_NEWTON_ITER)
+    pts = pts[ok]
+    pts = pts[_merge_points(pts, 2.0 * math.sin(DEDUP_FACTOR * step / 2.0))]
+    want = _classify_sphere(field, pts, HESS_TOL_FACTOR
+                            * math.sqrt(3.0 * m.c2 + m.c1))
+
+    res = find_critical_points_sphere(field)
+    assert len(res.points) == len(want)
+    dist, match = cKDTree([p.location for p in want]).query(
+        [p.location for p in res.points])
+    assert len(set(match.tolist())) == len(want)
+    assert dist.max() < 1e-9
+    assert [p.index for p in res.points] == [want[j].index for j in match]
+    assert max(abs(p.height - want[j].height)
+               for p, j in zip(res.points, match)) < 1e-12
 
 
 def plain_newton(derivs, move, dist, centers, step, eps_g, max_iter=60):
