@@ -171,13 +171,19 @@ class _PlaneLattice:
                                    self.ys[cells[:, 1]] + self.step / 2.0], axis=-1)
 
 
+# the corners of a lattice cell, as offsets from its lower-left node
+_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+
+
 class _WalkerModels:
     """The local Taylor models of planar Newton walkers
     (PlanarWaveField.taylor_models).
 
-    The candidate cells {2a, 2a+1} x {2b, 2b+1} of the lattice share the
-    model about their common corner, the node (2a+1, 2b+1), which lies
-    0.71 steps from each start.  The order meets TAYLOR_TOL_FACTOR within
+    Each candidate cell takes the model about the one of its four corners
+    that the most candidate cells share, ties going to the first in
+    _CORNERS order.  So touching candidate cells share a model wherever
+    they can, and each walker starts 0.71 steps from its node, a corner
+    of its own start cell.  The order meets TAYLOR_TOL_FACTOR within
     NEWTON_MODEL_RADIUS steps of the node, or, where the order limit does
     not reach that far for fields with long wave vectors, within half of it
     as often as needed.  A walker beyond that radius from its node is
@@ -187,8 +193,12 @@ class _WalkerModels:
     def __init__(self, lattice: _PlaneLattice, centers: np.ndarray):
         self.lo, self.step, self.field = lattice.lo, lattice.step, lattice.field
         cells = np.floor((centers - self.lo) / self.step).astype(np.int64)
-        self.nodes, which = np.unique(2 * (cells // 2) + 1, axis=0,
-                                      return_inverse=True)
+        corners = cells[:, None, :] + _CORNERS
+        _, shared, count = np.unique(corners.reshape(-1, 2), axis=0,
+                                     return_inverse=True, return_counts=True)
+        best = count[shared].reshape(-1, 4).argmax(axis=1)
+        self.nodes, which = np.unique(corners[np.arange(len(cells)), best],
+                                      axis=0, return_inverse=True)
         self.which = which.ravel()
         m = self.field.model
         tol = TAYLOR_TOL_FACTOR * np.array(

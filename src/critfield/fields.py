@@ -27,9 +27,11 @@ KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
 # l = 151, and the normalizers of high orders leave the normal floats there.
 MAX_DEGREE = 150
 # largest total degree of a planar Taylor model, and nodes per pair of
-# matrix products when building them (PlanarWaveField.taylor_models)
+# matrix products when building them (PlanarWaveField.taylor_models): at
+# 32 rows the products run near BLAS speed, while the gather buffers stay
+# a few MB
 MAX_TAYLOR_ORDER = 32
-TAYLOR_NODE_BLOCK = 16
+TAYLOR_NODE_BLOCK = 32
 
 
 def _check_degree(degree: int) -> int:
@@ -143,14 +145,11 @@ class PlanarWaveField:
         """The separable factors of the field on the grid (xs[a], ys[b]):
         ex[a] = e^{i(w_x xs[a] + p)} and ey[b] = e^{i w_y ys[b]}, of shapes
         (len(xs), K) and (len(ys), K), whose product ex[a] * ey[b] is
-        e^{i(<w, (xs[a], ys[b])> + p)}."""
-        # in place, so that no factor-sized temporary is left to the heap
-        ax = np.multiply.outer(np.asarray(xs, dtype=float), self.omegas[:, 0])
-        ax += self.phases
-        ex = 1j * ax
-        del ax
-        ey = 1j * np.multiply.outer(np.asarray(ys, dtype=float), self.omegas[:, 1])
-        return np.exp(ex, out=ex), np.exp(ey, out=ey)
+        e^{i(<w, (xs[a], ys[b])> + p)}.  xs and ys must be evenly spaced,
+        as every grid of a scan is: each factor is built by angle addition
+        (_phasors), with about 2 sqrt(n) rows of exp for n grid lines."""
+        return (_phasors(xs, self.omegas[:, 0], self.phases),
+                _phasors(ys, self.omegas[:, 1]))
 
     def factor_gradient(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
         """Gradient on the grid of the factors ex, ey (see grid_factors):
@@ -200,7 +199,10 @@ class PlanarWaveField:
         / (i! j!).  i^{i+j} is real for even i + j and imaginary for odd, so
         the even-degree coefficients are Re E @ one per-field table and the
         odd ones Im E @ another: two real matrix products per block of
-        TAYLOR_NODE_BLOCK nodes.  taylor_order bounds the remainder.
+        TAYLOR_NODE_BLOCK nodes.  The blocks gather E into buffers made once
+        per call, which the last, partial block uses in part, and hand BLAS
+        contiguous planes of Re E and Im E.  taylor_order bounds the
+        remainder.
         """
         m = order
         out = np.zeros((len(nodes), m + 1, m + 1))
@@ -218,13 +220,45 @@ class PlanarWaveField:
             table = px[:, i[part]] * py[:, j[part]]
             table *= c[part]
             parts.append((i[part], j[part], table))
+        e = np.empty((TAYLOR_NODE_BLOCK, ex.shape[1]), dtype=complex)
+        e_y = np.empty_like(e)
+        planes = np.empty((2,) + e.shape)
         for s in range(0, len(nodes), TAYLOR_NODE_BLOCK):
-            block = out[s:s + TAYLOR_NODE_BLOCK]
             a, b = nodes[s:s + TAYLOR_NODE_BLOCK].T
-            e = ex[a] * ey[b]
-            for re_im, (ib, jb, table) in zip((e.real, e.imag), parts):
-                block[:, ib, jb] = re_im @ table
+            r = len(a)
+            np.take(ex, a, axis=0, out=e[:r])
+            np.take(ey, b, axis=0, out=e_y[:r])
+            np.multiply(e[:r], e_y[:r], out=e[:r])
+            planes[0, :r] = e[:r].real
+            planes[1, :r] = e[:r].imag
+            for plane, (ib, jb, table) in zip(planes, parts):
+                out[s:s + r, ib, jb] = plane[:r] @ table
         return out
+
+
+def _phasors(xs, w: np.ndarray, p=0.0) -> np.ndarray:
+    """e^{i(w xs[a] + p)}, shape (len(xs), len(w)), for evenly spaced xs.
+
+    With B = ceil(sqrt(n)), row qB + r is the coarse row e^{i(w xs[qB] + p)}
+    times the fine row e^{i w (xs[r] - xs[0])}, one complex multiply per
+    entry written into the output, which is the only array of its size.
+    The coarse angles come from the grid's own values xs[qB], not from
+    multiples of a spacing, so that against the exact points xs[0] + a d
+    the rows keep the accuracy of a direct exp; against the rounded values
+    xs[a] they may differ from it by w times an ulp of xs[a].
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = len(xs)
+    b = math.isqrt(max(n - 1, 0)) + 1
+    coarse = np.multiply.outer(xs[::b], w)
+    coarse += p
+    coarse = np.exp(1j * coarse)
+    fine = np.exp(1j * np.multiply.outer(xs[:b] - xs[:1], w))
+    out = np.empty((n, len(w)), dtype=complex)
+    for q, row in enumerate(coarse):
+        rows = out[q * b:(q + 1) * b]
+        np.multiply(fine[:len(rows)], row, out=rows)
+    return out
 
 
 def _exp_tail(x: np.ndarray, n: int) -> np.ndarray:

@@ -401,6 +401,28 @@ def test_sphere_report_golden(capsys):
     assert int(diag["newton_stalled"]) < 434
 
 
+def test_plane_report_golden(capsys):
+    # every line of this report, the Newton failure counts included, is
+    # the one the 2x2-tile models and per-line exp factors gave
+    code, out = run(capsys, "simulate", "--kind", "plane-wave",
+                    "--wavenumber", "10", "--side", "10", "--reps", "3",
+                    "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "euclidean: 3 replications, area 99.0594",
+        "  index 0: intensity 2.27136 +/- 0 (theory 2.2972)",
+        "  index 1: intensity 4.58311 +/- 0.035 (theory 4.59441)",
+        "  index 2: intensity 2.26127 +/- 0.025 (theory 2.2972)",
+        "  index 0: KS 0.05833 over 675 heights (crit 1% if iid 0.06265)",
+        "  index 1: KS 0.02846 over 1362 heights (crit 1% if iid 0.0441)",
+        "  index 2: KS 0.06152 over 672 heights (crit 1% if iid 0.06279)",
+        "  flagged_points: 0",
+        "  newton_lost: 61",
+        "  newton_singular: 0",
+        "  newton_stalled: 393",
+    ]
+
+
 PLANE_SIM = ["simulate", "--kind", "plane-wave", "--wavenumber", "10",
              "--side", "3", "--reps", "2", "--seed", "1"]
 SPHERE_SIM = ["simulate", "--kind", "spherical-harmonic", "--degree", "20",

@@ -23,9 +23,9 @@ from critfield.detect import (_CHART_TILT, CHART_OVERLAP, DEDUP_FACTOR,
                               simulation_study, write_points_csv)
 from critfield.errors import InsufficientDataError, ParameterError
 from critfield.euclidean import model_from_rho
-from critfield.fields import (PlanarWaveField, SphericalHarmonicField,
-                              SynthesisSpec, synthesize, tangent_frames,
-                              taylor_evaluate)
+from critfield.fields import (TAYLOR_NODE_BLOCK, PlanarWaveField,
+                              SphericalHarmonicField, SynthesisSpec,
+                              synthesize, tangent_frames, taylor_evaluate)
 from critfield.sphere import model_from_legendre
 
 PI = math.pi
@@ -442,6 +442,44 @@ def test_local_models_match_pointwise_derivatives(kind, seed, lo, steps_per_eta,
     t = (models.nodes[0] + u) * step
     m = f.model
     assert abs(val[0] - lattice.field.value(t)[0]) < 1e-12
+    assert (np.abs(grad - lattice.field.gradient(t)).max()
+            < 1e-12 * math.sqrt(-2.0 * m.rho1))
+    assert (np.abs(hess - lattice.field.hessian(t)).max()
+            < 1e-12 * math.sqrt(12.0 * m.rho2))
+
+
+# the benchmark's panel field (11, 0), and one field of each planar kind at
+# the parameters of test_fields.PLANAR_SPECS
+@pytest.mark.parametrize("spec,seed,side", [
+    (SynthesisSpec.plane_wave(10.0), (11, 0), 10.0),
+    (SynthesisSpec.gaussian_covariance(0.5), 3, 20.0),
+    (SynthesisSpec.plane_wave(10.0), 3, 6.0),
+    (SynthesisSpec.custom_spectral([2.0, 6.0], [1.0, 2.0]), 3, 12.0)],
+    ids=["panel-0", "gaussian-covariance", "plane-wave", "custom-spectral"])
+def test_walker_nodes_are_shared_corners(spec, seed, side):
+    # each walker's model sits on a corner of its own start cell, the
+    # shared corners take no more nodes than the 2x2 tiles did, and every
+    # model, those of the last, partial block of the build included,
+    # matches the trig sums
+    f, step, _, centers = plane_setup(seed, side, spec)
+    lattice = _PlaneLattice(f, (0.0, 0.0), (side, side), step)
+    models = _WalkerModels(lattice, centers)
+    offset = (centers - lattice.lo) / step - models.nodes[models.which]
+    assert np.abs(np.abs(offset) - 0.5).max() < 1e-9
+    cells = np.floor((centers - lattice.lo) / step).astype(np.int64)
+    assert len(models.nodes) <= len(np.unique(2 * (cells // 2) + 1, axis=0))
+    n = len(models.nodes)
+    assert n % TAYLOR_NODE_BLOCK != 0
+    rng = np.random.default_rng(4)
+    k = np.union1d(np.arange(n - n % TAYLOR_NODE_BLOCK - 1, n),
+                   rng.integers(n, size=64))
+    angle = rng.uniform(0.0, 2.0 * PI, len(k))
+    u = (rng.uniform(0.0, models.radius, len(k))[:, None]
+         * np.stack([np.cos(angle), np.sin(angle)], axis=-1))
+    val, grad, hess = taylor_evaluate(models.coef[k], u, step)
+    t = (models.nodes[k] + u) * step
+    m = f.model
+    assert np.abs(val - lattice.field.value(t)).max() < 1e-12
     assert (np.abs(grad - lattice.field.gradient(t)).max()
             < 1e-12 * math.sqrt(-2.0 * m.rho1))
     assert (np.abs(hess - lattice.field.hessian(t)).max()

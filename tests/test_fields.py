@@ -65,6 +65,30 @@ def test_grid_gradient_matches_pointwise(spec):
     assert np.abs(g - f.gradient(pts)).max() < tol
 
 
+@pytest.mark.parametrize("span", [10.0, 100.0])
+def test_grid_factors_are_as_accurate_as_exp(span):
+    # the angle-addition factors on the grid a d, next to one exp per grid
+    # line and wave, against a 40-digit reference at the exact points a d
+    f = synthesize(SynthesisSpec.plane_wave(10.0, n_waves=300), rng=7)
+    step = f.model.eta / 6.0
+    xs = step * np.arange(int(span / step) + 1)
+    ex, ey = f.grid_factors(xs, xs)
+    assert ex.shape == ey.shape == (len(xs), 300)
+    rng = np.random.default_rng(8)
+    rows, waves = rng.integers(len(xs), size=480), rng.integers(300, size=480)
+    with mpmath.workdps(40):
+        for factor, w, p in ((ex, f.omegas[:, 0], f.phases),
+                             (ey, f.omegas[:, 1], np.zeros(300))):
+            direct = np.exp(1j * (np.multiply.outer(xs, w) + p))
+            err = np.zeros(2)
+            for a, k in zip(rows.tolist(), waves.tolist()):
+                ref = mpmath.expj(a * mpmath.mpf(step) * mpmath.mpf(w[k])
+                                  + mpmath.mpf(p[k]))
+                err = np.maximum(err, [abs(complex(z) - ref) for z in
+                                       (factor[a, k], direct[a, k])])
+            assert err[0] <= 2.0 * err[1]
+
+
 def test_planar_derivatives_match_per_wave_sums():
     f = synthesize(SynthesisSpec.custom_spectral([1.0, 3.0], [1.0, 1.0],
                                                  n_waves=60), rng=4)
