@@ -372,9 +372,11 @@ def _check_total(tot: float, i: int) -> None:
 
 
 def height_pdf_general(p: CountProblem, i: int, x, method: str,
-                       cfg: NumericConfig) -> CritResult:
+                       cfg: NumericConfig,
+                       total: CritResult | None = None) -> CritResult:
     """h_i at the heights x (a scalar or an array), the height density of
-    index-i critical points; the index total is computed once for all x.
+    index-i critical points, over one index total: total (count_totals'
+    index-i entry for this method and cfg) if given, else computed here.
 
     This is the exact integrand ratio
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
@@ -385,9 +387,8 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
-    tot, tot_err = goi_expectation(p.total_ensemble(), IndexedFunctional(index=i),
-                                   method, cfg)
-    _check_total(tot, i)
+    tot = total or count_totals(p, [i], method, cfg)[0]
+    _check_total(tot.value, i)
     us = np.asarray(x, dtype=float).ravel()
     if method == "quadrature":
         num, num_err = _shifted_expectations(p, i, us)
@@ -397,18 +398,24 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
             goi_expectation(ens, IndexedFunctional(index=i, shift=p.shift_coeff * u),
                             method, cfg)
             for u in us.tolist()]).reshape(-1, 2).T
+    # the numerator in count units, as the total
+    pref = math.exp(p.log_prefactor)
+    num, num_err = pref * num, pref * num_err
     phi = _phi(us)
-    val = phi * num / tot
+    val = phi * num / tot.value
     pos = num > 0
-    rel = np.where(pos, np.hypot(num_err / np.where(pos, num, 1.0), tot_err / tot), 0.0)
-    return _shaped(x, val, np.abs(val) * rel + phi * num_err / tot, method)
+    rel = np.where(pos, np.hypot(num_err / np.where(pos, num, 1.0),
+                                 tot.error / tot.value), 0.0)
+    return _shaped(x, val, np.abs(val) * rel + phi * num_err / tot.value, method)
 
 
 def height_cdf_general(p: CountProblem, i: int, u, method: str,
-                       cfg: NumericConfig) -> CritResult:
+                       cfg: NumericConfig,
+                       total: CritResult | None = None) -> CritResult:
     """Upper-tail fraction F_i at the heights u (a scalar or an array):
-    expected share of index-i points above u, over one index total."""
-    tot = count_totals(p, [i], method, cfg)[0]
+    expected share of index-i points above u, over one index total (total
+    as in height_pdf_general)."""
+    tot = total or count_totals(p, [i], method, cfg)[0]
     _check_total(tot.value, i)
     ab = count_above(p, i, np.asarray(u, dtype=float).ravel(), method, cfg)
     val = ab.value / tot.value
@@ -584,9 +591,13 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",
-                      config: NumericConfig | None = None) -> CritResult:
+                      config: NumericConfig | None = None,
+                      total: CritResult | None = None) -> CritResult:
     """h_i at the heights x with its error.  Value and error are floats for
-    a scalar x and arrays of x's shape otherwise."""
+    a scalar x and arrays of x's shape otherwise.  total, if given, is the
+    index-i entry of expected_crit_totals with the same method and config,
+    so that a caller asking for several quantities computes each total once
+    (the closed forms do not read it)."""
     _check_index(model, i)
     _check_heights(x)
     cfg = config or NumericConfig()
@@ -594,12 +605,14 @@ def height_pdf_result(model, i: int, x, method: str = "auto",
     if method == "closed-form":
         _require_n2(model)
         return _shaped(x, model.closed_pdf_n2(i, x), 1e-15, "closed-form")
-    return height_pdf_general(model.problem(), i, x, method, cfg)
+    return height_pdf_general(model.problem(), i, x, method, cfg, total)
 
 
 def height_cdf_result(model, i: int, u, method: str = "auto",
-                      config: NumericConfig | None = None) -> CritResult:
-    """F_i at the heights u with its error, shaped as in height_pdf_result."""
+                      config: NumericConfig | None = None,
+                      total: CritResult | None = None) -> CritResult:
+    """F_i at the heights u with its error, shaped and with total as in
+    height_pdf_result."""
     _check_index(model, i)
     _check_heights(u)
     cfg = config or NumericConfig()
@@ -608,7 +621,7 @@ def height_cdf_result(model, i: int, u, method: str = "auto",
         _require_n2(model)
         r = model.closed_cdf_n2(i, u)
         return _shaped(u, r.value, r.error, "closed-form")
-    return height_cdf_general(model.problem(), i, u, method, cfg)
+    return height_cdf_general(model.problem(), i, u, method, cfg, total)
 
 
 def height_density(model, i: int, x, method: str = "auto",

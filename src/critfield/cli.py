@@ -287,11 +287,15 @@ def cmd_heights(args: argparse.Namespace) -> int:
     if quantities is None:
         raise ConfigError(f"unknown quantity {want!r}")
     indices = _indices(args, model)
+    # one totals table serves both quantities (a quadrature total serves
+    # its mirror index too)
+    totals = ([None] * len(indices) if resolved == "closed-form"
+              else expected_crit_totals(model, indices, resolved, cfg))
     sink = _RowSink(args)
-    for i in indices:
+    for i, total in zip(indices, totals):
         for q in quantities:
             fn = height_pdf_result if q == "height-pdf" else height_cdf_result
-            r = fn(model, i, grid, resolved, cfg)
+            r = fn(model, i, grid, resolved, cfg, total)
             for x, v, e in zip(grid, r.value, r.error):
                 sink.add(model, i, float(x), q, v, e, r.method)
     sink.flush()

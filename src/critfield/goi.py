@@ -19,11 +19,14 @@ and expectations of indexed absolute-determinant functionals
 (cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either
 by a product Gauss rule in trace-gap coordinates over the ordered region
 (N <= 3) or by Monte Carlo on sampled matrices (any N).  Monte Carlo
-eigensolves GOE(N) matrices only: a GOI(c) matrix is a GOE matrix plus
-beta(c) times its trace on the diagonal, so every GOI(c) of one size reads
-one seeded GOE draw with each row's height moved by beta(c) times its own
-trace, and one pass over a draw at a given shift and trace cap gives every
-index.
+draws GOE(N) matrices only, in the tridiagonal form of Dumitriu and
+Edelman, and solves no eigenproblem for these expectations: a GOI(c)
+matrix is a GOE matrix plus beta(c) times its trace on the diagonal, so
+every GOI(c) of one size reads one seeded GOE draw with each row's height
+moved by beta(c) times its own trace, and one pass of LDL^T pivots over a
+draw at a given shift and trace cap gives |det| and the index of every
+row, hence every index.  A draw's eigenvalues are solved only when read
+(by the GOE(N+1) route of fyodorov.py).
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
 """
@@ -174,7 +177,7 @@ class NumericConfig:
     it refines to QUAD_ABS_TOL and QUAD_REL_TOL.
 
     With a seed, every Monte Carlo value over GOI(c) matrices of one size N
-    reads the same GOE(N) eigenvalue draw, each row at its own height for
+    reads the same GOE(N) draw, each row at its own height for
     c != 0 (see mc_eigen_expectation; up to BANK_ENTRIES = 2 sizes are
     kept).  So the rows of one command, and the GOI(N+1, c_tot) and
     GOE(N+1) routes, use common random numbers and their errors are
@@ -214,9 +217,11 @@ def k_norm(n: int) -> float:
 
 def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
                rng: np.random.Generator | None = None) -> NDArray[np.float64]:
-    """Draw GOI(c) matrices.
+    """Draw dense GOI(c) matrices.
 
-    The diagonal is generated as B z with z standard normal and
+    Monte Carlo expectations do not call this: they read tridiagonal GOE
+    draws (see _GoeDraw), which have the same eigenvalue law.  The
+    diagonal is generated as B z with z standard normal and
     B = I + ((sqrt(1 + N c) - 1)/N) 1 1^T, a symmetric square root of
     I + c 1 1^T.  For the degenerate ensemble the root's trace factor is
     exactly zero (trace_root), so the zero eigendirection is dropped exactly
@@ -249,9 +254,10 @@ def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
 
 
 def trace_shift(ensemble: GoiEnsemble) -> float:
-    """beta(c) = (sqrt(1 + N c) - 1) / N: the GOI(c) draw of sample_goi is
-    M_0 + beta tr(M_0) I for the GOE draw M_0 of the same stream (0 at c = 0,
-    -1/N for the degenerate ensemble)."""
+    """beta(c) = (sqrt(1 + N c) - 1) / N: M_0 + beta tr(M_0) I is GOI(c)
+    for a GOE matrix M_0, and the GOI(c) draw of sample_goi is that of the
+    GOE draw of the same stream (0 at c = 0, -1/N for the degenerate
+    ensemble)."""
     return (trace_root(ensemble.n, ensemble.c) - 1.0) / ensemble.n
 
 
@@ -734,9 +740,11 @@ BANK_ENTRIES = 2
 # them and every index reads them again, so a grid of up to 511 points with
 # both quantities makes one pass per point and per quantity.
 STATS_PER_DRAW = 1024
-# Matrices sampled and eigensolved at a time; a draw's stream is cut into
-# chunks of this size, so it fixes which normals make which matrix.
-MC_BATCH = 200_000
+# Matrices eigensolved at a time when a draw's eigenvalues are first read
+# (only the GOE(N+1) route reads them): each chunk is one dense
+# (MC_BATCH, N, N) array, 2 MB at N = 4.  Neither the draw nor its
+# eigenvalues depend on it.
+MC_BATCH = 1 << 14
 _bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
 
 
@@ -755,14 +763,52 @@ def _lru(cache: OrderedDict, key, make: Callable, bound: int):
 
 @dataclass
 class _GoeDraw:
-    """A GOE(N) draw: its ascending eigenvalue rows as one read-only
-    column-major (k, N) array, the (k,) traces of its matrices, and the
-    all-index results of mc_eigen_expectation by (c, shift, trace_cap,
-    cap_edge)."""
+    """A draw of k GOE(N) matrices in the tridiagonal form of Dumitriu and
+    Edelman (J. Math. Phys. 43, 5830, 2002).  Householder reduction keeps
+    a GOE matrix's eigenvalues and trace and leaves a tridiagonal matrix T
+    with independent diagonal a_j ~ N(0, 1) and squared off-diagonals
+    b_j^2 ~ chi^2_(N-j) / 2, j = 1..N-1 (off-diagonal variance 1/2).
 
-    lam: NDArray[np.float64]
-    trace: NDArray[np.float64]
+    diag (N, k) and off2 (N - 1, k) hold a_j and b_j^2 as contiguous rows,
+    one entry per matrix.  trace (k,) is the sum of diag, and pivmin the
+    smallest pivot magnitude of mc_eigen_expectation's pass.  lam, the
+    ascending eigenvalue rows as one column-major (k, N) array, is made on
+    first use, MC_BATCH matrices at a time.  Every array is read-only.
+    stats holds the all-index results of mc_eigen_expectation by (c,
+    shift, trace_cap, cap_edge).
+    """
+
+    diag: NDArray[np.float64]
+    off2: NDArray[np.float64]
     stats: "OrderedDict[tuple, NDArray]" = field(default_factory=OrderedDict)
+
+    @functools.cached_property
+    def trace(self) -> NDArray[np.float64]:
+        trace = self.diag.sum(axis=0)
+        trace.flags.writeable = False
+        return trace
+
+    @functools.cached_property
+    def pivmin(self) -> float:
+        # as LAPACK's dstebz: b^2 / pivmin stays finite for every b
+        return np.finfo(float).tiny * max(1.0, float(self.off2.max(initial=0.0)))
+
+    @functools.cached_property
+    def lam(self) -> NDArray[np.float64]:
+        n, k = self.diag.shape
+        lam = np.empty((k, n), order="F")
+        on, low = np.arange(n), np.arange(1, n)
+        for s in range(0, k, MC_BATCH):
+            e = min(s + MC_BATCH, k)
+            # eigvalsh reads the lower triangle only
+            m = np.zeros((e - s, n, n))
+            m[:, on, on] = self.diag[:, s:e].T
+            m[:, low, low - 1] = np.sqrt(self.off2[:, s:e].T)
+            lam[s:e] = np.linalg.eigvalsh(m)
+            # freed before the next chunk is made
+            del m
+        lam.flags.writeable = False
+        return lam
 
 
 def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:
@@ -777,22 +823,14 @@ def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:
 
 
 def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
+    """The stream gives the diagonal first, row a_1 of every matrix, then
+    a_2, ..., then b_1^2, ..., b_(N-1)^2 (chi^2_nu / 2 is Gamma(nu / 2))."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    goe = GoiEnsemble(n, 0.0)
     k = config.mc_samples
-    for s in range(0, k, MC_BATCH):
-        m = sample_goi(goe, size=min(MC_BATCH, k - s), rng=rng)
-        tr = np.trace(m, axis1=1, axis2=2)
-        rows = np.linalg.eigvalsh(m)
-        # the matrices are freed before the draw's arrays are made and
-        # before the next chunk is drawn, so no two are held together
-        del m
-        if not s:
-            lam, trace = np.empty((k, n), order="F"), np.empty(k)
-        lam[s:s + len(rows)] = rows
-        trace[s:s + len(rows)] = tr
-    lam.flags.writeable = trace.flags.writeable = False
-    return _GoeDraw(lam, trace)
+    diag = rng.standard_normal((n, k))
+    off2 = rng.standard_gamma(np.arange(n - 1, 0, -1)[:, None] / 2.0, (n - 1, k))
+    diag.flags.writeable = off2.flags.writeable = False
+    return _GoeDraw(diag, off2)
 
 
 def _mean_error(v: NDArray[np.float64]) -> tuple[float, float]:
@@ -810,27 +848,42 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     0..N (its own index is not read), as an (N + 1, 2) array, in one pass
     over the GOE(N) draw of config.
 
-    sample_goi draws GOI(c) as M_0 + beta tr(M_0) I (beta = trace_shift)
-    from the stream of the GOE draw M_0, so each GOE row is compared with
-    its own height shift - beta tr, and its GOI(c) mean is tr trace_root / N
-    (exactly 0 at c = -1/N).  One loop over the N columns builds
-    prod_j |lam_j - height| and the number of eigenvalues below the height,
-    weighted by the trace cap once; each index then reduces its masked
-    values with _mean_error, as IndexedFunctional.evaluate would give them.
+    A GOI(c) matrix is M_0 + beta tr(M_0) I for a GOE matrix M_0 (beta =
+    trace_shift), so each GOE row is compared with its own height h =
+    shift - beta tr, and its GOI(c) mean is tr trace_root / N (exactly 0
+    at c = -1/N).  No eigenvalue is needed: the LDL^T pivots of T - h,
+    d_1 = a_1 - h and d_j = a_j - h - b_(j-1)^2 / d_(j-1), have product
+    det(T - h), and as many of them are negative as T has eigenvalues
+    below h (Sylvester's law of inertia).  A pivot of magnitude below
+    pivmin (exactly 0 among them) becomes -pivmin, as in LAPACK's dstebz,
+    so no inf or nan reaches the product.  One loop over the N pivots
+    builds prod_j |d_j| and the count of negative pivots, weighted by the
+    trace cap once; each index then reduces its masked values with
+    _mean_error, as IndexedFunctional.evaluate on the rows' GOI(c)
+    eigenvalues would give them up to rounding.
     """
     n = ensemble.n
     draw = _goe_draw(n, config)
-    lam, tr = draw.lam, draw.trace
     beta = trace_shift(ensemble)
     a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
-    h = a - beta * tr if beta else a
-    vals = np.abs(lam[:, 0] - h)
-    below = (lam[:, 0] < h).astype(np.intp)
-    for j in range(1, n):
-        vals *= np.abs(lam[:, j] - h)
-        below += lam[:, j] < h
+    h = a - beta * draw.trace if beta else a
+    pivmin, k = draw.pivmin, draw.diag.shape[1]
+    vals, below = np.ones(k), np.zeros(k, dtype=np.intp)
+    d, q, ad = np.empty(k), np.empty(k), np.empty(k)
+    neg = np.empty(k, dtype=bool)
+    for j in range(n):
+        if j:
+            np.divide(draw.off2[j - 1], d, out=q)
+        np.subtract(draw.diag[j], h, out=d)
+        if j:
+            d -= q
+        np.abs(d, out=ad)
+        if np.less(ad, pivmin, out=neg).any():
+            d[neg], ad[neg] = -pivmin, pivmin
+        vals *= ad
+        below += np.less(d, 0.0, out=neg)
     if cap is not None:
-        mean = tr * trace_root(n, ensemble.c) / n
+        mean = draw.trace * trace_root(n, ensemble.c) / n
         # the weight is in [0, 1], so masking after weighting is exact
         vals = (vals * ndtr((cap - mean) / edge) if edge
                 else np.where(mean <= cap, vals, 0.0))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import critfield
+from critfield import _kacrice, goi
 from critfield.cli import CSV_HEADER, main, parse_grid
 from critfield.errors import ConfigError
 
@@ -500,3 +501,59 @@ def test_package_runs_as_module():
                        "--kappa2", "0.8")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER_LINE
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "fyodorov"]],
+                         ids=["general", "fyodorov"])
+def test_seeded_reruns_in_fresh_processes_are_byte_identical(method):
+    # the Fyodorov route reads eigenvalues solved lazily on the draw
+    argv = ["critfield", "expect", "--N", "4", "--eta2", "1", "--kappa2", "0.9",
+            "--seed", "1", *method]
+    first, second = _run_module(*argv), _run_module(*argv)
+    assert first.returncode == second.returncode == 0
+    assert len(rows_of(first.stdout)) == 5
+    assert first.stdout == second.stdout
+
+
+def test_only_the_fyodorov_route_solves_eigenproblems(monkeypatch, capsys):
+    # every other Monte Carlo value reads |det| and the index off the
+    # pivots of the tridiagonal draw
+    def refuse(*args, **kwargs):
+        raise RuntimeError("eigvalsh called")
+
+    goi._bank.clear()
+    monkeypatch.setattr(goi.np.linalg, "eigvalsh", refuse)
+    model = ["--eta2", "1", "--kappa2", "0.9", "--seed", "1"]
+    for argv in (["expect", "--N", "4", *model],
+                 ["heights", "--N", "3", *model, "--grid=-1:1:0.5",
+                  "--quantity", "both"],
+                 ["expect", "--space", "sphere", "--N", "2", *model,
+                  "--method", "monte-carlo", "--threshold=0.3"]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and "nan" not in out
+    with pytest.raises(RuntimeError, match="eigvalsh called"):
+        main(["expect", "--N", "4", *model, "--method", "fyodorov"])
+    goi._bank.clear()
+
+
+def test_heights_compute_each_total_once(monkeypatch, capsys):
+    # one totals table serves both quantities, a quadrature total its mirror
+    # index too: 2 totals, then a density numerator and a count above the
+    # height per index
+    calls = []
+    for module in (goi, _kacrice):
+        real = module.nested_ordered_quadrature
+
+        def counting(*args, real=real, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "nested_ordered_quadrature", counting)
+    code, out = run(capsys, "heights", "--N", "3", "--eta2", "1", "--kappa2", "0.9",
+                    "--grid=0", "--quantity", "both", "--method", "quadrature")
+    assert code == 0 and len(rows_of(out)) == 8
+    c_tot, c_cnd = 0.5, 0.05
+    assert len(calls) == 10
+    assert calls.count((3, c_tot)) == 2 + 4
+    assert calls.count((3, pytest.approx(c_cnd))) == 4
+

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import ks_2samp
 
 from critfield import (
     DegenerateEnsembleError,
@@ -257,13 +258,13 @@ def test_ensemble_dataclass_guard():
 
 def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_bank):
     draws = []
-    real = goi.sample_goi
+    real = goi._draw_goe
 
-    def counting(ens, size=None, rng=None):
-        draws.append((ens.c, size))
-        return real(ens, size, rng)
+    def counting(n, config):
+        draws.append((n, config.mc_samples))
+        return real(n, config)
 
-    monkeypatch.setattr(goi, "sample_goi", counting)
+    monkeypatch.setattr(goi, "_draw_goe", counting)
     args = ["heights", "--N", "3", "--eta2", "1.2", "--kappa2", "0.9",
             "--grid=-1.4:1.6:0.5", "--quantity", "both", "--samples", "2000",
             "--seed", "3"]
@@ -272,7 +273,7 @@ def test_bank_draws_each_ensemble_once_per_command(monkeypatch, capsys, empty_ba
     assert len(rows) == 2 * 4 * 7
     # one GOE(3) draw: GOI(c_tot) for totals and counts above u and
     # GOI(c_cnd) for densities are its rows shifted by their traces
-    assert draws == [(0.0, 2000)]
+    assert draws == [(3, 2000)]
     assert len(goi._bank) == 1
     # each row equals the row of a call that draws its own samples
     p = eu.model_from_shape(3, 1.2, 0.9).problem()
@@ -303,18 +304,18 @@ def test_goe_draw_is_shared_by_the_general_and_fyodorov_routes(
         alone.append(capsys.readouterr().out)
     goi._bank.clear()
     draws = []
-    real = goi.sample_goi
+    real = goi._draw_goe
 
-    def counting(ens, size=None, rng=None):
-        draws.append((ens.n, ens.c, size))
-        return real(ens, size, rng)
+    def counting(n, config):
+        draws.append((n, config.mc_samples))
+        return real(n, config)
 
-    monkeypatch.setattr(goi, "sample_goi", counting)
+    monkeypatch.setattr(goi, "_draw_goe", counting)
     together = []
     for args in (n4, fy):
         assert cli.main(args) == 0
         together.append(capsys.readouterr().out)
-    assert draws == [(4, 0.0, 3000)]
+    assert draws == [(4, 3000)]
     assert together == alone
 
 
@@ -395,31 +396,48 @@ def test_bank_is_read_only_and_bounded(empty_bank):
 
 
 def test_draw_is_sampled_mc_batch_matrices_at_a_time(monkeypatch, empty_bank):
-    # the draw is one array, filled chunk by chunk from the seed's stream
-    monkeypatch.setattr(goi, "MC_BATCH", 100)
-    seed = 5
-    draw = goi._goe_draw(3, NumericConfig(mc_samples=300, seed=seed))
+    # the draw reads the seed's stream in a fixed order, the diagonal rows
+    # a_1..a_N and then the squared off-diagonals b_j^2 ~ Gamma((N - j) / 2);
+    # its eigenvalues are solved once, when first read, MC_BATCH matrices
+    # at a time, and are the same for any MC_BATCH
+    seed, n, k = 5, 3, 300
+    cfg = NumericConfig(mc_samples=k, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    chunks = [sample_goi(validate_ensemble(3, 0.0), size=100, rng=rng)
-              for _ in range(3)]
-    assert np.array_equal(draw.lam, np.concatenate(
-        [np.linalg.eigvalsh(m) for m in chunks]))
-    assert np.array_equal(draw.trace, np.concatenate(
-        [np.trace(m, axis1=1, axis2=2) for m in chunks]))
+    diag = rng.standard_normal((n, k))
+    off2 = rng.standard_gamma([[1.0], [0.5]], (n - 1, k))
+    whole = goi._goe_draw(n, cfg).lam
+    goi._bank.clear()
+    monkeypatch.setattr(goi, "MC_BATCH", 100)
+    chunks = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: chunks.append(len(m)) or real(m))
+    draw = goi._goe_draw(n, cfg)
+    for arr, want in ((draw.diag, diag), (draw.off2, off2)):
+        assert np.array_equal(arr, want) and arr.flags.c_contiguous
+    assert np.array_equal(draw.trace, diag.sum(axis=0))
+    assert chunks == []
+    assert np.array_equal(draw.lam, whole)
+    assert np.array_equal(draw.lam, whole)
+    assert chunks == [100, 100, 100]
+    # each row holds the eigenvalues of its own tridiagonal matrix
+    for r in (0, 150, 299):
+        b = np.sqrt(off2[:, r])
+        t = np.diag(diag[:, r]) + np.diag(b, 1) + np.diag(b, -1)
+        assert np.allclose(draw.lam[r], real(t), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_goi_draw_is_the_goe_shifted_by_its_trace(n, empty_bank):
-    # sample_goi draws GOI(c) as M_0 + beta(c) tr(M_0) I from the same
-    # normals as the GOE draw M_0, so the pass over the GOE draw, at each
-    # row's own height, gives the values of the GOI(c) eigenvalues up to
-    # rounding
+    # M_0 + beta(c) tr(M_0) I is GOI(c) for a GOE matrix M_0, so the pivot
+    # pass over the GOE draw, at each row's own height, gives the values of
+    # the GOI(c) eigenvalues lam + beta tr of the draw up to rounding
     seed, samples = 41, 3000
     cfg = NumericConfig(mc_samples=samples, seed=seed)
+    draw = goi._goe_draw(n, cfg)
     for c in (-1.0 / n, -0.2, 0.0, 0.5, 3.0):
         ens = validate_ensemble(n, c)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        lam = np.linalg.eigvalsh(sample_goi(ens, size=samples, rng=rng))
+        lam = draw.lam + trace_shift(ens) * draw.trace[:, None]
         if ens.degenerate:
             assert np.abs(lam.mean(axis=1)).max() <= 1e-13
         for shift, cap, edge in ((0.3, None, 0.0), (-0.2, 0.1, 0.0),
@@ -450,6 +468,41 @@ def test_degenerate_ensemble_is_the_zero_matrix(empty_bank):
         assert 0.0 <= below[1] <= 1e-15
         assert goi_expectation(ens, IndexedFunctional(0, shift=0.6),
                                "monte-carlo", cfg) == (0.0, 0.0)
+
+
+def test_zero_pivot_becomes_minus_pivmin(empty_bank):
+    # a_1 = h makes the first pivot of row 0 exactly 0, and a_2 - b_1^2 / d_1
+    # = 0 the second of row 1; as in LAPACK's dstebz each becomes -pivmin,
+    # so the next pivot stays finite, the product is still |det(T - h)| and
+    # the count of negative pivots the number of eigenvalues below h
+    diag = np.array([[0.0, 2.0, -1.0], [-0.5, 0.5, 0.7], [0.4, -2.0, 0.1]])
+    off2 = np.array([[0.8, 1.0, 1.5], [0.6, 0.3, 1e-3]])
+    draw = goi._GoeDraw(diag, off2)
+    goi._bank[(3, 0, 3)] = draw
+    ens = validate_ensemble(3, 0.0)
+    got = mc_eigen_expectation(ens, IndexedFunctional(0, 0.0),
+                               NumericConfig(mc_samples=3, seed=0))
+    assert np.isfinite(got).all()
+    # |det| of the rows is 0.32, 0.6 and 0.219, each with one eigenvalue below 0
+    assert got[1][0] == pytest.approx((0.32 + 0.6 + 0.219) / 3, rel=1e-14)
+    for i in range(4):
+        want = goi._mean_error(IndexedFunctional(i, 0.0).evaluate(draw.lam))
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_tridiagonal_draw_has_the_goe_eigenvalue_law(n, empty_bank):
+    # a two-sample KS test of each ordered eigenvalue against eigvalsh of
+    # dense sample_goi matrices, on frozen seeds
+    k = 20_000
+    draw = goi._goe_draw(n, NumericConfig(mc_samples=k, seed=2024))
+    dense = np.linalg.eigvalsh(sample_goi(validate_ensemble(n, 0.0), size=k,
+                                          rng=np.random.default_rng(99)))
+    for j in range(n):
+        assert ks_2samp(draw.lam[:, j], dense[:, j]).pvalue > 1e-3
+    # the trace is the sum of the eigenvalues, to rounding
+    assert np.abs(draw.lam.sum(axis=1) - draw.trace).max() <= 1e-13 * n * (
+        1.0 + np.abs(draw.lam).max())
 
 
 def test_numeric_config_rejects_bad_sample_counts():
@@ -490,10 +543,9 @@ def test_sample_goi_symmetrizes_in_place_bitwise(n):
 def test_all_index_pass_is_bitwise_the_per_index_reduction(
         n, coupling, shift, cap, samples, batch, seed):
     # one pass gives every index IndexedFunctional.evaluate on row-major
-    # GOI(c) rows plus _mean_error: bitwise on the GOE rows themselves
-    # (c = 0, no cap), else up to rounding, since the pass compares lam_j
-    # with shift - beta tr where the rows hold lam_j + beta tr, and takes a
-    # cap's mean from the trace
+    # GOI(c) rows lam + beta tr of the draw plus _mean_error, up to rounding:
+    # the pass takes |det| and the index from the pivots of the tridiagonal
+    # matrices at shift - beta tr, and a cap's mean from the trace
     goi._bank.clear()
     c = {"boundary": -1.0 / n, "goe": 0.0, "positive": 0.7}[coupling]
     ens = validate_ensemble(n, c)
@@ -503,9 +555,9 @@ def test_all_index_pass_is_bitwise_the_per_index_reduction(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(goi, "MC_BATCH", batch)
         got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
+        draw, beta = goi._bank[(n, seed, samples)], trace_shift(ens)
+        rows = np.ascontiguousarray(draw.lam + beta * draw.trace[:, None])
     assert got.shape == (n + 1, 2)
-    draw, beta = goi._bank[(n, seed, samples)], trace_shift(ens)
-    rows = np.ascontiguousarray(draw.lam + beta * draw.trace[:, None])
     # each factor |lam_j - a| rounds within a few ulps of M, the row's
     # largest |GOE eigenvalue|, |beta tr| or |a|, so a product within a few
     # n ulps of M^n
@@ -515,13 +567,8 @@ def test_all_index_pass_is_bitwise_the_per_index_reduction(
     for i in range(n + 1):
         fn = IndexedFunctional(i, shift, trace_cap, edge)
         want = goi._mean_error(fn.evaluate(rows))
-        if c == 0.0 and trace_cap is None:
-            assert tuple(got[i]) == want
-        else:
-            assert got[i][0] == pytest.approx(want[0], rel=1e-12,
-                                              abs=1e-13 * scale)
-            assert got[i][1] == pytest.approx(want[1], rel=1e-9,
-                                              abs=1e-13 * scale)
+        assert got[i][0] == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
+        assert got[i][1] == pytest.approx(want[1], rel=1e-9, abs=1e-13 * scale)
         assert goi_expectation(ens, fn, "monte-carlo", cfg) == tuple(got[i])
     goi._bank.clear()
 
