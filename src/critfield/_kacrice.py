@@ -18,13 +18,13 @@ w) through problem(), and the N = 2 height laws.  A geometry
 (euclidean.EuclideanModel, sphere.SphereModel) adds its curvature,
 prefactor and N = 2 totals.  This module holds the public operations on
 either model, evaluates the template by quadrature or Monte Carlo and
-propagates error estimates.  Every count above u is one
-goi.goi_expectation call, for both methods and both regimes, and so is
-every total, a quadrature total serving its mirror index N - i too; only the
-shifted density numerators (heights as a batch axis) call the quadrature
-engine directly, in the boundary regime too, where GOI(c_cnd = -1/N) is a
-trace law of width 0.  The N = 2 closed-form tails without an erfc form
-integrate their density in one _upper_tails call.
+propagates error estimates.  Its one count is the count above u
+(count_above): one goi.goi_expectation call per index and height, for
+both methods and both regimes; a total is the count above -inf.  Only
+the shifted density numerators (heights as a batch axis) call the
+quadrature engine directly, in the boundary regime too, where GOI(c_cnd
+= -1/N) is a trace law of width 0.  The N = 2 closed-form tails without
+an erfc form integrate their density in one _upper_tails call.
 Height densities and upper-tail height fractions follow as ratios of the
 same quantities, so prefactors cancel.
 """
@@ -302,48 +302,42 @@ def _upper_tails(density, u, splits):
 # ---------------------------------------------------------------------------
 
 
-def count_totals(p: CountProblem, indices, method: str,
-                 cfg: NumericConfig) -> list[CritResult]:
-    """Expected index-i counts pref * E_GOI(c_tot)[g_i(0)], one per entry
-    of indices.
-
-    GOI(c) is invariant under H -> -H, which maps g_i(0) to g_(N-i)(0), so
-    the two totals are equal at every c, c = -1/N included.  Quadrature
-    integrates once per pair {i, N - i}, at i' = min(i, N - i), and both
-    indices get that value and error: the totals of all indices cost
-    floor(N/2) + 1 engine calls.  Monte Carlo reads every index as asked,
-    one pass serving them all.  Nothing is kept between calls.
-    """
-    ens = p.total_ensemble()
-    pref = math.exp(p.log_prefactor)
-    by_index: dict = {}
-    out = []
-    for i in indices:
-        j = min(i, p.n - i) if method == "quadrature" else i
-        if j not in by_index:
-            by_index[j] = goi_expectation(ens, IndexedFunctional(index=j),
-                                          method, cfg)
-        val, err = by_index[j]
-        out.append(CritResult(pref * val, pref * err, method))
-    return out
-
-
-def count_above(p: CountProblem, i: int, u: np.ndarray, method: str,
-                cfg: NumericConfig) -> CritResult:
+def count_above(p: CountProblem, indices, u: np.ndarray, method: str,
+                cfg: NumericConfig) -> list[CritResult]:
     """Expected index-i count above each height of the 1-d array u, pref
     E_GOI(c_tot)[g_i(0) Phi((-gamma u - mean(lam)) / w)] (see the module
-    doc), one expectation per height: 0 at u = inf, the total at -inf."""
-    rows = []
-    for v in u.tolist():
+    doc), one CritResult (arrays over u) per entry of indices: 0 +- 0 at
+    u = inf, and at u = -inf the total pref E_GOI(c_tot)[g_i(0)], uncapped.
+
+    GOI(c) is invariant under H -> -H, which maps g_i(0) to g_(N-i)(0), so
+    the two totals are equal at every c, c = -1/N included: quadrature
+    integrates once per pair {i, N - i}, at i' = min(i, N - i), and the
+    totals of all indices cost floor(N/2) + 1 engine calls.  Nothing is
+    kept between calls.
+    """
+    ens = p.total_ensemble()
+    done: dict = {}
+
+    def expectation(i: int, v: float):
         if v == math.inf:
-            rows.append((0.0, 0.0))
-            continue
-        cap = None if v == -math.inf else -p.cap_coeff * v
-        fn = IndexedFunctional(index=i, trace_cap=cap, cap_edge=p.edge_width)
-        rows.append(goi_expectation(p.total_ensemble(), fn, method, cfg))
-    val, err = np.array(rows, dtype=float).reshape(-1, 2).T
+            return 0.0, 0.0
+        if v == -math.inf:
+            fn = IndexedFunctional(
+                index=min(i, p.n - i) if method == "quadrature" else i)
+        else:
+            fn = IndexedFunctional(index=i, trace_cap=-p.cap_coeff * v,
+                                   cap_edge=p.edge_width)
+        if fn not in done:
+            done[fn] = goi_expectation(ens, fn, method, cfg)
+        return done[fn]
+
     pref = math.exp(p.log_prefactor)
-    return CritResult(pref * val, pref * err, method)
+    out = []
+    for i in indices:
+        val, err = np.array([expectation(i, v) for v in u.tolist()],
+                            dtype=float).reshape(-1, 2).T
+        out.append(CritResult(pref * val, pref * err, method))
+    return out
 
 
 def _shifted_expectations(p: CountProblem, i: int,
@@ -375,8 +369,8 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
                        cfg: NumericConfig,
                        total: CritResult | None = None) -> CritResult:
     """h_i at the heights x (a scalar or an array), the height density of
-    index-i critical points, over one index total: total (count_totals'
-    index-i entry for this method and cfg) if given, else computed here.
+    index-i critical points, over one index total: total (the index-i
+    count above -inf for this method and cfg) if given, else computed here.
 
     This is the exact integrand ratio
     h_i(u) = phi(u) E_GOI(c_cnd)[g_i(b u)] / E_GOI(c_tot)[g_i(0)].  In the
@@ -387,7 +381,7 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     """
     if method not in ("quadrature", "monte-carlo"):
         raise MethodError(f"unknown general-path method {method!r}")
-    tot = total or count_totals(p, [i], method, cfg)[0]
+    tot = total or count_above(p, [i], np.array([-math.inf]), method, cfg)[0]
     _check_total(tot.value, i)
     us = np.asarray(x, dtype=float).ravel()
     if method == "quadrature":
@@ -415,9 +409,9 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
     """Upper-tail fraction F_i at the heights u (a scalar or an array):
     expected share of index-i points above u, over one index total (total
     as in height_pdf_general)."""
-    tot = total or count_totals(p, [i], method, cfg)[0]
+    tot = total or count_above(p, [i], np.array([-math.inf]), method, cfg)[0]
     _check_total(tot.value, i)
-    ab = count_above(p, i, np.asarray(u, dtype=float).ravel(), method, cfg)
+    ab = count_above(p, [i], np.asarray(u, dtype=float).ravel(), method, cfg)[0]
     val = ab.value / tot.value
     pos = ab.value > 0
     rel = np.hypot(ab.error / np.where(pos, ab.value, 1.0), tot.error / tot.value)
@@ -514,7 +508,7 @@ def _h1_n2_boundary(x, e2):
 def resolve_method(model, method: str, threshold: bool) -> str:
     """The route `auto` takes for a model: the N = 2 closed forms;
     quadrature for N = 3 totals, two engine calls for all four indices
-    (index N - i mirrors index i, see count_totals); Monte Carlo beyond,
+    (index N - i mirrors index i, see count_above); Monte Carlo beyond,
     and for N = 3 heights and thresholds, where a grid costs quadrature an
     engine call per count and per few densities but Monte Carlo one
     seeded GOE(N) draw, shared by both ensembles (a coupling moves each
@@ -545,23 +539,38 @@ def _require_n2(model) -> None:
         raise MethodError("closed forms are available only for N = 2")
 
 
-def expected_crit_totals(model, indices, method: str = "auto",
-                         config: NumericConfig | None = None) -> list[CritResult]:
-    """Expected numbers of critical points of each index in indices, per
-    unit volume (R^N) or per unit surface area (S^N), in that order.
-
-    One call shares work between its indices: quadrature integrates once
-    per mirror pair {i, N - i} (see count_totals)."""
+def _counts(model, indices, u: float, method: str,
+            config: NumericConfig | None) -> list[CritResult]:
+    """Expected numbers per unit volume (area) of critical points of each
+    index in indices above the height u (-inf: the totals), in that order.
+    One call shares work between its indices: quadrature integrates a total
+    once per mirror pair {i, N - i} (see count_above)."""
     indices = list(indices)
     for i in indices:
         _check_index(model, i)
-    cfg = config or NumericConfig()
-    method = resolve_method(model, method, threshold=False)
+    _check_heights(u)
+    totals = u == -math.inf
+    method = resolve_method(model, method, threshold=not totals)
     if method == "closed-form":
         _require_n2(model)
-        return [CritResult(model.closed_total_n2(i), 1e-15, "closed-form")
-                for i in indices]
-    return count_totals(model.problem(), indices, method, cfg)
+        if totals:
+            return [CritResult(model.closed_total_n2(i), 1e-15, method)
+                    for i in indices]
+        out = []
+        for i in indices:
+            tot, frac = model.closed_total_n2(i), model.closed_cdf_n2(i, u)
+            out.append(_shaped(u, tot * frac.value, tot * frac.error, method))
+        return out
+    return [_shaped(u, r.value, r.error, method) for r in count_above(
+        model.problem(), indices, np.array([u], dtype=float), method,
+        config or NumericConfig())]
+
+
+def expected_crit_totals(model, indices, method: str = "auto",
+                         config: NumericConfig | None = None) -> list[CritResult]:
+    """Expected numbers of critical points of each index in indices, per
+    unit volume (R^N) or per unit surface area (S^N), in that order."""
+    return _counts(model, indices, -math.inf, method, config)
 
 
 def expected_crit_total(model, i: int, method: str = "auto",
@@ -575,19 +584,7 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
                         config: NumericConfig | None = None) -> CritResult:
     """Expected number per unit volume (area) of index-i critical points
     above u."""
-    _check_index(model, i)
-    _check_heights(u)
-    cfg = config or NumericConfig()
-    if math.isinf(u) and u < 0:
-        return expected_crit_total(model, i, method, config)
-    method = resolve_method(model, method, threshold=True)
-    if method == "closed-form":
-        _require_n2(model)
-        tot = model.closed_total_n2(i)
-        frac = model.closed_cdf_n2(i, u)
-        return _shaped(u, tot * frac.value, tot * frac.error, "closed-form")
-    r = count_above(model.problem(), i, np.array([u], dtype=float), method, cfg)
-    return _shaped(u, r.value, r.error, method)
+    return _counts(model, [i], u, method, config)[0]
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",

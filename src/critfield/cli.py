@@ -28,7 +28,7 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from ._kacrice import (expected_crit_above, expected_crit_totals,
+from ._kacrice import (_counts, expected_crit_above, expected_crit_totals,
                        height_cdf_result, height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
 from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
@@ -212,33 +212,37 @@ class _RowSink:
                 fh.write("\n")
 
 
-def _count_above(model, i: int, u: float, method: str, cfg: NumericConfig):
-    if method == "fyodorov":
-        thr = None if (math.isinf(u) and u < 0) else u
-        return fyodorov_expected_crit(model, i, thr, config=cfg)
-    return expected_crit_above(model, i, u, method, cfg)
-
-
-def cmd_density(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    grid = parse_grid(args.grid)
+def _count_rows(args: argparse.Namespace, model, indices: list,
+                heights: np.ndarray, quantity: str, scale: float = 1.0) -> int:
+    """Write the count of each index above each height (u = -inf: the
+    total), heights outermost, times scale: by the GOE(N+1) route for
+    --method fyodorov, else by _kacrice._counts."""
     method = args.method or "auto"
     cfg = _numeric_config(args)
-    if _method_uses_mc(model, method, threshold=True):
+    if _method_uses_mc(model, method, bool((heights > -math.inf).any())):
         _require_seed(args, "Monte Carlo sampling is in play")
     sink = _RowSink(args)
-    for u in grid:
-        r = _count_above(model, int(args.index), float(u), method, cfg)
-        sink.add(model, int(args.index), float(u), "count-density",
-                 r.value, r.error, r.method)
+    for u in heights.tolist():
+        if method == "fyodorov":
+            results = [fyodorov_expected_crit(model, i, u, config=cfg)
+                       for i in indices]
+        else:
+            results = _counts(model, indices, u, method, cfg)
+        for i, r in zip(indices, results):
+            sink.add(model, i, u, quantity, scale * r.value, scale * r.error,
+                     r.method)
     sink.flush()
     return 0
 
 
+def cmd_density(args: argparse.Namespace) -> int:
+    model = _build_model(args)
+    return _count_rows(args, model, [int(args.index)], parse_grid(args.grid),
+                       "count-density")
+
+
 def cmd_expect(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    method = args.method or "auto"
-    cfg = _numeric_config(args)
     u = float(args.threshold) if args.threshold is not None else -math.inf
     if math.isnan(u):
         raise ConfigError("--threshold must be a number, not nan")
@@ -254,20 +258,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
         if args.whole_sphere:
             raise ConfigError("--whole-sphere applies to sphere models only")
         scale = float(args.volume) if args.volume is not None else 1.0
-    indices = _indices(args, model)
-    threshold = not (math.isinf(u) and u < 0)
-    if _method_uses_mc(model, method, threshold):
-        _require_seed(args, "Monte Carlo sampling is in play")
-    if threshold or method == "fyodorov":
-        results = [_count_above(model, i, u, method, cfg) for i in indices]
-    else:
-        results = expected_crit_totals(model, indices, method, cfg)
-    sink = _RowSink(args)
-    for i, r in zip(indices, results):
-        sink.add(model, i, u, "expected-count",
-                 scale * r.value, scale * r.error, r.method)
-    sink.flush()
-    return 0
+    return _count_rows(args, model, _indices(args, model), np.array([u]),
+                       "expected-count", scale)
 
 
 def cmd_heights(args: argparse.Namespace) -> int:
@@ -371,11 +363,10 @@ def _suite_cross_path(tol: float, cfg: NumericConfig, lines: list) -> bool:
     for name, model, thresholds in cases:
         for u in thresholds:
             for i in range(model.n + 1):
-                fy = fyodorov_expected_crit(
-                    model, i, None if math.isinf(u) else u, config=cfg)
-                gen = _count_above(model, i, u, "auto", cfg)
+                fy = fyodorov_expected_crit(model, i, u, config=cfg)
+                gen = expected_crit_above(model, i, u, "auto", cfg)
                 label = f"{name} i={i} u={'-inf' if math.isinf(u) else u}"
-                if fy.method == "fyodorov" and (fy.error > 0 or gen.error > 0):
+                if fy.error > 0 or gen.error > 0:
                     ok, line = _sigma_line(label, fy.value, fy.error,
                                            gen.value, gen.error, 4.0)
                     # quadrature-only comparisons degrade to relative checks

@@ -7,12 +7,15 @@ a weighted eigenvalue expectation under the plain GOE of size N + 1:
         = Gamma((N+1)/2) / sqrt(pi c)
           * E_GOE(N+1)[ exp(mu^2/2 - (mu - a)^2 / (2 c)) ],
 
-where mu is the (i0+1)-th smallest GOE eigenvalue.  This trades an
-N-dimensional constrained integral for a scalar function of one ordered
-eigenvalue, which Monte Carlo handles at roughly eigensolver cost, and
-makes thresholded Kac-Rice counts cheap: the outer height integral of the
-weight against the normal density is Gaussian and is done in closed form
-here (`log_threshold_factor`).
+where mu is the (i0+1)-th smallest GOE eigenvalue (goi_to_goe_np1,
+reduced_expectation).  This trades an N-dimensional constrained integral
+for a scalar function of one ordered eigenvalue, which Monte Carlo handles
+at roughly eigensolver cost.  A count of index i above u integrates it at
+shift a = b x under GOI(c_cnd) against phi(x) over x > u, a normal tail in
+closed form (log_threshold_factor), so fyodorov_expected_crit has one
+weight for every u, mu^2/2 + log_threshold_factor(mu, b, c_cnd, u), its
+constant factor sqrt(c_cnd / c_tot) taken into the prefactor; at u = -inf
+its tail is 1 and, as c_cnd + b^2 = c_tot, it is the total's.
 
 The route exists only where the relevant conditional ensemble has c > 0:
 kappa^2 < 1 on R^N and kappa^2 - eta^2 < 1 on S^N.  Outside that regime use
@@ -32,6 +35,7 @@ from .goi import (
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
+    _check_finite,
     _goe_draw,
     _mean_error,
     nested_ordered_quadrature,
@@ -122,25 +126,29 @@ def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
-    return _mean_error(weight_fn(_goe_draw(goe.n, cfg).lam[:, pos]))
+    # a weight that overflows is caught by _check_finite
+    with np.errstate(over="ignore"):
+        w = weight_fn(_goe_draw(goe.n, cfg).lam[:, pos])
+    return _check_finite(_mean_error(w), goe.n - 1)
+
+
+def _log_tail(mu: np.ndarray, b: float, c: float, t: float, u: float) -> np.ndarray:
+    """log_threshold_factor(mu, b, c, u) + log(t/c) / 2 for t = c + b^2:
+    -mu^2/(2t) + log Phi-bar((u - b mu/t) sqrt(t/c)), exactly -mu^2/(2t) at
+    u = -inf."""
+    mu = np.asarray(mu, dtype=float)
+    return -mu * mu / (2.0 * t) + log_ndtr((b * mu / t - u) * math.sqrt(t / c))
 
 
 def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:
     """log of int_u^inf phi(x) exp(-(mu - b x)^2 / (2 c)) dx.
 
-    Gaussian-in-x, so the integral collapses to a normal tail: with
-    A = 1 + b^2/c and B = b mu / c the value is
-    exp(B^2/(2A) - mu^2/(2c)) Phi-bar((u - B/A) sqrt(A)) / sqrt(A).
+    Gaussian in x, so the integral is a normal tail: with t = c + b^2 it is
+    sqrt(c/t) exp(-mu^2/(2t)) Phi-bar((u - b mu/t) sqrt(t/c)).  At u = -inf
+    the tail is exactly 1, and no two terms cancel as c -> 0.
     """
-    mu = np.asarray(mu, dtype=float)
-    a = 1.0 + b * b / c
-    bb = b * mu / c
-    m = bb / a
-    if math.isinf(u) and u < 0:
-        tail = 0.0
-    else:
-        tail = log_ndtr(-(u - m) * math.sqrt(a))
-    return bb * bb / (2.0 * a) - mu * mu / (2.0 * c) + tail - 0.5 * math.log(a)
+    t = c + b * b
+    return _log_tail(mu, b, c, t, u) - 0.5 * math.log(t / c)
 
 
 def _check_regime(model) -> CountProblem:
@@ -162,7 +170,10 @@ def _check_regime(model) -> CountProblem:
 def fyodorov_expected_crit(model, i: int, u: float | None = None,
                            method: str = "auto",
                            config: NumericConfig | None = None) -> CritResult:
-    """Expected index-i count (above u if given) via the GOE(N+1) route.
+    """Expected index-i count above u (None or -inf: the total) via the
+    GOE(N+1) route: 0 +- 0 at u = inf, else one weighted expectation,
+    exp(mu^2/2) times the closed-form height integral of the conditional
+    reduction (log_threshold_factor).
 
     Works for EuclideanModel and SphereModel in their restricted regimes.
     The result carries method tag "fyodorov"; its error estimate is one
@@ -173,27 +184,23 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
     p = _check_regime(model)
     if not 0 <= i <= p.n:
         raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
-    pref = math.exp(p.log_prefactor)
+    u = -math.inf if u is None else u
+    if u == math.inf:
+        return CritResult(0.0, 0.0, "fyodorov")
     m = p.n + 1
+    c, b, t = p.c_cond, p.shift_coeff, p.c_total
 
-    if u is None or (math.isinf(u) and u < 0):
-        # unconditional route: one reduction at shift 0 under c_total
-        red = goi_to_goe_np1(validate_ensemble(p.n, p.c_total),
-                             IndexedFunctional(index=i, shift=0.0))
-        val, err = reduced_expectation(red, method, cfg)
-        return CritResult(pref * val, pref * err, "fyodorov")
-
-    # thresholded route: weight exp(mu^2/2) times the closed-form height
-    # integral of the conditional reduction
-    c = p.c_cond
-    b = p.shift_coeff
-    log_pref_red = float(gammaln(0.5 * m)) - 0.5 * math.log(math.pi * c)
-
+    # log_threshold_factor with its constant sqrt(c/t) moved to the scale,
+    # so the weight is O(1) and at u = -inf is that of the total under
+    # GOI(c_tot) (t = c + b^2)
     def log_w(mu):
-        return 0.5 * np.asarray(mu, dtype=float) ** 2 \
-            + log_threshold_factor(mu, b, c, u)
+        return 0.5 * np.asarray(mu, dtype=float) ** 2 + _log_tail(mu, b, c, t, u)
 
-    half = 9.0 * max(1.0, math.sqrt(c + b * b)) + abs(u)
+    # the box reaches |u| further out for a finite threshold
+    half = 9.0 * max(1.0, math.sqrt(t))
+    if u > -math.inf:
+        half += abs(u)
     val, err = _goe_expectation(m, i, log_w, half, method, cfg)
-    scale = pref * math.exp(log_pref_red)
+    scale = math.exp(p.log_prefactor) * math.exp(
+        float(gammaln(0.5 * m)) - 0.5 * math.log(math.pi * t))
     return CritResult(scale * val, scale * err, "fyodorov")

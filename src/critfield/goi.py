@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln, ndtr
+from scipy.special import chdtrc, gammaln, ndtr
 
 from .errors import DegenerateEnsembleError, MethodError, ParameterError
 
@@ -386,24 +386,6 @@ def _pieces(bps: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
     return lo[..., keep], hi[..., keep]
 
 
-def _chi2_sf(x: float, dof: int) -> float:
-    """P(chi-square with dof degrees of freedom > x); 0 for dof = 0."""
-    if dof == 0:
-        return 0.0
-    h = 0.5 * x
-    if dof % 2 == 0:
-        terms, total = 1.0, 0.0
-        for j in range(dof // 2):
-            total += terms
-            terms *= h / (j + 1)
-        return math.exp(-h) * total
-    total, term = math.erfc(math.sqrt(h)), math.sqrt(h) / math.gamma(1.5)
-    for j in range(1, (dof + 1) // 2):
-        total += math.exp(-h) * term
-        term *= h / (j + 0.5)
-    return total
-
-
 def _ratio(num, den):
     """num / den where den != 0, else nan (a line parallel to an axis)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,8 +444,9 @@ class _TraceGapRule:
                 self.z_hi = n * (anchor + box_half) / self.sigma
             self.gap_top = 2.0 * float(box_half)
         # mass of the law outside the box; |mu|^2 is chi-square with
-        # (N - 1)(N + 2) / 2 degrees of freedom
-        self.p_out = _chi2_sf(0.5 * self.gap_top ** 2, (n - 1) * (n + 2) // 2)
+        # (N - 1)(N + 2) / 2 degrees of freedom, none at N = 1
+        dof = (n - 1) * (n + 2) // 2
+        self.p_out = float(chdtrc(dof, 0.5 * self.gap_top ** 2)) if dof else 0.0
         if self.sigma:
             self.p_out = float(self.p_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
         self.axes = [f"d{j}" for j in range(n - 1)] + (["z"] if self.sigma else [])
@@ -835,11 +818,21 @@ def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
 
 def _mean_error(v: NDArray[np.float64]) -> tuple[float, float]:
     """Mean and standard error of the samples v, the variance taken about
-    the mean in a second pass."""
+    the mean in a second pass; inf or nan where they overflow (see
+    _check_finite)."""
     k = v.size
-    mean = float(v.sum()) / k
-    var = float(np.square(v - mean).sum()) / (k - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(v.sum()) / k
+        var = float(np.square(v - mean).sum()) / (k - 1)
     return mean, math.sqrt(var / k)
+
+
+def _check_finite(stats, n: int):
+    """Monte Carlo means and errors at N = n, or MethodError if one overflowed."""
+    if not np.isfinite(stats).all():
+        raise MethodError(f"Monte Carlo at N = {n} overflows float64: a mean "
+                          "or standard error is not finite")
+    return stats
 
 
 def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
@@ -871,22 +864,25 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     vals, below = np.ones(k), np.zeros(k, dtype=np.intp)
     d, q, ad = np.empty(k), np.empty(k), np.empty(k)
     neg = np.empty(k, dtype=bool)
-    for j in range(n):
-        if j:
-            np.divide(draw.off2[j - 1], d, out=q)
-        np.subtract(draw.diag[j], h, out=d)
-        if j:
-            d -= q
-        np.abs(d, out=ad)
-        if np.less(ad, pivmin, out=neg).any():
-            d[neg], ad[neg] = -pivmin, pivmin
-        vals *= ad
-        below += np.less(d, 0.0, out=neg)
-    if cap is not None:
-        mean = draw.trace * trace_root(n, ensemble.c) / n
-        # the weight is in [0, 1], so masking after weighting is exact
-        vals = (vals * ndtr((cap - mean) / edge) if edge
-                else np.where(mean <= cap, vals, 0.0))
+    # a product that overflows (large N) gives inf or nan rows, which
+    # goi_expectation refuses only for the index it reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            if j:
+                np.divide(draw.off2[j - 1], d, out=q)
+            np.subtract(draw.diag[j], h, out=d)
+            if j:
+                d -= q
+            np.abs(d, out=ad)
+            if np.less(ad, pivmin, out=neg).any():
+                d[neg], ad[neg] = -pivmin, pivmin
+            vals *= ad
+            below += np.less(d, 0.0, out=neg)
+        if cap is not None:
+            mean = draw.trace * trace_root(n, ensemble.c) / n
+            # the weight is in [0, 1], so masking after weighting is exact
+            vals = (vals * ndtr((cap - mean) / edge) if edge
+                    else np.where(mean <= cap, vals, 0.0))
     return np.array([_mean_error(np.where(below == i, vals, 0.0))
                      for i in range(n + 1)])
 
@@ -926,6 +922,6 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
             stats = _lru(_goe_draw(ensemble.n, config).stats, key,
                          lambda: mc_eigen_expectation(ensemble, functional, config),
                          STATS_PER_DRAW)
-        mean, err = stats[functional.index]
+        mean, err = _check_finite(stats[functional.index], ensemble.n)
         return float(mean), float(err)
     raise MethodError(f"unknown method {method!r}")

@@ -483,8 +483,10 @@ def _run_module(*argv):
     # the child imports the same critfield as this process, installed or not
     src = str(Path(critfield.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
+    # the suite's RuntimeWarning filter reaches the child too
     env = {**os.environ,
-           "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+           "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     return subprocess.run([sys.executable, "-m", *argv],
                           capture_output=True, text=True, env=env)
 
@@ -501,6 +503,15 @@ def test_package_runs_as_module():
                        "--kappa2", "0.8")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER_LINE
+
+
+def test_fyodorov_count_above_inf_runs_clean():
+    proc = _run_module("critfield", "expect", "--N", "1", "--rho1=-0.5",
+                       "--rho2", "0.5", "--method", "fyodorov",
+                       "--threshold=inf")
+    assert proc.returncode == 0, proc.stderr
+    assert [(r["value"], r["error"]) for r in rows_of(proc.stdout)] == \
+        [("0", "0")] * 2
 
 
 @pytest.mark.parametrize("method", [[], ["--method", "fyodorov"]],
@@ -557,3 +568,52 @@ def test_heights_compute_each_total_once(monkeypatch, capsys):
     assert calls.count((3, c_tot)) == 2 + 4
     assert calls.count((3, pytest.approx(c_cnd))) == 4
 
+
+@pytest.mark.parametrize("method", [[], ["--method", "fyodorov"]],
+                         ids=["auto", "fyodorov"])
+def test_density_rows_are_the_expect_rows(capsys, method):
+    # one count loop: a density grid point is the thresholded expect row
+    model = ["--N", "3", "--eta2", "1", "--kappa2", "0.6", "--seed", "2",
+             "--samples", "4000", *method]
+    for i in range(4):
+        code, out = run(capsys, "density", "--index", str(i),
+                        "--grid=-0.4:0.6:1", *model)
+        assert code == 0
+        density = rows_of(out)
+        assert len(density) == 2
+        for row in density:
+            code, out = run(capsys, "expect", "--index", str(i),
+                            f"--threshold={row['grid_value']}", *model)
+            assert code == 0
+            (want,) = rows_of(out)
+            assert (row["value"], row["error"], row["method"]) == \
+                (want["value"], want["error"], want["method"])
+
+
+@pytest.mark.parametrize("n,samples", [(400, 200), (200, 1000)],
+                         ids=["pivot-product", "square"])
+def test_monte_carlo_overflow_exits_2(capsys, n, samples):
+    # |det| of N = 400 draws overflows float64, and at N = 200 the square of
+    # _mean_error does: no row is printed, and no RuntimeWarning escapes
+    goi._bank.clear()
+    code = main(["expect", "--N", str(n), "--eta2", "1", "--kappa2", "0.5",
+                 "--seed", "1", "--samples", str(samples)])
+    goi._bank.clear()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"N = {n}" in captured.err and "float64" in captured.err
+
+
+def test_monte_carlo_overflow_refuses_only_the_indices_it_reaches(capsys):
+    # at N = 200 the all-index pass overflows at indices near N/2, yet the
+    # index-0 row is finite and prints as before
+    goi._bank.clear()
+    args = ["expect", "--N", "200", "--eta2", "1", "--kappa2", "0.5",
+            "--seed", "1", "--samples", "1000"]
+    code, out = run(capsys, *args, "--index", "0")
+    assert code == 0
+    assert out.splitlines()[1] == ("euclidean,200,1,0.5,nonboundary,0,-inf,"
+                                   "expected-count,0,0,monte-carlo,1")
+    assert main(args + ["--index", "90"]) == 2
+    goi._bank.clear()
+    assert "N = 200" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """GOE(N+1) reduction: oracle values, cross-path agreement, regime guards."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from critfield import fyodorov as fy
 from critfield.errors import MethodError, ParameterError, RegimeError
 from critfield.euclidean import (expected_crit_above, expected_crit_total,
                                  model_from_rho)
@@ -17,6 +19,8 @@ from critfield.goi import (IndexedFunctional, NumericConfig, goi_expectation,
 from critfield.sphere import expected_crit_above_sphere
 from critfield.sphere import expected_crit_total_sphere
 from critfield.sphere import model_from_shape as sphere_from_shape
+
+EPS = np.finfo(float).eps
 
 
 def test_log_weight_formula():
@@ -121,6 +125,66 @@ def test_threshold_factor_vs_quadrature(mu, b, c, u):
     ref, _ = quad(integrand, lo, 12.0, epsabs=1e-15, epsrel=1e-13, limit=300)
     got = math.exp(float(log_threshold_factor(np.array(mu), b, c, u)))
     assert got == pytest.approx(ref, rel=1e-11)
+
+
+def _log_threshold_factor_mp(mu, b, c, u):
+    # the same integral in its (A, B) form, A = 1 + b^2/c and B = b mu/c,
+    # at 50 digits, where the terms in mu^2/c cancel harmlessly
+    with mp.workdps(50):
+        mu, b, c = mp.mpf(mu), mp.mpf(b), mp.mpf(c)
+        a, bb = 1 + b * b / c, b * mu / c
+        tail = 1 if u == -math.inf else mp.erfc((u - bb / a) * mp.sqrt(a / 2)) / 2
+        return float(bb * bb / (2 * a) - mu * mu / (2 * c) + mp.log(tail)
+                     - mp.log(a) / 2)
+
+
+@pytest.mark.parametrize("c", [5e-7, 5e-13])   # kappa^2 = 1 - 2 c on R^N
+@pytest.mark.parametrize("mu", [0.3, -1.1])
+@pytest.mark.parametrize("k", [-math.inf, -8.0, 0.0, 2.0])
+def test_threshold_factor_near_kappa2_one_vs_mpmath(c, mu, k):
+    # as c_cnd -> 0 the tail steps at u = b mu / t over a width sqrt(c / t);
+    # u sits k widths from the step (-inf: the total)
+    b = math.sqrt(0.5)
+    t = c + b * b
+    u = -math.inf if k == -math.inf else b * mu / t + k * math.sqrt(c / t)
+    got = float(log_threshold_factor(np.array(mu), b, c, u))
+    ref = _log_threshold_factor_mp(mu, b, c, u)
+    # on the step the exact value moves by sqrt(t / c) per unit of b mu / t,
+    # which rounds within a few ulps: allow what 8 ulps of mu move it (off
+    # the step, nothing)
+    wobble = abs(_log_threshold_factor_mp(mu * (1.0 + 8.0 * EPS), b, c, u) - ref)
+    assert abs(got - ref) <= 1e-13 + wobble
+
+
+def test_total_keeps_its_accuracy_as_kappa2_tends_to_one():
+    # the weight's constant sqrt(c_cnd / c_tot) lives in the prefactor, so
+    # the GOE(2) quadrature of an N = 1 total does not fall to its absolute
+    # tolerance as c_cnd -> 0 (with it in the weight: error 2e-9 at 1 - 1e-12)
+    want = expected_crit_total(euclid_from_shape(1, 1.0, 0.5), 0, "quadrature")
+    for kappa2 in (1 - 1e-6, 1 - 1e-12):
+        r = fyodorov_expected_crit(euclid_from_shape(1, 1.0, kappa2), 0)
+        assert r.error < 1e-10
+        assert abs(r.value - want.value) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_count_above_inf_is_zero_without_integrating(method):
+    m = model_from_rho(1, -0.5, 0.5)
+    cfg = NumericConfig(mc_samples=1000, seed=4)
+    for i in (0, 1):
+        r = fyodorov_expected_crit(m, i, math.inf, method=method, config=cfg)
+        assert (r.value, r.error, r.method) == (0.0, 0.0, "fyodorov")
+        # None and -inf both ask for the total
+        assert (fyodorov_expected_crit(m, i, None, method=method, config=cfg)
+                == fyodorov_expected_crit(m, i, -math.inf, method=method,
+                                          config=cfg))
+
+
+def test_weights_that_overflow_raise():
+    cfg = NumericConfig(mc_samples=500, seed=1)
+    with pytest.raises(MethodError, match="N = 2"):
+        fy._goe_weighted_mc(validate_ensemble(3, 0.0), 0,
+                            lambda mu: np.exp(700.0 + 10.0 * np.abs(mu)), cfg)
 
 
 def test_regime_errors():

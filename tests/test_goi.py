@@ -28,6 +28,7 @@ from critfield import (
 from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
+from critfield import sphere as sp
 from critfield.goi import (BANK_ENTRIES, mc_eigen_expectation,
                           nested_ordered_quadrature, trace_shift)
 
@@ -357,10 +358,46 @@ def test_boundary_mc_count_above_is_the_trace_capped_total(model, empty_bank):
     pref = math.exp(p.log_prefactor)
     for i in range(model.n + 1):
         for u in (-0.6, 0.0, 0.9):
-            got = kr.count_above(p, i, np.array([u]), "monte-carlo", cfg)
+            got = kr.count_above(p, [i], np.array([u]), "monte-carlo", cfg)[0]
             fn = IndexedFunctional(index=i, trace_cap=-p.cap_coeff * u)
             val, err = goi_expectation(p.total_ensemble(), fn, "monte-carlo", cfg)
             assert (got.value[0], got.error[0]) == (pref * val, pref * err)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+@pytest.mark.parametrize("model", [eu.model_from_shape(2, 1.0, 0.8),
+                                   eu.model_from_shape(3, 1.0, 0.9),
+                                   sp.model_from_shape(2, 0.8, 1.1),
+                                   sp.model_from_shape(3, 0.8, 1.2)],
+                         ids=["plane-n2", "plane-n3", "sphere-n2", "sphere-n3"])
+def test_a_total_is_the_count_above_minus_inf(model, method, monkeypatch,
+                                               empty_bank):
+    # count_above at [-inf, u, inf] is bitwise the totals, the count above
+    # u and 0 +- 0; quadrature totals integrate once per mirror pair, and a
+    # seeded Monte Carlo count above -inf reads the totals' pass
+    calls = []
+    for name in ("nested_ordered_quadrature", "mc_eigen_expectation"):
+        real = getattr(goi, name)
+        monkeypatch.setattr(goi, name, lambda *a, _f=real, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    cfg = NumericConfig(mc_samples=3000, seed=11)
+    indices = list(range(model.n + 1))
+    totals = kr.expected_crit_totals(model, indices, method, cfg)
+    assert len(calls) == (model.n // 2 + 1 if method == "quadrature" else 1)
+    calls.clear()
+    u = 0.3
+    counts = kr.count_above(model.problem(), indices,
+                            np.array([-math.inf, u, math.inf]), method, cfg)
+    # quadrature integrates the totals again (nothing is kept between
+    # calls) and each (index, finite u) once; Monte Carlo reads the totals'
+    # pass at -inf and makes one pass at u for all indices
+    assert len(calls) == (model.n // 2 + 1 + model.n + 1
+                          if method == "quadrature" else 1)
+    for i, tot, r in zip(indices, totals, counts):
+        assert (r.value[0], r.error[0]) == (tot.value, tot.error)
+        above = kr.expected_crit_above(model, i, u, method, cfg)
+        assert (r.value[1], r.error[1]) == (above.value, above.error)
+        assert (r.value[2], r.error[2]) == (0.0, 0.0)
 
 
 def test_unseeded_monte_carlo_draws_afresh(empty_bank):
