@@ -36,7 +36,7 @@ from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
                      InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
 from .fields import SynthesisSpec
-from .fyodorov import fyodorov_expected_crit, goe_method
+from .fyodorov import _fyodorov_counts, fyodorov_expected_crit, goe_method
 from .goi import NumericConfig
 
 CSV_HEADER = ["space", "N", "eta2", "kappa2", "regime", "index",
@@ -215,8 +215,10 @@ class _RowSink:
 def _count_rows(args: argparse.Namespace, model, indices: list,
                 heights: np.ndarray, quantity: str, scale: float = 1.0) -> int:
     """Write the count of each index above each height (u = -inf: the
-    total), heights outermost, times scale: by the GOE(N+1) route for
-    --method fyodorov, else by _kacrice._counts."""
+    total), heights outermost, times scale: by the GOE(N+1) route
+    (fyodorov._fyodorov_counts) for --method fyodorov, else by
+    _kacrice._counts; each shares a total between mirror indices on
+    quadrature."""
     method = args.method or "auto"
     cfg = _numeric_config(args)
     if _method_uses_mc(model, method, bool((heights > -math.inf).any())):
@@ -224,8 +226,7 @@ def _count_rows(args: argparse.Namespace, model, indices: list,
     sink = _RowSink(args)
     for u in heights.tolist():
         if method == "fyodorov":
-            results = [fyodorov_expected_crit(model, i, u, config=cfg)
-                       for i in indices]
+            results = _fyodorov_counts(model, indices, u, "auto", cfg)
         else:
             results = _counts(model, indices, u, method, cfg)
         for i, r in zip(indices, results):

@@ -9,13 +9,18 @@ a weighted eigenvalue expectation under the plain GOE of size N + 1:
 
 where mu is the (i0+1)-th smallest GOE eigenvalue (goi_to_goe_np1,
 reduced_expectation).  This trades an N-dimensional constrained integral
-for a scalar function of one ordered eigenvalue, which Monte Carlo handles
-at roughly eigensolver cost.  A count of index i above u integrates it at
-shift a = b x under GOI(c_cnd) against phi(x) over x > u, a normal tail in
-closed form (log_threshold_factor), so fyodorov_expected_crit has one
-weight for every u, mu^2/2 + log_threshold_factor(mu, b, c_cnd, u), its
-constant factor sqrt(c_cnd / c_tot) taken into the prefactor; at u = -inf
-its tail is 1 and, as c_cnd + b^2 = c_tot, it is the total's.
+for a scalar function of one ordered eigenvalue.  Monte Carlo reads it off
+the eigenvalues of the seed's tridiagonal GOE(N+1) draw, which one
+batched root-free QL pass solves once per draw (goi._tridiagonal_eigvals;
+no dense matrix is made), so with a seed every index and threshold after
+the first costs one weight per sample.  A count of index i above u
+integrates it at shift a = b x under GOI(c_cnd) against phi(x) over x > u,
+a normal tail in closed form (log_threshold_factor), so
+fyodorov_expected_crit has one weight for every u, mu^2/2 +
+log_threshold_factor(mu, b, c_cnd, u), its constant factor sqrt(c_cnd /
+c_tot) taken into the prefactor; at u = -inf its tail is 1 and, as c_cnd +
+b^2 = c_tot, it is the total's.  That weight is even in mu, so quadrature
+integrates the totals of indices i and N - i once (_fyodorov_counts).
 
 The route exists only where the relevant conditional ensemble has c > 0:
 kappa^2 < 1 on R^N and kappa^2 - eta^2 < 1 on S^N.  Outside that regime use
@@ -180,13 +185,24 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
     standard error (MC) or the quadrature error (rule differences, a
     truncation bound and rounding; see goi.nested_ordered_quadrature).
     """
+    return _fyodorov_counts(model, [i], u, method, config)[0]
+
+
+def _fyodorov_counts(model, indices, u: float | None, method: str,
+                     config: NumericConfig | None) -> list[CritResult]:
+    """fyodorov_expected_crit of each index in indices, in that order.  At
+    u = -inf the weight is even in mu and GOE(N+1) is invariant under
+    lam -> -lam, which maps position i to N - i, so quadrature integrates a
+    total once per mirror pair {i, N - i}, at min(i, N - i).  Monte Carlo
+    keeps one value per index."""
     cfg = config or NumericConfig()
     p = _check_regime(model)
-    if not 0 <= i <= p.n:
-        raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
+    for i in indices:
+        if not 0 <= i <= p.n:
+            raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
     u = -math.inf if u is None else u
     if u == math.inf:
-        return CritResult(0.0, 0.0, "fyodorov")
+        return [CritResult(0.0, 0.0, "fyodorov") for _ in indices]
     m = p.n + 1
     c, b, t = p.c_cond, p.shift_coeff, p.c_total
 
@@ -200,7 +216,15 @@ def fyodorov_expected_crit(model, i: int, u: float | None = None,
     half = 9.0 * max(1.0, math.sqrt(t))
     if u > -math.inf:
         half += abs(u)
-    val, err = _goe_expectation(m, i, log_w, half, method, cfg)
     scale = math.exp(p.log_prefactor) * math.exp(
         float(gammaln(0.5 * m)) - 0.5 * math.log(math.pi * t))
-    return CritResult(scale * val, scale * err, "fyodorov")
+    mirror = u == -math.inf and goe_method(m, method) == "quadrature"
+    done: dict = {}
+    out = []
+    for i in indices:
+        pos = min(i, p.n - i) if mirror else i
+        if pos not in done:
+            done[pos] = _goe_expectation(m, pos, log_w, half, method, cfg)
+        val, err = done[pos]
+        out.append(CritResult(scale * val, scale * err, "fyodorov"))
+    return out

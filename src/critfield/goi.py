@@ -26,7 +26,8 @@ every GOI(c) of one size reads one seeded GOE draw with each row's height
 moved by beta(c) times its own trace, and one pass of LDL^T pivots over a
 draw at a given shift and trace cap gives |det| and the index of every
 row, hence every index.  A draw's eigenvalues are solved only when read
-(by the GOE(N+1) route of fyodorov.py).
+(by the GOE(N+1) route of fyodorov.py), by a batched QL pass over its
+tridiagonal rows (_tridiagonal_eigvals).
 These expectations are the matrix-side ingredient of every Kac-Rice count
 computed elsewhere in the package.
 """
@@ -723,11 +724,17 @@ BANK_ENTRIES = 2
 # them and every index reads them again, so a grid of up to 511 points with
 # both quantities makes one pass per point and per quantity.
 STATS_PER_DRAW = 1024
-# Matrices eigensolved at a time when a draw's eigenvalues are first read
-# (only the GOE(N+1) route reads them): each chunk is one dense
-# (MC_BATCH, N, N) array, 2 MB at N = 4.  Neither the draw nor its
-# eigenvalues depend on it.
-MC_BATCH = 1 << 14
+# Matrices per chunk of the QL pass that solves a draw's eigenvalues when
+# they are first read (only the GOE(N+1) route reads them): each working
+# row holds one entry per matrix, 64 kB, and stays in cache.  Neither the
+# draw nor its eigenvalues depend on it.
+EIG_CHUNK = 1 << 13
+# QL sweeps a matrix of size N may take, QL_MAXIT N in all, as LAPACK's
+# dsterf allows.
+QL_MAXIT = 30
+# dsterf's deflation test b_l^2 <= EPS2 |d_l d_(l+1)|, with LAPACK's unit
+# roundoff dlamch('E') = 2^-53.
+_EPS2 = (np.finfo(float).eps / 2.0) ** 2
 _bank: "OrderedDict[tuple, _GoeDraw]" = OrderedDict()
 
 
@@ -756,7 +763,9 @@ class _GoeDraw:
     one entry per matrix.  trace (k,) is the sum of diag, and pivmin the
     smallest pivot magnitude of mc_eigen_expectation's pass.  lam, the
     ascending eigenvalue rows as one column-major (k, N) array, is made on
-    first use, MC_BATCH matrices at a time.  Every array is read-only.
+    first use from diag and off2 alone, by _tridiagonal_eigvals' QL pass
+    (EIG_CHUNK matrices at a time, no dense matrix).  Every array is
+    read-only.
     stats holds the all-index results of mc_eigen_expectation by (c,
     shift, trace_cap, cap_edge).
     """
@@ -778,20 +787,135 @@ class _GoeDraw:
 
     @functools.cached_property
     def lam(self) -> NDArray[np.float64]:
-        n, k = self.diag.shape
-        lam = np.empty((k, n), order="F")
-        on, low = np.arange(n), np.arange(1, n)
-        for s in range(0, k, MC_BATCH):
-            e = min(s + MC_BATCH, k)
-            # eigvalsh reads the lower triangle only
-            m = np.zeros((e - s, n, n))
-            m[:, on, on] = self.diag[:, s:e].T
-            m[:, low, low - 1] = np.sqrt(self.off2[:, s:e].T)
-            lam[s:e] = np.linalg.eigvalsh(m)
-            # freed before the next chunk is made
-            del m
-        lam.flags.writeable = False
-        return lam
+        return _tridiagonal_eigvals(self.diag, self.off2)
+
+
+def _tridiagonal_eigvals(diag: NDArray[np.float64],
+                         off2: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Eigenvalues of the symmetric tridiagonal matrices with diagonals diag
+    (N, k) and squared off-diagonals off2 (N - 1, k), one matrix per
+    column, as ascending rows of one read-only column-major (k, N) array.
+
+    This follows LAPACK's dsterf, the root-free QL iteration of Pal, Walker
+    and Kahan, run across matrices, EIG_CHUNK at a time: it works on b^2, so
+    no off-diagonal is square-rooted and no dense matrix is made.  Each
+    matrix is first scaled by a power of 2 to a norm in [1/2, 1).  Level
+    l = 0..N-3 sweeps the window l..N-1 of every matrix whose b_l^2 has
+    not yet passed dsterf's test b_l^2 <= EPS2 |d_l d_(l+1)| (or b_l^2 <=
+    EPS2 / 4, which moves no eigenvalue by more than EPS |T|), with the
+    shift from its top 2 x 2; a matrix that passes leaves the working set
+    with d_l as an eigenvalue, so the sweeps follow each matrix, not the
+    slowest.  The last 2 x 2 is solved in closed form, as dlae2.  A matrix
+    that does not converge in QL_MAXIT N sweeps raises MethodError.
+    """
+    n, k = diag.shape
+    lam = np.empty((k, n), order="F")
+    for s in range(0, k, EIG_CHUNK):
+        lam[s:s + EIG_CHUNK] = _ql_chunk(diag[:, s:s + EIG_CHUNK],
+                                         off2[:, s:s + EIG_CHUNK]).T
+    lam.flags.writeable = False
+    return lam
+
+
+def _ql_chunk(diag: NDArray[np.float64],
+              off2: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The eigenvalues of one chunk of _tridiagonal_eigvals, ascending down
+    each column of an (N, k) array."""
+    n, k = diag.shape
+    # scaling by a power of 2 is exact and keeps every square and quotient
+    # of the sweeps in range
+    norm = np.maximum(np.abs(diag).max(axis=0),
+                      np.sqrt(off2.max(axis=0, initial=0.0)))
+    scale = np.ldexp(1.0, np.clip(-np.frexp(norm)[1], -1021, 1021))
+    d, e2 = diag * scale, off2 * scale * scale
+    # column j holds matrix order[j]; at level l, e2 holds b_l^2.. only
+    order, left = np.arange(k), np.full(k, QL_MAXIT * n)
+    for l in range(n - 2):
+        at, dw, ew, lw = np.arange(k), d[l:], e2, left
+        parts = []
+        while True:
+            # the floor 1/4 deflates a subnormal b_l^2 under a tiny d_l
+            # d_(l+1), whose lost digits would spoil the next sweep
+            done = ew[0] <= _EPS2 * np.maximum(np.abs(dw[0] * dw[1]), 0.25)
+            if done.any():
+                out, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                parts.append((at.take(out), lw.take(out), dw.take(out, axis=1),
+                              ew[1:].take(out, axis=1)))
+                if not keep.size:
+                    break
+                at, lw = at.take(keep), lw.take(keep)
+                dw, ew = dw.take(keep, axis=1), ew.take(keep, axis=1)
+            if not lw.all():
+                raise MethodError(
+                    f"the QL pass did not converge in {QL_MAXIT * n} sweeps "
+                    f"for {np.count_nonzero(lw == 0)} tridiagonal {n} x {n} "
+                    "matrices")
+            lw = lw - 1
+            _ql_sweep(dw, ew)
+        # the columns in the order they left, with their eigenvalues so far
+        at, left, dw, e2 = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        order, d = order.take(at), np.concatenate([d[:l].take(at, axis=1), dw])
+    if n > 1:
+        # dlae2: the eigenvalue of larger magnitude, then det / it
+        a, c, b2 = d[n - 2], d[n - 1], e2[0]
+        sm = a + c
+        big = 0.5 * (sm + np.copysign(np.sqrt((a - c) ** 2 + 4.0 * b2), sm))
+        safe = np.where(big != 0.0, big, 1.0)
+        d[n - 2], d[n - 1] = big, (a / safe) * c - b2 / safe
+    d /= scale.take(order)
+    # odd-even transposition sort down the columns
+    for j in range(n):
+        for i in range(j % 2, n - 1, 2):
+            low = np.minimum(d[i], d[i + 1])
+            np.maximum(d[i], d[i + 1], out=d[i + 1])
+            d[i] = low
+    back = np.empty(k, dtype=np.intp)
+    back[order] = np.arange(k)
+    return d.take(back, axis=1)
+
+
+def _ql_sweep(d: NDArray[np.float64], e2: NDArray[np.float64]) -> None:
+    """One implicit QL sweep of dsterf, in place, on each column of the
+    windows d (w, a) and e2 (w - 1, a), w >= 3, shifted by the eigenvalue of
+    the top 2 x 2 nearer d[0].  A zero b^2 (a split) passes the sweep on
+    unrotated, and where c = 0 the next p is oldc b^2, as in dsterf."""
+    p = d[0]
+    g = d[1] - p
+    q = 4.0 * e2[0]
+    # dsterf's p - b / (sigma + sign(sigma) hypot(sigma, 1)), sigma = g / 2b,
+    # in b^2 alone; the denominator is at least 2b > 0
+    sigma = p - 0.5 * q / (g + np.copysign(np.sqrt(g * g + q), g))
+    # r = p + b^2 >= b^2 below is 0 only where b^2 is
+    split = not e2.all()
+    c, s = 1.0, 0.0
+    gamma = d[-1] - sigma
+    pp = gamma * gamma
+    for i in range(d.shape[0] - 2, -1, -1):
+        bb = e2[i]
+        r = pp + bb
+        if i < d.shape[0] - 2:
+            np.multiply(s, r, out=e2[i + 1])
+        if split:
+            unrotated = r == 0.0
+            r[unrotated] = 1.0
+        oldc, oldgam = c, gamma
+        c, s = pp / r, bb / r
+        if split:
+            c[unrotated] = 1.0
+        alpha = d[i]
+        gamma = alpha - sigma
+        gamma *= c
+        gamma -= s * oldgam
+        np.subtract(alpha, gamma, out=d[i + 1])
+        d[i + 1] += oldgam
+        pp = gamma * gamma
+        if c.all():
+            pp /= c
+        else:
+            live = c != 0.0
+            pp = np.where(live, pp / np.where(live, c, 1.0), oldc * bb)
+    e2[0] = s * pp
+    d[0] = sigma + gamma
 
 
 def _goe_draw(n: int, config: NumericConfig) -> _GoeDraw:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import critfield
-from critfield import _kacrice, goi
+from critfield import _kacrice, fyodorov, goi
 from critfield.cli import CSV_HEADER, main, parse_grid
 from critfield.errors import ConfigError
 
@@ -528,11 +528,13 @@ def test_seeded_reruns_in_fresh_processes_are_byte_identical(method):
 
 def test_only_the_fyodorov_route_solves_eigenproblems(monkeypatch, capsys):
     # every other Monte Carlo value reads |det| and the index off the
-    # pivots of the tridiagonal draw
+    # pivots of the tridiagonal draw; the GOE(N+1) route reads eigenvalues
+    # from the QL pass
     def refuse(*args, **kwargs):
-        raise RuntimeError("eigvalsh called")
+        raise RuntimeError("eigensolver called")
 
     goi._bank.clear()
+    monkeypatch.setattr(goi, "_tridiagonal_eigvals", refuse)
     monkeypatch.setattr(goi.np.linalg, "eigvalsh", refuse)
     model = ["--eta2", "1", "--kappa2", "0.9", "--seed", "1"]
     for argv in (["expect", "--N", "4", *model],
@@ -542,9 +544,45 @@ def test_only_the_fyodorov_route_solves_eigenproblems(monkeypatch, capsys):
                   "--method", "monte-carlo", "--threshold=0.3"]):
         code, out = run(capsys, *argv)
         assert code == 0 and "nan" not in out
-    with pytest.raises(RuntimeError, match="eigvalsh called"):
+    with pytest.raises(RuntimeError, match="eigensolver called"):
         main(["expect", "--N", "4", *model, "--method", "fyodorov"])
     goi._bank.clear()
+
+
+def test_unconverged_eigenvalues_exit_2_without_rows(monkeypatch, capsys):
+    goi._bank.clear()
+    monkeypatch.setattr(goi, "QL_MAXIT", 0)
+    code = main(["expect", "--N", "3", "--eta2", "1", "--kappa2", "0.5",
+                 "--method", "fyodorov", "--seed", "1", "--samples", "500"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tridiagonal 4 x 4 matrices" in captured.err
+    goi._bank.clear()
+
+
+def test_fyodorov_totals_integrate_each_mirror_pair_once(monkeypatch, capsys):
+    # at u = -inf the GOE(N+1) weight is even, so quadrature over GOE(2)
+    # serves indices 0 and 1 from one engine call, and their rows agree
+    # bit for bit
+    calls = []
+    real = fyodorov.nested_ordered_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fyodorov, "nested_ordered_quadrature", counting)
+    code, out = run(capsys, "expect", "--N", "1", "--eta2", "1", "--kappa2",
+                    "0.5", "--method", "fyodorov")
+    rows = rows_of(out)
+    assert code == 0 and len(rows) == 2 and calls == [(2, 0.0)]
+    assert (rows[0]["value"], rows[0]["error"]) == (rows[1]["value"], rows[1]["error"])
+    assert float(rows[0]["value"]) > 0.0
+    # a threshold breaks the symmetry: one call per index
+    calls.clear()
+    code, out = run(capsys, "expect", "--N", "1", "--eta2", "1", "--kappa2",
+                    "0.5", "--method", "fyodorov", "--threshold=-0.4")
+    assert code == 0 and len(rows_of(out)) == 2 and len(calls) == 2
 
 
 def test_heights_compute_each_total_once(monkeypatch, capsys):

@@ -187,6 +187,36 @@ def test_weights_that_overflow_raise():
                             lambda mu: np.exp(700.0 + 10.0 * np.abs(mu)), cfg)
 
 
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+def test_totals_share_a_mirror_pair_on_quadrature_only(monkeypatch, space):
+    # N = 2: GOE(3) positions 0 and 2 are mirror images at u = -inf, so
+    # quadrature integrates 2 of the 3 totals; Monte Carlo keeps one value
+    # per index (pairing before a trace integration can raise the variance)
+    model = (euclid_from_shape(2, 1.0, 0.5) if space == "euclidean"
+             else sphere_from_shape(2, 0.5, 1.0))
+    calls = []
+    for name in ("nested_ordered_quadrature", "_goe_weighted_mc"):
+        real = getattr(fy, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fy, name, counting)
+    quad = fy._fyodorov_counts(model, [0, 1, 2], None, "quadrature", None)
+    assert calls == ["nested_ordered_quadrature"] * 2
+    assert (quad[0].value, quad[0].error) == (quad[2].value, quad[2].error)
+    one = [fyodorov_expected_crit(model, i, method="quadrature") for i in range(3)]
+    assert [(r.value, r.error) for r in one] == [(r.value, r.error) for r in quad]
+    calls.clear()
+    cfg = NumericConfig(mc_samples=4000, seed=3)
+    mc = fy._fyodorov_counts(model, [0, 1, 2], -math.inf, "monte-carlo", cfg)
+    assert calls == ["_goe_weighted_mc"] * 3
+    assert mc[0].value != mc[2].value
+    assert abs(mc[0].value - mc[2].value) < 4 * math.hypot(mc[0].error, mc[2].error)
+    assert abs(mc[0].value - quad[0].value) < 4 * mc[0].error
+
+
 def test_regime_errors():
     # valid planar model, but kappa^2 = 1.5 >= 1 kills the conditional c
     m = euclid_from_shape(2, 1.0, 1.5)

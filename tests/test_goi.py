@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
@@ -432,11 +433,13 @@ def test_bank_is_read_only_and_bounded(empty_bank):
     assert len(draw.stats) == 6
 
 
-def test_draw_is_sampled_mc_batch_matrices_at_a_time(monkeypatch, empty_bank):
+def test_draw_eigenvalues_are_solved_once_eig_chunk_matrices_at_a_time(
+        monkeypatch, empty_bank):
     # the draw reads the seed's stream in a fixed order, the diagonal rows
     # a_1..a_N and then the squared off-diagonals b_j^2 ~ Gamma((N - j) / 2);
-    # its eigenvalues are solved once, when first read, MC_BATCH matrices
-    # at a time, and are the same for any MC_BATCH
+    # its eigenvalues are solved once, when first read, by the QL pass over
+    # its own rows, EIG_CHUNK matrices at a time, and are the same for any
+    # EIG_CHUNK
     seed, n, k = 5, 3, 300
     cfg = NumericConfig(mc_samples=k, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -444,24 +447,115 @@ def test_draw_is_sampled_mc_batch_matrices_at_a_time(monkeypatch, empty_bank):
     off2 = rng.standard_gamma([[1.0], [0.5]], (n - 1, k))
     whole = goi._goe_draw(n, cfg).lam
     goi._bank.clear()
-    monkeypatch.setattr(goi, "MC_BATCH", 100)
-    chunks = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: chunks.append(len(m)) or real(m))
+    monkeypatch.setattr(goi, "EIG_CHUNK", 100)
+    passes, chunks = [], []
+    real_pass, real_chunk = goi._tridiagonal_eigvals, goi._ql_chunk
+    monkeypatch.setattr(goi, "_tridiagonal_eigvals",
+                        lambda d, e: passes.append(d) or real_pass(d, e))
+    monkeypatch.setattr(goi, "_ql_chunk",
+                        lambda d, e: chunks.append(d.shape[1]) or real_chunk(d, e))
     draw = goi._goe_draw(n, cfg)
     for arr, want in ((draw.diag, diag), (draw.off2, off2)):
         assert np.array_equal(arr, want) and arr.flags.c_contiguous
     assert np.array_equal(draw.trace, diag.sum(axis=0))
-    assert chunks == []
+    assert passes == [] and chunks == []
     assert np.array_equal(draw.lam, whole)
     assert np.array_equal(draw.lam, whole)
+    assert len(passes) == 1 and passes[0] is draw.diag
     assert chunks == [100, 100, 100]
+    assert draw.lam.flags.f_contiguous and not draw.lam.flags.writeable
     # each row holds the eigenvalues of its own tridiagonal matrix
-    for r in (0, 150, 299):
+    for r in range(k):
         b = np.sqrt(off2[:, r])
         t = np.diag(diag[:, r]) + np.diag(b, 1) + np.diag(b, -1)
-        assert np.allclose(draw.lam[r], real(t), rtol=0.0, atol=1e-14)
+        assert np.allclose(draw.lam[r], np.linalg.eigvalsh(t), rtol=0.0, atol=1e-14)
+
+
+def _dense_eigvals(diag, off2):
+    """eigvalsh of each column's tridiagonal matrix, as (k, N) rows."""
+    n, k = diag.shape
+    m = np.zeros((k, n, n))
+    m[:, np.arange(n), np.arange(n)] = diag.T
+    b = np.sqrt(off2.T)
+    m[:, np.arange(1, n), np.arange(n - 1)] = b
+    m[:, np.arange(n - 1), np.arange(1, n)] = b
+    return np.linalg.eigvalsh(m)
+
+
+def _check_tridiagonal_eigvals(diag, off2):
+    # rows ascend, agree with eigvalsh within 1e-14 max(1, |T|) (|T| the
+    # largest |eigenvalue|) and sum to the trace
+    got = goi._tridiagonal_eigvals(diag, off2)
+    want = _dense_eigvals(diag, off2)
+    assert got.shape == want.shape and got.flags.f_contiguous
+    assert not got.flags.writeable
+    assert (np.diff(got, axis=1) >= 0.0).all()
+    size = np.maximum(1.0, np.abs(want).max(axis=1, initial=0.0))
+    assert (np.abs(got - want).max(axis=1, initial=0.0) <= 1e-14 * size).all()
+    n = diag.shape[0]
+    assert (np.abs(got.sum(axis=1) - diag.sum(axis=0)) <= 1e-14 * n * size).all()
+
+
+# entries 0 or of magnitude >= 1e-100: LAPACK itself fails on matrices
+# graded down to underflow (zero diagonals, b^2 = 1e-300 but for one
+# b^2 = 105453 give eigvalsh +-327.59 for +-324.74); hand cases check the
+# QL pass on tiny and subnormal couplings
+_entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                     st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-100))
+_squares = st.one_of(st.sampled_from([0.0, 1e-30, 1.0]),
+                     st.floats(0.0, 1e6).filter(lambda x: x >= 1e-200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), k=st.integers(1, 6))
+def test_tridiagonal_eigvals_match_eigvalsh(data, n, k):
+    diag = data.draw(hnp.arrays(np.float64, (n, k), elements=_entries))
+    off2 = data.draw(hnp.arrays(np.float64, (n - 1, k), elements=_squares))
+    _check_tridiagonal_eigvals(diag, off2)
+
+
+def test_tridiagonal_eigvals_hand_cases():
+    rng = np.random.default_rng(3)
+    n = 6
+    cases = []
+    # split matrices: b_j^2 exactly 0 or 1e-300 at each position
+    for tiny in (0.0, 1e-300):
+        for j in range(n - 1):
+            off2 = rng.standard_gamma(1.0, (n - 1, 4))
+            off2[j] = tiny
+            cases.append((rng.standard_normal((n, 4)), off2))
+    # zero and equal diagonals with tiny couplings
+    for value in (0.0, 1.0, -2.5):
+        for tiny in (0.0, 1e-300, 1e-30, 1e-8):
+            cases.append((np.full((n, 3), value), np.full((n - 1, 3), tiny)))
+    # a sweep where r = p + b^2 = 0 (gamma = 0 above a split), and one where
+    # c = 0 (gamma = 0 under a coupling)
+    cases.append((np.array([[0.0], [0.0], [-1.0]]), np.array([[1.0], [0.0]])))
+    cases.append((np.array([[0.0], [0.0], [-1.0]]), np.array([[1.0], [1.0]])))
+    # scales near 1e+-150, and a zero matrix
+    diag, off2 = rng.standard_normal((n, 5)), rng.standard_gamma(1.0, (n - 1, 5))
+    for s in (1e150, 1e-150, 0.0):
+        cases.append((diag * s, off2 * s * s))
+    for n in range(1, 13):
+        cases.append((rng.standard_normal((n, 50)),
+                      rng.standard_gamma(np.arange(n - 1, 0, -1)[:, None] / 2.0,
+                                         (n - 1, 50))))
+    for diag, off2 in cases:
+        _check_tridiagonal_eigvals(diag, off2)
+    # subnormal couplings are splits: b < 1.5e-154 moves no eigenvalue
+    got = goi._tridiagonal_eigvals(
+        np.zeros((5, 1)), np.array([[2.2e-311], [1.0], [2.2e-311], [5e-324]]))
+    assert np.array_equal(got, [[-1.0, 0.0, 0.0, 0.0, 1.0]])
+
+
+def test_tridiagonal_eigvals_that_do_not_converge_raise(monkeypatch):
+    monkeypatch.setattr(goi, "QL_MAXIT", 0)
+    diag = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(MethodError, match="in 0 sweeps for 1 tridiagonal 3 x 3"):
+        goi._tridiagonal_eigvals(diag, np.ones((2, 1)))
+    # a matrix that needs no sweep still passes
+    assert np.array_equal(goi._tridiagonal_eigvals(diag, np.zeros((2, 1))),
+                          [[0.0, 1.0, 2.0]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -590,7 +684,7 @@ def test_all_index_pass_is_bitwise_the_per_index_reduction(
                        "soft": (-0.1, 0.3)}[cap]
     cfg = NumericConfig(mc_samples=samples, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(goi, "MC_BATCH", batch)
+        mp.setattr(goi, "EIG_CHUNK", batch)
         got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
         draw, beta = goi._bank[(n, seed, samples)], trace_shift(ens)
         rows = np.ascontiguousarray(draw.lam + beta * draw.trace[:, None])
