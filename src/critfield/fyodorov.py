@@ -134,7 +134,8 @@ def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
     # a weight that overflows is caught by _check_finite
     with np.errstate(over="ignore"):
         w = weight_fn(_goe_draw(goe.n, cfg).lam[:, pos])
-    return _check_finite(_mean_error(w), goe.n - 1)
+    mean, err = _check_finite(_mean_error(w)[0], goe.n - 1)
+    return float(mean), float(err)
 
 
 def _log_tail(mu: np.ndarray, b: float, c: float, t: float, u: float) -> np.ndarray:

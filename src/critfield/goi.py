@@ -185,7 +185,8 @@ class NumericConfig:
     correlated.  One pass over that draw at a given coupling, shift and
     trace cap gives the values of every index, and the draw keeps them
     (up to STATS_PER_DRAW), so the other indices of a height read them.
-    Without a seed each value draws afresh and makes its own pass.
+    Without a seed each value draws afresh; its pass and reduction are
+    those of a seeded draw.
     """
 
     mc_samples: int = 200_000
@@ -729,6 +730,10 @@ STATS_PER_DRAW = 1024
 # row holds one entry per matrix, 64 kB, and stays in cache.  Neither the
 # draw nor its eigenvalues depend on it.
 EIG_CHUNK = 1 << 13
+# Samples per block of _mean_error's sums.  np.bincount adds a group's
+# samples one by one, so its rounding grows with their count; blocks of 32,
+# then np.sum's pairwise sum over the blocks, stay near np.sum's accuracy.
+_SUM_BLOCK = 32
 # QL sweeps a matrix of size N may take, QL_MAXIT N in all, as LAPACK's
 # dsterf allows.
 QL_MAXIT = 30
@@ -764,8 +769,10 @@ class _GoeDraw:
     smallest pivot magnitude of mc_eigen_expectation's pass.  lam, the
     ascending eigenvalue rows as one column-major (k, N) array, is made on
     first use from diag and off2 alone, by _tridiagonal_eigvals' QL pass
-    (EIG_CHUNK matrices at a time, no dense matrix).  Every array is
+    (EIG_CHUNK matrices at a time, no dense matrix).  Every array above is
     read-only.
+    work holds the (k,) arrays that every mc_eigen_expectation pass over
+    the draw overwrites, made on the first.
     stats holds the all-index results of mc_eigen_expectation by (c,
     shift, trace_cap, cap_edge).
     """
@@ -773,6 +780,12 @@ class _GoeDraw:
     diag: NDArray[np.float64]
     off2: NDArray[np.float64]
     stats: "OrderedDict[tuple, NDArray]" = field(default_factory=OrderedDict)
+
+    @functools.cached_property
+    def work(self) -> tuple:
+        k = self.diag.shape[1]
+        return (*(np.empty(k) for _ in range(4)), np.empty(k, dtype=bool),
+                np.empty(k, dtype=np.intp))
 
     @functools.cached_property
     def trace(self) -> NDArray[np.float64]:
@@ -940,15 +953,38 @@ def _draw_goe(n: int, config: NumericConfig) -> _GoeDraw:
     return _GoeDraw(diag, off2)
 
 
-def _mean_error(v: NDArray[np.float64]) -> tuple[float, float]:
-    """Mean and standard error of the samples v, the variance taken about
-    the mean in a second pass; inf or nan where they overflow (see
-    _check_finite)."""
+def _mean_error(v: NDArray[np.float64], group: NDArray[np.intp] | None = None,
+                groups: int = 1) -> NDArray[np.float64]:
+    """Mean and standard error of each column where(group == g, v, 0)
+    (group None: v itself) over all k samples, as a (groups, 2) array.  The
+    variance is taken about the mean in a second pass, sum_(group g) (v -
+    m_g)^2 + (k - count_g) m_g^2 in units of a power of 2 near m_g, so only
+    a mean that overflows gives inf or nan (see _check_finite)."""
     k = v.size
+    if group is None:
+        group = np.zeros(k, dtype=np.intp)
+    nblocks, full = -(-k // _SUM_BLOCK), k // _SUM_BLOCK
+    key = group * nblocks
+    # group g, sample s: key g nblocks + s // _SUM_BLOCK
+    blocks = key[:full * _SUM_BLOCK].reshape(full, _SUM_BLOCK)
+    blocks += np.arange(full)[:, None]
+    key[full * _SUM_BLOCK:] += full
+
+    def sums(w):
+        return np.bincount(key, w, groups * nblocks).reshape(groups, nblocks).sum(axis=1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(v.sum()) / k
-        var = float(np.square(v - mean).sum()) / (k - 1)
-    return mean, math.sqrt(var / k)
+        mean = sums(v) / k
+        scale = np.clip(np.frexp(mean)[1], -1021, 1021)
+        inv = np.ldexp(1.0, -scale)
+        dev = mean.take(group)
+        np.subtract(v, dev, out=dev)
+        dev *= inv.take(group)
+        dev *= dev
+        outside = mean * inv
+        squares = sums(dev) + (k - sums(None)) * (outside * outside)
+        return np.stack([mean, np.ldexp(np.sqrt(squares / (k - 1) / k), scale)],
+                        axis=1)
 
 
 def _check_finite(stats, n: int):
@@ -960,10 +996,10 @@ def _check_finite(stats, n: int):
 
 
 def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
-                         config: NumericConfig) -> NDArray[np.float64]:
+                         draw: _GoeDraw) -> NDArray[np.float64]:
     """Monte Carlo mean and standard error of the functional at every index
     0..N (its own index is not read), as an (N + 1, 2) array, in one pass
-    over the GOE(N) draw of config.
+    over a GOE(N) draw.
 
     A GOI(c) matrix is M_0 + beta tr(M_0) I for a GOE matrix M_0 (beta =
     trace_shift), so each GOE row is compared with its own height h =
@@ -974,41 +1010,44 @@ def mc_eigen_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     below h (Sylvester's law of inertia).  A pivot of magnitude below
     pivmin (exactly 0 among them) becomes -pivmin, as in LAPACK's dstebz,
     so no inf or nan reaches the product.  One loop over the N pivots
-    builds prod_j |d_j| and the count of negative pivots, weighted by the
-    trace cap once; each index then reduces its masked values with
-    _mean_error, as IndexedFunctional.evaluate on the rows' GOI(c)
-    eigenvalues would give them up to rounding.
+    writes prod_j |d_j|, weighted by the trace cap once, and the count of
+    negative pivots into the draw's work arrays, and one grouped
+    _mean_error reduces them by index, as IndexedFunctional.evaluate on
+    the rows' GOI(c) eigenvalues would give them up to rounding.
     """
     n = ensemble.n
-    draw = _goe_draw(n, config)
     beta = trace_shift(ensemble)
     a, cap, edge = functional.shift, functional.trace_cap, functional.cap_edge
-    h = a - beta * draw.trace if beta else a
-    pivmin, k = draw.pivmin, draw.diag.shape[1]
-    vals, below = np.ones(k), np.zeros(k, dtype=np.intp)
-    d, q, ad = np.empty(k), np.empty(k), np.empty(k)
-    neg = np.empty(k, dtype=bool)
+    h, d, q, vals, neg, below = draw.work
+    height = (np.subtract(a, np.multiply(draw.trace, beta, out=h), out=h)
+              if beta else a)
+    pivmin = draw.pivmin
+    vals.fill(1.0)
+    below.fill(0)
     # a product that overflows (large N) gives inf or nan rows, which
     # goi_expectation refuses only for the index it reads
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             if j:
                 np.divide(draw.off2[j - 1], d, out=q)
-            np.subtract(draw.diag[j], h, out=d)
+            np.subtract(draw.diag[j], height, out=d)
             if j:
                 d -= q
-            np.abs(d, out=ad)
-            if np.less(ad, pivmin, out=neg).any():
-                d[neg], ad[neg] = -pivmin, pivmin
-            vals *= ad
+            np.abs(d, out=q)
+            if np.less(q, pivmin, out=neg).any():
+                d[neg], q[neg] = -pivmin, pivmin
+            vals *= q
             below += np.less(d, 0.0, out=neg)
         if cap is not None:
-            mean = draw.trace * trace_root(n, ensemble.c) / n
+            mean = np.multiply(draw.trace, trace_root(n, ensemble.c), out=h)
+            mean /= n
             # the weight is in [0, 1], so masking after weighting is exact
-            vals = (vals * ndtr((cap - mean) / edge) if edge
-                    else np.where(mean <= cap, vals, 0.0))
-    return np.array([_mean_error(np.where(below == i, vals, 0.0))
-                     for i in range(n + 1)])
+            if edge:
+                vals *= ndtr(np.divide(np.subtract(cap, mean, out=mean), edge,
+                                       out=mean), out=mean)
+            else:
+                np.copyto(vals, 0.0, where=np.greater(mean, cap, out=neg))
+    return _mean_error(vals, below, n + 1)
 
 
 def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
@@ -1037,15 +1076,13 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
             n_lower=functional.index, split=functional.shift,
             trace_cap=functional.trace_cap, cap_edge=functional.cap_edge)
     if method == "monte-carlo":
-        if config.seed is None:
-            stats = mc_eigen_expectation(ensemble, functional, config)
-        else:
-            # one pass per (coupling, shift, cap) serves every index
-            key = (ensemble.c, functional.shift, functional.trace_cap,
-                   functional.cap_edge)
-            stats = _lru(_goe_draw(ensemble.n, config).stats, key,
-                         lambda: mc_eigen_expectation(ensemble, functional, config),
-                         STATS_PER_DRAW)
+        # one pass per (coupling, shift, cap) serves every index
+        draw = _goe_draw(ensemble.n, config)
+        key = (ensemble.c, functional.shift, functional.trace_cap,
+               functional.cap_edge)
+        stats = _lru(draw.stats, key,
+                     lambda: mc_eigen_expectation(ensemble, functional, draw),
+                     STATS_PER_DRAW)
         mean, err = _check_finite(stats[functional.index], ensemble.n)
         return float(mean), float(err)
     raise MethodError(f"unknown method {method!r}")

@@ -2,6 +2,8 @@
 import csv
 import gc
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -573,7 +575,7 @@ def test_goi_draw_is_the_goe_shifted_by_its_trace(n, empty_bank):
             assert np.abs(lam.mean(axis=1)).max() <= 1e-13
         for shift, cap, edge in ((0.3, None, 0.0), (-0.2, 0.1, 0.0),
                                  (0.6, -0.1, 0.3)):
-            got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, cap, edge), cfg)
+            got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, cap, edge), draw)
             for i in range(n + 1):
                 vals = IndexedFunctional(i, shift, cap, edge).evaluate(lam)
                 mean, square = vals.mean(), (vals * vals).mean()
@@ -601,7 +603,7 @@ def test_degenerate_ensemble_is_the_zero_matrix(empty_bank):
                                "monte-carlo", cfg) == (0.0, 0.0)
 
 
-def test_zero_pivot_becomes_minus_pivmin(empty_bank):
+def test_zero_pivot_becomes_minus_pivmin():
     # a_1 = h makes the first pivot of row 0 exactly 0, and a_2 - b_1^2 / d_1
     # = 0 the second of row 1; as in LAPACK's dstebz each becomes -pivmin,
     # so the next pivot stays finite, the product is still |det(T - h)| and
@@ -609,15 +611,13 @@ def test_zero_pivot_becomes_minus_pivmin(empty_bank):
     diag = np.array([[0.0, 2.0, -1.0], [-0.5, 0.5, 0.7], [0.4, -2.0, 0.1]])
     off2 = np.array([[0.8, 1.0, 1.5], [0.6, 0.3, 1e-3]])
     draw = goi._GoeDraw(diag, off2)
-    goi._bank[(3, 0, 3)] = draw
-    ens = validate_ensemble(3, 0.0)
-    got = mc_eigen_expectation(ens, IndexedFunctional(0, 0.0),
-                               NumericConfig(mc_samples=3, seed=0))
+    got = mc_eigen_expectation(validate_ensemble(3, 0.0),
+                               IndexedFunctional(0, 0.0), draw)
     assert np.isfinite(got).all()
     # |det| of the rows is 0.32, 0.6 and 0.219, each with one eigenvalue below 0
     assert got[1][0] == pytest.approx((0.32 + 0.6 + 0.219) / 3, rel=1e-14)
     for i in range(4):
-        want = goi._mean_error(IndexedFunctional(i, 0.0).evaluate(draw.lam))
+        want = goi._mean_error(IndexedFunctional(i, 0.0).evaluate(draw.lam))[0]
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -674,19 +674,20 @@ def test_sample_goi_symmetrizes_in_place_bitwise(n):
 def test_all_index_pass_is_bitwise_the_per_index_reduction(
         n, coupling, shift, cap, samples, batch, seed):
     # one pass gives every index IndexedFunctional.evaluate on row-major
-    # GOI(c) rows lam + beta tr of the draw plus _mean_error, up to rounding:
-    # the pass takes |det| and the index from the pivots of the tridiagonal
-    # matrices at shift - beta tr, and a cap's mean from the trace
+    # GOI(c) rows lam + beta tr of the draw plus _mean_error of each index's
+    # column, up to rounding: the pass takes |det| and the index from the
+    # pivots of the tridiagonal matrices at shift - beta tr, and a cap's
+    # mean from the trace, and it reduces every index in one grouped sum
     goi._bank.clear()
     c = {"boundary": -1.0 / n, "goe": 0.0, "positive": 0.7}[coupling]
     ens = validate_ensemble(n, c)
     trace_cap, edge = {"none": (None, 0.0), "hard": (0.05, 0.0),
                        "soft": (-0.1, 0.3)}[cap]
     cfg = NumericConfig(mc_samples=samples, seed=seed)
+    draw, beta = goi._goe_draw(n, cfg), trace_shift(ens)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(goi, "EIG_CHUNK", batch)
-        got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), cfg)
-        draw, beta = goi._bank[(n, seed, samples)], trace_shift(ens)
+        got = mc_eigen_expectation(ens, IndexedFunctional(0, shift, trace_cap, edge), draw)
         rows = np.ascontiguousarray(draw.lam + beta * draw.trace[:, None])
     assert got.shape == (n + 1, 2)
     # each factor |lam_j - a| rounds within a few ulps of M, the row's
@@ -694,14 +695,73 @@ def test_all_index_pass_is_bitwise_the_per_index_reduction(
     # n ulps of M^n
     scale = goi._mean_error(np.maximum(
         np.abs(draw.lam).max(axis=1, initial=abs(shift)),
-        np.abs(beta * draw.trace)) ** n)[0]
+        np.abs(beta * draw.trace)) ** n)[0, 0]
     for i in range(n + 1):
         fn = IndexedFunctional(i, shift, trace_cap, edge)
-        want = goi._mean_error(fn.evaluate(rows))
-        assert got[i][0] == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
-        assert got[i][1] == pytest.approx(want[1], rel=1e-9, abs=1e-13 * scale)
+        want = goi._mean_error(fn.evaluate(rows))[0]
+        assert got[i][0] == pytest.approx(want[0], rel=1e-13, abs=1e-13 * scale)
+        assert got[i][1] == pytest.approx(want[1], rel=1e-13, abs=1e-13 * scale)
         assert goi_expectation(ens, fn, "monte-carlo", cfg) == tuple(got[i])
     goi._bank.clear()
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 3000), groups=st.integers(1, 12),
+       used=st.integers(1, 12),
+       column=st.sampled_from(["constant", "decade", "wide", "sparse"]),
+       exponent=st.integers(-150, 150), seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_mean_error_is_each_columns_mean_error(
+        k, groups, used, column, exponent, seed):
+    # group g of the grouped reduction is the reduction of v where group ==
+    # g and 0 elsewhere, and both agree with the plain two-pass mean and
+    # standard error (which stays finite for |v| <= 1e150): constant
+    # columns, groups left empty, one group, and magnitudes 1e-150..1e150
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, min(used, groups), k)
+    scale = 10.0 ** exponent
+    v = {"constant": lambda: scale * (group + 1.0),
+         "decade": lambda: scale * rng.random(k),
+         "wide": lambda: 10.0 ** rng.uniform(-150.0, 150.0, k),
+         "sparse": lambda: np.where(rng.random(k) < 0.9, 0.0,
+                                    scale * rng.random(k))}[column]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = goi._mean_error(v, group, groups)
+        assert got.shape == (groups, 2)
+        for g in range(groups):
+            col = np.where(group == g, v, 0.0)
+            mean = col.sum() / k
+            plain = (mean, math.sqrt(np.square(col - mean).sum() / (k - 1) / k))
+            # a constant column's error is the rounding of its mean
+            tol = 1e-13 * np.abs(col).max()
+            assert tuple(got[g]) == pytest.approx(plain, rel=1e-13, abs=tol)
+            assert tuple(got[g]) == pytest.approx(
+                tuple(goi._mean_error(col)[0]), rel=1e-13, abs=tol)
+
+
+def test_a_pass_makes_no_fresh_full_length_arrays(empty_bank):
+    # a pass over a banked draw writes into the draw's work arrays and
+    # reduces them in one grouped sum: its traced peak is a few (k,)
+    # arrays (the reduction's key and deviations), whatever the coupling or
+    # cap, not one per index
+    n, k = 4, 50_000
+    draw = goi._goe_draw(n, NumericConfig(mc_samples=k, seed=5))
+    cases = [(0.0, IndexedFunctional(0, 0.3)),
+             (0.5, IndexedFunctional(0, -0.2)),
+             (0.5, IndexedFunctional(0, 0.1, trace_cap=0.1, cap_edge=0.3)),
+             (-1.0 / n, IndexedFunctional(0, 0.2, trace_cap=0.05))]
+    first = [mc_eigen_expectation(validate_ensemble(n, c), fn, draw)
+             for c, fn in cases]
+    tracemalloc.start()
+    try:
+        for (c, fn), want in zip(cases, first):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = mc_eigen_expectation(validate_ensemble(n, c), fn, draw)
+            assert tracemalloc.get_traced_memory()[1] - base <= 4 * 8 * k
+            assert np.array_equal(got, want)
+    finally:
+        tracemalloc.stop()
 
 
 def test_evicted_draw_is_freed_and_kept_sums_are_bounded(monkeypatch, empty_bank):
