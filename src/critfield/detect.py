@@ -193,13 +193,15 @@ class _WalkerModels:
     def __init__(self, lattice: _PlaneLattice, centers: np.ndarray):
         self.lo, self.step, self.field = lattice.lo, lattice.step, lattice.field
         cells = np.floor((centers - self.lo) / self.step).astype(np.int64)
-        corners = cells[:, None, :] + _CORNERS
-        _, shared, count = np.unique(corners.reshape(-1, 2), axis=0,
-                                     return_inverse=True, return_counts=True)
+        # node (a, b) as the key a W + b, which sorts as the rows (a, b) do
+        width = len(lattice.ys)
+        corners = (cells[:, None, :] + _CORNERS) @ np.array([width, 1])
+        _, shared, count = np.unique(corners, return_inverse=True,
+                                     return_counts=True)
         best = count[shared].reshape(-1, 4).argmax(axis=1)
-        self.nodes, which = np.unique(corners[np.arange(len(cells)), best],
-                                      axis=0, return_inverse=True)
-        self.which = which.ravel()
+        keys, self.which = np.unique(corners[np.arange(len(cells)), best],
+                                     return_inverse=True)
+        self.nodes = np.stack(np.divmod(keys, width), axis=-1)
         m = self.field.model
         tol = TAYLOR_TOL_FACTOR * np.array(
             [1.0, math.sqrt(-2.0 * m.rho1), math.sqrt(12.0 * m.rho2)])

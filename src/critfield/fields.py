@@ -26,12 +26,17 @@ KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
 # (2l-1)!!, the top of the Legendre-derivative table, overflows float64 at
 # l = 151, and the normalizers of high orders leave the normal floats there.
 MAX_DEGREE = 150
-# largest total degree of a planar Taylor model, and nodes per pair of
-# matrix products when building them (PlanarWaveField.taylor_models): at
-# 32 rows the products run near BLAS speed, while the gather buffers stay
-# a few MB
+# largest total degree of a planar Taylor model, and nodes per block of
+# matrix products when building them (PlanarWaveField.taylor_models).  On
+# the benchmark's plane-wave fields at order 21 (2-core x86-64, one BLAS
+# thread) a build took 22-25 ms per field in blocks of 8-16 nodes and 28 ms
+# in blocks of 32-64 through the ring's modes, and 69-87 ms against 53 ms
+# through the full tables of other spectra: 32 serves both
 MAX_TAYLOR_ORDER = 32
 TAYLOR_NODE_BLOCK = 32
+# the largest spread of wave-vector lengths, relative to the longest, that
+# PlanarWaveField.taylor_models treats as one circle
+RING_SPREAD = 4 * np.finfo(float).eps
 
 
 def _check_degree(degree: int) -> int:
@@ -197,12 +202,26 @@ class PlanarWaveField:
 
         B_ij = scale Re(i^{i+j} A_ij), A_ij = sum_k E_k (h w_kx)^i (h w_ky)^j
         / (i! j!).  i^{i+j} is real for even i + j and imaginary for odd, so
-        the even-degree coefficients are Re E @ one per-field table and the
-        odd ones Im E @ another: two real matrix products per block of
-        TAYLOR_NODE_BLOCK nodes.  The blocks gather E into buffers made once
-        per call, which the last, partial block uses in part, and hand BLAS
-        contiguous planes of Re E and Im E.  taylor_order bounds the
-        remainder.
+        the even-degree coefficients are Re E @ one per-field table (K, .)
+        and the odd ones Im E @ another.  taylor_order bounds the remainder.
+
+        When the wave vectors lie on one circle |w| = r, their lengths
+        spreading by at most RING_SPREAD of the longest (plane waves do, to
+        two ulps), r is taken as their mean and each table factors exactly
+        through the circle's Fourier modes (Jacobi-Anger): the column
+        (h w_kx)^i (h w_ky)^j = (h r)^{i+j} cos^i phi_k sin^j phi_k is a trig
+        polynomial in the wave angle phi_k of degree at most m with only
+        frequencies of the parity of i + j.  So the table is F @ M, F the
+        cos n phi_k and sin n phi_k of those frequencies n <= m (2m+1
+        columns over both parities, against (m+1)(m+2)/2 for the tables),
+        and M is fitted to the table sampled at 2m+2 equispaced angles,
+        which determine it exactly.  Other spectra take the tables as they
+        are.
+
+        The products run in blocks of TAYLOR_NODE_BLOCK nodes, which
+        gather E into buffers made once per call, the last, partial block
+        using them in part, and hand BLAS contiguous planes of Re E and
+        Im E.
         """
         m = order
         out = np.zeros((len(nodes), m + 1, m + 1))
@@ -213,27 +232,57 @@ class PlanarWaveField:
         # Re(i^n A) is Re A, -Im A, -Re A, Im A for n = 0, 1, 2, 3 mod 4
         sign = np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
         c = self.scale * sign * inv_fact[i] * inv_fact[j]
-        px = _powers(h * self.omegas[:, 0], m)
-        py = _powers(h * self.omegas[:, 1], m)
+        radius = _ring_radius(self.omegas)
+        if radius is None:
+            px = _powers(h * self.omegas[:, 0], m)
+            py = _powers(h * self.omegas[:, 1], m)
+        else:
+            # the tables are sampled on the circle, at 2m+2 equispaced angles
+            angles = np.arange(2 * m + 2) * (math.pi / (m + 1))
+            px = _powers(h * radius * np.cos(angles), m)
+            py = _powers(h * radius * np.sin(angles), m)
+            # cos n phi for n = 0..m, then sin n phi, at the waves' angles
+            # and at the samples
+            waves = _powers(np.exp(1j * np.arctan2(self.omegas[:, 1],
+                                                   self.omegas[:, 0])), m)
+            samples = _powers(np.exp(1j * angles), m)
+            waves, samples = (np.hstack([z.real, z.imag]) for z in (waves, samples))
         parts = []
-        for part in (n % 2 == 0, n % 2 == 1):
+        for parity in (0, 1):
+            part = n % 2 == parity
             table = px[:, i[part]] * py[:, j[part]]
             table *= c[part]
-            parts.append((i[part], j[part], table))
+            if radius is None:
+                factors = (table,)
+            else:
+                freq = np.arange(parity, m + 1, 2)
+                modes = np.concatenate([freq, m + 1 + freq[freq > 0]])
+                factors = (waves[:, modes],
+                           np.linalg.lstsq(samples[:, modes], table, rcond=None)[0])
+            parts.append((i[part], j[part], factors))
         e = np.empty((TAYLOR_NODE_BLOCK, ex.shape[1]), dtype=complex)
-        e_y = np.empty_like(e)
         planes = np.empty((2,) + e.shape)
         for s in range(0, len(nodes), TAYLOR_NODE_BLOCK):
             a, b = nodes[s:s + TAYLOR_NODE_BLOCK].T
             r = len(a)
-            np.take(ex, a, axis=0, out=e[:r])
-            np.take(ey, b, axis=0, out=e_y[:r])
-            np.multiply(e[:r], e_y[:r], out=e[:r])
+            np.multiply(ex[a], ey[b], out=e[:r])
             planes[0, :r] = e[:r].real
             planes[1, :r] = e[:r].imag
-            for plane, (ib, jb, table) in zip(planes, parts):
-                out[s:s + r, ib, jb] = plane[:r] @ table
+            for plane, (ib, jb, factors) in zip(planes, parts):
+                v = plane[:r]
+                for factor in factors:
+                    v = v @ factor
+                out[s:s + r, ib, jb] = v
         return out
+
+
+def _ring_radius(omegas: np.ndarray) -> float | None:
+    """The mean length of the wave vectors omegas (K, 2) if they lie on one
+    circle, their lengths spreading by at most RING_SPREAD of the longest;
+    None otherwise.  Against the mean, a degree-d Taylor coefficient moves
+    by at most d times the spread, relative: rounding level."""
+    w = np.linalg.norm(omegas, axis=1)
+    return float(w.mean()) if w.max() - w.min() <= RING_SPREAD * w.max() else None
 
 
 def _phasors(xs, w: np.ndarray, p=0.0) -> np.ndarray:
@@ -268,7 +317,7 @@ def _exp_tail(x: np.ndarray, n: int) -> np.ndarray:
 
 def _powers(x: np.ndarray, m: int) -> np.ndarray:
     """x^k for k = 0..m along a new last axis."""
-    out = np.empty(np.shape(x) + (m + 1,))
+    out = np.empty(np.shape(x) + (m + 1,), dtype=np.result_type(x, 1.0))
     out[..., 0] = 1.0
     out[..., 1:] = np.asarray(x)[..., None]
     return np.cumprod(out, axis=-1, out=out)

@@ -25,7 +25,8 @@ from critfield.errors import InsufficientDataError, ParameterError
 from critfield.euclidean import model_from_rho
 from critfield.fields import (TAYLOR_NODE_BLOCK, PlanarWaveField,
                               SphericalHarmonicField, SynthesisSpec,
-                              synthesize, tangent_frames, taylor_evaluate)
+                              _ring_radius, synthesize, tangent_frames,
+                              taylor_evaluate)
 from critfield.sphere import model_from_legendre
 
 PI = math.pi
@@ -484,6 +485,94 @@ def test_walker_nodes_are_shared_corners(spec, seed, side):
             < 1e-12 * math.sqrt(-2.0 * m.rho1))
     assert (np.abs(hess - lattice.field.hessian(t)).max()
             < 1e-12 * math.sqrt(12.0 * m.rho2))
+
+
+def monomial_taylor_models(field, ex, ey, nodes, h, m):
+    # the Taylor coefficients through the full monomial tables
+    # c_ij (h w_kx)^i (h w_ky)^j in blocks of TAYLOR_NODE_BLOCK nodes, the
+    # way PlanarWaveField.taylor_models builds them for spectra off a ring:
+    # the reference for its ring factorization
+    out = np.zeros((len(nodes), m + 1, m + 1))
+    k = np.arange(m + 1)
+    i, j = np.nonzero(np.add.outer(k, k) <= m)
+    n = i + j
+    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1.0))
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
+    c = field.scale * sign * inv_fact[i] * inv_fact[j]
+    px = np.cumprod(np.hstack([np.ones((len(ex.T), 1)),
+                               np.repeat(h * field.omegas[:, :1], m, axis=1)]), axis=1)
+    py = np.cumprod(np.hstack([np.ones((len(ex.T), 1)),
+                               np.repeat(h * field.omegas[:, 1:], m, axis=1)]), axis=1)
+    for s in range(0, len(nodes), TAYLOR_NODE_BLOCK):
+        a, b = nodes[s:s + TAYLOR_NODE_BLOCK].T
+        e = ex[a] * ey[b]
+        for plane, part in ((e.real.copy(), n % 2 == 0), (e.imag.copy(), n % 2 == 1)):
+            table = px[:, i[part]] * py[:, j[part]]
+            table *= c[part]
+            out[s:s + len(a), i[part], j[part]] = plane @ table
+    return out
+
+
+def taylor_setup(spec, lo, steps_per_eta):
+    # the models of 40 walkers in a window of 21 x 21 cells, and their
+    # reference through the monomial tables
+    f = synthesize(spec, rng=5)
+    step = f.model.eta / steps_per_eta
+    lattice = _PlaneLattice(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
+    cells = np.random.default_rng(6).integers(21, size=(40, 2))
+    models = _WalkerModels(lattice, lattice.lo + (cells + 0.5) * step)
+    ref = monomial_taylor_models(lattice.field, lattice.ex, lattice.ey,
+                                 models.nodes, step, models.coef.shape[-1] - 1)
+    return lattice.field, step, models, ref
+
+
+@pytest.mark.parametrize("lo,steps_per_eta", [(0.0, 6.0), (5000.0, 6.0), (0.0, 1.5)],
+                         ids=["near", "far-window", "coarse"])
+@pytest.mark.parametrize("n_waves", [1, 7, 2000])
+@pytest.mark.parametrize("wavenumber", [1.0, 10.0, 25.0])
+def test_ring_models_are_the_monomial_models(wavenumber, n_waves, lo, steps_per_eta):
+    # plane waves take the ring factorization, whose coefficients agree with
+    # the monomial tables' to within 32 ulps (measured: 12.5) of each column's
+    # scale, scale sum_k (h |w_k|)^(i+j) / (i! j!), which bounds the column
+    # and its rounding; on the coarse lattice the model radius halves
+    f, step, models, ref = taylor_setup(
+        SynthesisSpec.plane_wave(wavenumber, n_waves), lo, steps_per_eta)
+    assert _ring_radius(f.omegas) is not None
+    assert (models.radius < NEWTON_MODEL_RADIUS) == (steps_per_eta == 1.5)
+    m = models.coef.shape[-1] - 1
+    k = np.arange(m + 1)
+    lengths = np.linalg.norm(step * f.omegas, axis=1)
+    moments = (lengths[:, None] ** np.arange(2 * m + 1)).sum(axis=0)
+    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1.0))
+    column = (f.scale * moments[np.add.outer(k, k)] * np.outer(inv_fact, inv_fact)
+              * (np.add.outer(k, k) <= m))
+    assert np.all(np.abs(models.coef - ref) <= 32 * np.finfo(float).eps * column)
+
+
+@pytest.mark.parametrize("spec", [SynthesisSpec.gaussian_covariance(0.2),
+                                  SynthesisSpec.custom_spectral([4.0, 12.0], [1.0, 2.0])],
+                         ids=["gaussian-covariance", "two-ring"])
+def test_off_ring_models_are_the_monomial_models(spec):
+    # spectra off one circle keep the monomial tables, bit for bit
+    f, _, models, ref = taylor_setup(spec, 0.0, 6.0)
+    assert _ring_radius(f.omegas) is None
+    assert np.array_equal(models.coef, ref)
+
+
+def test_plane_window_without_candidates_is_empty():
+    # a window of 2 x 2 cells of field (11, 0)'s lattice none of which has
+    # a sign change of both gradient components: no walker and no point
+    f = synthesize(SynthesisSpec.plane_wave(10.0), rng=(11, 0))
+    step = f.model.eta / 6.0
+    lattice = _PlaneLattice(f, (0.0, 0.0), (10.0, 10.0), step)
+    cells = np.floor(lattice.candidates() / step).astype(np.int64)
+    hit = np.zeros((len(lattice.xs) - 1, len(lattice.ys) - 1), dtype=bool)
+    hit[tuple(cells.T)] = True
+    free = ~(hit[:-1, :-1] | hit[1:, :-1] | hit[:-1, 1:] | hit[1:, 1:])
+    lo = np.argwhere(free)[0] * step
+    res = find_critical_points_plane(f, lo, lo + 2 * step, grid_step=step)
+    assert res.points == []
+    assert (res.n_candidates, res.n_converged, res.n_failed) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("key,lo,side", [((11, 0), 0.0, 10.0),
