@@ -13,8 +13,9 @@ from .errors import (CritfieldError, ParameterError, DegenerateEnsembleError,
 from .goi import (GoiEnsemble, EigenvalueVector, IndexedFunctional,
                   NumericConfig, validate_ensemble, k_norm, log_k_norm,
                   sample_goi, ordered_eigenvalue_density, goi_expectation)
-from ._kacrice import (CritResult, expected_crit_total, expected_crit_totals,
-                       expected_crit_above, height_density, height_cdf,
+from ._kacrice import (CritResult, expected_counts, expected_crit_total,
+                       expected_crit_totals, expected_crit_above,
+                       fyodorov_expected_crit, height_density, height_cdf,
                        height_pdf_result, height_cdf_result, resolve_method)
 from .euclidean import EuclideanModel, model_from_rho, model_from_shape
 from .sphere import (SphereModel, model_from_C, model_from_legendre,
@@ -22,8 +23,7 @@ from .sphere import (SphereModel, model_from_C, model_from_legendre,
                      height_density_sphere, height_cdf_sphere, sphere_area,
                      euler_characteristic)
 from .sphere import model_from_shape as sphere_model_from_shape
-from .fyodorov import (GoeReduction, goi_to_goe_np1, reduced_expectation,
-                       fyodorov_expected_crit)
+from .fyodorov import GoeReduction, goi_to_goe_np1, reduced_expectation
 from .fields import (SynthesisSpec, PlanarWaveField, SphericalHarmonicField,
                      synthesize, sh_basis, tangent_frames)
 from .detect import (CriticalPoint, DetectionResult, find_critical_points,
@@ -41,7 +41,7 @@ __all__ = [
     "GoiEnsemble", "EigenvalueVector", "IndexedFunctional", "NumericConfig",
     "validate_ensemble", "k_norm", "log_k_norm", "sample_goi",
     "ordered_eigenvalue_density", "goi_expectation", "CritResult",
-    "expected_crit_total", "expected_crit_totals", "expected_crit_above",
+    "expected_counts", "expected_crit_total", "expected_crit_totals", "expected_crit_above",
     "height_density", "height_cdf", "height_pdf_result", "height_cdf_result",
     "resolve_method",
     "EuclideanModel", "model_from_rho", "model_from_shape",

@@ -19,8 +19,10 @@ w) through problem(), and the N = 2 height laws.  A geometry
 prefactor and N = 2 totals.  This module holds the public operations on
 either model, evaluates the template by quadrature or Monte Carlo and
 propagates error estimates.  Its one count is the count above u
-(count_above): one goi.goi_expectation call per index and height, for
-both methods and both regimes; a total is the count above -inf.  Only
+(count_above, public as expected_counts): one goi.goi_expectation call
+per index and height, for both methods and both regimes, or on the
+GOE(N+1) route (method "fyodorov") one fyodorov.reduced_expectation
+call; a total is the count above -inf.  Only
 the shifted density numerators (heights as a batch axis) call the
 quadrature engine directly, in the boundary regime too, where GOI(c_cnd
 = -1/N) is a trace law of width 0.  The N = 2 closed-form tails without
@@ -34,10 +36,11 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 
 from .errors import (InvalidCovarianceError, MethodError, ParameterError,
-                     UndefinedDistributionError)
+                     RegimeError, UndefinedDistributionError)
+from .fyodorov import GoeReduction, goe_method, reduced_expectation
 from .goi import (
     GoiEnsemble,
     IndexedFunctional,
@@ -303,33 +306,52 @@ def _upper_tails(density, u, splits):
 
 
 def count_above(p: CountProblem, indices, u: np.ndarray, method: str,
-                cfg: NumericConfig) -> list[CritResult]:
+                cfg: NumericConfig, inner: str = "auto") -> list[CritResult]:
     """Expected index-i count above each height of the 1-d array u, pref
     E_GOI(c_tot)[g_i(0) Phi((-gamma u - mean(lam)) / w)] (see the module
     doc), one CritResult (arrays over u) per entry of indices: 0 +- 0 at
     u = inf, and at u = -inf the total pref E_GOI(c_tot)[g_i(0)], uncapped.
+    Method "fyodorov" evaluates each count as one GOE(N+1) reduction with
+    spread b and threshold u (fyodorov.GoeReduction) by the route inner
+    (auto as fyodorov.goe_method); it needs c_cnd > 0.
 
     GOI(c) is invariant under H -> -H, which maps g_i(0) to g_(N-i)(0), so
-    the two totals are equal at every c, c = -1/N included: quadrature
-    integrates once per pair {i, N - i}, at i' = min(i, N - i), and the
-    totals of all indices cost floor(N/2) + 1 engine calls.  Nothing is
-    kept between calls.
+    the two totals are equal at every c, c = -1/N included (on GOE(N+1)
+    the total's weight is even in mu, and lam -> -lam maps position i to
+    N - i): quadrature integrates once per pair {i, N - i}, at i' = min(i,
+    N - i), and the totals of all indices cost floor(N/2) + 1 engine
+    calls.  Monte Carlo keeps one value per index.  Nothing is kept
+    between calls.
     """
-    ens = p.total_ensemble()
+    goe = method == "fyodorov"
+    route = goe_method(p.n + 1, inner) if goe else method
+    b = p.shift_coeff
+    ens = validate_ensemble(p.n + 1, 0.0) if goe else p.total_ensemble()
     done: dict = {}
 
+    def evaluate(i: int, v: float, cap: float):
+        if goe:
+            return reduced_expectation(GoeReduction(
+                goe=ens, eigen_position=i, shift=0.0, coupling=p.c_cond,
+                log_prefactor=float(gammaln(0.5 * (p.n + 1)))
+                - 0.5 * math.log(math.pi * (p.c_cond + b * b)),
+                spread=b, threshold=v), route, cfg)
+        fn = (IndexedFunctional(index=i) if v == -math.inf else
+              IndexedFunctional(index=i, trace_cap=cap, cap_edge=p.edge_width))
+        return goi_expectation(ens, fn, route, cfg)
+
     def expectation(i: int, v: float):
-        if v == math.inf:
+        # a height so far out that its cap overflows counts as u = +-inf
+        cap = -p.cap_coeff * v
+        if cap == -math.inf:
             return 0.0, 0.0
-        if v == -math.inf:
-            fn = IndexedFunctional(
-                index=min(i, p.n - i) if method == "quadrature" else i)
-        else:
-            fn = IndexedFunctional(index=i, trace_cap=-p.cap_coeff * v,
-                                   cap_edge=p.edge_width)
-        if fn not in done:
-            done[fn] = goi_expectation(ens, fn, method, cfg)
-        return done[fn]
+        if cap == math.inf:
+            v = -math.inf
+            if route == "quadrature":
+                i = min(i, p.n - i)
+        if (i, v) not in done:
+            done[i, v] = evaluate(i, v, cap)
+        return done[i, v]
 
     pref = math.exp(p.log_prefactor)
     out = []
@@ -384,14 +406,18 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     tot = total or count_above(p, [i], np.array([-math.inf]), method, cfg)[0]
     _check_total(tot.value, i)
     us = np.asarray(x, dtype=float).ravel()
+    # where the shift b x is infinite (x = +-inf) phi(x) = 0: h_i is 0 +- 0
+    # there, and no numerator is evaluated
+    live = np.isfinite(p.shift_coeff * us)
+    num, num_err = np.zeros((2, us.size))
     if method == "quadrature":
-        num, num_err = _shifted_expectations(p, i, us)
+        num[live], num_err[live] = _shifted_expectations(p, i, us[live])
     else:
         ens = p.cond_ensemble()
-        num, num_err = np.array([
+        num[live], num_err[live] = np.array([
             goi_expectation(ens, IndexedFunctional(index=i, shift=p.shift_coeff * u),
                             method, cfg)
-            for u in us.tolist()]).reshape(-1, 2).T
+            for u in us[live].tolist()]).reshape(-1, 2).T
     # the numerator in count units, as the total
     pref = math.exp(p.log_prefactor)
     num, num_err = pref * num, pref * num_err
@@ -539,12 +565,17 @@ def _require_n2(model) -> None:
         raise MethodError("closed forms are available only for N = 2")
 
 
-def _counts(model, indices, u: float, method: str,
-            config: NumericConfig | None) -> list[CritResult]:
+def expected_counts(model, indices, u: float = -math.inf, method: str = "auto",
+                    config: NumericConfig | None = None,
+                    inner: str = "auto") -> list[CritResult]:
     """Expected numbers per unit volume (area) of critical points of each
     index in indices above the height u (-inf: the totals), in that order.
-    One call shares work between its indices: quadrature integrates a total
+    method "fyodorov" takes the GOE(N+1) route, itself by the method inner
+    (auto, quadrature or monte-carlo; auto as fyodorov.goe_method).  One
+    call shares work between its indices: quadrature integrates a total
     once per mirror pair {i, N - i} (see count_above)."""
+    if not isinstance(model, IsotropicModel):
+        raise ParameterError(f"unsupported model type {type(model).__name__}")
     indices = list(indices)
     for i in indices:
         _check_index(model, i)
@@ -561,16 +592,25 @@ def _counts(model, indices, u: float, method: str,
             tot, frac = model.closed_total_n2(i), model.closed_cdf_n2(i, u)
             out.append(_shaped(u, tot * frac.value, tot * frac.error, method))
         return out
+    p = model.problem()
+    if method == "fyodorov" and p.c_cond <= 0.0:
+        if model.space == "euclidean":
+            detail = f"kappa^2 = {model.kappa2:.12g} must be < 1"
+        else:
+            detail = f"kappa^2 - eta^2 = {model.kappa2 - model.eta2:.12g} must be < 1"
+        raise RegimeError(
+            f"GOE(N+1) route unavailable: {detail}; use the general count "
+            "path (expected_crit_above / expected_crit_total)")
     return [_shaped(u, r.value, r.error, method) for r in count_above(
-        model.problem(), indices, np.array([u], dtype=float), method,
-        config or NumericConfig())]
+        p, indices, np.array([u], dtype=float), method,
+        config or NumericConfig(), inner)]
 
 
 def expected_crit_totals(model, indices, method: str = "auto",
                          config: NumericConfig | None = None) -> list[CritResult]:
     """Expected numbers of critical points of each index in indices, per
     unit volume (R^N) or per unit surface area (S^N), in that order."""
-    return _counts(model, indices, -math.inf, method, config)
+    return expected_counts(model, indices, -math.inf, method, config)
 
 
 def expected_crit_total(model, i: int, method: str = "auto",
@@ -584,7 +624,24 @@ def expected_crit_above(model, i: int, u: float, method: str = "auto",
                         config: NumericConfig | None = None) -> CritResult:
     """Expected number per unit volume (area) of index-i critical points
     above u."""
-    return _counts(model, [i], u, method, config)[0]
+    return expected_counts(model, [i], u, method, config)[0]
+
+
+def fyodorov_expected_crit(model, i: int, u: float | None = None,
+                           method: str = "auto",
+                           config: NumericConfig | None = None) -> CritResult:
+    """Expected index-i count above u (None or -inf: the total) via the
+    GOE(N+1) route by the method `method` (expected_counts with method
+    "fyodorov"): 0 +- 0 at u = inf, else one weighted expectation of a
+    GOE(N+1) eigenvalue (fyodorov.GoeReduction).
+
+    Works for EuclideanModel and SphereModel in their restricted regimes.
+    The result carries method tag "fyodorov"; its error estimate is one
+    standard error (MC) or the quadrature error (rule differences, a
+    truncation bound and rounding; see goi.nested_ordered_quadrature).
+    """
+    return expected_counts(model, [i], -math.inf if u is None else u,
+                           "fyodorov", config, method)[0]
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",

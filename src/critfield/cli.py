@@ -28,7 +28,8 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from ._kacrice import (_counts, expected_crit_above, expected_crit_totals,
+from ._kacrice import (expected_counts, expected_crit_above,
+                       expected_crit_totals, fyodorov_expected_crit,
                        height_cdf_result, height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
 from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
@@ -36,7 +37,7 @@ from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
                      InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
 from .fields import SynthesisSpec
-from .fyodorov import _fyodorov_counts, fyodorov_expected_crit, goe_method
+from .fyodorov import goe_method
 from .goi import NumericConfig
 
 CSV_HEADER = ["space", "N", "eta2", "kappa2", "regime", "index",
@@ -215,21 +216,16 @@ class _RowSink:
 def _count_rows(args: argparse.Namespace, model, indices: list,
                 heights: np.ndarray, quantity: str, scale: float = 1.0) -> int:
     """Write the count of each index above each height (u = -inf: the
-    total), heights outermost, times scale: by the GOE(N+1) route
-    (fyodorov._fyodorov_counts) for --method fyodorov, else by
-    _kacrice._counts; each shares a total between mirror indices on
-    quadrature."""
+    total), heights outermost, times scale, by expected_counts (--method
+    fyodorov: the GOE(N+1) route), which shares a total between mirror
+    indices on quadrature."""
     method = args.method or "auto"
     cfg = _numeric_config(args)
     if _method_uses_mc(model, method, bool((heights > -math.inf).any())):
         _require_seed(args, "Monte Carlo sampling is in play")
     sink = _RowSink(args)
     for u in heights.tolist():
-        if method == "fyodorov":
-            results = _fyodorov_counts(model, indices, u, "auto", cfg)
-        else:
-            results = _counts(model, indices, u, method, cfg)
-        for i, r in zip(indices, results):
+        for i, r in zip(indices, expected_counts(model, indices, u, method, cfg)):
             sink.add(model, i, u, quantity, scale * r.value, scale * r.error,
                      r.method)
     sink.flush()

@@ -245,7 +245,7 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * model.rho1)
     eps_h = HESS_TOL_FACTOR * math.sqrt(12.0 * model.rho2)
 
-    pts, ok, state = _newton_plane(field, centers, step, eps_g, max_iter, models)
+    pts, ok, state = _newton_plane(models, centers, step, eps_g, max_iter)
     walkers = np.flatnonzero(ok)
     # clip to the requested rectangle before deduplicating
     walkers = walkers[np.all((pts[walkers] >= lo - 1e-9)
@@ -324,18 +324,13 @@ def _newton(centers, step, eps_g, max_iter, local, dist, block):
     return pts, state == _CONVERGED, state
 
 
-def _newton_plane(field, centers, step, eps_g, max_iter, models=None):
-    """Planar Newton on the walkers' local Taylor models (_WalkerModels).
-    models are those of the centers, built from the lattice of field whose
-    cell centers they are; None builds them from a lattice through the
-    centers."""
+def _newton_plane(models, centers, step, eps_g, max_iter):
+    """Planar Newton on the walkers' local Taylor models (_WalkerModels):
+    models are those of the centers, built from the lattice whose cell
+    centers they are."""
     if len(centers) == 0:
         state = np.zeros(0, dtype=np.int8)
         return centers.copy(), state == _CONVERGED, state
-    if models is None:
-        models = _WalkerModels(_PlaneLattice(field, centers.min(axis=0) - 0.5 * step,
-                                             centers.max(axis=0) + 0.5 * step, step),
-                               centers)
 
     def local(p, idx):
         _, g, h = models.evaluate(p, idx)

@@ -13,18 +13,17 @@ for a scalar function of one ordered eigenvalue.  Monte Carlo reads it off
 the eigenvalues of the seed's tridiagonal GOE(N+1) draw, which one
 batched root-free QL pass solves once per draw (goi._tridiagonal_eigvals;
 no dense matrix is made), so with a seed every index and threshold after
-the first costs one weight per sample.  A count of index i above u
-integrates it at shift a = b x under GOI(c_cnd) against phi(x) over x > u,
-a normal tail in closed form (log_threshold_factor), so
-fyodorov_expected_crit has one weight for every u, mu^2/2 +
-log_threshold_factor(mu, b, c_cnd, u), its constant factor sqrt(c_cnd /
-c_tot) taken into the prefactor; at u = -inf its tail is 1 and, as c_cnd +
-b^2 = c_tot, it is the total's.  That weight is even in mu, so quadrature
-integrates the totals of indices i and N - i once (_fyodorov_counts).
+the first costs one weight per sample.
 
-The route exists only where the relevant conditional ensemble has c > 0:
-kappa^2 < 1 on R^N and kappa^2 - eta^2 < 1 on S^N.  Outside that regime use
-the general engine (expected_crit_above / goi_expectation).
+A count of index i above u integrates that expectation at shift a + b x
+against phi(x) over x > u, a normal tail in closed form
+(log_threshold_factor).  So one weight serves every u: GoeReduction's
+log_weight with spread b and threshold u, its constant factor sqrt(c / t),
+t = c + b^2, taken into the prefactor; at b = 0 and u = -inf it is the
+weight above.  The shared count template evaluates counts this way
+(_kacrice.count_above, method "fyodorov"); the route exists only where
+the conditional ensemble has c > 0: kappa^2 < 1 on R^N and kappa^2 -
+eta^2 < 1 on S^N.
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from ._kacrice import CountProblem, CritResult, IsotropicModel
 from .errors import MethodError, ParameterError, RegimeError
 from .goi import (
     GoiEnsemble,
@@ -53,7 +51,9 @@ class GoeReduction:
     """A GOI(N, c) indexed functional rewritten over GOE(N + 1).
 
     eigen_position is the 0-based position of the weighted eigenvalue in
-    ascending order (position i0 carries the index-i0 information).
+    ascending order (position i0 carries the index-i0 information).  With
+    spread b and threshold u the functional's shift is a + b x, integrated
+    against phi(x) over x > u (b = 0, u = -inf: the shift a alone).
     """
 
     goe: GoiEnsemble
@@ -61,11 +61,23 @@ class GoeReduction:
     shift: float
     coupling: float
     log_prefactor: float
+    spread: float = 0.0
+    threshold: float = -math.inf
+
+    @property
+    def total_coupling(self) -> float:
+        """t = c + b^2."""
+        return self.coupling + self.spread * self.spread
 
     def log_weight(self, mu: np.ndarray) -> np.ndarray:
+        """mu^2/2 + log_threshold_factor(mu - a, b, c, u) + log(t/c) / 2:
+        -(mu - a)^2/(2t) + log Phi-bar((u - b (mu - a)/t) sqrt(t/c)) past
+        mu^2/2, the last term exactly 0 at u = -inf."""
         mu = np.asarray(mu, dtype=float)
+        b, c, t, u = self.spread, self.coupling, self.total_coupling, self.threshold
         d = mu - self.shift
-        return 0.5 * mu * mu - d * d / (2.0 * self.coupling)
+        return 0.5 * mu * mu + (-d * d / (2.0 * t)
+                                + log_ndtr((b * d / t - u) * math.sqrt(t / c)))
 
 
 def goi_to_goe_np1(ensemble: GoiEnsemble, functional: IndexedFunctional) -> GoeReduction:
@@ -105,29 +117,27 @@ def goe_method(goe_size: int, method: str = "auto") -> str:
 
 def reduced_expectation(reduction: GoeReduction, method: str = "auto",
                         config: NumericConfig | None = None) -> tuple[float, float]:
-    """Evaluate the reduced expectation; returns (value, error_estimate)."""
-    half = 9.0 * max(1.0, math.sqrt(reduction.coupling)) + abs(reduction.shift)
-    val, err = _goe_expectation(reduction.goe.n, reduction.eigen_position,
-                                reduction.log_weight, half, method,
-                                config or NumericConfig())
-    pref = math.exp(reduction.log_prefactor)
-    return pref * val, pref * err
-
-
-def _goe_expectation(m: int, pos: int, log_w, half: float, method: str,
-                     cfg: NumericConfig) -> tuple[float, float]:
-    """E_GOE(m)[exp(log_w(lam_pos))] and its error by the route `method`
-    (`auto` as goe_method); quadrature truncates to the box |mean(lam)| <=
-    half, gaps up to 2 half."""
+    """Evaluate the reduced expectation by the route `method` (`auto` as
+    goe_method); returns (value, error_estimate).  Quadrature truncates to
+    the box |mean(lam)| <= half, gaps up to 2 half, which reaches |u|
+    further out for a finite threshold u."""
+    red = reduction
+    m, pos = red.goe.n, red.eigen_position
     method = goe_method(m, method)
     if method == "monte-carlo":
-        return _goe_weighted_mc(validate_ensemble(m, 0.0), pos,
-                                lambda mu: np.exp(log_w(mu)), cfg)
-    if method == "quadrature":
-        return nested_ordered_quadrature(
-            m, 0.0, lambda lam: np.exp(log_w(lam[pos])), n_lower=0,
+        val, err = _goe_weighted_mc(red.goe, pos, lambda mu: np.exp(red.log_weight(mu)),
+                                    config or NumericConfig())
+    elif method == "quadrature":
+        half = 9.0 * max(1.0, math.sqrt(red.total_coupling)) + abs(red.shift)
+        if red.threshold > -math.inf:
+            half += abs(red.threshold)
+        val, err = nested_ordered_quadrature(
+            m, 0.0, lambda lam: np.exp(red.log_weight(lam[pos])), n_lower=0,
             split=None, box_half=half)
-    raise MethodError(f"unknown method {method!r}")
+    else:
+        raise MethodError(f"unknown method {method!r}")
+    pref = math.exp(red.log_prefactor)
+    return pref * val, pref * err
 
 
 def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
@@ -138,14 +148,6 @@ def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
     return float(mean), float(err)
 
 
-def _log_tail(mu: np.ndarray, b: float, c: float, t: float, u: float) -> np.ndarray:
-    """log_threshold_factor(mu, b, c, u) + log(t/c) / 2 for t = c + b^2:
-    -mu^2/(2t) + log Phi-bar((u - b mu/t) sqrt(t/c)), exactly -mu^2/(2t) at
-    u = -inf."""
-    mu = np.asarray(mu, dtype=float)
-    return -mu * mu / (2.0 * t) + log_ndtr((b * mu / t - u) * math.sqrt(t / c))
-
-
 def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:
     """log of int_u^inf phi(x) exp(-(mu - b x)^2 / (2 c)) dx.
 
@@ -153,79 +155,7 @@ def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.nda
     sqrt(c/t) exp(-mu^2/(2t)) Phi-bar((u - b mu/t) sqrt(t/c)).  At u = -inf
     the tail is exactly 1, and no two terms cancel as c -> 0.
     """
+    mu = np.asarray(mu, dtype=float)
     t = c + b * b
-    return _log_tail(mu, b, c, t, u) - 0.5 * math.log(t / c)
-
-
-def _check_regime(model) -> CountProblem:
-    if not isinstance(model, IsotropicModel):
-        raise ParameterError(f"unsupported model type {type(model).__name__}")
-    p = model.problem()
-    if p.c_cond <= 0.0:
-        if model.space == "euclidean":
-            detail = f"kappa^2 = {model.kappa2:.12g} must be < 1"
-        else:
-            detail = (f"kappa^2 - eta^2 = {model.kappa2 - model.eta2:.12g} "
-                      "must be < 1")
-        raise RegimeError(
-            f"GOE(N+1) route unavailable: {detail}; use the general count "
-            "path (expected_crit_above / expected_crit_total)")
-    return p
-
-
-def fyodorov_expected_crit(model, i: int, u: float | None = None,
-                           method: str = "auto",
-                           config: NumericConfig | None = None) -> CritResult:
-    """Expected index-i count above u (None or -inf: the total) via the
-    GOE(N+1) route: 0 +- 0 at u = inf, else one weighted expectation,
-    exp(mu^2/2) times the closed-form height integral of the conditional
-    reduction (log_threshold_factor).
-
-    Works for EuclideanModel and SphereModel in their restricted regimes.
-    The result carries method tag "fyodorov"; its error estimate is one
-    standard error (MC) or the quadrature error (rule differences, a
-    truncation bound and rounding; see goi.nested_ordered_quadrature).
-    """
-    return _fyodorov_counts(model, [i], u, method, config)[0]
-
-
-def _fyodorov_counts(model, indices, u: float | None, method: str,
-                     config: NumericConfig | None) -> list[CritResult]:
-    """fyodorov_expected_crit of each index in indices, in that order.  At
-    u = -inf the weight is even in mu and GOE(N+1) is invariant under
-    lam -> -lam, which maps position i to N - i, so quadrature integrates a
-    total once per mirror pair {i, N - i}, at min(i, N - i).  Monte Carlo
-    keeps one value per index."""
-    cfg = config or NumericConfig()
-    p = _check_regime(model)
-    for i in indices:
-        if not 0 <= i <= p.n:
-            raise ParameterError(f"index must lie in 0..{p.n}, got {i}")
-    u = -math.inf if u is None else u
-    if u == math.inf:
-        return [CritResult(0.0, 0.0, "fyodorov") for _ in indices]
-    m = p.n + 1
-    c, b, t = p.c_cond, p.shift_coeff, p.c_total
-
-    # log_threshold_factor with its constant sqrt(c/t) moved to the scale,
-    # so the weight is O(1) and at u = -inf is that of the total under
-    # GOI(c_tot) (t = c + b^2)
-    def log_w(mu):
-        return 0.5 * np.asarray(mu, dtype=float) ** 2 + _log_tail(mu, b, c, t, u)
-
-    # the box reaches |u| further out for a finite threshold
-    half = 9.0 * max(1.0, math.sqrt(t))
-    if u > -math.inf:
-        half += abs(u)
-    scale = math.exp(p.log_prefactor) * math.exp(
-        float(gammaln(0.5 * m)) - 0.5 * math.log(math.pi * t))
-    mirror = u == -math.inf and goe_method(m, method) == "quadrature"
-    done: dict = {}
-    out = []
-    for i in indices:
-        pos = min(i, p.n - i) if mirror else i
-        if pos not in done:
-            done[pos] = _goe_expectation(m, pos, log_w, half, method, cfg)
-        val, err = done[pos]
-        out.append(CritResult(scale * val, scale * err, "fyodorov"))
-    return out
+    return (-mu * mu / (2.0 * t) + log_ndtr((b * mu / t - u) * math.sqrt(t / c))
+            - 0.5 * math.log(t / c))

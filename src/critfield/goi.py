@@ -153,6 +153,9 @@ class IndexedFunctional:
         if not 0.0 <= self.cap_edge < math.inf:
             raise ParameterError(
                 f"cap_edge must be finite and >= 0, got {self.cap_edge}")
+        for name, v in (("shift", self.shift), ("trace_cap", self.trace_cap)):
+            if v is not None and not math.isfinite(v):
+                raise ParameterError(f"{name} must be finite, got {v}")
 
     def evaluate(self, lam: NDArray[np.float64]) -> NDArray[np.float64]:
         """Evaluate g on a batch of ascending eigenvalue rows (k, N)."""

@@ -18,7 +18,7 @@ from critfield.euclidean import (expected_crit_above, expected_crit_total,
                                  height_cdf, height_density, model_from_rho)
 from critfield.euclidean import model_from_shape as euclid_from_shape
 from critfield.fields import SynthesisSpec
-from critfield.fyodorov import fyodorov_expected_crit
+from critfield import fyodorov_expected_crit
 from critfield.goi import NumericConfig, sample_goi, validate_ensemble
 from critfield.sphere import (euler_characteristic, expected_crit_above_sphere,
                               expected_crit_total_sphere, height_cdf_sphere,

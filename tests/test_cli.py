@@ -1,4 +1,5 @@
 """Command-line interface: grids, CSV/JSON output, exit codes, configs."""
+import ast
 import csv
 import json
 import math
@@ -503,6 +504,15 @@ def test_package_runs_as_module():
                        "--kappa2", "0.8")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER_LINE
+
+
+def test_cli_imports_only_public_names():
+    # the front end calls the package's public API, never a private helper
+    tree = ast.parse((Path(critfield.__file__).parent / "cli.py").read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_fyodorov_count_above_inf_runs_clean():

@@ -404,6 +404,14 @@ def test_plane_detection_keeps_every_plain_newton_point(spec, seed):
     assert np.linalg.norm(f.gradient(locs), axis=1).max() < eps_g
 
 
+def newton_plane(field, centers, step, eps_g, max_iter):
+    # _newton_plane on the models of a lattice through the centers
+    lattice = _PlaneLattice(field, centers.min(axis=0) - 0.5 * step,
+                            centers.max(axis=0) + 0.5 * step, step)
+    return _newton_plane(_WalkerModels(lattice, centers), centers, step, eps_g,
+                         max_iter)
+
+
 def float64_newton_plane(field, centers, step, eps_g, max_iter):
     # planar Newton on the pointwise float64 trig sums, kept as the reference
     def local(p, idx):
@@ -587,7 +595,7 @@ def test_mixed_precision_funnel_matches_float64_newton(key, lo, side):
     # in the same state, converged walkers agree to Newton precision, and
     # every returned point has a float64 gradient below the tolerance
     f, step, eps_g, centers = plane_setup(key, side, lo=lo)
-    pts, ok, state = _newton_plane(f, centers, step, eps_g, MAX_NEWTON_ITER)
+    pts, ok, state = newton_plane(f, centers, step, eps_g, MAX_NEWTON_ITER)
     ref_pts, ref_ok, ref_state = float64_newton_plane(f, centers, step, eps_g,
                                                       MAX_NEWTON_ITER)
     assert np.array_equal(state, ref_state)
@@ -613,7 +621,7 @@ def test_no_walker_runs_more_than_20_iterations(space, seed):
     # a cap of 20 iterations retires nobody the default cap would not
     if space == "plane":
         f, step, eps_g, centers = plane_setup(seed)
-        newton = _newton_plane
+        newton = newton_plane
     else:
         f, step, eps_g, centers = sphere_setup(seed)
         newton = _newton_sphere

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from critfield import expected_counts, fyodorov_expected_crit
 from critfield import fyodorov as fy
 from critfield.errors import MethodError, ParameterError, RegimeError
 from critfield.euclidean import (expected_crit_above, expected_crit_total,
                                  model_from_rho)
 from critfield.euclidean import model_from_shape as euclid_from_shape
-from critfield.fyodorov import (GoeReduction, fyodorov_expected_crit,
-                                goi_to_goe_np1, log_threshold_factor,
-                                reduced_expectation)
+from critfield.fyodorov import (GoeReduction, goi_to_goe_np1,
+                                log_threshold_factor, reduced_expectation)
 from critfield.goi import (IndexedFunctional, NumericConfig, goi_expectation,
                            validate_ensemble)
 from critfield.sphere import expected_crit_above_sphere
@@ -29,6 +29,28 @@ def test_log_weight_formula():
     mu = np.array([-1.0, 0.0, 2.5])
     expect = 0.5 * mu ** 2 - (mu - 0.7) ** 2 / 4.0
     assert np.allclose(red.log_weight(mu), expect, atol=1e-15)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+@pytest.mark.parametrize("c", [5e-7, 0.3])
+@pytest.mark.parametrize("u", [-math.inf, -1.0, 0.4])
+def test_one_weight_is_the_threshold_factor(shift, c, u):
+    # the count weight with spread b and threshold u is mu^2/2 plus the
+    # closed-form height integral at mu - a, its constant sqrt(c / t) taken
+    # out; at b = 0 and u = -inf it is the plain shifted weight
+    b = 0.6
+    t = c + b * b
+    red = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
+                       shift=shift, coupling=c, log_prefactor=0.0, spread=b,
+                       threshold=u)
+    mu = np.array([-2.0, -0.3, 0.0, 1.1, 2.5])
+    want = (0.5 * mu * mu + log_threshold_factor(mu - shift, b, c, u)
+            + 0.5 * math.log(t / c))
+    np.testing.assert_allclose(red.log_weight(mu), want, rtol=1e-13, atol=1e-13)
+    plain = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
+                         shift=shift, coupling=c, log_prefactor=0.0)
+    assert np.array_equal(plain.log_weight(mu),
+                          0.5 * mu * mu - (mu - shift) ** 2 / (2.0 * c))
 
 
 def test_n1_positive_eigenvalue_oracle():
@@ -203,14 +225,16 @@ def test_totals_share_a_mirror_pair_on_quadrature_only(monkeypatch, space):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fy, name, counting)
-    quad = fy._fyodorov_counts(model, [0, 1, 2], None, "quadrature", None)
+    quad = expected_counts(model, [0, 1, 2], -math.inf, "fyodorov", None,
+                           "quadrature")
     assert calls == ["nested_ordered_quadrature"] * 2
     assert (quad[0].value, quad[0].error) == (quad[2].value, quad[2].error)
     one = [fyodorov_expected_crit(model, i, method="quadrature") for i in range(3)]
     assert [(r.value, r.error) for r in one] == [(r.value, r.error) for r in quad]
     calls.clear()
     cfg = NumericConfig(mc_samples=4000, seed=3)
-    mc = fy._fyodorov_counts(model, [0, 1, 2], -math.inf, "monte-carlo", cfg)
+    mc = expected_counts(model, [0, 1, 2], -math.inf, "fyodorov", cfg,
+                         "monte-carlo")
     assert calls == ["_goe_weighted_mc"] * 3
     assert mc[0].value != mc[2].value
     assert abs(mc[0].value - mc[2].value) < 4 * math.hypot(mc[0].error, mc[2].error)
@@ -254,6 +278,15 @@ def test_method_and_parameter_errors():
         fyodorov_expected_crit(m, 0, 0.0, method="bogus")
     with pytest.raises(ParameterError):
         fyodorov_expected_crit("not a model", 0)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_nan_threshold_raises_parameter_error(method):
+    # the route shares the general path's input checks
+    cfg = NumericConfig(mc_samples=1000, seed=1)
+    with pytest.raises(ParameterError, match="nan"):
+        fyodorov_expected_crit(euclid_from_shape(1, 1.0, 0.5), 0, math.nan,
+                               method=method, config=cfg)
 
 
 def test_auto_method_selection():

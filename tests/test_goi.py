@@ -99,6 +99,33 @@ def test_indexed_functional_evaluate():
             IndexedFunctional(index=1, trace_cap=0.0, cap_edge=bad)
 
 
+@pytest.mark.parametrize("field", ["shift", "trace_cap"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_indexed_functional_rejects_non_finite_inputs(field, bad):
+    # a nan shift or cap used to give nan by quadrature and a number (or a
+    # misleading overflow error) by Monte Carlo
+    with pytest.raises(ParameterError, match=field):
+        IndexedFunctional(index=0, **{field: bad})
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_height_pdf_is_zero_at_infinite_heights(method):
+    # phi(+-inf) = 0: both routes return 0 +- 0 there without building a
+    # functional at an infinite shift, and the finite heights are unchanged
+    m = eu.model_from_shape(3, 1.0, 0.5)
+    cfg = NumericConfig(mc_samples=2000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = kr.height_pdf_result(m, 1, np.array([-math.inf, 0.3, math.inf]),
+                                 method, cfg)
+        for x in (-math.inf, math.inf):
+            assert kr.height_pdf_result(m, 1, x, method, cfg) == \
+                kr.CritResult(0.0, 0.0, method)
+    assert (r.value[[0, 2]] == 0.0).all() and (r.error[[0, 2]] == 0.0).all()
+    finite = kr.height_pdf_result(m, 1, 0.3, method, cfg)
+    assert (r.value[1], r.error[1]) == (finite.value, finite.error)
+
+
 @pytest.mark.parametrize("n,c", [(1, 0.0), (2, 0.0), (2, 0.3), (2, -0.45),
                                  (3, 0.5), (3, 2.5),
                                  (2, -0.5 + 1e-3), (3, -1.0 / 3.0 + 1e-3)])
