@@ -13,7 +13,7 @@ from .errors import (CritfieldError, ParameterError, DegenerateEnsembleError,
 from .goi import (GoiEnsemble, EigenvalueVector, IndexedFunctional,
                   NumericConfig, validate_ensemble, k_norm, log_k_norm,
                   sample_goi, ordered_eigenvalue_density, goi_expectation)
-from ._kacrice import (CritResult, expected_counts, expected_crit_total,
+from ._kacrice import (CritResult, count_route, expected_counts, expected_crit_total,
                        expected_crit_totals, expected_crit_above,
                        fyodorov_expected_crit, height_density, height_cdf,
                        height_pdf_result, height_cdf_result, resolve_method)
@@ -43,7 +43,7 @@ __all__ = [
     "ordered_eigenvalue_density", "goi_expectation", "CritResult",
     "expected_counts", "expected_crit_total", "expected_crit_totals", "expected_crit_above",
     "height_density", "height_cdf", "height_pdf_result", "height_cdf_result",
-    "resolve_method",
+    "resolve_method", "count_route",
     "EuclideanModel", "model_from_rho", "model_from_shape",
     "SphereModel", "model_from_C", "model_from_legendre",
     "sphere_model_from_shape", "expected_crit_total_sphere",

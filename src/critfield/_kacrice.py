@@ -324,7 +324,7 @@ def count_above(p: CountProblem, indices, u: np.ndarray, method: str,
     between calls.
     """
     goe = method == "fyodorov"
-    route = goe_method(p.n + 1, inner) if goe else method
+    route = count_route(p, method, bool((u > -math.inf).any()), inner)
     b = p.shift_coeff
     ens = validate_ensemble(p.n + 1, 0.0) if goe else p.total_ensemble()
     done: dict = {}
@@ -548,6 +548,16 @@ def resolve_method(model, method: str, threshold: bool) -> str:
     if model.n > 3 or (model.n == 3 and threshold):
         return "monte-carlo"
     return "quadrature"
+
+
+def count_route(model, method: str, threshold: bool, inner: str = "auto") -> str:
+    """The route that evaluates a count of expected_counts: that of
+    resolve_method, and for method "fyodorov" that of its GOE(N+1)
+    expectation by inner (fyodorov.goe_method).  So Monte Carlo samples
+    exactly where this is "monte-carlo".  model may be a CountProblem too:
+    only its N is read."""
+    method = resolve_method(model, method, threshold)
+    return goe_method(model.n + 1, inner) if method == "fyodorov" else method
 
 
 def _check_index(model, i: int) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from ._kacrice import (expected_counts, expected_crit_above,
+from ._kacrice import (count_route, expected_counts, expected_crit_above,
                        expected_crit_totals, fyodorov_expected_crit,
                        height_cdf_result, height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
@@ -37,7 +37,6 @@ from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
                      InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
 from .fields import SynthesisSpec
-from .fyodorov import goe_method
 from .goi import NumericConfig
 
 CSV_HEADER = ["space", "N", "eta2", "kappa2", "regime", "index",
@@ -167,12 +166,6 @@ def _require_seed(args: argparse.Namespace, why: str) -> None:
         raise ConfigError(f"--seed is required: {why}")
 
 
-def _method_uses_mc(model, method: str, threshold: bool) -> bool:
-    if method == "fyodorov":
-        return goe_method(model.n + 1) == "monte-carlo"
-    return resolve_method(model, method, threshold) == "monte-carlo"
-
-
 class _RowSink:
     """Accumulates result rows; writes CSV (stdout or file) and JSON."""
 
@@ -221,7 +214,7 @@ def _count_rows(args: argparse.Namespace, model, indices: list,
     indices on quadrature."""
     method = args.method or "auto"
     cfg = _numeric_config(args)
-    if _method_uses_mc(model, method, bool((heights > -math.inf).any())):
+    if count_route(model, method, bool((heights > -math.inf).any())) == "monte-carlo":
         _require_seed(args, "Monte Carlo sampling is in play")
     sink = _RowSink(args)
     for u in heights.tolist():

@@ -20,8 +20,9 @@ from scipy.special import kolmogi
 
 from .errors import InsufficientDataError, ParameterError
 from ._kacrice import expected_crit_totals, height_cdf
-from .fields import (PlanarWaveField, SphericalHarmonicField, SynthesisSpec,
-                     _positive, synthesize, tangent_frames, taylor_evaluate)
+from .fields import (MAX_TAYLOR_ORDER, PlanarWaveField, SphericalHarmonicField,
+                     SynthesisSpec, _positive, _powers, synthesize,
+                     tangent_frames, taylor_evaluate)
 from .sphere import sphere_area
 
 MAX_NEWTON_ITER = 60
@@ -31,11 +32,25 @@ HESS_TOL_FACTOR = 1e-6
 # Hessian scales: far below GRAD_TOL_FACTOR, near the rounding of the
 # float64 sums over the waves
 TAYLOR_TOL_FACTOR = 1e-13
-# radius in grid steps of a planar Newton walker's model about the node
-# its start cell shares, beyond which it is evaluated directly
-NEWTON_MODEL_RADIUS = 3.0
-# model coefficients gathered per block of planar Newton walkers
-MODEL_BLOCK = 2 ** 18
+# a Newton walker that moves more than this many grid steps from its start
+# is lost
+WALKER_REACH = 3
+# side in grid steps of the square tiles of a planar detection, each with
+# one Taylor model (_PlaneTiles).  On the benchmark's plane-wave fields at
+# the default step (2-core x86-64, one BLAS thread) sides of 8 (order 27)
+# and 10 (order 31) detected a field in 55-71 ms alike, 6 took 78 ms and 4
+# took 93 ms; 8 leaves two-ring and gaussian spectra more room below
+# MAX_TAYLOR_ORDER
+TILE = 8
+# most lattice nodes of one scan.  A planar scan at the default step holds
+# about 140 bytes per node on plane waves and 210 on a gaussian covariance,
+# most of them its tiles' Taylor coefficients, and a sphere scan about 40:
+# at this limit a scan stays under a gigabyte, and the default step of the
+# highest harmonic degree (MAX_DEGREE, 4.0e6 nodes) still passes
+MAX_SCAN_NODES = 2 ** 22
+# model coefficients gathered per block of planar evaluations
+# (_PlaneTiles.evaluate), into one buffer that every block reuses
+MODEL_BLOCK = 2 ** 16
 # a walker that does not halve |grad| within this many iterations is stalled
 STALL_ITERS = 3
 # default dedup radius in grid steps: walkers that converged to one
@@ -117,6 +132,15 @@ def _check_scan(grid_step: float | None, merge_radius: float | None) -> None:
             f"merge radius must be finite and >= 0, got {merge_radius}")
 
 
+def _check_scan_size(nodes: float, step: float) -> None:
+    """Reject a scan of more than MAX_SCAN_NODES lattice nodes (nodes may
+    be inf), before anything of that size is allocated."""
+    if not nodes <= MAX_SCAN_NODES:
+        raise ParameterError(
+            f"grid step {step:.4g} gives a scan of {nodes:.3g} nodes, more "
+            f"than {MAX_SCAN_NODES}; take a coarser step or a smaller window")
+
+
 def _sign_change_cells(sx: np.ndarray, sy: np.ndarray, wrap_cols: bool):
     """Cells where both gradient components change sign among the corners."""
 
@@ -141,87 +165,106 @@ def _result(points, state) -> DetectionResult:
                            n_stalled=int((state == _STALLED).sum()))
 
 
-class _PlaneLattice:
-    """The grid of a planar detection and the factors it is scanned with.
+class _PlaneTiles:
+    """The lattice of a planar detection and the Taylor models
+    (PlanarWaveField.taylor_models) that its scan, Newton and
+    classification all read.
 
     The field is translated so that the window's corner lo is the origin,
     with its phases reduced mod 2 pi, so that far windows keep their
-    precision.  Nodes are (a h, b h) in those coordinates.  The scan's
-    separable factors ex[a], ey[b] (PlanarWaveField.grid_factors) are kept
-    for _WalkerModels: their products are the e^{i(<w, t> + p)} at the
-    nodes that seed its Taylor models.
+    precision.  Nodes are (a h, b h) in those coordinates.  Square tiles of
+    `side` grid steps cover the lattice and the walkers' WALKER_REACH
+    around it, each with one model about its center node, of the order
+    that meets TAYLOR_TOL_FACTOR at the tile's half-diagonal.  The side is
+    TILE, or the largest below it for which such an order exists.  The
+    tile centers form a grid of their own, so grid_factors is needed only
+    at their rows, some of them outside the lattice.  The coefficients
+    live in their own memory map (fields._mapped_zeros).
     """
 
     def __init__(self, field: PlanarWaveField, lo, hi, step: float):
         self.lo = np.asarray(lo, dtype=float)
         self.step = step
-        self.field = field.translated(self.lo)
         span = np.asarray(hi, dtype=float) - self.lo
-        self.xs = np.arange(0.0, span[0] + step * 0.5, step)
-        self.ys = np.arange(0.0, span[1] + step * 0.5, step)
-        self.ex, self.ey = self.field.grid_factors(self.xs, self.ys)
+        # as many nodes as np.arange(0, span + step / 2, step) holds
+        n = [(s + 0.5 * step) / step for s in span.tolist()]
+        _check_scan_size(n[0] * n[1], step)
+        n = [math.ceil(k) for k in n]
+        self.field = field.translated(self.lo)
+        m = self.field.model
+        tol = TAYLOR_TOL_FACTOR * np.array(
+            [1.0, math.sqrt(-2.0 * m.rho1), math.sqrt(12.0 * m.rho2)])
+        for side in range(TILE, 0, -1):
+            order = self.field.taylor_order(side * step / math.sqrt(2.0), tol)
+            if order is not None:
+                break
+        else:
+            raise ParameterError(
+                f"grid step {step:.4g} is too coarse for a Taylor model of "
+                f"order <= {MAX_TAYLOR_ORDER} over one grid cell")
+        self.side = side
+        # the first tile's center node: tile q spans the nodes c0 + q side
+        # + o for the offsets o = -(side // 2) .. side - side // 2 - 1, the
+        # first from node -WALKER_REACH on
+        self.c0 = side // 2 - WALKER_REACH
+        self.n = n
+        counts = [-(-(k + 2 * WALKER_REACH) // side) for k in n]
+        cx, cy = ((self.c0 + side * np.arange(k)) * step for k in counts)
+        self.coef = self.field.taylor_models(*self.field.grid_factors(cx, cy),
+                                             step, order)
+        self._gather = np.empty((max(MODEL_BLOCK // (order + 1) ** 2, 1),
+                                 order + 1, order + 1))
+
+    def gradient_grid(self) -> np.ndarray:
+        """The models' gradient at every node of the lattice, (nx, ny, 2):
+        every tile has the same node offsets from its center, so each row
+        of tiles takes two batched products of its coefficients with one
+        power table of the offsets and its derivative."""
+        side, (tx, ty, m1, _) = self.side, self.coef.shape
+        o = np.arange(side) - side // 2
+        p = _powers(o.astype(float), m1 - 1)
+        dp = np.zeros_like(p)
+        dp[:, 1:] = np.arange(1, m1) * p[:, :-1]
+        pd = np.vstack([p, dp]).T
+        # g[a, x, b, y] is the gradient at offsets (x, y) from tile (a, b)
+        g = np.empty((tx, side, ty, side, 2))
+        for a in range(tx):
+            # r[b, i, :] = sum_j B_ij [y^j, j y^(j-1)] over the offsets y
+            r = (self.coef[a].reshape(-1, m1) @ pd).reshape(ty, m1, 2 * side)
+            g[a, ..., 0] = (dp @ r[..., :side]).transpose(1, 0, 2)
+            g[a, ..., 1] = (p @ r[..., side:]).transpose(1, 0, 2)
+        g /= self.step
+        nx, ny = self.n
+        g = g.reshape(tx * side, ty * side, 2)
+        return g[WALKER_REACH:WALKER_REACH + nx, WALKER_REACH:WALKER_REACH + ny]
 
     def candidates(self) -> np.ndarray:
         """Centers of the grid cells where both gradient components change
         sign, in the caller's coordinates."""
-        g = self.field.factor_gradient(self.ex, self.ey)
+        g = self.gradient_grid()
         cells = _sign_change_cells(np.signbit(g[..., 0]), np.signbit(g[..., 1]),
                                    wrap_cols=False)
-        return self.lo + np.stack([self.xs[cells[:, 0]] + self.step / 2.0,
-                                   self.ys[cells[:, 1]] + self.step / 2.0], axis=-1)
+        return self.lo + (cells * self.step + self.step / 2.0)
 
-
-# the corners of a lattice cell, as offsets from its lower-left node
-_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-
-
-class _WalkerModels:
-    """The local Taylor models of planar Newton walkers
-    (PlanarWaveField.taylor_models).
-
-    Each candidate cell takes the model about the one of its four corners
-    that the most candidate cells share, ties going to the first in
-    _CORNERS order.  So touching candidate cells share a model wherever
-    they can, and each walker starts 0.71 steps from its node, a corner
-    of its own start cell.  The order meets TAYLOR_TOL_FACTOR within
-    NEWTON_MODEL_RADIUS steps of the node, or, where the order limit does
-    not reach that far for fields with long wave vectors, within half of it
-    as often as needed.  A walker beyond that radius from its node is
-    evaluated directly.
-    """
-
-    def __init__(self, lattice: _PlaneLattice, centers: np.ndarray):
-        self.lo, self.step, self.field = lattice.lo, lattice.step, lattice.field
-        cells = np.floor((centers - self.lo) / self.step).astype(np.int64)
-        # node (a, b) as the key a W + b, which sorts as the rows (a, b) do
-        width = len(lattice.ys)
-        corners = (cells[:, None, :] + _CORNERS) @ np.array([width, 1])
-        _, shared, count = np.unique(corners, return_inverse=True,
-                                     return_counts=True)
-        best = count[shared].reshape(-1, 4).argmax(axis=1)
-        keys, self.which = np.unique(corners[np.arange(len(cells)), best],
-                                     return_inverse=True)
-        self.nodes = np.stack(np.divmod(keys, width), axis=-1)
-        m = self.field.model
-        tol = TAYLOR_TOL_FACTOR * np.array(
-            [1.0, math.sqrt(-2.0 * m.rho1), math.sqrt(12.0 * m.rho2)])
-        self.radius = NEWTON_MODEL_RADIUS
-        while (order := self.field.taylor_order(self.radius * self.step, tol)) is None:
-            self.radius *= 0.5
-        self.coef = self.field.taylor_models(lattice.ex, lattice.ey, self.nodes,
-                                             self.step, order)
-
-    def evaluate(self, p: np.ndarray, walkers: np.ndarray):
-        """Value, gradient and Hessian at the points p (lattice coordinates)
-        of the walkers."""
-        k = self.which[walkers]
-        u = p / self.step - self.nodes[k]
-        val, grad, hess = taylor_evaluate(self.coef[k], u, self.step)
-        far = np.linalg.norm(u, axis=1) > self.radius
-        if far.any():
-            val[far], hess[far] = self.field.value_and_hessian(p[far])
-            grad[far] = self.field.gradient(p[far])
-        return val, grad, hess
+    def evaluate(self, p: np.ndarray):
+        """Value, gradient and Hessian at the points p (lattice coordinates),
+        each on the model of the tile that holds it, in blocks that gather
+        their models into one buffer."""
+        t = p / self.step - self.c0
+        q = np.floor(t / self.side + 0.5).astype(np.int64)
+        np.clip(q, 0, np.array(self.coef.shape[:2]) - 1, out=q)
+        u = t - self.side * q
+        which = q[:, 0] * self.coef.shape[1] + q[:, 1]
+        models = self.coef.reshape((-1,) + self._gather.shape[1:])
+        out = (np.empty(len(p)), np.empty((len(p), 2)), np.empty((len(p), 2, 2)))
+        block = len(self._gather)
+        for s in range(0, len(p), block):
+            coef = self._gather[:len(which[s:s + block])]
+            np.take(models, which[s:s + block], axis=0, out=coef)
+            parts = taylor_evaluate(coef, u[s:s + block], self.step)
+            for whole, part in zip(out, parts):
+                whole[s:s + block] = part
+        return out
 
 
 def find_critical_points_plane(field: PlanarWaveField, lo, hi,
@@ -238,23 +281,21 @@ def find_critical_points_plane(field: PlanarWaveField, lo, hi,
     step = grid_step if grid_step is not None else _default_step(model)
     _check_step(step, model)
 
-    lattice = _PlaneLattice(field, lo, hi, step)
-    centers = lattice.candidates()
-    models = _WalkerModels(lattice, centers)
-    del lattice                          # the factor tables' last use
+    tiles = _PlaneTiles(field, lo, hi, step)
+    centers = tiles.candidates()
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * model.rho1)
     eps_h = HESS_TOL_FACTOR * math.sqrt(12.0 * model.rho2)
 
-    pts, ok, state = _newton_plane(models, centers, step, eps_g, max_iter)
+    pts, ok, state = _newton_plane(tiles, centers, step, eps_g, max_iter)
     walkers = np.flatnonzero(ok)
     # clip to the requested rectangle before deduplicating
     walkers = walkers[np.all((pts[walkers] >= lo - 1e-9)
                              & (pts[walkers] <= hi + 1e-9), axis=1)]
     walkers = walkers[_merge_points(pts[walkers], _dedup_radius(merge_radius, step))]
-    vals, _, hess = models.evaluate(pts[walkers] - models.lo, walkers)
+    vals, _, hess = tiles.evaluate(pts[walkers] - tiles.lo)
     # the working memory goes before the long-lived results are built, so
     # that they do not pin it in the heap
-    del models
+    del tiles
     return _result(_classify_plane(pts[walkers], hess, vals, eps_h), state)
 
 
@@ -281,74 +322,66 @@ def _newton_steps(g, h, step):
     return d, bad
 
 
-def _newton(centers, step, eps_g, max_iter, local, dist, block):
+def _newton(centers, step, eps_g, max_iter, local, dist):
     """Damped batched Newton from every candidate, on the plane or sphere.
 
-    local(p, idx) returns, at the points p of the walkers idx, the gradient
-    (k, 2) in an orthonormal tangent frame, a function that gives the
-    Hessian (j, 2, 2) in that frame for the walkers a mask keeps, and a
-    function that moves those walkers by frame steps (j, 2).  dist(p, q) is
-    the distance between points.  Each iteration takes the active walkers
-    in blocks of at most `block`, and caps each step at one grid step.
-    Each walker ends converged (|grad| < eps_g), lost (more than 3 steps
-    from its start), singular, or stalled (the progress rule, or still
-    running after max_iter iterations).  Returns the points, the converged
-    mask and the walker states.
+    local(p) returns, at the points p, the gradient (k, 2) in an
+    orthonormal tangent frame, a function that gives the Hessian (j, 2, 2)
+    in that frame at the points a mask keeps, and a function that moves
+    those points by frame steps (j, 2).  dist(p, q) is the distance between
+    points.  Each step is capped at one grid step.  Each walker ends
+    converged (|grad| < eps_g), lost (more than WALKER_REACH steps from its
+    start), singular, or stalled (the progress rule, or still running after
+    max_iter iterations).  Returns the points, the converged mask and the
+    walker states.
     """
     pts = centers.copy()
     state = np.full(len(pts), _ACTIVE, dtype=np.int8)
     ref = np.full(len(pts), np.inf)
     since = np.zeros(len(pts), dtype=np.int64)
     for _ in range(max_iter):
-        active = np.flatnonzero(state == _ACTIVE)
-        if active.size == 0:
+        idx = np.flatnonzero(state == _ACTIVE)
+        if idx.size == 0:
             break
-        for start in range(0, active.size, block):
-            idx = active[start:start + block]
-            g, hessian, move = local(pts[idx], idx)
-            gn = np.linalg.norm(g, axis=1)
-            hit = gn < eps_g
-            stalled = _stalled(gn, idx, ref, since) & ~hit
-            state[idx[hit]] = _CONVERGED
-            state[idx[stalled]] = _STALLED
-            go = ~(hit | stalled)
-            d, bad = _newton_steps(g[go], hessian(go), step)
-            state[idx[go][bad]] = _SINGULAR
-            go[go] = ~bad
-            moved = idx[go]
-            pts[moved] = move(go, d)
-            state[moved[dist(pts[moved], centers[moved]) > 3.0 * step]] = _LOST
-            # free the closures' batch arrays before the next block's
-            del hessian, move
+        g, hessian, move = local(pts[idx])
+        gn = np.linalg.norm(g, axis=1)
+        hit = gn < eps_g
+        stalled = _stalled(gn, idx, ref, since) & ~hit
+        state[idx[hit]] = _CONVERGED
+        state[idx[stalled]] = _STALLED
+        go = ~(hit | stalled)
+        d, bad = _newton_steps(g[go], hessian(go), step)
+        state[idx[go][bad]] = _SINGULAR
+        go[go] = ~bad
+        moved = idx[go]
+        pts[moved] = move(go, d)
+        state[moved[dist(pts[moved], centers[moved]) > WALKER_REACH * step]] = _LOST
     state[state == _ACTIVE] = _STALLED
     return pts, state == _CONVERGED, state
 
 
-def _newton_plane(models, centers, step, eps_g, max_iter):
-    """Planar Newton on the walkers' local Taylor models (_WalkerModels):
-    models are those of the centers, built from the lattice whose cell
-    centers they are."""
+def _newton_plane(tiles, centers, step, eps_g, max_iter):
+    """Planar Newton on the Taylor models of the tiles (_PlaneTiles) whose
+    lattice cells the centers are the centers of."""
     if len(centers) == 0:
         state = np.zeros(0, dtype=np.int8)
         return centers.copy(), state == _CONVERGED, state
 
-    def local(p, idx):
-        _, g, h = models.evaluate(p, idx)
+    def local(p):
+        _, g, h = tiles.evaluate(p)
         return g, lambda keep: h[keep], lambda keep, d: p[keep] + d
 
-    # walkers are independent, so blocks keep their gathered models small
-    pts, ok, state = _newton(centers - models.lo, step, eps_g, max_iter, local,
-                             lambda p, q: np.abs(p - q).max(axis=1),
-                             max(MODEL_BLOCK // models.coef[0].size, 1))
+    pts, ok, state = _newton(centers - tiles.lo, step, eps_g, max_iter, local,
+                             lambda p, q: np.abs(p - q).max(axis=1))
     # each converged walker takes one more step, free on its model, which
     # takes its gradient from below eps_g to rounding: the point then stays
     # critical under other evaluations of the field too, such as direct
     # sums far from the origin, whose phases round at 1e-11
     done = np.flatnonzero(ok)
-    g, hessian, move = local(pts[done], done)
+    g, hessian, move = local(pts[done])
     d, bad = _newton_steps(g, hessian(slice(None)), step)
     pts[done[~bad]] = move(~bad, d)
-    return pts + models.lo, ok, state
+    return pts + tiles.lo, ok, state
 
 
 def _classify(pts, hess, vals, eps_h) -> list:
@@ -360,7 +393,7 @@ def _classify(pts, hess, vals, eps_h) -> list:
             for loc, h, i, lam, f in zip(pts, vals.tolist(), index, eigs, flagged)]
 
 
-# the plane classifies the values and Hessians its walkers' models give
+# the plane classifies the values and Hessians its tiles' models give
 _classify_plane = _classify
 
 
@@ -403,6 +436,7 @@ def _chart_candidates(field: SphericalHarmonicField, step: float) -> np.ndarray:
 
     The tilted chart scans the harmonic p -> f(R p), whose coefficients
     come from an exact projection, so both charts are separable scans."""
+    _check_scan_size(math.pi / step * (2.0 * math.pi / step), step)
     n_th = max(int(math.ceil(math.pi / step)), 8)
     n_ph = max(int(math.ceil(2.0 * math.pi / step)), 16)
     th = np.linspace(0.0, math.pi, n_th + 1)[1:-1]
@@ -455,7 +489,7 @@ def find_critical_points_sphere(field: SphericalHarmonicField,
 
 
 def _newton_sphere(field, centers, step, eps_g, max_iter):
-    def local(p, idx):
+    def local(p):
         amb = field.ambient(p)
         g = amb[1]
         fr = tangent_frames(p)
@@ -474,8 +508,7 @@ def _newton_sphere(field, centers, step, eps_g, max_iter):
     def angle(p, q):
         return np.arccos(np.clip((p * q).sum(axis=1), -1.0, 1.0))
 
-    return _newton(centers, step, eps_g, max_iter, local, angle,
-                   max(len(centers), 1))
+    return _newton(centers, step, eps_g, max_iter, local, angle)
 
 
 def _classify_sphere(field, pts, eps_h):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,15 @@ KINDS = ("gaussian-covariance", "plane-wave", "custom-spectral",
 # l = 151, and the normalizers of high orders leave the normal floats there.
 MAX_DEGREE = 150
 # largest total degree of a planar Taylor model, and nodes per block of
-# matrix products when building them (PlanarWaveField.taylor_models).  On
-# the benchmark's plane-wave fields at order 21 (2-core x86-64, one BLAS
-# thread) a build took 22-25 ms per field in blocks of 8-16 nodes and 28 ms
-# in blocks of 32-64 through the ring's modes, and 69-87 ms against 53 ms
-# through the full tables of other spectra: 32 serves both
+# matrix products when building them (PlanarWaveField.taylor_models).  The
+# tiles of a detection (best of 3 on a 2-core x86-64, one BLAS thread) took
+# 23.2 ms per field in blocks of 16 and 22.5 ms in blocks of 32 on the
+# benchmark's plane-wave fields (order 27, through the ring's modes), 29.0
+# and 25.5 ms on a two-ring spectrum (order 28, the full tables).  16 halves
+# the block buffers to 1 MB at K = 2000 waves, which the benchmark's peak
+# memory needs
 MAX_TAYLOR_ORDER = 32
-TAYLOR_NODE_BLOCK = 32
+TAYLOR_NODE_BLOCK = 16
 # the largest spread of wave-vector lengths, relative to the longest, that
 # PlanarWaveField.taylor_models treats as one circle
 RING_SPREAD = 4 * np.finfo(float).eps
@@ -130,14 +133,7 @@ class PlanarWaveField:
         return -self.scale * (np.sin(self.phase(pts)) @ self.omegas)
 
     def hessian(self, pts: np.ndarray) -> np.ndarray:
-        return self._hessian_at_cos(np.cos(self.phase(pts)))
-
-    def value_and_hessian(self, pts: np.ndarray):
-        """Value and Hessian from one phase matrix and one cosine."""
         c = np.cos(self.phase(pts))
-        return self.scale * c.sum(axis=-1), self._hessian_at_cos(c)
-
-    def _hessian_at_cos(self, c: np.ndarray) -> np.ndarray:
         return (-self.scale * (c @ self._ww)).reshape(c.shape[:-1] + (2, 2))
 
     def translated(self, shift) -> "PlanarWaveField":
@@ -151,21 +147,11 @@ class PlanarWaveField:
         ex[a] = e^{i(w_x xs[a] + p)} and ey[b] = e^{i w_y ys[b]}, of shapes
         (len(xs), K) and (len(ys), K), whose product ex[a] * ey[b] is
         e^{i(<w, (xs[a], ys[b])> + p)}.  xs and ys must be evenly spaced,
-        as every grid of a scan is: each factor is built by angle addition
-        (_phasors), with about 2 sqrt(n) rows of exp for n grid lines."""
+        as the tile centers of a planar detection are: each factor is built
+        by angle addition (_phasors), with about 2 sqrt(n) rows of exp for
+        n grid lines."""
         return (_phasors(xs, self.omegas[:, 0], self.phases),
                 _phasors(ys, self.omegas[:, 1]))
-
-    def factor_gradient(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-        """Gradient on the grid of the factors ex, ey (see grid_factors):
-        each component is the imaginary part of one complex matrix product
-        (EX diag(w)) @ EY^T instead of a sine per grid point and wave."""
-        wx, wy = self.omegas[:, 0], self.omegas[:, 1]
-        g = np.empty((len(ex), len(ey), 2))
-        g[..., 0] = ((ex * wx) @ ey.T).imag
-        g[..., 1] = ((ex * wy) @ ey.T).imag
-        g *= -self.scale
-        return g
 
     def taylor_order(self, radius: float, tol) -> int | None:
         """The smallest total degree m <= MAX_TAYLOR_ORDER whose local Taylor
@@ -176,22 +162,29 @@ class PlanarWaveField:
         With x_k = |w_k| radius and T_n(x) = sum_{j >= n} x^j / j!
         <= x^n / n! / (1 - x / (n + 1)), the remainders are at most
         scale sum_k |w_k|^d T_{m+1-d}(x_k) for d = 0, 1, 2 derivatives.
+        Each bound falls as m grows, so m is found by bisection.
         """
         w = np.linalg.norm(self.omegas, axis=1)
         x = w * radius
-        for m in range(2, MAX_TAYLOR_ORDER + 1):
-            if np.all(x < m):
-                bounds = [self.scale * (w ** d * _exp_tail(x, m + 1 - d)).sum()
-                          for d in range(3)]
-                if all(b <= t for b, t in zip(bounds, tol)):
-                    return m
-        return None
 
-    def taylor_models(self, ex: np.ndarray, ey: np.ndarray, nodes: np.ndarray,
-                      h: float, order: int) -> np.ndarray:
-        """Local Taylor models of total degree m = order about the grid
-        nodes (n, 2), integer indices into the factors ex, ey of
-        grid_factors: coefficient blocks B of shape (n, m+1, m+1), zero
+        def meets(m):
+            return np.all(x < m) and all(
+                self.scale * (w ** d * _exp_tail(x, m + 1 - d)).sum() <= t
+                for d, t in zip(range(3), tol))
+
+        lo, hi = 2, MAX_TAYLOR_ORDER
+        if not meets(hi):
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+        return lo
+
+    def taylor_models(self, ex: np.ndarray, ey: np.ndarray, h: float,
+                      order: int) -> np.ndarray:
+        """Local Taylor models of total degree m = order about every node
+        (xs[a], ys[b]) of the grid of the factors ex, ey (grid_factors):
+        coefficient blocks B of shape (len(ex), len(ey), m+1, m+1), zero
         above degree m, for taylor_evaluate.
 
         About a center c, in steps u = (t - c) / h, with E_k = e^{i(<w_k, c>
@@ -218,13 +211,15 @@ class PlanarWaveField:
         which determine it exactly.  Other spectra take the tables as they
         are.
 
-        The products run in blocks of TAYLOR_NODE_BLOCK nodes, which
-        gather E into buffers made once per call, the last, partial block
-        using them in part, and hand BLAS contiguous planes of Re E and
-        Im E.
+        The products run over the nodes in row-major order, in blocks of
+        TAYLOR_NODE_BLOCK, which write E into buffers made once per call as
+        runs ex[a] * ey[b0:b1] along the rows of the grid, the last,
+        partial block using them in part, and hand BLAS contiguous planes
+        of Re E and Im E.
         """
         m = order
-        out = np.zeros((len(nodes), m + 1, m + 1))
+        nx, ny = len(ex), len(ey)
+        out = _mapped_zeros((nx * ny, m + 1, m + 1))
         k = np.arange(m + 1)
         i, j = np.nonzero(np.add.outer(k, k) <= m)
         n = i + j
@@ -260,12 +255,16 @@ class PlanarWaveField:
                 factors = (waves[:, modes],
                            np.linalg.lstsq(samples[:, modes], table, rcond=None)[0])
             parts.append((i[part], j[part], factors))
+        if radius is not None:
+            # the factors are copies: free their sources before the buffers
+            del waves, samples
         e = np.empty((TAYLOR_NODE_BLOCK, ex.shape[1]), dtype=complex)
         planes = np.empty((2,) + e.shape)
-        for s in range(0, len(nodes), TAYLOR_NODE_BLOCK):
-            a, b = nodes[s:s + TAYLOR_NODE_BLOCK].T
-            r = len(a)
-            np.multiply(ex[a], ey[b], out=e[:r])
+        for s in range(0, nx * ny, TAYLOR_NODE_BLOCK):
+            r = min(TAYLOR_NODE_BLOCK, nx * ny - s)
+            for a in range(s // ny, (s + r - 1) // ny + 1):
+                b0, b1 = max(s - a * ny, 0), min(s + r - a * ny, ny)
+                np.multiply(ex[a], ey[b0:b1], out=e[a * ny + b0 - s:a * ny + b1 - s])
             planes[0, :r] = e[:r].real
             planes[1, :r] = e[:r].imag
             for plane, (ib, jb, factors) in zip(planes, parts):
@@ -273,7 +272,16 @@ class PlanarWaveField:
                 for factor in factors:
                     v = v @ factor
                 out[s:s + r, ib, jb] = v
-        return out
+        return out.reshape(nx, ny, m + 1, m + 1)
+
+
+def _mapped_zeros(shape) -> np.ndarray:
+    """A float64 array of zeros in its own anonymous memory map.  Its pages
+    go back to the system when it is freed, whatever the allocator's trim
+    threshold, where a heap block that outlives the working arrays made
+    after it can keep its whole size resident as free heap."""
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), count=n).reshape(shape)
 
 
 def _ring_radius(omegas: np.ndarray) -> float | None:

@@ -894,15 +894,23 @@ def _ql_sweep(d: NDArray[np.float64], e2: NDArray[np.float64]) -> None:
     """One implicit QL sweep of dsterf, in place, on each column of the
     windows d (w, a) and e2 (w - 1, a), w >= 3, shifted by the eigenvalue of
     the top 2 x 2 nearer d[0].  A zero b^2 (a split) passes the sweep on
-    unrotated, and where c = 0 the next p is oldc b^2, as in dsterf."""
+    unrotated, and where c = 0 the next p is oldc b^2, as in dsterf.
+
+    Every b^2 <= EPS2 / 4 in the window is set to 0 first, as dsterf splits
+    its window at negligible couplings: a sweep that crosses b^2 ~ 1e-160
+    where d_i = sigma makes gamma ~ b and gamma^2 underflow, and the c = p /
+    r that follows keeps no digit of the rotation."""
+    tiny = e2 <= 0.25 * _EPS2
+    # r = p + b^2 >= b^2 below is 0 only where b^2 is
+    split = tiny.any()
+    if split:
+        e2[tiny] = 0.0
     p = d[0]
     g = d[1] - p
     q = 4.0 * e2[0]
     # dsterf's p - b / (sigma + sign(sigma) hypot(sigma, 1)), sigma = g / 2b,
     # in b^2 alone; the denominator is at least 2b > 0
     sigma = p - 0.5 * q / (g + np.copysign(np.sqrt(g * g + q), g))
-    # r = p + b^2 >= b^2 below is 0 only where b^2 is
-    split = not e2.all()
     c, s = 1.0, 0.0
     gamma = d[-1] - sigma
     pp = gamma * gamma

@@ -679,3 +679,32 @@ def test_monte_carlo_overflow_refuses_only_the_indices_it_reaches(capsys):
     assert main(args + ["--index", "200"]) == 2
     goi._bank.clear()
     assert "N = 400" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["auto", "closed-form", "quadrature",
+                                    "monte-carlo", "fyodorov"])
+def test_seed_is_demanded_exactly_when_a_count_samples(capsys, method):
+    # over N = 1..5, totals and a threshold: a command without --seed exits
+    # 2 naming --seed exactly when its rows come from Monte Carlo, which a
+    # row shows by its method or, on the GOE(N+1) route, by values that
+    # move with the seed; otherwise it prints what the seeded command
+    # prints, or fails the same way
+    for n in range(1, 6):
+        for threshold in ([], ["--threshold", "0.3"]):
+            argv = ["expect", "--N", str(n), "--eta2", "1", "--kappa2", "0.5",
+                    "--index", "0", "--method", method, "--samples", "200",
+                    *threshold]
+            code, out = run(capsys, *argv, "--seed", "1")
+            rows = rows_of(out)
+            sampled = any(r["method"] == "monte-carlo" for r in rows)
+            if rows and rows[0]["method"] == "fyodorov":
+                _, other = run(capsys, *argv, "--seed", "2")
+                sampled = [r["value"] for r in rows_of(other)] != [r["value"] for r in rows]
+            unseeded = main(argv)
+            captured = capsys.readouterr()
+            if sampled:
+                assert unseeded == 2 and "--seed is required" in captured.err, argv
+            else:
+                assert unseeded == code, argv
+                assert captured.out == out.replace(",1\n", ",\n"), argv
+                assert "--seed" not in captured.err, argv

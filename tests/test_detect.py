@@ -11,8 +11,8 @@ from scipy.special import kolmogi
 
 from critfield.detect import (_CHART_TILT, CHART_OVERLAP, DEDUP_FACTOR,
                               GRAD_TOL_FACTOR, HESS_TOL_FACTOR,
-                              MAX_NEWTON_ITER, NEWTON_MODEL_RADIUS,
-                              HeightSample, _PlaneLattice, _WalkerModels,
+                              MAX_NEWTON_ITER, MAX_SCAN_NODES, TILE,
+                              WALKER_REACH, HeightSample, _PlaneTiles,
                               _chart_candidates, _classify_sphere,
                               _merge_points, _newton, _newton_plane,
                               _newton_sphere,
@@ -83,6 +83,11 @@ def test_plane_coarse_grid_warns():
     with pytest.warns(UserWarning, match="correlation scale"):
         find_critical_points_plane(f, (0.05, 0.05), (6.0, 6.0),
                                    grid_step=f.model.eta)
+    # a step so coarse that no Taylor model covers one cell is rejected
+    with pytest.warns(UserWarning, match="correlation scale"):
+        with pytest.raises(ParameterError, match="too coarse"):
+            find_critical_points_plane(f, (0.0, 0.0), (1000.0, 1000.0),
+                                       grid_step=100.0)
 
 
 def test_sphere_detection_degree2():
@@ -368,8 +373,8 @@ def plane_setup(seed, side=6.0, spec=SynthesisSpec.plane_wave(10.0), lo=0.0):
     f = synthesize(spec, rng=seed)
     step = f.model.eta / 6.0
     eps_g = GRAD_TOL_FACTOR * math.sqrt(-2.0 * f.model.rho1)
-    lattice = _PlaneLattice(f, (lo, lo), (lo + side, lo + side), step)
-    return f, step, eps_g, lattice.candidates()
+    tiles = _PlaneTiles(f, (lo, lo), (lo + side, lo + side), step)
+    return f, step, eps_g, tiles.candidates()
 
 
 def sphere_setup(seed, degree=20):
@@ -405,21 +410,20 @@ def test_plane_detection_keeps_every_plain_newton_point(spec, seed):
 
 
 def newton_plane(field, centers, step, eps_g, max_iter):
-    # _newton_plane on the models of a lattice through the centers
-    lattice = _PlaneLattice(field, centers.min(axis=0) - 0.5 * step,
-                            centers.max(axis=0) + 0.5 * step, step)
-    return _newton_plane(_WalkerModels(lattice, centers), centers, step, eps_g,
-                         max_iter)
+    # _newton_plane on the tiles of a lattice through the centers
+    tiles = _PlaneTiles(field, centers.min(axis=0) - 0.5 * step,
+                        centers.max(axis=0) + 0.5 * step, step)
+    return _newton_plane(tiles, centers, step, eps_g, max_iter)
 
 
 def float64_newton_plane(field, centers, step, eps_g, max_iter):
     # planar Newton on the pointwise float64 trig sums, kept as the reference
-    def local(p, idx):
+    def local(p):
         return (field.gradient(p), lambda keep: field.hessian(p[keep]),
                 lambda keep, d: p[keep] + d)
 
     return _newton(centers, step, eps_g, max_iter, local,
-                   lambda p, q: np.abs(p - q).max(axis=1), len(centers))
+                   lambda p, q: np.abs(p - q).max(axis=1))
 
 
 PLANAR_KINDS = [SynthesisSpec.plane_wave(10.0),
@@ -427,79 +431,102 @@ PLANAR_KINDS = [SynthesisSpec.plane_wave(10.0),
                 SynthesisSpec.custom_spectral([4.0, 12.0], [1.0, 2.0])]
 
 
+def assert_matches_trig_sums(field, t, val, grad, hess):
+    # value, gradient and Hessian within 1e-12 of their scales of the trig
+    # sums of field at the points t
+    m = field.model
+    assert np.abs(val - field.value(t)).max() < 1e-12
+    assert (np.abs(grad - field.gradient(t)).max()
+            < 1e-12 * math.sqrt(-2.0 * m.rho1))
+    assert (np.abs(hess - field.hessian(t)).max()
+            < 1e-12 * math.sqrt(12.0 * m.rho2))
+
+
+def tile_centers(tiles):
+    # the lattice coordinates of the tiles' center nodes, (tx, ty, 2)
+    tx, ty = tiles.coef.shape[:2]
+    c = (tiles.c0 + tiles.side * np.arange(max(tx, ty))) * tiles.step
+    return np.stack(np.meshgrid(c[:tx], c[:ty], indexing="ij"), axis=-1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(range(len(PLANAR_KINDS))),
        seed=st.integers(0, 2 ** 16), lo=st.sampled_from([0.0, 5000.0]),
        steps_per_eta=st.sampled_from([6.0, 2.0]),
-       cell=st.tuples(st.integers(0, 20), st.integers(0, 20)),
-       r=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * PI))
+       node=st.tuples(st.integers(-WALKER_REACH, 21 + WALKER_REACH),
+                      st.integers(-WALKER_REACH, 21 + WALKER_REACH)),
+       offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
 def test_local_models_match_pointwise_derivatives(kind, seed, lo, steps_per_eta,
-                                                  cell, r, angle):
-    # a walker's Taylor model against the trig sums of the window's field,
-    # anywhere within the model's radius; on a coarse lattice the order
-    # limit does not reach NEWTON_MODEL_RADIUS, and the radius shrinks
+                                                  node, offset):
+    # the tiles' Taylor models against the trig sums of the window's field,
+    # anywhere on the lattice and within the walkers' reach around it; on a
+    # coarse lattice the order limit does not reach a tile of side TILE,
+    # and the side shrinks
     f = synthesize(PLANAR_KINDS[kind], rng=seed)
     step = f.model.eta / steps_per_eta
-    lattice = _PlaneLattice(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
-    center = lattice.lo + (np.array(cell) + 0.5) * step
-    models = _WalkerModels(lattice, center[None])
-    assert 0.0 < models.radius <= NEWTON_MODEL_RADIUS
+    tiles = _PlaneTiles(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
+    assert 1 <= tiles.side <= TILE
     if steps_per_eta == 2.0:
-        assert models.radius < NEWTON_MODEL_RADIUS
-    u = r * models.radius * np.array([[math.cos(angle), math.sin(angle)]])
-    val, grad, hess = taylor_evaluate(models.coef, u, step)
-    t = (models.nodes[0] + u) * step
-    m = f.model
-    assert abs(val[0] - lattice.field.value(t)[0]) < 1e-12
-    assert (np.abs(grad - lattice.field.gradient(t)).max()
-            < 1e-12 * math.sqrt(-2.0 * m.rho1))
-    assert (np.abs(hess - lattice.field.hessian(t)).max()
-            < 1e-12 * math.sqrt(12.0 * m.rho2))
+        assert tiles.side < TILE
+    t = (np.array(node) + np.array(offset))[None] * step
+    assert_matches_trig_sums(tiles.field, t, *tiles.evaluate(t))
 
 
-# the benchmark's panel field (11, 0), and one field of each planar kind at
-# the parameters of test_fields.PLANAR_SPECS
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(range(len(PLANAR_KINDS))),
+       seed=st.integers(0, 2 ** 16), lo=st.sampled_from([0.0, 5000.0]),
+       steps_per_eta=st.sampled_from([6.0, 2.0]),
+       cells=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+def test_tile_scan_matches_pointwise_gradient(kind, seed, lo, steps_per_eta, cells):
+    # the scan's gradient at every lattice node, two batched products of
+    # the tiles' coefficients, lies within the Taylor tolerance of the trig
+    # sums of the window's field, with the same sign pattern: so the scan
+    # finds the candidates the sums would
+    f = synthesize(PLANAR_KINDS[kind], rng=seed)
+    step = f.model.eta / steps_per_eta
+    hi = (lo + cells[0] * step, lo + cells[1] * step)
+    tiles = _PlaneTiles(f, (lo, lo), hi, step)
+    g = tiles.gradient_grid()
+    xs, ys = (step * np.arange(k) for k in tiles.n)
+    assert g.shape == (len(xs), len(ys), 2)
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    want = tiles.field.gradient(nodes)
+    assert (np.abs(g - want).max()
+            < 1e-12 * math.sqrt(-2.0 * f.model.rho1))
+    assert np.array_equal(np.signbit(g), np.signbit(want))
+
+
 @pytest.mark.parametrize("spec,seed,side", [
-    (SynthesisSpec.plane_wave(10.0), (11, 0), 10.0),
+    (SynthesisSpec.plane_wave(10.0), (11, 0), 9.5),
     (SynthesisSpec.gaussian_covariance(0.5), 3, 20.0),
     (SynthesisSpec.plane_wave(10.0), 3, 6.0),
-    (SynthesisSpec.custom_spectral([2.0, 6.0], [1.0, 2.0]), 3, 12.0)],
+    (SynthesisSpec.custom_spectral([2.0, 6.0], [1.0, 2.0]), 3, 12.5)],
     ids=["panel-0", "gaussian-covariance", "plane-wave", "custom-spectral"])
-def test_walker_nodes_are_shared_corners(spec, seed, side):
-    # each walker's model sits on a corner of its own start cell, the
-    # shared corners take no more nodes than the 2x2 tiles did, and every
-    # model, those of the last, partial block of the build included,
-    # matches the trig sums
-    f, step, _, centers = plane_setup(seed, side, spec)
-    lattice = _PlaneLattice(f, (0.0, 0.0), (side, side), step)
-    models = _WalkerModels(lattice, centers)
-    offset = (centers - lattice.lo) / step - models.nodes[models.which]
-    assert np.abs(np.abs(offset) - 0.5).max() < 1e-9
-    cells = np.floor((centers - lattice.lo) / step).astype(np.int64)
-    assert len(models.nodes) <= len(np.unique(2 * (cells // 2) + 1, axis=0))
-    n = len(models.nodes)
+def test_last_partial_build_block_matches_trig_sums(spec, seed, side):
+    # every tile's model, those of the last, partial block of the build
+    # included, matches the trig sums within its tile's half-diagonal
+    f = synthesize(spec, rng=seed)
+    step = f.model.eta / 6.0
+    tiles = _PlaneTiles(f, (0.0, 0.0), (side, side), step)
+    coef = tiles.coef.reshape((-1,) + tiles.coef.shape[2:])
+    n = len(coef)
     assert n % TAYLOR_NODE_BLOCK != 0
     rng = np.random.default_rng(4)
     k = np.union1d(np.arange(n - n % TAYLOR_NODE_BLOCK - 1, n),
                    rng.integers(n, size=64))
-    angle = rng.uniform(0.0, 2.0 * PI, len(k))
-    u = (rng.uniform(0.0, models.radius, len(k))[:, None]
-         * np.stack([np.cos(angle), np.sin(angle)], axis=-1))
-    val, grad, hess = taylor_evaluate(models.coef[k], u, step)
-    t = (models.nodes[k] + u) * step
-    m = f.model
-    assert np.abs(val - lattice.field.value(t)).max() < 1e-12
-    assert (np.abs(grad - lattice.field.gradient(t)).max()
-            < 1e-12 * math.sqrt(-2.0 * m.rho1))
-    assert (np.abs(hess - lattice.field.hessian(t)).max()
-            < 1e-12 * math.sqrt(12.0 * m.rho2))
+    u = rng.uniform(-0.5, 0.5, (len(k), 2)) * tiles.side
+    t = tile_centers(tiles).reshape(-1, 2)[k] + u * step
+    assert_matches_trig_sums(tiles.field, t, *taylor_evaluate(coef[k], u, step))
 
 
-def monomial_taylor_models(field, ex, ey, nodes, h, m):
+def monomial_taylor_models(field, ex, ey, h, m):
     # the Taylor coefficients through the full monomial tables
-    # c_ij (h w_kx)^i (h w_ky)^j in blocks of TAYLOR_NODE_BLOCK nodes, the
-    # way PlanarWaveField.taylor_models builds them for spectra off a ring:
-    # the reference for its ring factorization
+    # c_ij (h w_kx)^i (h w_ky)^j about every grid node of the factors ex,
+    # ey, in row-major blocks of TAYLOR_NODE_BLOCK nodes, each gathering its
+    # E_k = ex[a] ey[b], the way PlanarWaveField.taylor_models builds them
+    # for spectra off a ring: the reference for its ring factorization and
+    # its runs along the grid rows
+    nodes = np.stack(np.divmod(np.arange(len(ex) * len(ey)), len(ey)), axis=-1)
     out = np.zeros((len(nodes), m + 1, m + 1))
     k = np.arange(m + 1)
     i, j = np.nonzero(np.add.outer(k, k) <= m)
@@ -518,20 +545,19 @@ def monomial_taylor_models(field, ex, ey, nodes, h, m):
             table = px[:, i[part]] * py[:, j[part]]
             table *= c[part]
             out[s:s + len(a), i[part], j[part]] = plane @ table
-    return out
+    return out.reshape(len(ex), len(ey), m + 1, m + 1)
 
 
 def taylor_setup(spec, lo, steps_per_eta):
-    # the models of 40 walkers in a window of 21 x 21 cells, and their
-    # reference through the monomial tables
+    # the tiles of a window of 21 x 21 cells, and their reference through
+    # the monomial tables
     f = synthesize(spec, rng=5)
     step = f.model.eta / steps_per_eta
-    lattice = _PlaneLattice(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
-    cells = np.random.default_rng(6).integers(21, size=(40, 2))
-    models = _WalkerModels(lattice, lattice.lo + (cells + 0.5) * step)
-    ref = monomial_taylor_models(lattice.field, lattice.ex, lattice.ey,
-                                 models.nodes, step, models.coef.shape[-1] - 1)
-    return lattice.field, step, models, ref
+    tiles = _PlaneTiles(f, (lo, lo), (lo + 21 * step, lo + 21 * step), step)
+    c = tile_centers(tiles)
+    ex, ey = tiles.field.grid_factors(c[:, 0, 0], c[0, :, 1])
+    ref = monomial_taylor_models(tiles.field, ex, ey, step, tiles.coef.shape[-1] - 1)
+    return tiles.field, step, tiles, ref
 
 
 @pytest.mark.parametrize("lo,steps_per_eta", [(0.0, 6.0), (5000.0, 6.0), (0.0, 1.5)],
@@ -542,11 +568,11 @@ def test_ring_models_are_the_monomial_models(wavenumber, n_waves, lo, steps_per_
     # plane waves take the ring factorization, whose coefficients agree with
     # the monomial tables' to within 32 ulps (measured: 12.5) of each column's
     # scale, scale sum_k (h |w_k|)^(i+j) / (i! j!), which bounds the column
-    # and its rounding; on the coarse lattice the model radius halves
+    # and its rounding; on the coarse lattice the tile side shrinks
     f, step, models, ref = taylor_setup(
         SynthesisSpec.plane_wave(wavenumber, n_waves), lo, steps_per_eta)
     assert _ring_radius(f.omegas) is not None
-    assert (models.radius < NEWTON_MODEL_RADIUS) == (steps_per_eta == 1.5)
+    assert (models.side < TILE) == (steps_per_eta == 1.5)
     m = models.coef.shape[-1] - 1
     k = np.arange(m + 1)
     lengths = np.linalg.norm(step * f.omegas, axis=1)
@@ -572,9 +598,9 @@ def test_plane_window_without_candidates_is_empty():
     # a sign change of both gradient components: no walker and no point
     f = synthesize(SynthesisSpec.plane_wave(10.0), rng=(11, 0))
     step = f.model.eta / 6.0
-    lattice = _PlaneLattice(f, (0.0, 0.0), (10.0, 10.0), step)
-    cells = np.floor(lattice.candidates() / step).astype(np.int64)
-    hit = np.zeros((len(lattice.xs) - 1, len(lattice.ys) - 1), dtype=bool)
+    tiles = _PlaneTiles(f, (0.0, 0.0), (10.0, 10.0), step)
+    cells = np.floor(tiles.candidates() / step).astype(np.int64)
+    hit = np.zeros((tiles.n[0] - 1, tiles.n[1] - 1), dtype=bool)
     hit[tuple(cells.T)] = True
     free = ~(hit[:-1, :-1] | hit[1:, :-1] | hit[:-1, 1:] | hit[1:, 1:])
     lo = np.argwhere(free)[0] * step
@@ -684,3 +710,69 @@ def test_degree20_study_has_no_euler_mismatch():
     chi = rep.counts[:, 0] - rep.counts[:, 1] + rep.counts[:, 2]
     assert np.all(chi == 2)
     assert rep.diagnostics["flagged_points"] == 0
+
+
+def test_panel_detection_reads_only_the_tiles(monkeypatch):
+    # the scan, Newton and classification of the benchmark's panel field
+    # (11, 0) all read the tiles' models, never the pointwise trig sums
+    # (each of which builds its phase matrix), and find its 925 points with
+    # the indices and funnel of the dense scan and walker models they
+    # replace
+    def direct(*args):
+        raise AssertionError("a trig sum was evaluated")
+
+    monkeypatch.setattr(PlanarWaveField, "phase", direct)
+    f = synthesize(SynthesisSpec.plane_wave(10.0), rng=(11, 0))
+    res = find_critical_points_plane(f, (0.0, 0.0), (10.0, 10.0))
+    assert np.bincount([p.index for p in res.points]).tolist() == [230, 459, 236]
+    assert not any(p.flagged for p in res.points)
+    assert (res.n_candidates, res.n_converged, res.n_lost, res.n_singular,
+            res.n_stalled) == (1931, 1808, 11, 0, 112)
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore:grid step")
+def test_oversized_scans_are_rejected_before_allocating(monkeypatch):
+    # a lattice of more than MAX_SCAN_NODES nodes raises ParameterError
+    # before its arrays are made; the first step past the guard raises
+    # _Allocated instead, so a guard that let a scan through would fail
+    # here without allocating it
+    def allocated(*args):
+        raise _Allocated
+
+    monkeypatch.setattr(PlanarWaveField, "translated", allocated)
+    monkeypatch.setattr(SphericalHarmonicField, "chart_gradient", allocated)
+    f = synthesize(SynthesisSpec.plane_wave(1000.0), rng=1)
+    # the default step eta / 6 puts about 2.1e5 nodes on each side of a
+    # side-100 window
+    assert 100.0 / (f.model.eta / 6.0) > 2e5
+    for step in (None, 1e-320):
+        with pytest.raises(ParameterError, match="nodes"):
+            find_critical_points_plane(f, (0.0, 0.0), (100.0, 100.0), step)
+    # on either side of the limit: (n + 1/2) ** 2 nodes for a side of n steps
+    n = math.isqrt(MAX_SCAN_NODES)
+    with pytest.raises(ParameterError, match="nodes"):
+        find_critical_points_plane(f, (0.0, 0.0), (n + 1.0, n + 1.0), 1.0)
+    with pytest.raises(_Allocated):
+        find_critical_points_plane(f, (0.0, 0.0), (n - 1.0, n - 1.0), 1.0)
+    sphere = synthesize(SynthesisSpec.spherical_harmonic(20), rng=1)
+    with pytest.raises(ParameterError, match="nodes"):
+        find_critical_points_sphere(sphere, grid_step=1e-5)
+    with pytest.raises(_Allocated):
+        find_critical_points_sphere(sphere, grid_step=0.01)
+
+
+def test_oversized_scan_exits_2(monkeypatch, capsys):
+    from critfield.cli import main
+
+    def allocated(*args):
+        raise _Allocated
+
+    monkeypatch.setattr(PlanarWaveField, "translated", allocated)
+    code = main(["simulate", "--kind", "plane-wave", "--wavenumber", "1000",
+                 "--side", "100", "--reps", "2", "--seed", "1"])
+    assert code == 2
+    assert "nodes" in capsys.readouterr().err

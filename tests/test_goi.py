@@ -501,18 +501,20 @@ def test_draw_eigenvalues_are_solved_once_eig_chunk_matrices_at_a_time(
 
 
 def _dense_eigvals(diag, off2):
-    """eigvalsh of each column's tridiagonal matrix, as (k, N) rows."""
+    """The eigenvalues of each column's tridiagonal matrix, as (k, N) rows,
+    from eigh: eigvalsh's root-free pass is off by 6.7e-9 on zero diagonals
+    with b^2 = 2.5e-158, 1e-30, 1e-30, 3 (see the hand cases)."""
     n, k = diag.shape
     m = np.zeros((k, n, n))
     m[:, np.arange(n), np.arange(n)] = diag.T
     b = np.sqrt(off2.T)
     m[:, np.arange(1, n), np.arange(n - 1)] = b
     m[:, np.arange(n - 1), np.arange(1, n)] = b
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigh(m)[0]
 
 
 def _check_tridiagonal_eigvals(diag, off2):
-    # rows ascend, agree with eigvalsh within 1e-14 max(1, |T|) (|T| the
+    # rows ascend, agree with eigh within 1e-14 max(1, |T|) (|T| the
     # largest |eigenvalue|) and sum to the trace
     got = goi._tridiagonal_eigvals(diag, off2)
     want = _dense_eigvals(diag, off2)
@@ -561,6 +563,16 @@ def test_tridiagonal_eigvals_hand_cases():
     # c = 0 (gamma = 0 under a coupling)
     cases.append((np.array([[0.0], [0.0], [-1.0]]), np.array([[1.0], [0.0]])))
     cases.append((np.array([[0.0], [0.0], [-1.0]]), np.array([[1.0], [1.0]])))
+    # couplings near b^2 = 1e-160: eigvalsh misses +-sqrt(3) by 6.7e-9 on
+    # the first, and a sweep across b_4 once underflowed gamma^2 on the second
+    cases.append((np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]),
+                  np.array([[2.52891689e-158], [1e-30], [1e-30], [3.0]])))
+    cases.append((np.array([[-4.580934254355872e-96], [0.0], [0.0],
+                            [-4.5803284845478615e-21], [-1.0], [6.599833042628707e-50],
+                            [3.7077347748601955e-32], [0.0], [-1.0], [0.0]]),
+                  np.array([[1.0], [1.0], [1.0], [86.51075829241886],
+                            [3.020341741790644e-161], [4.292767151396228e-11],
+                            [9.716665414627501e-126], [1.0], [2.4429566610594043e-113]])))
     # scales near 1e+-150, and a zero matrix
     diag, off2 = rng.standard_normal((n, 5)), rng.standard_gamma(1.0, (n - 1, 5))
     for s in (1e150, 1e-150, 0.0):
