@@ -42,6 +42,7 @@ from .errors import (InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
 from .fyodorov import GoeReduction, goe_method, reduced_expectation
 from .goi import (
+    AbsProdWeight,
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
@@ -49,7 +50,6 @@ from .goi import (
     NODE_LADDER,
     STEEP_WIDTH,
     _gauss_on,
-    abs_prod_weight,
     goi_expectation,
     nested_ordered_quadrature,
     validate_ensemble,
@@ -111,10 +111,12 @@ class CritResult:
     """A computed expected count (or derived scalar) with its error estimate.
 
     error is one standard error for monte-carlo results.  For quadrature it
-    covers the whole quadrature error: on every axis (gaps and trace) the
-    difference to the rule with the next smaller Gauss node count, a bound
-    on every truncated tail (the trace cap's edge beyond its band among
-    them), and a rounding allowance.
+    covers the whole quadrature error: on every Gauss axis (the gaps, and
+    the trace where it is not integrated exactly) the difference to the
+    rule with the next smaller Gauss node count, a bound on every truncated
+    tail (the trace cap's edge beyond its band among them), and a rounding
+    allowance; a height density adds the first-order bounds of its
+    numerator and total.
     Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
     tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.
@@ -370,7 +372,7 @@ def _shifted_expectations(p: CountProblem, i: int,
     for s in range(0, x.size, HEIGHT_CHUNK):
         beta = p.shift_coeff * x[s:s + HEIGHT_CHUNK]
         v, e = nested_ordered_quadrature(
-            p.n, p.c_cond, abs_prod_weight(beta), n_lower=i, split=beta)
+            p.n, p.c_cond, AbsProdWeight(beta), n_lower=i, split=beta)
         vals.append(v)
         errs.append(e)
     return np.concatenate(vals), np.concatenate(errs)
@@ -423,6 +425,11 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     num, num_err = pref * num, pref * num_err
     phi = _phi(us)
     val = phi * num / tot.value
+    if method == "quadrature":
+        # bounds add to first order: |val| (e_n / n + e_t / t), where
+        # |val| e_n / n is phi e_n / t (so a zero numerator keeps its error)
+        return _shaped(x, val, (phi * num_err + np.abs(val) * tot.error) / tot.value,
+                       method)
     pos = num > 0
     rel = np.where(pos, np.hypot(num_err / np.where(pos, num, 1.0),
                                  tot.error / tot.value), 0.0)

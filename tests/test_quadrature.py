@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from critfield import (
     NumericConfig,
@@ -218,11 +219,61 @@ def test_engine_mirror_symmetry(data, n, a):
     c = data.draw(st.one_of(st.just(-1.0 / n),
                             st.floats(-1.0 / n, 2.0, exclude_min=True)))
     i = data.draw(st.integers(0, n))
-    v, e = goi.nested_ordered_quadrature(n, c, goi.abs_prod_weight(a),
-                                         n_lower=i, split=a)
-    w, f = goi.nested_ordered_quadrature(n, c, goi.abs_prod_weight(-a),
-                                         n_lower=n - i, split=-a)
+    v, e = goi.nested_ordered_quadrature(n, c, n_lower=i, split=a)
+    w, f = goi.nested_ordered_quadrature(n, c, n_lower=n - i, split=-a)
     assert abs(v - w) <= e + f
+
+
+@PROPERTY
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), a=st.floats(-6.0, 6.0),
+       da=st.floats(-1.5, 1.5))
+def test_exact_trace_axis_matches_gauss_legendre(data, n, a, da):
+    # the indexed |det| weight integrates z exactly; the same weight passed
+    # as a plain callable takes the Gauss-Legendre z axis: every index of
+    # a batch of two splits agrees within the two errors
+    c = data.draw(st.one_of(st.just(-1.0 / n + 1e-3),
+                            st.floats(-1.0 / n, 2.0, exclude_min=True)))
+    split = np.array([a, min(max(a + da, -6.0), 6.0)])
+    for i in range(n + 1):
+        v, e = goi.nested_ordered_quadrature(n, c, n_lower=i, split=split)
+        w, f = goi.nested_ordered_quadrature(
+            n, c, lambda lam: goi.AbsProdWeight(split)(lam), n_lower=i, split=split)
+        assert (np.abs(v - w) <= e + f).all()
+
+
+@pytest.mark.parametrize("c", [-1.0 + 1e-3, -0.5, 0.0, 0.7, 2.0])
+def test_exact_trace_axis_at_n1_is_a_normal_partial_moment(c):
+    # GOI(c) at N = 1 is lam ~ N(0, s^2), s^2 = 1 + c: index 1 below a
+    # weighs E[(a - lam)^+] = a Phi(a/s) + s phi(a/s), and index 0 is its
+    # mirror at -a.  Where a/s < -4 the closed form itself cancels (it is
+    # s (phi - |a/s| Phi-bar) there), so those rows are held to the stated
+    # error alone.
+    s = math.sqrt(1.0 + c)
+
+    def partial(a):
+        return a * ndtr(a / s) + s * math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
+
+    for a in np.concatenate([s * np.linspace(-4.0, 6.0, 21), np.linspace(-6.0, 6.0, 13)]):
+        for i, want in ((1, partial(a)), (0, partial(-a))):
+            v, e = goi.nested_ordered_quadrature(1, c, n_lower=i, split=a)
+            assert abs(v - want) <= e
+            if (a if i else -a) >= -4.0 * s:
+                assert v == pytest.approx(want, rel=1e-14)
+
+
+def test_exact_trace_axis_design():
+    # z leaves the axes of the indexed |det| weight at the region's split
+    # with no cap's edge (a hard cap is a limit on z); a Gaussian edge, a
+    # plain callable or a |det| at another shift keeps the Gauss-Legendre
+    # z axis
+    def axes(weight, cap=None, edge=0.0):
+        return goi._TraceGapRule(3, 0.2, weight, 1, 0.4, cap, edge, None).axes
+
+    det = goi.AbsProdWeight(0.4)
+    assert axes(None) == axes(det) == axes(det, 0.1) == ["d0", "d1"]
+    assert axes(det, 0.1, 0.3) == ["d0", "d1", "z"]
+    assert axes(lambda lam: det(lam)) == ["d0", "d1", "z"]
+    assert axes(goi.AbsProdWeight(0.5)) == ["d0", "d1", "z"]
 
 
 @pytest.fixture
