@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
 from .errors import (InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
@@ -335,8 +335,6 @@ def count_above(p: CountProblem, indices, u: np.ndarray, method: str,
         if goe:
             return reduced_expectation(GoeReduction(
                 goe=ens, eigen_position=i, shift=0.0, coupling=p.c_cond,
-                log_prefactor=float(gammaln(0.5 * (p.n + 1)))
-                - 0.5 * math.log(math.pi * (p.c_cond + b * b)),
                 spread=b, threshold=v), route, cfg)
         fn = (IndexedFunctional(index=i) if v == -math.inf else
               IndexedFunctional(index=i, trace_cap=cap, cap_edge=p.edge_width))

@@ -16,14 +16,15 @@ no dense matrix is made), so with a seed every index and threshold after
 the first costs one weight per sample.
 
 A count of index i above u integrates that expectation at shift a + b x
-against phi(x) over x > u, a normal tail in closed form
-(log_threshold_factor).  So one weight serves every u: GoeReduction's
-log_weight with spread b and threshold u, its constant factor sqrt(c / t),
-t = c + b^2, taken into the prefactor; at b = 0 and u = -inf it is the
-weight above.  The shared count template evaluates counts this way
-(_kacrice.count_above, method "fyodorov"); the route exists only where
-the conditional ensemble has c > 0: kappa^2 < 1 on R^N and kappa^2 -
-eta^2 < 1 on S^N.
+against phi(x) over x > u.  The weight is Gaussian in x, so with d = mu -
+a and t = c + b^2 the integral is a normal tail: int_u^inf phi(x) exp(-(d
+- b x)^2 / (2c)) dx = sqrt(c/t) exp(-d^2/(2t)) Phi-bar((u - b d/t)
+sqrt(t/c)).  So one weight serves every u: GoeReduction's log_weight with
+spread b and threshold u, its constant factor sqrt(c/t) taken into
+log_prefactor; at b = 0 and u = -inf it is the weight above.  The shared
+count template evaluates counts this way (_kacrice.count_above, method
+"fyodorov"); the route exists only where the conditional ensemble has
+c > 0: kappa^2 < 1 on R^N and kappa^2 - eta^2 < 1 on S^N.
 """
 from __future__ import annotations
 
@@ -60,7 +61,6 @@ class GoeReduction:
     eigen_position: int
     shift: float
     coupling: float
-    log_prefactor: float
     spread: float = 0.0
     threshold: float = -math.inf
 
@@ -69,10 +69,16 @@ class GoeReduction:
         """t = c + b^2."""
         return self.coupling + self.spread * self.spread
 
+    @property
+    def log_prefactor(self) -> float:
+        """log(Gamma((N+1)/2) / sqrt(pi t)), the weight's constant factor."""
+        return (float(gammaln(0.5 * self.goe.n))
+                - 0.5 * math.log(math.pi * self.total_coupling))
+
     def log_weight(self, mu: np.ndarray) -> np.ndarray:
-        """mu^2/2 + log_threshold_factor(mu - a, b, c, u) + log(t/c) / 2:
-        -(mu - a)^2/(2t) + log Phi-bar((u - b (mu - a)/t) sqrt(t/c)) past
-        mu^2/2, the last term exactly 0 at u = -inf."""
+        """mu^2/2 plus the log of the module doc's height integral at d = mu
+        - a without its sqrt(c/t): -d^2/(2t) + log Phi-bar((u - b d/t)
+        sqrt(t/c)), exactly 0 at u = -inf; no two terms cancel as c -> 0."""
         mu = np.asarray(mu, dtype=float)
         b, c, t, u = self.spread, self.coupling, self.total_coupling, self.threshold
         d = mu - self.shift
@@ -93,13 +99,11 @@ def goi_to_goe_np1(ensemble: GoiEnsemble, functional: IndexedFunctional) -> GoeR
     if not 0 <= functional.index <= ensemble.n:
         raise ParameterError(
             f"index {functional.index} out of range for N={ensemble.n}")
-    n = ensemble.n
     return GoeReduction(
-        goe=validate_ensemble(n + 1, 0.0),
+        goe=validate_ensemble(ensemble.n + 1, 0.0),
         eigen_position=functional.index,
         shift=functional.shift,
         coupling=ensemble.c,
-        log_prefactor=float(gammaln(0.5 * (n + 1))) - 0.5 * math.log(math.pi * ensemble.c),
     )
 
 
@@ -146,16 +150,3 @@ def _goe_weighted_mc(goe: GoiEnsemble, pos: int, weight_fn, cfg: NumericConfig):
         w = weight_fn(_goe_draw(goe.n, cfg).lam[:, pos])
     mean, err = _check_finite(_mean_error(w)[0], goe.n - 1)
     return float(mean), float(err)
-
-
-def log_threshold_factor(mu: np.ndarray, b: float, c: float, u: float) -> np.ndarray:
-    """log of int_u^inf phi(x) exp(-(mu - b x)^2 / (2 c)) dx.
-
-    Gaussian in x, so the integral is a normal tail: with t = c + b^2 it is
-    sqrt(c/t) exp(-mu^2/(2t)) Phi-bar((u - b mu/t) sqrt(t/c)).  At u = -inf
-    the tail is exactly 1, and no two terms cancel as c -> 0.
-    """
-    mu = np.asarray(mu, dtype=float)
-    t = c + b * b
-    return (-mu * mu / (2.0 * t) + log_ndtr((b * mu / t - u) * math.sqrt(t / c))
-            - 0.5 * math.log(t / c))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import numbers
 from collections import OrderedDict
@@ -319,16 +320,19 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # moments of exp(-z^2/2) (_TraceGapRule._exact_z), and only the gaps take a
 # Gauss-Legendre rule.  Other weights (a callable, or a cap with a Gaussian
 # edge) take a product Gauss-Legendre rule: z innermost, between its
-# per-point limits.  Either way the gaps split at every d where two limits
-# cross or a steep limit passes z = 0 or z = +-EDGE_BAND (the integrand is
-# smooth in between).  A cap with a Gaussian edge of width w (in mean(lam))
-# weights the integrand by Phi((cap - s/N) / w): z ends EDGE_BAND widths
-# above the cap, the band within EDGE_BAND widths of it is a z piece of its
-# own, and the gaps also split where an index limit crosses either end of
-# the band.  The degenerate ensemble (c = -1/N) is a trace law of width
-# sigma = 0: the z axis is the single point s = 0, with weight sqrt(2 pi)
-# (the z rule's share of the normalization), and the gaps split where a
-# limit passes it.
+# per-point limits.  Either way the integrand is smooth in d off kinks:
+# planes alpha + beta.d = 0 where two limits cross, or a steep limit
+# passes z = 0 or z = +-EDGE_BAND.  A cap with a Gaussian edge of width w
+# (in mean(lam)) weights the integrand by Phi((cap - s/N) / w): z ends
+# EDGE_BAND widths above the cap, the band within EDGE_BAND widths of it is
+# a z piece of its own, and an index limit crossing either end of the band
+# is a kink.  Gap axis j, at fixed earlier gaps, splits at the d_j of each
+# vertex that N - 1 - j planes among the kinks and the faces d_m = 0
+# (m > j) make in the axes j.., if its later gaps lie in [0, GAP_TOP]; on
+# the last axis, where each kink crosses it.  The degenerate ensemble
+# (c = -1/N) is a trace law of width sigma = 0: the z axis is the single
+# point s = 0, with weight sqrt(2 pi) (the z rule's share of the
+# normalization), and a limit passing it is a kink.
 
 # |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
 Z_TRUNC = 12.0
@@ -398,16 +402,19 @@ def _pieces(bps: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
     return lo[..., keep], hi[..., keep]
 
 
-def _ratio(num, den):
-    """num / den where den != 0, else nan (a line parallel to an axis)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), np.nan)
+def _cofactor(rows, i: int, m: int) -> float:
+    """(-1)^(i+m) times the determinant of rows without row i and column m,
+    by Laplace expansion along the first column (1 for the empty matrix)."""
+    minor = [r[:m] + r[m + 1:] for k, r in enumerate(rows) if k != i]
+    terms = [r[0] * _cofactor(minor, k, 0) for k, r in enumerate(minor)]
+    return (-1.0) ** (i + m) * (sum(terms[1:], terms[0]) if terms else 1.0)
 
 
 class _TraceGapRule:
     """Product rule for one (ensemble, region) and a batch of splits: Gauss
-    on the gaps, and on z exact for the indexed |det| weight at the split
-    without a cap's edge, Gauss otherwise."""
+    on the gaps, split at the vertices of kinks and faces (_breakpoints),
+    and on z exact for the indexed |det| weight at the split without a
+    cap's edge, Gauss otherwise."""
 
     def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge,
                  box_half):
@@ -445,7 +452,7 @@ class _TraceGapRule:
                 kinks += [(alpha - (self.cap_s + o), beta) for o in band]
             if self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0):
                 kinks += [(alpha - o, beta) for o in steep]
-        self.kinks = kinks
+        self._set_kinks(kinks)
         # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
         # gives the box |s/N - anchor| <= half (anchor = split or 0) with
         # gaps up to 2 half; a trace law of width 0 is the single point
@@ -481,8 +488,8 @@ class _TraceGapRule:
         if self.p_out == 0.0 and not self.edge_s:
             return np.zeros(self.batch)
         whole = copy.copy(self)
-        whole.index_limits, whole.kinks = [], []
-        whole.cap_s, whole.edge_s = None, 0.0
+        whole.index_limits, whole.cap_s, whole.edge_s = [], None, 0.0
+        whole._set_kinks([])
         second = np.maximum(whole.integrate(
             tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
         bound = np.sqrt(second * self.p_out)
@@ -492,69 +499,71 @@ class _TraceGapRule:
 
     # -- gap axes ----------------------------------------------------------
 
-    def _outer_breakpoints(self) -> np.ndarray:
-        """Breakpoints of d0 (B, E) for N = 3: the vertices of the kink lines
-        with d1 = 0 and with each other."""
-        out = []
-        for i, (al, be) in enumerate(self.kinks):
-            out.append(_ratio(-al, be[0]))
-            for al2, be2 in self.kinks[i + 1:]:
-                det = be[0] * be2[1] - be[1] * be2[0]
-                d0 = _ratio(-al * be2[1] + al2 * be[1], det)
-                d1 = _ratio(-be[0] * al2 + be2[0] * al, det)
-                out.append(np.where((d1 >= 0.0) & (d1 <= self.gap_top), d0, np.nan))
-        if not out:
-            return np.zeros((self.batch, 0))
-        return np.stack([np.broadcast_to(o, (self.batch,)) for o in out], axis=-1)
+    def _set_kinks(self, kinks: list):
+        """Keep the kinks (alpha (B,), beta (N-1,): the planes alpha + beta.d
+        = 0) and, from beta alone, the nonsingular systems of each gap axis
+        (see above Z_TRUNC): det, and per axis its (kink, -cofactor) pairs."""
+        self.kinks, self.systems, n = kinks, [], self.n
+        for j in range(n - 1):
+            rows = [(k, tuple(map(float, be[j:]))) for k, (_, be) in enumerate(kinks)]
+            faces = [(None, tuple(float(m == q) for q in range(j, n - 1)))
+                     for m in range(j + 1, n - 1)]
+            self.systems.append([])
+            for k, row in enumerate(rows):
+                for others in itertools.combinations(faces + rows[k + 1:], n - 2 - j):
+                    ids, mat = zip(row, *others)
+                    cof = [[_cofactor(mat, r, m) for r in range(n - 1 - j)]
+                           for m in range(n - 1 - j)]
+                    det = sum(r[0] * c for r, c in zip(mat, cof[0]))
+                    if det != 0.0:
+                        self.systems[j].append((det, [[(q, -c) for q, c in zip(ids, col)
+                                                       if q is not None] for col in cof]))
 
-    def _last_breakpoints(self, fixed: list) -> np.ndarray:
-        """Breakpoints of the last gap axis given the earlier gaps (B, X)."""
-        j = self.n - 2
+    def _breakpoints(self, fixed: list) -> np.ndarray:
+        """Breakpoints of gap axis j = len(fixed) at the earlier gaps (B, X),
+        (B, 1) for j = 0: each system's vertex d_j by Cramer's rule, nan
+        where a later gap leaves [0, gap_top]."""
+        if not self.systems[len(fixed)]:
+            return np.zeros((fixed[0].shape if fixed else (self.batch, 1)) + (0,))
+        rest = [sum((be[m] * d for m, d in enumerate(fixed)), al[:, None])
+                for al, be in self.kinks]
         out = []
-        for al, be in self.kinks:
-            if be[j] == 0.0:
-                continue
-            rest = al.reshape(-1, *([1] * (fixed[0].ndim - 1))) if fixed else al
-            for i, d in enumerate(fixed):
-                rest = rest + be[i] * d
-            out.append(-rest / be[j])
-        shape = fixed[0].shape if fixed else (self.batch,)
-        if not out:
-            return np.zeros(shape + (0,))
-        return np.stack([np.broadcast_to(o, shape) for o in out], axis=-1)
+        for det, cols in self.systems[len(fixed)]:
+            d, *later = [sum(t[1:], t[0]) / det
+                         for t in ([rest[k] * c for k, c in col] for col in cols)]
+            for v in later:
+                d = np.where((v >= 0.0) & (v <= self.gap_top), d, np.nan)
+            out.append(d)
+        return np.stack(out, axis=-1)
+
+    def _gap_axis(self, gaps: list, wgap: np.ndarray, nn: dict):
+        """Gap points (B, X) and weights extended by the next gap axis."""
+        lo, hi = _pieces(self._breakpoints(gaps), self.gap_top)
+        d, w = _gauss_on(lo, hi, nn[f"d{len(gaps)}"])
+        shape = d.shape[:1] + (-1,)
+        return ([np.broadcast_to(g[..., None], d.shape).reshape(shape) for g in gaps]
+                + [d.reshape(shape)], (wgap[..., None] * w).reshape(shape))
 
     # -- evaluation --------------------------------------------------------
 
     def integrate(self, nodes: tuple[int, ...], second: bool = False):
         """(value, integral of |integrand|[, second moment of the weight])
         per batch entry for the product rule with the given nodes per piece
-        of each axis."""
+        of each axis, in blocks of the first gap axis."""
         nn = dict(zip(self.axes, nodes))
         B = self.batch
         acc = np.zeros((3 if second else 2, B))
-        if self.n == 1:
-            self._accumulate(acc, [], np.ones((B, 1)), nn, second)
-            return acc
-        if self.n == 2:
-            lo, hi = _pieces(self._last_breakpoints([]), self.gap_top)
-        else:
-            lo, hi = _pieces(self._outer_breakpoints(), self.gap_top)
-        d0, w0 = _gauss_on(lo, hi, nn["d0"])
-        per_node = (nn.get("z", 1) * (2 if self.edge_s else 1)
-                    * (1 if self.n == 2 else 4 * nn["d1"]))
+        gaps, wgap = [], np.ones((B, 1))
+        if self.n > 1:
+            gaps, wgap = self._gap_axis(gaps, wgap, nn)
+        per_node = nn.get("z", 1) * (2 if self.edge_s else 1) * math.prod(
+            4 * nn[f"d{j}"] for j in range(1, self.n - 1))
         step = max(1, BLOCK_POINTS // (B * per_node))
-        for s in range(0, d0.shape[1], step):
-            dd, ww = d0[:, s:s + step], w0[:, s:s + step]
-            if self.n == 2:
-                self._accumulate(acc, [dd], ww, nn, second)
-            else:
-                lo1, hi1 = _pieces(self._last_breakpoints([dd]), self.gap_top)
-                d1, w1 = _gauss_on(lo1, hi1, nn["d1"])
-                shape = d1.shape[:1] + (-1,)
-                self._accumulate(
-                    acc, [np.broadcast_to(dd[..., None], d1.shape).reshape(shape),
-                          d1.reshape(shape)],
-                    (ww[..., None] * w1).reshape(shape), nn, second)
+        for s in range(0, wgap.shape[1], step):
+            block = [d[:, s:s + step] for d in gaps], wgap[:, s:s + step]
+            while len(block[0]) < self.n - 1:
+                block = self._gap_axis(*block, nn)
+            self._accumulate(acc, *block, nn, second)
         return acc
 
     def _accumulate(self, acc, gaps, wgap, nn, second):

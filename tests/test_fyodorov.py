@@ -13,7 +13,7 @@ from critfield.euclidean import (expected_crit_above, expected_crit_total,
                                  model_from_rho)
 from critfield.euclidean import model_from_shape as euclid_from_shape
 from critfield.fyodorov import (GoeReduction, goi_to_goe_np1,
-                                log_threshold_factor, reduced_expectation)
+                                reduced_expectation)
 from critfield.goi import (IndexedFunctional, NumericConfig, goi_expectation,
                            validate_ensemble)
 from critfield.sphere import expected_crit_above_sphere
@@ -25,7 +25,7 @@ EPS = np.finfo(float).eps
 
 def test_log_weight_formula():
     red = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
-                       shift=0.7, coupling=2.0, log_prefactor=0.0)
+                       shift=0.7, coupling=2.0)
     mu = np.array([-1.0, 0.0, 2.5])
     expect = 0.5 * mu ** 2 - (mu - 0.7) ** 2 / 4.0
     assert np.allclose(red.log_weight(mu), expect, atol=1e-15)
@@ -41,14 +41,13 @@ def test_one_weight_is_the_threshold_factor(shift, c, u):
     b = 0.6
     t = c + b * b
     red = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
-                       shift=shift, coupling=c, log_prefactor=0.0, spread=b,
-                       threshold=u)
+                       shift=shift, coupling=c, spread=b, threshold=u)
     mu = np.array([-2.0, -0.3, 0.0, 1.1, 2.5])
-    want = (0.5 * mu * mu + log_threshold_factor(mu - shift, b, c, u)
-            + 0.5 * math.log(t / c))
+    want = [0.5 * m * m + _log_threshold_factor_mp(m - shift, b, c, u)
+            + 0.5 * math.log(t / c) for m in mu]
     np.testing.assert_allclose(red.log_weight(mu), want, rtol=1e-13, atol=1e-13)
     plain = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
-                         shift=shift, coupling=c, log_prefactor=0.0)
+                         shift=shift, coupling=c)
     assert np.array_equal(plain.log_weight(mu),
                           0.5 * mu * mu - (mu - shift) ** 2 / (2.0 * c))
 
@@ -133,6 +132,15 @@ def test_sphere_mc_cross_path():
     assert abs(red_u.value - ref_u.value) < 4.0 * red_u.error
 
 
+def _log_threshold_factor(mu, b, c, u):
+    # log int_u^inf phi(x) exp(-(mu - b x)^2 / (2 c)) dx from the route's
+    # weight at shift 0: log_weight(mu) - mu^2/2 is it plus log(t/c) / 2
+    red = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
+                       shift=0.0, coupling=c, spread=b, threshold=u)
+    return (red.log_weight(np.array(mu)) - 0.5 * mu * mu
+            - 0.5 * math.log(red.total_coupling / c))
+
+
 @pytest.mark.parametrize("mu,b,c,u", [
     (0.3, 0.5, 0.8, -math.inf),
     (0.3, 0.5, 0.8, 0.6),
@@ -145,7 +153,7 @@ def test_threshold_factor_vs_quadrature(mu, b, c, u):
                 * math.exp(-(mu - b * x) ** 2 / (2.0 * c)))
     lo = -12.0 if math.isinf(u) else u
     ref, _ = quad(integrand, lo, 12.0, epsabs=1e-15, epsrel=1e-13, limit=300)
-    got = math.exp(float(log_threshold_factor(np.array(mu), b, c, u)))
+    got = math.exp(float(_log_threshold_factor(mu, b, c, u)))
     assert got == pytest.approx(ref, rel=1e-11)
 
 
@@ -169,7 +177,7 @@ def test_threshold_factor_near_kappa2_one_vs_mpmath(c, mu, k):
     b = math.sqrt(0.5)
     t = c + b * b
     u = -math.inf if k == -math.inf else b * mu / t + k * math.sqrt(c / t)
-    got = float(log_threshold_factor(np.array(mu), b, c, u))
+    got = float(_log_threshold_factor(mu, b, c, u))
     ref = _log_threshold_factor_mp(mu, b, c, u)
     # on the step the exact value moves by sqrt(t / c) per unit of b mu / t,
     # which rounds within a few ulps: allow what 8 ulps of mu move it (off

@@ -309,3 +309,103 @@ def test_euler_characteristic_one_engine_call_per_mirror_pair(engine_calls):
     chi = euler_characteristic(m, method="quadrature")
     assert len(engine_calls) == 2
     assert abs(chi.value) <= chi.error
+
+
+def _rule_with_kinks(n, kinks):
+    # a rule without kinks of its own, given hand-built ones: (alpha per
+    # batch row, beta), the plane alpha + beta.d = 0
+    split = np.zeros(len(kinks[0][0]))
+    rule = goi._TraceGapRule(n, 0.5, None, 0, split, None, 0.0, None)
+    assert not rule.kinks
+    rule._set_kinks([(np.array(al, dtype=float), np.array(be, dtype=float))
+                     for al, be in kinks])
+    return rule
+
+
+def _vertex_sets(bps):
+    # the breakpoints of each point, nan (a dropped vertex) kept as a count
+    rows = bps.reshape(-1, bps.shape[-1])
+    return [(sorted(r[~np.isnan(r)].tolist()), int(np.isnan(r).sum())) for r in rows]
+
+
+def test_breakpoints_are_the_vertices_at_n3():
+    # d0 + d1 = 2, d0 - d1 = 5, and d1 = 3 (first batch row) or 20 (second,
+    # beyond GAP_TOP = 18)
+    rule = _rule_with_kinks(3, [([-2.0, -2.0], [1.0, 1.0]),
+                                ([-5.0, -5.0], [1.0, -1.0]),
+                                ([-3.0, -20.0], [0.0, 1.0])])
+    assert rule.gap_top == goi.GAP_TOP == 18.0
+    # d0: each kink with d1 = 0 (2, 5; d1 = 3 is parallel to the d0 axis
+    # and gives none) and each pair: (3.5, -1.5) is dropped as d1 < 0,
+    # (-1, 3) and (8, 3) are kept in the first row, dropped in the second
+    bps = rule._breakpoints([])
+    assert bps.shape == (2, 1, 5)
+    assert _vertex_sets(bps) == [([-1.0, 2.0, 5.0, 8.0], 1), ([2.0, 5.0], 3)]
+    # d1 at d0 = 1 and d0 = 7.5: where each kink crosses the axis
+    bps = rule._breakpoints([np.array([[1.0, 7.5], [1.0, 7.5]])])
+    assert bps.shape == (2, 2, 3)
+    assert _vertex_sets(bps) == [([-4.0, 1.0, 3.0], 0), ([-5.5, 2.5, 3.0], 0),
+                                 ([-4.0, 1.0, 20.0], 0), ([-5.5, 2.5, 20.0], 0)]
+
+
+def test_breakpoints_are_the_vertices_at_n4():
+    # d0 + d1 + d2 = 6, d0 - d1 = 8, and d2 = 1 (parallel to d0 and d1)
+    rule = _rule_with_kinks(4, [([-6.0], [1.0, 1.0, 1.0]),
+                                ([-8.0], [1.0, -1.0, 0.0]),
+                                ([-1.0], [0.0, 0.0, 1.0])])
+    # d0, three planes among the kinks and d1 = 0, d2 = 0: the first kink
+    # with both faces (6) or with d1 = 0, d2 = 1 (5); the second with both
+    # faces or with d1 = 0, d2 = 1 (8 twice); the first two with either
+    # face or with the third have a later gap < 0 (dropped); the others
+    # are singular
+    bps = rule._breakpoints([])
+    assert bps.shape == (1, 1, 7)
+    assert _vertex_sets(bps) == [([5.0, 6.0, 8.0, 8.0], 3)]
+    # d1 given d0 = 3 and 7.5: two planes among the kinks and d2 = 0; the
+    # first two meet at d2 = 14 - 2 d0, dropped at d0 = 7.5
+    bps = rule._breakpoints([np.array([[3.0, 7.5]])])
+    assert _vertex_sets(bps) == [([-5.0, -5.0, -5.0, 2.0, 3.0], 0),
+                                 ([-2.5, -1.5, -0.5, -0.5], 1)]
+    # d2 given d0 = 3, d1 = 1: the first kink (2) and the third (1); the
+    # second is parallel to the axis
+    bps = rule._breakpoints([np.array([[3.0]]), np.array([[1.0]])])
+    assert _vertex_sets(bps) == [([1.0, 2.0], 0)]
+
+
+def test_tail_bound_copy_has_no_breakpoints(monkeypatch):
+    # the tail bound integrates the whole box: its copy of a rule with
+    # kinks (a hard cap on an index region) must split no gap axis
+    seen = []
+    integrate = goi._TraceGapRule.integrate
+
+    def spy(self, nodes, second=False):
+        if second:
+            seen.append((self._breakpoints([]).shape[-1],
+                         self._breakpoints([np.ones((1, 2))]).shape[-1]))
+        return integrate(self, nodes, second)
+    monkeypatch.setattr(goi._TraceGapRule, "integrate", spy)
+    rule = goi._TraceGapRule(3, 0.2, None, 1, 0.4, 0.3, 0.0, None)
+    assert rule._breakpoints([]).shape[-1] > 0
+    assert rule.tail_bound() > 0.0
+    assert seen == [(0, 0)]
+
+
+def test_gap_loop_serves_n4_totals(monkeypatch):
+    # nothing in the gap loop is written for N <= 3: with the size limit
+    # lifted, the five N = 4 totals at c = 1/2 (no kinks) keep the mirror
+    # symmetry, E det GOI(1/2) = sum_i (-1)^i T_i = 0, and agree with Monte
+    # Carlo
+    monkeypatch.setattr(goi, "QUADRATURE_MAX_N", 4)
+    c = 0.5
+    assert not goi._TraceGapRule(4, c, None, 2, 0.0, None, 0.0, None).kinks
+    tot = [goi.nested_ordered_quadrature(4, c, n_lower=i, split=0.0) for i in range(5)]
+    for i in range(2):
+        assert abs(tot[i][0] - tot[4 - i][0]) <= tot[i][1] + tot[4 - i][1]
+    assert abs(sum((-1) ** i * v for i, (v, _) in enumerate(tot))) <= sum(
+        e for _, e in tot)
+    ens = goi.validate_ensemble(4, c)
+    cfg = NumericConfig(mc_samples=200_000, seed=11)
+    for i, (v, _) in enumerate(tot):
+        m, se = goi.goi_expectation(ens, goi.IndexedFunctional(index=i),
+                                    "monte-carlo", cfg)
+        assert abs(v - m) <= 4.0 * se
