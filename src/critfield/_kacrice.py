@@ -47,11 +47,11 @@ from .goi import (
     IndexedFunctional,
     NumericConfig,
     EDGE_BAND,
-    NODE_LADDER,
     STEEP_WIDTH,
     _gauss_on,
     goi_expectation,
     nested_ordered_quadrature,
+    refine_on_ladder,
     validate_ensemble,
 )
 
@@ -65,8 +65,7 @@ REGIME_TOL = 1e-9
 # OUTER_TAIL]; beyond that the standard normal envelope contributes below
 # any tolerance used here.
 OUTER_TAIL = 13.0
-# Gauss nodes per piece of a closed-form tail integral (first rung of
-# goi.NODE_LADDER, cap).
+# Gauss nodes per piece of a closed-form tail integral (first rung, cap).
 OUTER_START_NODES = 24
 OUTER_MAX_NODES = 256
 # Heights handed to the quadrature engine per call of the density numerators.
@@ -115,8 +114,8 @@ class CritResult:
     the trace where it is not integrated exactly) the difference to the
     rule with the next smaller Gauss node count, a bound on every truncated
     tail (the trace cap's edge beyond its band among them), and a rounding
-    allowance; a height density adds the first-order bounds of its
-    numerator and total.
+    allowance; a height density or upper-tail fraction adds the
+    first-order bounds of its numerator and total.
     Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
     tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.
@@ -214,16 +213,16 @@ class IsotropicModel:
         )
 
     def closed_pdf_n2(self, i: int, x):
+        """h_i at the heights x for N = 2; h_0(x) = h_2(-x).  It is 0 where
+        phi(x) underflows: every term has a Gaussian factor as narrow."""
         x = np.asarray(x, dtype=float)
-        e2 = self.curvature
+        live = _phi(x) > 0.0
+        y = np.where(live, x if i else -x, 0.0)
         if self.boundary:
-            if i == 1:
-                return _h1_n2_boundary(x, e2)
-            return _h2_n2_boundary(x, e2) if i == 2 else _h2_n2_boundary(-x, e2)
-        k2 = self.kappa2
-        if i == 1:
-            return _h1_n2(x, e2, k2)
-        return _h2_n2(x, e2, k2) if i == 2 else _h2_n2(-x, e2, k2)
+            h = (_h1_n2_boundary if i == 1 else _h2_n2_boundary)(y, self.curvature)
+        else:
+            h = (_h1_n2 if i == 1 else _h2_n2)(y, self.curvature, self.kappa2)
+        return np.where(live, h, 0.0)
 
     def closed_cdf_n2(self, i: int, u) -> CritResult:
         """Upper-tail fraction F_i at the heights u (an array) for N = 2.
@@ -258,7 +257,8 @@ class IsotropicModel:
 
 
 def _phi(x):
-    return np.exp(-0.5 * x * x) / SQRT2PI
+    with np.errstate(over="ignore"):   # 0 where x * x overflows
+        return np.exp(-0.5 * x * x) / SQRT2PI
 
 
 def _shaped(x, val, err, method: str) -> CritResult:
@@ -274,32 +274,24 @@ def _upper_tails(density, u, splits):
     u, top = max(u, 0) + OUTER_TAIL over the finite heights (tail 0 at or
     above it).  One Gauss rule runs on the pieces between the sorted
     heights, clipped below at -OUTER_TAIL and split at the heights splits
-    (where the density steps), summed from the top; it climbs NODE_LADDER
-    until every tail is within max(CLOSED_ABS_TOL, CLOSED_REL_TOL |tail|)
-    of the rung below (that difference is the error) or reaches
-    OUTER_MAX_NODES."""
+    (where the density steps), summed from the top, and refined by
+    refine_on_ladder to CLOSED_ABS_TOL and CLOSED_REL_TOL."""
     u = np.asarray(u, dtype=float)
     top = float(np.max(u, where=np.isfinite(u), initial=0.0)) + OUTER_TAIL
     lo = np.clip(u, -OUTER_TAIL, top).ravel()
     edges = np.unique(np.concatenate([lo, np.clip(splits, lo.min(), top), [top]]))
     first = np.searchsorted(edges, lo)      # each height's first piece
 
-    def rung(m):
-        x, w = _gauss_on(edges[:-1], edges[1:], m)
-        pieces = (w * density(x)).reshape(-1, m).sum(axis=1)
+    def integrate(nodes):
+        x, w = _gauss_on(edges[:-1], edges[1:], nodes[0])
+        pieces = (w * density(x)).reshape(-1, nodes[0]).sum(axis=1)
         tails = np.cumsum(pieces[::-1])[::-1]
-        return np.append(tails, 0.0)[first]
+        # no rounding allowance: 100 eps tail is far below CLOSED_REL_TOL tail
+        return np.append(tails, 0.0)[first], 0.0
 
-    k = NODE_LADDER.index(OUTER_START_NODES)
-    below = rung(NODE_LADDER[k - 1])
-    while True:
-        val = rung(NODE_LADDER[k])
-        err = np.abs(val - below)
-        if (np.all(err <= np.maximum(CLOSED_ABS_TOL, CLOSED_REL_TOL * np.abs(val)))
-                or NODE_LADDER[k] >= OUTER_MAX_NODES):
-            return val.reshape(u.shape), err.reshape(u.shape)
-        below = val
-        k += 1
+    val, err = refine_on_ladder(integrate, [OUTER_START_NODES], [OUTER_MAX_NODES],
+                                CLOSED_ABS_TOL, CLOSED_REL_TOL)
+    return val.reshape(u.shape), err.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +398,9 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     tot = total or count_above(p, [i], np.array([-math.inf]), method, cfg)[0]
     _check_total(tot.value, i)
     us = np.asarray(x, dtype=float).ravel()
-    # where the shift b x is infinite (x = +-inf) phi(x) = 0: h_i is 0 +- 0
-    # there, and no numerator is evaluated
-    live = np.isfinite(p.shift_coeff * us)
+    # h_i is 0 +- 0 where phi(x) underflows: its numerator grows polynomially
+    phi = _phi(us)
+    live = phi > 0.0
     num, num_err = np.zeros((2, us.size))
     if method == "quadrature":
         num[live], num_err[live] = _shifted_expectations(p, i, us[live])
@@ -421,7 +413,6 @@ def height_pdf_general(p: CountProblem, i: int, x, method: str,
     # the numerator in count units, as the total
     pref = math.exp(p.log_prefactor)
     num, num_err = pref * num, pref * num_err
-    phi = _phi(us)
     val = phi * num / tot.value
     if method == "quadrature":
         # bounds add to first order: |val| (e_n / n + e_t / t), where
@@ -444,6 +435,8 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
     _check_total(tot.value, i)
     ab = count_above(p, [i], np.asarray(u, dtype=float).ravel(), method, cfg)[0]
     val = ab.value / tot.value
+    if method == "quadrature":   # bounds add, as in height_pdf_general
+        return _shaped(u, val, (ab.error + np.abs(val) * tot.error) / tot.value, method)
     pos = ab.value > 0
     rel = np.hypot(ab.error / np.where(pos, ab.value, 1.0), tot.error / tot.value)
     return _shaped(u, val, np.where(pos, val * rel, ab.error / tot.value), method)
@@ -466,13 +459,11 @@ def _h2_n2(x, e2, k2):
     terms cancel at negative heights, where the first two orders of their
     expansions in 1/z vanish (z = k x / sqrt(2 + e2 - k2)), and near the
     boundary at any height."""
-    x = np.asarray(x, dtype=float)
     k = math.sqrt(k2)
     a = 2.0 + e2 - k2
     b = 3.0 + e2 - k2
     pref = 2.0 * math.sqrt(3.0 + e2) / (2.0 + e2 * math.sqrt(3.0 + e2))
-    phi = np.exp(-0.5 * x * x) / SQRT2PI
-    t1 = (e2 + k2 * (x * x - 1.0)) * phi * ndtr(k * x / math.sqrt(a))
+    t1 = (e2 + k2 * (x * x - 1.0)) * _phi(x) * ndtr(k * x / math.sqrt(a))
     t2 = k * math.sqrt(a) / (2.0 * math.pi) * x * np.exp(-0.5 * (2.0 + e2) * x * x / a)
     t3 = (np.sqrt(2.0 / (math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
           * ndtr(k * x / math.sqrt(a * b)))
@@ -519,7 +510,6 @@ def _expm1_tail(u):
 
 
 def _h2_n2_boundary(x, e2):
-    x = np.asarray(x, dtype=float)
     pref = 2.0 * math.sqrt(3.0 + e2) / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2)))
     out = pref * (((e2 + 2.0) * x * x - 2.0) * np.exp(-0.5 * x * x)
                   + 2.0 * np.exp(-0.5 * (3.0 + e2) * x * x))
@@ -527,7 +517,6 @@ def _h2_n2_boundary(x, e2):
 
 
 def _h1_n2_boundary(x, e2):
-    x = np.asarray(x, dtype=float)
     return math.sqrt(3.0 + e2) / SQRT2PI * np.exp(-0.5 * (3.0 + e2) * x * x)
 
 

@@ -487,12 +487,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="sphere model of a degree-l random harmonic")
 
 
-def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
+def _add_numeric_flags(p: argparse.ArgumentParser, method: bool = True) -> None:
     g = p.add_argument_group("numerics")
-    g.add_argument("--method",
-                   choices=["auto", "closed-form", "quadrature",
-                            "monte-carlo", "fyodorov"],
-                   help="evaluation route (default auto)")
+    if method:
+        g.add_argument("--method",
+                       choices=["auto", "closed-form", "quadrature",
+                                "monte-carlo", "fyodorov"],
+                       help="evaluation route (default auto)")
     g.add_argument("--samples", type=int,
                    help="Monte Carlo sample count (default 200000)")
     g.add_argument("--seed", type=int,
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float,
                    help="relative tolerance for deterministic checks "
                         "(default 1e-6)")
-    _add_numeric_flags(p)
+    _add_numeric_flags(p, method=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="synthesize, detect, compare")

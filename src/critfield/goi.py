@@ -317,7 +317,7 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # d.  On that region every lam_j - a has a fixed sign, so the indexed |det|
 # weight prod_j |lam_j - a| is (-1)^k prod_j (lam_j - a), a polynomial of
 # degree N in z: its z integral between the limits is exact, from truncated
-# moments of exp(-z^2/2) (_TraceGapRule._exact_z), and only the gaps take a
+# moments of exp(-z^2/2) (truncated_moments), and only the gaps take a
 # Gauss-Legendre rule.  Other weights (a callable, or a cap with a Gaussian
 # edge) take a product Gauss-Legendre rule: z innermost, between its
 # per-point limits.  Either way the integrand is smooth in d off kinks:
@@ -339,8 +339,7 @@ Z_TRUNC = 12.0
 # Gaps are cut at this; d_j <= sqrt(2) |mu|, so the cut mass is at most
 # P(|mu|^2 > 162) = 7e-36 (N = 2) or 4e-33 (N = 3).
 GAP_TOP = 18.0
-# Gauss nodes per piece of an axis: refinement climbs this ladder, and each
-# rule is checked against the rung below it; first rung and cap per axis.
+# Gauss nodes per piece of an axis (refine_on_ladder); first rung, cap.
 NODE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 START_NODES = {"z": 24, "d": 12}
 MAX_NODES = {"z": 512, "d": 256}
@@ -387,6 +386,56 @@ def _gauss_on(lo: np.ndarray, hi: np.ndarray, n: int):
     wt = half * w
     shape = lo.shape[:-1] + (-1,)
     return x.reshape(shape), wt.reshape(shape)
+
+
+def refine_on_ladder(integrate: Callable, start, cap, abs_tol: float,
+                     rel_tol: float, floor=0.0):
+    """(value, error) of a Gauss rule refined until the error meets
+    max(abs_tol, rel_tol |value|) at every batch entry.  integrate(nodes)
+    gives (value, int |integrand|) over the batch for nodes[j] nodes per
+    piece of axis j; axis j climbs NODE_LADDER from start[j] to cap[j].
+    The error is the sum, over the axes, of the difference to the rule one
+    rung smaller on that axis, plus floor (a bound on what no rule sees,
+    such as a truncated tail) and 100 eps int |integrand| for rounding.
+    While an entry misses the tolerance, each axis below its cap whose
+    difference there exceeds its share of the tolerance climbs one rung."""
+    rung = [NODE_LADDER.index(m) for m in start]
+    run = functools.lru_cache(maxsize=None)(
+        lambda rungs: integrate(tuple(NODE_LADDER[r] for r in rungs)))
+    while True:
+        val, absval = run(tuple(rung))
+        diffs = [np.abs(val - run(tuple(rung[:j] + [r - 1] + rung[j + 1:]))[0])
+                 for j, r in enumerate(rung)]
+        err = sum(diffs, floor) + 100.0 * np.finfo(float).eps * absval
+        tol = np.maximum(abs_tol, rel_tol * np.abs(val))
+        bad = err > tol
+        share = tol[bad] / max(len(rung), 1)
+        grow = [j for j, d in enumerate(diffs)
+                if NODE_LADDER[rung[j]] < cap[j] and (d[bad] > share).any()]
+        if not grow:
+            return val, err
+        for j in grow:
+            rung[j] += 1
+
+
+def truncated_moments(lo: np.ndarray, hi: np.ndarray, k_max: int) -> list:
+    """M_k = int_lo^hi y^k exp(-z^2/2) dz, y = z - t, k = 0..k_max, about
+    the centre t of each interval [lo, hi] (arrays): M_0 = sqrt(2 pi)
+    (Phi(hi) - Phi(lo)), reflected where lo >= 0 to keep an upper tail's
+    digits, and M_k = (k-1) M_(k-2) - t M_(k-1) - [y^(k-1) exp(-z^2/2)]."""
+    t = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo)
+    e_lo, e_hi = np.exp(-0.5 * lo * lo), np.exp(-0.5 * hi * hi)
+    moments = [math.sqrt(2.0 * math.pi)
+               * np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))]
+    power = np.ones_like(r)   # r^(k-1)
+    for k in range(1, k_max + 1):
+        m_k = -t * moments[k - 1] - power * (e_hi - (-1) ** (k - 1) * e_lo)
+        if k > 1:
+            m_k += (k - 1) * moments[k - 2]
+        moments.append(m_k)
+        power = power * r
+    return moments
 
 
 def _pieces(bps: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -628,13 +677,11 @@ class _TraceGapRule:
         """Add the exact z integrals of the indexed |det| weight over [lo, hi]
         at gap points (B, X) with weights g.  About the center t of [lo, hi],
         y = z - t, the weight is sign prod_j (h y + b_j), h = sigma / N and
-        b_j = lam_j(t) - split, and the truncated moments M_k = int y^k
-        exp(-z^2/2) dz over [lo, hi] follow M_0 = sqrt(2 pi) (Phi(hi) -
-        Phi(lo)), M_k = (k - 1) M_(k-2) - t M_(k-1) - [y^(k-1) exp(-z^2/2)].
-        The second moment squares the polynomial, without the sign."""
+        b_j = lam_j(t) - split, integrated against the truncated moments in
+        y (truncated_moments).  The second moment squares the polynomial,
+        without the sign."""
         h = self.sigma / self.n
         t = 0.5 * (lo + hi)
-        r = 0.5 * (hi - lo)
         # coefficients in y of prod_j (h y + b_j), then of its square
         poly = [np.ones_like(t)]
         for j, m in enumerate(mu * (2 if second else 1)):
@@ -643,16 +690,7 @@ class _TraceGapRule:
                     + [h * poly[-1]])
             if j == self.n - 1:
                 coef = poly
-        e_lo, e_hi = np.exp(-0.5 * lo * lo), np.exp(-0.5 * hi * hi)
-        moments = [math.sqrt(2.0 * math.pi)
-                   * np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))]
-        power = np.ones_like(r)   # r^(k-1)
-        for k in range(1, len(poly)):
-            m_k = -t * moments[k - 1] - power * (e_hi - (-1) ** (k - 1) * e_lo)
-            if k > 1:
-                m_k += (k - 1) * moments[k - 2]
-            moments.append(m_k)
-            power = power * r
+        moments = truncated_moments(lo, hi, len(poly) - 1)
         val = g * self.sign * sum(cf * m_k for cf, m_k in zip(coef, moments))
         acc[0] += val.sum(axis=1)
         acc[1] += np.abs(val).sum(axis=1)
@@ -713,17 +751,14 @@ def nested_ordered_quadrature(n: int, c: float,
     The rule is a product rule in trace-gap coordinates (see above):
     Gauss-Legendre on the gaps and, for AbsProdWeight(split) (or None)
     without a cap's Gaussian edge, exact on the trace; Gauss-Legendre on
-    the trace otherwise.  Each Gauss axis is checked against the rule with
-    the next smaller node count of NODE_LADDER and refined until the error
-    meets max(QUAD_ABS_TOL, QUAD_REL_TOL |value|) or the node cap is
-    reached.
+    the trace otherwise, refined by refine_on_ladder to QUAD_ABS_TOL and
+    QUAD_REL_TOL.
     Returns (value, error), arrays for an array split and floats otherwise.
-    The error is the sum of those rule differences, a Cauchy-Schwarz bound
-    on the part cut off by the truncation (sqrt of the weight's second
-    moment over the box, by the first rung's rule, times sqrt of the law's
-    exact mass outside the box), and a rounding allowance.  Matrices larger
-    than QUADRATURE_MAX_N raise MethodError, and an invalid c
-    ParameterError.
+    The error's floor is a Cauchy-Schwarz bound on the part cut off by the
+    truncation (sqrt of the weight's second moment over the box, by the
+    first rung's rule, times sqrt of the law's exact mass outside the
+    box).  Matrices larger than QUADRATURE_MAX_N raise MethodError, and an
+    invalid c ParameterError.
     """
     if n > QUADRATURE_MAX_N:
         raise MethodError(
@@ -735,34 +770,9 @@ def nested_ordered_quadrature(n: int, c: float,
         raise ParameterError(f"invalid block split {n_lower} of {n}")
     rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, cap_edge,
                          box_half)
-    axes = rule.axes
-    rung = {ax: NODE_LADDER.index(START_NODES[ax[0]]) for ax in axes}
-    cache: dict = {}
-    tail = rule.tail_bound()
-
-    def run(rungs):
-        key = tuple(NODE_LADDER[rungs[ax]] for ax in axes)
-        if key not in cache:
-            cache[key] = rule.integrate(key)
-        return cache[key]
-
-    while True:
-        val, absval = run(rung)
-        diffs = {ax: np.abs(val - run({**rung, ax: rung[ax] - 1})[0])
-                 for ax in axes}
-        err = (sum(diffs.values(), tail)
-               + 100.0 * np.finfo(float).eps * absval)
-        tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(val))
-        bad = err > tol
-        if not bad.any():
-            break
-        share = tol[bad] / max(len(axes), 1)
-        grow = [ax for ax in axes if NODE_LADDER[rung[ax]] < MAX_NODES[ax[0]]
-                and (diffs[ax][bad] > share).any()]
-        if not grow:
-            break
-        for ax in grow:
-            rung[ax] += 1
+    val, err = refine_on_ladder(rule.integrate, [START_NODES[ax[0]] for ax in rule.axes],
+                                [MAX_NODES[ax[0]] for ax in rule.axes],
+                                QUAD_ABS_TOL, QUAD_REL_TOL, rule.tail_bound())
     if rule.scalar:
         return float(val[0]), float(err[0])
     return val, err

@@ -341,6 +341,37 @@ def test_validate_suite(capsys):
     capsys.readouterr()
 
 
+def test_validate_takes_no_method(capsys):
+    # the suites fix their own methods; argparse rejects the flag, status 2
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--method", "quadrature"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("height", ["1e200", "-1e200"])
+@pytest.mark.parametrize("argv", [
+    ["--N", "2", "--kappa2", "1"],
+    ["--N", "2", "--kappa2", "1", "--method", "quadrature"],
+    ["--N", "2", "--kappa2", "2"],
+    ["--N", "2", "--kappa2", "2", "--method", "quadrature"],
+    ["--N", "3", "--kappa2", "0.9", "--method", "quadrature"],
+    ["--N", "3", "--kappa2", "0.9", "--seed", "1", "--samples", "2000"],
+], ids=["n2-closed", "n2-quadrature", "n2-boundary-closed",
+        "n2-boundary-quadrature", "n3-quadrature", "n3-monte-carlo"])
+def test_heights_at_huge_finite_heights(capsys, argv, height):
+    # phi(x) underflows there, and every term of h_i carries a Gaussian
+    # factor at least as narrow: the pdf is 0 by every method, all rows
+    # are finite, and (the suite turns RuntimeWarning into an error) no
+    # overflow is met on the way
+    code, out = run(capsys, "heights", "--eta2", "1", *argv, f"--grid={height}")
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 2 * (int(argv[1]) + 1)
+    assert all(math.isfinite(float(r[k])) for r in rows for k in ("value", "error"))
+    assert all(float(r["value"]) == 0.0 for r in rows if r["quantity"] == "height-pdf")
+
+
 def test_simulate_smoke(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     rep = tmp_path / "rep.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from critfield import (
@@ -274,6 +275,88 @@ def test_exact_trace_axis_design():
     assert axes(det, 0.1, 0.3) == ["d0", "d1", "z"]
     assert axes(lambda lam: det(lam)) == ["d0", "d1", "z"]
     assert axes(goi.AbsProdWeight(0.5)) == ["d0", "d1", "z"]
+
+
+def _product_rule(f, absf, top):
+    """integrate(nodes) for refine_on_ladder: f(x) * g(y) on [0, 1] x
+    [0, top], with int |f g| from absf."""
+    def integrate(nodes):
+        x, wx = goi._gauss_on(np.zeros(1), np.ones(1), nodes[0])
+        y, wy = goi._gauss_on(np.zeros(1), np.full(1, top), nodes[1])
+        return (np.array([np.sum(wx * f[0](x)) * np.sum(wy * f[1](y))]),
+                np.array([np.sum(wx * absf[0](x)) * np.sum(wy * absf[1](y))]))
+    return integrate
+
+
+def test_refinement_climbs_only_the_axis_that_needs_it():
+    # x^2 on [0, 1] is exact at every rung; cos y on [0, 20] needs more
+    # than the first rung's 12 nodes per piece
+    seen = []
+    rule = _product_rule((np.square, np.cos), (np.square, lambda y: np.abs(np.cos(y))),
+                         20.0)
+    val, err = goi.refine_on_ladder(lambda nodes: seen.append(nodes) or rule(nodes),
+                                    [12, 12], [64, 256], 1e-12, 1e-9)
+    assert {nx for nx, _ in seen} == {8, 12}
+    assert max(ny for _, ny in seen) > 12
+    assert err[0] <= 1e-9 * abs(val[0])
+    assert abs(val[0] - math.sin(20.0) / 3.0) <= err[0]
+
+
+def test_refinement_stops_at_an_exact_first_rung():
+    seen = []
+    rule = _product_rule((np.square, lambda y: y ** 3), (np.square, lambda y: y ** 3), 1.0)
+    val, err = goi.refine_on_ladder(lambda nodes: seen.append(nodes) or rule(nodes),
+                                    [12, 12], [64, 256], 1e-12, 1e-9)
+    assert seen == [(12, 12), (8, 12), (12, 8)]
+    assert abs(val[0] - 1.0 / 12.0) <= err[0] <= 300.0 * EPS / 12.0
+
+
+# intervals across 0, wholly in either tail, and nearly empty
+MOMENT_INTERVALS = [(-1.3, 0.7), (-5.0, 4.0), (-12.0, 12.0), (0.0, 3.0),
+                    (3.0, 3.5), (6.0, 9.0), (20.0, 21.0), (-9.0, -6.0),
+                    (-21.0, -20.0), (0.3, 0.3 + 1e-9), (5.0, 5.0 + 1e-12),
+                    (-7.0, -7.0 + 1e-10), (0.0, 1e-7), (-2.0, -2.0)]
+
+
+# odd moments of a nearly empty interval are ~0, beyond quad's relative
+# tolerance; the absolute bound below still holds
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_truncated_moments_match_quad():
+    lo, hi = np.array(MOMENT_INTERVALS).T
+    moments = goi.truncated_moments(lo, hi, 6)
+    assert len(moments) == 7
+    for j, (a, b) in enumerate(MOMENT_INTERVALS):
+        t, r = 0.5 * (a + b), 0.5 * (b - a)
+        ref = [quad(lambda z: (z - t) ** k * math.exp(-0.5 * z * z), a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for k in range(7)]
+        # the scale rounding can reach: the recursion run on magnitudes,
+        # from the better-conditioned of the two differences for M_0
+        ends = math.exp(-0.5 * a * a) + math.exp(-0.5 * b * b)
+        scale = [math.sqrt(2.0 * math.pi)
+                 * min(ndtr(a) + ndtr(b), ndtr(-a) + ndtr(-b))]
+        for k in range(1, 7):
+            scale.append((k - 1) * (scale[k - 2] if k > 1 else 0.0)
+                         + abs(t) * scale[k - 1] + r ** (k - 1) * ends)
+        for k in range(7):
+            assert abs(moments[k][j] - ref[k]) <= 1e-12 * scale[k], (a, b, k)
+        if b - a >= 0.5 and (a >= 3.0 or b <= -3.0):
+            # a tail interval keeps its relative digits
+            assert abs(moments[0][j] - ref[0]) <= 1e-12 * ref[0], (a, b)
+
+
+def test_quadrature_cdf_error_adds_the_bounds():
+    # quadrature errors are bounds: F = a / t states (e_a + |F| e_t) / t
+    cfg = NumericConfig()
+    for m in (model_from_shape(2, 1.0, 0.8), model_from_shape(2, 1.0, 2.0)):
+        for i in range(m.n + 1):
+            tot = expected_crit_total(m, i, "quadrature", cfg)
+            for u in (-0.6, 0.9):
+                ab = expected_crit_above(m, i, u, "quadrature", cfg)
+                frac = ab.value / tot.value
+                r = kr.height_cdf_result(m, i, u, "quadrature", cfg)
+                assert r.value == frac
+                assert r.error == pytest.approx(
+                    (ab.error + abs(frac) * tot.error) / tot.value, rel=1e-12)
 
 
 @pytest.fixture
