@@ -113,9 +113,9 @@ class CritResult:
     covers the whole quadrature error: on every Gauss axis (the gaps, and
     the trace where it is not integrated exactly) the difference to the
     rule with the next smaller Gauss node count, a bound on every truncated
-    tail (the trace cap's edge beyond its band among them), and a rounding
-    allowance; a height density or upper-tail fraction adds the
-    first-order bounds of its numerator and total.
+    tail (on a Gauss trace axis, the cap's edge beyond its band among
+    them), and a rounding allowance; a height density or upper-tail
+    fraction adds the first-order bounds of its numerator and total.
     Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
     tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.

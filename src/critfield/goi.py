@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import chdtrc, gammaln, ndtr
+from scipy.special import chdtrc, gammaln, ndtr, owens_t
 
 from .errors import DegenerateEnsembleError, MethodError, ParameterError
 
@@ -314,34 +314,37 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # V the Vandermonde product.  The trace is N(0, sigma^2), independent of mu,
 # and the law of mu does not depend on c.  The index region
 # lam_k < a < lam_(k+1) and a trace cap s <= N cap are limits on z at each
-# d.  On that region every lam_j - a has a fixed sign, so the indexed |det|
-# weight prod_j |lam_j - a| is (-1)^k prod_j (lam_j - a), a polynomial of
-# degree N in z: its z integral between the limits is exact, from truncated
-# moments of exp(-z^2/2) (truncated_moments), and only the gaps take a
-# Gauss-Legendre rule.  Other weights (a callable, or a cap with a Gaussian
-# edge) take a product Gauss-Legendre rule: z innermost, between its
-# per-point limits.  Either way the integrand is smooth in d off kinks:
-# planes alpha + beta.d = 0 where two limits cross, or a steep limit
-# passes z = 0 or z = +-EDGE_BAND.  A cap with a Gaussian edge of width w
-# (in mean(lam)) weights the integrand by Phi((cap - s/N) / w): z ends
-# EDGE_BAND widths above the cap, the band within EDGE_BAND widths of it is
-# a z piece of its own, and an index limit crossing either end of the band
-# is a kink.  Gap axis j, at fixed earlier gaps, splits at the d_j of each
-# vertex that N - 1 - j planes among the kinks and the faces d_m = 0
-# (m > j) make in the axes j.., if its later gaps lie in [0, GAP_TOP]; on
-# the last axis, where each kink crosses it.  The degenerate ensemble
-# (c = -1/N) is a trace law of width sigma = 0: the z axis is the single
-# point s = 0, with weight sqrt(2 pi) (the z rule's share of the
-# normalization), and a limit passing it is a kink.
+# d.  A cap with a Gaussian edge of width w (in mean(lam)) instead weights
+# the integrand by Phi((cap - s/N) / w).  On the index region every
+# lam_j - a has a fixed sign, so the indexed |det| weight prod_j |lam_j - a|
+# is (-1)^k prod_j (lam_j - a), a polynomial of degree N in z: its z
+# integral between the limits is exact, from truncated moments of
+# exp(-z^2/2) (truncated_moments), or of exp(-z^2/2) Phi(alpha - beta z)
+# under an edge (edged_moments), and only the gaps take a Gauss-Legendre
+# rule.  A callable weight takes a product Gauss-Legendre rule: z
+# innermost, between its per-point limits; under an edge, z ends
+# EDGE_BAND widths above the cap and the band within EDGE_BAND widths of it
+# is a z piece of its own.  Either way the integrand is smooth in d off
+# kinks: planes alpha + beta.d = 0 where two limits cross, a steep limit
+# passes z = 0 or z = +-EDGE_BAND, or an index limit crosses the cap, or
+# either end of its edge's band where the band is a z piece or the edge is
+# steep too.  Gap axis j, at fixed earlier gaps, splits
+# at the d_j of each vertex that N - 1 - j planes among the kinks and the
+# faces d_m = 0 (m > j) make in the axes j.., if its later gaps lie in
+# [0, GAP_TOP]; on the last axis, where each kink crosses it.  The
+# degenerate ensemble (c = -1/N) is a trace law of width sigma = 0: the z
+# axis is the single point s = 0, with weight sqrt(2 pi) (the z rule's
+# share of the normalization), and a limit passing it is a kink.
 
 # |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
 Z_TRUNC = 12.0
 # Gaps are cut at this; d_j <= sqrt(2) |mu|, so the cut mass is at most
 # P(|mu|^2 > 162) = 7e-36 (N = 2) or 4e-33 (N = 3).
 GAP_TOP = 18.0
-# Gauss nodes per piece of an axis (refine_on_ladder); first rung, cap.
+# Gauss nodes per piece of an axis (refine_on_ladder); first rung, cap.  The
+# gap axes start at 24: with the trace exact, nearly every call ends at 32-48.
 NODE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-START_NODES = {"z": 24, "d": 12}
+START_NODES = {"z": 24, "d": 24}
 MAX_NODES = {"z": 512, "d": 256}
 # The line where a limit passes z = 0 is a breakpoint when that limit
 # crosses one standard deviation of z within this many units of gap.
@@ -438,6 +441,108 @@ def truncated_moments(lo: np.ndarray, hi: np.ndarray, k_max: int) -> list:
     return moments
 
 
+def edged_moments(lo: np.ndarray, hi: np.ndarray, k_max: int, alpha: float,
+                  beta: float) -> list:
+    """N_k = int_lo^hi y^k exp(-z^2/2) Phi(alpha - beta z) dz, y = z - t,
+    k = 0..k_max, about the centre t of each interval [lo, hi] (arrays),
+    beta > 0.  By parts, N_k = (k-1) N_(k-2) - t N_(k-1) -
+    [y^(k-1) exp(-z^2/2) Phi(alpha - beta z)] - beta J_(k-1), where
+    J_m = int y^m exp(-z^2/2) phi(alpha - beta z) dz is a Gaussian of width
+    1/r about alpha beta / r^2, r = sqrt(1 + beta^2): truncated_moments in
+    r (z - alpha beta / r^2).  N_0 = sqrt(2 pi) P(lo < Z < hi, V <= alpha/r)
+    for standard normals Z, V of correlation beta / r: two bivariate normal
+    values by Owen's T, reflected (z -> -z) where lo >= 0 to keep an upper
+    tail's digits.  Only intervals that meet the edge take them: where
+    alpha - beta z >= 8.5 on all of [lo, hi], Phi rounds to 1 and
+    N_k = M_k; where it is <= -38.5, Phi rounds to 0 and N_k = 0."""
+    one = alpha - beta * hi >= 8.5
+    meet = ~one & (alpha - beta * lo > -38.5)
+    if meet.all():
+        return _edged_exact(lo, hi, k_max, alpha, beta)
+    moments = [np.zeros_like(lo) for _ in range(k_max + 1)]
+    if one.any():
+        for m, m_k in zip(moments, truncated_moments(lo[one], hi[one], k_max)):
+            m[one] = m_k
+    if meet.any():
+        for m, n_k in zip(moments, _edged_exact(lo[meet], hi[meet], k_max, alpha, beta)):
+            m[meet] = n_k
+    return moments
+
+
+def _edged_exact(lo, hi, k_max, alpha, beta) -> list:
+    """edged_moments on intervals that meet the edge."""
+    t = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    r = math.hypot(1.0, beta)
+    a, rho = alpha / r, beta / r
+    # P(Z < end, V <= a) at each end; where lo >= 0, of -Z (correlation
+    # -rho) at -hi and -lo instead.  Many ends repeat (the box's, and a
+    # limit's at gap points it does not tell apart): each distinct one is
+    # evaluated once.
+    flip = np.concatenate([(lo >= 0.0).ravel()] * 2)
+    ends = np.concatenate([hi.ravel(), lo.ravel()])
+    ends[flip] *= -1.0
+    cdf = np.empty_like(ends)
+    for sign, part in ((1.0, ~flip), (-1.0, flip)):
+        if part.any():
+            value, index = np.unique(ends[part], return_inverse=True)
+            cdf[part] = _bivariate_normal(value, a, sign * rho, r)[index]
+    upper, lower = cdf.reshape((2,) + lo.shape)
+    out = [math.sqrt(2.0 * math.pi) * np.where(lo >= 0.0, lower - upper, upper - lower)]
+    edge_lo = np.exp(-0.5 * lo * lo) * ndtr(alpha - beta * lo)
+    edge_hi = np.exp(-0.5 * hi * hi) * ndtr(alpha - beta * hi)
+    c = a * rho
+    gauss = truncated_moments(r * (lo - c), r * (hi - c), max(k_max - 1, 0))
+    scale = beta * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)   # beta J = scale M / r^k
+    power = np.ones_like(half)   # half^(k-1)
+    for k in range(1, k_max + 1):
+        scale /= r
+        n_k = (-t * out[k - 1] - power * (edge_hi - (-1) ** (k - 1) * edge_lo)
+               - scale * gauss[k - 1])
+        if k > 1:
+            n_k += (k - 1) * out[k - 2]
+        out.append(n_k)
+        power = power * half
+    return out
+
+
+def _bivariate_normal(h, k, rho: float, r: float):
+    """P(X <= h, Y <= k) for standard normals of correlation rho
+    (|rho| = sqrt(1 - 1/r^2)), by Owen's T (Owen, Ann. Math. Stat. 27,
+    1956): a part per argument, Phi(h)/2 - T(h, w/h) with w = (k - rho h) r
+    and the same with h and k swapped, less 1/2 where h k < 0 (or h k = 0
+    and h + k < 0).  Where h < 0 and |w/h| > 1 a part takes T(w, h/w)
+    instead, by T(h, a) + T(a h, 1/a) = Phi(h)/2 + Phi(a h)/2 - Phi(h)
+    Phi(a h) (a > 0), with its constants folded so that no term is near
+    1/2 unless the value is: a lower tail keeps its digits (h <= k first,
+    as P is symmetric in them).  A zero argument takes the limit from
+    above; at h = k = 0 both slopes are sqrt((1 - rho)/(1 + rho))."""
+    h, k = np.minimum(h, k) + 0.0, np.maximum(h, k) + 0.0   # -0 -> +0
+    corner = 0.5 * ((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)))
+    origin = (h == 0.0) & (k == 0.0)
+    tail = h < 0.0
+    total = np.zeros_like(h)
+    for u, v, c in ((h, k, 0.0), (k, h, corner)):
+        w = (v - rho * u) * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = w / u
+            if origin.any():
+                slope[origin] = math.sqrt((1.0 - rho) / (1.0 + rho))
+            swap = tail & (np.abs(slope) > 1.0)
+            t = owens_t(np.where(swap, w, u), np.where(swap, u / w, slope))
+        # Phi(-|u|) and Phi(-|w|) carry every term's digits: Phi(u)/2 - c,
+        # or its swapped form, with 1 - Phi(u) as Phi(-u) where u > 0
+        # (then c = 1/2)
+        tail_u, tail_w = ndtr(-np.abs(u)), ndtr(-np.abs(w))
+        up = u > 0.0
+        cdf_u = np.where(up, 1.0 - tail_u, tail_u)
+        direct = np.where(up & (c > 0.0), -0.5 * tail_u, 0.5 * cdf_u - c) - t
+        swapped = np.where(w < 0.0, -tail_w * (0.5 - cdf_u),
+                           np.where(up, -tail_u, tail_u) + tail_w * (0.5 - cdf_u)) + t
+        total += np.where(swap, swapped, direct)
+    return total
+
+
 def _pieces(bps: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
     """Split [0, top] at the breakpoints bps (..., E; nan for none); pieces
     that are empty everywhere are dropped."""
@@ -462,8 +567,8 @@ def _cofactor(rows, i: int, m: int) -> float:
 class _TraceGapRule:
     """Product rule for one (ensemble, region) and a batch of splits: Gauss
     on the gaps, split at the vertices of kinks and faces (_breakpoints),
-    and on z exact for the indexed |det| weight at the split without a
-    cap's edge, Gauss otherwise."""
+    and on z exact for the indexed |det| weight at the split, with or
+    without a cap's Gaussian edge, Gauss for any other weight."""
 
     def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge,
                  box_half):
@@ -490,16 +595,26 @@ class _TraceGapRule:
         self.edge_s = 0.0 if trace_cap is None else n * float(cap_edge)
         band = ((0.0, -EDGE_BAND * self.edge_s, EDGE_BAND * self.edge_s)
                 if self.edge_s else (0.0,))
+        # the indexed |det| weight is a polynomial in z on its region
+        self.exact = (isinstance(self.weight, AbsProdWeight)
+                      and split is not None and bool(self.sigma)
+                      and (self.weight.shift == a).all())
+        # a Gaussian edge on the Gauss z axis ends at the top of its band
+        self.band = bool(self.edge_s) and not self.exact
         # where the integrand is not smooth in d: limit crossings, and where
         # a steep limit passes the center of the trace law or its band (near
         # the boundary regime sigma -> 0 this is a step of width ~ sigma in d)
         steep = ((0.0, -EDGE_BAND * self.sigma, EDGE_BAND * self.sigma)
                  if self.sigma else (0.0,))
+        # and where a limit crosses the cap, or either end of its band where
+        # those end z pieces (the Gauss z axis) or the edge is steep too
         kinks = []
         for alpha, beta, _ in lims:
+            steep_at = STEEP_WIDTH * np.abs(beta).max(initial=0.0)
             if self.cap_s is not None:
-                kinks += [(alpha - (self.cap_s + o), beta) for o in band]
-            if self.sigma < STEEP_WIDTH * np.abs(beta).max(initial=0.0):
+                ends = band if self.band or self.edge_s < steep_at else band[:1]
+                kinks += [(alpha - (self.cap_s + o), beta) for o in ends]
+            if self.sigma < steep_at:
                 kinks += [(alpha - o, beta) for o in steep]
         self._set_kinks(kinks)
         # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
@@ -520,10 +635,6 @@ class _TraceGapRule:
         self.p_out = float(chdtrc(dof, 0.5 * self.gap_top ** 2)) if dof else 0.0
         if self.sigma:
             self.p_out = float(self.p_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
-        # the indexed |det| weight is a polynomial in z on its region
-        self.exact = (isinstance(self.weight, AbsProdWeight)
-                      and split is not None and bool(self.sigma) and not self.edge_s
-                      and (self.weight.shift == a).all())
         self.axes = [f"d{j}" for j in range(n - 1)] + (
             ["z"] if self.sigma and not self.exact else [])
         self.log_norm = -0.5 * math.log(n) - log_k_norm(n)
@@ -531,10 +642,10 @@ class _TraceGapRule:
     def tail_bound(self) -> np.ndarray:
         """Cauchy-Schwarz bound on the part cut off by the truncation:
         sqrt(E[w^2] P(outside)), E[w^2] over the whole box (no index region
-        or cap) by the first rung's rule; beyond the band of a cap's edge,
-        whose weight is below Phi(-EDGE_BAND) there, Phi(-EDGE_BAND)
-        sqrt(E[w^2])."""
-        if self.p_out == 0.0 and not self.edge_s:
+        or cap) by the first rung's rule; beyond the band of a cap's edge on
+        the Gauss z axis, whose weight is below Phi(-EDGE_BAND) there,
+        Phi(-EDGE_BAND) sqrt(E[w^2])."""
+        if self.p_out == 0.0 and not self.band:
             return np.zeros(self.batch)
         whole = copy.copy(self)
         whole.index_limits, whole.cap_s, whole.edge_s = [], None, 0.0
@@ -542,7 +653,7 @@ class _TraceGapRule:
         second = np.maximum(whole.integrate(
             tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
         bound = np.sqrt(second * self.p_out)
-        if self.edge_s:
+        if self.band:
             bound += ndtr(-EDGE_BAND) * np.sqrt(second)
         return bound
 
@@ -605,7 +716,7 @@ class _TraceGapRule:
         gaps, wgap = [], np.ones((B, 1))
         if self.n > 1:
             gaps, wgap = self._gap_axis(gaps, wgap, nn)
-        per_node = nn.get("z", 1) * (2 if self.edge_s else 1) * math.prod(
+        per_node = nn.get("z", 1) * (2 if self.band else 1) * math.prod(
             4 * nn[f"d{j}"] for j in range(1, self.n - 1))
         step = max(1, BLOCK_POINTS // (B * per_node))
         for s in range(0, wgap.shape[1], step):
@@ -678,8 +789,10 @@ class _TraceGapRule:
         at gap points (B, X) with weights g.  About the center t of [lo, hi],
         y = z - t, the weight is sign prod_j (h y + b_j), h = sigma / N and
         b_j = lam_j(t) - split, integrated against the truncated moments in
-        y (truncated_moments).  The second moment squares the polynomial,
-        without the sign."""
+        y (truncated_moments), under a cap's edge Phi((cap - s/N) / w) those
+        of Phi(alpha - beta z), alpha = cap / w, beta = sigma / (N w)
+        (edged_moments).  The second moment (no cap) squares the
+        polynomial, without the sign."""
         h = self.sigma / self.n
         t = 0.5 * (lo + hi)
         # coefficients in y of prod_j (h y + b_j), then of its square
@@ -690,7 +803,9 @@ class _TraceGapRule:
                     + [h * poly[-1]])
             if j == self.n - 1:
                 coef = poly
-        moments = truncated_moments(lo, hi, len(poly) - 1)
+        moments = (edged_moments(lo, hi, len(poly) - 1, self.cap_s / self.edge_s,
+                                 self.sigma / self.edge_s)
+                   if self.edge_s else truncated_moments(lo, hi, len(poly) - 1))
         val = g * self.sign * sum(cf * m_k for cf, m_k in zip(coef, moments))
         acc[0] += val.sum(axis=1)
         acc[1] += np.abs(val).sum(axis=1)
@@ -716,7 +831,8 @@ class _TraceGapRule:
             if self.cap_s is not None and not self.edge_s:
                 inside &= 0.0 <= self.cap_s
             return np.zeros(shape), np.where(inside, np.inf, -np.inf)
-        if self.cap_s is not None:
+        if self.cap_s is not None and not (self.edge_s and self.exact):
+            # a hard cap, or the top of its edge's band on the Gauss z axis
             hi = np.minimum(hi, self.cap_s + EDGE_BAND * self.edge_s)
         lo = np.maximum(lo / self.sigma, self.z_lo)
         hi = np.minimum(hi / self.sigma, self.z_hi)
@@ -749,16 +865,18 @@ def nested_ordered_quadrature(n: int, c: float,
     scalar).
 
     The rule is a product rule in trace-gap coordinates (see above):
-    Gauss-Legendre on the gaps and, for AbsProdWeight(split) (or None)
-    without a cap's Gaussian edge, exact on the trace; Gauss-Legendre on
-    the trace otherwise, refined by refine_on_ladder to QUAD_ABS_TOL and
-    QUAD_REL_TOL.
+    Gauss-Legendre on the gaps and, for AbsProdWeight(split) (or None),
+    exact on the trace, under a hard cap, a Gaussian edge or none; only a
+    callable weight keeps a Gauss-Legendre trace axis (with the edge's
+    band a piece of its own).  Each axis is refined by refine_on_ladder to
+    QUAD_ABS_TOL and QUAD_REL_TOL.
     Returns (value, error), arrays for an array split and floats otherwise.
     The error's floor is a Cauchy-Schwarz bound on the part cut off by the
     truncation (sqrt of the weight's second moment over the box, by the
     first rung's rule, times sqrt of the law's exact mass outside the
-    box).  Matrices larger than QUADRATURE_MAX_N raise MethodError, and an
-    invalid c ParameterError.
+    box; on a Gauss-Legendre trace axis, plus Phi(-EDGE_BAND) times sqrt
+    of that moment for the edge beyond its band).  Matrices larger than
+    QUADRATURE_MAX_N raise MethodError, and an invalid c ParameterError.
     """
     if n > QUADRATURE_MAX_N:
         raise MethodError(
@@ -782,10 +900,12 @@ class AbsProdWeight:
     """prod_j |lam_j - shift|, the weight of an indexed functional, on the
     engine's (batch, points) arrays; an array shift holds one entry per
     batch row.  nested_ordered_quadrature integrates it exactly in the
-    trace on a region split at the same shift.  Callers pass it rather than
-    weight None where something may wrap the weight argument (perfbench's
-    tracer counts weight calls through a wrapper, which must find a
-    callable); a wrapped weight takes the Gauss-Legendre trace axis."""
+    trace on a region split at the same shift, a cap's Gaussian edge
+    included, so its calls run on the gap axes alone.  Callers pass it
+    rather than weight None where something may wrap the weight argument
+    (perfbench's tracer counts weight calls through a wrapper, which must
+    find a callable); a wrapped weight takes the Gauss-Legendre trace
+    axis."""
 
     __slots__ = ("shift",)
 
@@ -1153,9 +1273,9 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
     """E[g(lam)] for an indexed absolute-determinant functional.
 
     method "quadrature" integrates over the index region in trace-gap
-    coordinates (N <= 3): a Gauss rule on the gaps, and the trace exactly
-    unless the cap has a Gaussian edge (at c = -1/N over the gaps alone,
-    the trace being 0); "monte-carlo" averages over sampled matrices (any
+    coordinates (N <= 3): a Gauss rule on the gaps, and the trace exactly,
+    a cap's Gaussian edge included (at c = -1/N over the gaps alone, the
+    trace being 0); "monte-carlo" averages over sampled matrices (any
     N); "auto" picks quadrature when available.
 
     Returns (value, error_estimate): the quadrature error (see

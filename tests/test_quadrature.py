@@ -1,7 +1,9 @@
 """The trace-gap quadrature engine: exactness against closed forms, honest
 error columns, and properties over random admissible parameters."""
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,10 +273,31 @@ def test_exact_trace_axis_design():
         return goi._TraceGapRule(3, 0.2, weight, 1, 0.4, cap, edge, None).axes
 
     det = goi.AbsProdWeight(0.4)
-    assert axes(None) == axes(det) == axes(det, 0.1) == ["d0", "d1"]
-    assert axes(det, 0.1, 0.3) == ["d0", "d1", "z"]
-    assert axes(lambda lam: det(lam)) == ["d0", "d1", "z"]
+    assert axes(None) == axes(det) == axes(det, 0.1) == axes(det, 0.1, 0.3) == ["d0", "d1"]
+    assert axes(lambda lam: det(lam)) == axes(lambda lam: det(lam), 0.1, 0.3) == ["d0", "d1", "z"]
     assert axes(goi.AbsProdWeight(0.5)) == ["d0", "d1", "z"]
+
+
+# near each geometry's boundary kappa^2 = (N + 2)/N the edge is ~1e-3 wide
+EDGE_CASES = ([(2, k2, (-3.0, -0.6, 0.5, 1.8, 4.0)) for k2 in (0.5, 0.9, 1.6, 1.99999)]
+              + [(3, k2, (-3.0, 0.5, 1.8, 4.0)) for k2 in (0.5, 0.9, 1.6, 5.0 / 3.0 - 1e-5)])
+
+
+@pytest.mark.parametrize("n, kappa2, heights", EDGE_CASES)
+def test_exact_edge_matches_gauss_legendre(n, kappa2, heights):
+    # a count above u weighs the indexed |det| by the Gaussian edge
+    # Phi((-gamma u - mean(lam)) / w): AbsProdWeight takes it exactly in z
+    # (edged_moments); the same weight as a plain callable takes the
+    # Gauss-Legendre z axis and the edge's band; every index agrees within
+    # the two errors
+    p = model_from_shape(n, 1.0, kappa2).problem()
+    det = goi.AbsProdWeight(0.0)
+    for u in heights:
+        edge = dict(split=0.0, trace_cap=-p.cap_coeff * u, cap_edge=p.edge_width)
+        for i in range(n + 1):
+            v, e = goi.nested_ordered_quadrature(n, p.c_total, det, i, **edge)
+            w, f = goi.nested_ordered_quadrature(n, p.c_total, lambda lam: det(lam), i, **edge)
+            assert abs(v - w) <= e + f, (u, i)
 
 
 def _product_rule(f, absf, top):
@@ -342,6 +365,97 @@ def test_truncated_moments_match_quad():
         if b - a >= 0.5 and (a >= 3.0 or b <= -3.0):
             # a tail interval keeps its relative digits
             assert abs(moments[0][j] - ref[0]) <= 1e-12 * ref[0], (a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_40():
+    with mpmath.workdps(40):
+        return mpmath.gauss_quadrature(24, "legendre")
+
+
+def _edged_reference(a: float, b: float, alpha: float, beta: float):
+    """N_0..N_6 of edged_moments at 40 digits, and int |y|^m e^(-z^2/2)
+    phi(alpha - beta z) for m = 0..5: 24-point Gauss-Legendre on pieces of
+    at most 1, split at the edge and 2 and 6 of its widths about it."""
+    with mpmath.workdps(40):
+        nodes, weights = _legendre_40()
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        t, centre = (a + b) / 2, mpmath.mpf(alpha) / beta
+        cuts = sorted({a, b} | {z for z in (centre + mpmath.mpf(o) / beta
+                                            for o in (-6, -2, 0, 2, 6)) if a < z < b})
+        n_k, j_abs = [mpmath.mpf(0)] * 7, [mpmath.mpf(0)] * 6
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pieces = int(mpmath.ceil(hi - lo))
+            half = (hi - lo) / (2 * pieces)
+            for m in range(pieces):
+                for x, w in zip(nodes, weights):
+                    z = lo + half * (2 * m + 1 + x)
+                    g = w * half * mpmath.exp(-z * z / 2)
+                    edge = g * mpmath.ncdf(alpha - beta * z)
+                    dens = g * mpmath.npdf(alpha - beta * z)
+                    y, power = z - t, mpmath.mpf(1)
+                    for k in range(7):
+                        n_k[k] += edge * power
+                        if k < 6:
+                            j_abs[k] += dens * abs(power)
+                        power *= y
+        return [float(v) for v in n_k], [float(v) for v in j_abs]
+
+
+# intervals across 0, in either tail (both ends far in the upper one, where
+# N_0 is a difference of near-equal bivariate normal values unless it is
+# reflected), wide, and nearly empty
+EDGED_INTERVALS = [(-8.0, 8.0), (-1.3, 0.7), (-5.0, -2.0), (-7.9, -7.8), (0.0, 3.0),
+                   (2.0, 2.5), (6.0, 8.0), (7.0, 7.5), (-0.5, 6.0), (0.0, 1e-7)]
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 10.0])
+def test_edged_moments_match_mpmath(beta):
+    lo, hi = np.array(EDGED_INTERVALS).T
+    ratios = []
+    for alpha in (-6.0, -0.3, 0.0, 3.0, 6.0):
+        moments = goi.edged_moments(lo, hi, 6, alpha, beta)
+        assert len(moments) == 7
+        for j, (a, b) in enumerate(EDGED_INTERVALS):
+            ref, j_abs = _edged_reference(a, b, alpha, beta)
+            # the scale rounding can reach: the recursion run on the
+            # magnitudes of its terms, from M_0's (as for truncated_moments)
+            t, r = 0.5 * (a + b), 0.5 * (b - a)
+            ends = (math.exp(-0.5 * a * a) * ndtr(alpha - beta * a)
+                    + math.exp(-0.5 * b * b) * ndtr(alpha - beta * b))
+            scale = [math.sqrt(2.0 * math.pi) * min(ndtr(a) + ndtr(b), ndtr(-a) + ndtr(-b))]
+            for k in range(1, 7):
+                scale.append((k - 1) * (scale[k - 2] if k > 1 else 0.0) + abs(t) * scale[k - 1]
+                             + r ** (k - 1) * ends + beta * j_abs[k - 1])
+            ratios += [abs(moments[k][j] - ref[k]) / scale[k] for k in range(7)]
+            # Owen's T keeps all but a few digits even where its two parts
+            # cancel (a tail interval whose slope against the edge is near
+            # 1, as [-7.9, -7.8] at alpha = -6, beta = 1/2: 6e-11)
+            assert max(ratios[-7:]) <= 1e-9, (alpha, a, b)
+    assert np.median(ratios) <= 2.0 * EPS
+
+
+def test_edged_moments_far_from_the_edge():
+    # where Phi(alpha - beta z) rounds to 1 (or 0) on all of [lo, hi] the
+    # moments are the plain ones (or 0), with no overflow on the way (the
+    # suite turns RuntimeWarning into an error)
+    lo, hi = np.array(EDGED_INTERVALS).T
+    plain = goi.truncated_moments(lo, hi, 6)
+    for alpha, beta in ((1e300, 1e-3), (1e200, 5.0), (200.0, 10.0)):
+        edged = goi.edged_moments(lo, hi, 6, alpha, beta)
+        assert all((m == p).all() for m, p in zip(edged, plain))
+        assert all((m == 0.0).all() for m in goi.edged_moments(lo, hi, 6, -alpha, beta))
+
+
+def test_exact_edge_far_from_the_trace_law():
+    # a cap with an edge far above (below) every trace of the box counts
+    # the whole region (nothing)
+    for n in (1, 2, 3):
+        whole = goi.nested_ordered_quadrature(n, 0.4, goi.AbsProdWeight(0.2), 1, 0.2)
+        for cap, want in ((1e200, whole[0]), (-1e200, 0.0)):
+            v, e = goi.nested_ordered_quadrature(n, 0.4, goi.AbsProdWeight(0.2), 1, 0.2,
+                                                 trace_cap=cap, cap_edge=0.3)
+            assert v == want and e <= whole[1]
 
 
 def test_quadrature_cdf_error_adds_the_bounds():
