@@ -599,8 +599,9 @@ class _TraceGapRule:
         self.exact = (isinstance(self.weight, AbsProdWeight)
                       and split is not None and bool(self.sigma)
                       and (self.weight.shift == a).all())
-        # a Gaussian edge on the Gauss z axis ends at the top of its band
-        self.band = bool(self.edge_s) and not self.exact
+        # a Gaussian edge on the Gauss z axis: its band is a z piece, and z
+        # ends at the top of it
+        self.z_band = bool(self.edge_s) and not self.exact
         # where the integrand is not smooth in d: limit crossings, and where
         # a steep limit passes the center of the trace law or its band (near
         # the boundary regime sigma -> 0 this is a step of width ~ sigma in d)
@@ -612,7 +613,7 @@ class _TraceGapRule:
         for alpha, beta, _ in lims:
             steep_at = STEEP_WIDTH * np.abs(beta).max(initial=0.0)
             if self.cap_s is not None:
-                ends = band if self.band or self.edge_s < steep_at else band[:1]
+                ends = band if self.z_band or self.edge_s < steep_at else band[:1]
                 kinks += [(alpha - (self.cap_s + o), beta) for o in ends]
             if self.sigma < steep_at:
                 kinks += [(alpha - o, beta) for o in steep]
@@ -645,7 +646,7 @@ class _TraceGapRule:
         or cap) by the first rung's rule; beyond the band of a cap's edge on
         the Gauss z axis, whose weight is below Phi(-EDGE_BAND) there,
         Phi(-EDGE_BAND) sqrt(E[w^2])."""
-        if self.p_out == 0.0 and not self.band:
+        if self.p_out == 0.0 and not self.z_band:
             return np.zeros(self.batch)
         whole = copy.copy(self)
         whole.index_limits, whole.cap_s, whole.edge_s = [], None, 0.0
@@ -653,7 +654,7 @@ class _TraceGapRule:
         second = np.maximum(whole.integrate(
             tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
         bound = np.sqrt(second * self.p_out)
-        if self.band:
+        if self.z_band:
             bound += ndtr(-EDGE_BAND) * np.sqrt(second)
         return bound
 
@@ -716,7 +717,7 @@ class _TraceGapRule:
         gaps, wgap = [], np.ones((B, 1))
         if self.n > 1:
             gaps, wgap = self._gap_axis(gaps, wgap, nn)
-        per_node = nn.get("z", 1) * (2 if self.band else 1) * math.prod(
+        per_node = nn.get("z", 1) * (2 if self.z_band else 1) * math.prod(
             4 * nn[f"d{j}"] for j in range(1, self.n - 1))
         step = max(1, BLOCK_POINTS // (B * per_node))
         for s in range(0, wgap.shape[1], step):
