@@ -13,12 +13,14 @@ N(-m / gamma, (w / gamma)^2).  So a count above u integrates the height out
 as a Gaussian edge of width w on the trace cap -gamma u; the boundary
 regime is w = 0, the hard cap mean(lam) <= -gamma u.  IsotropicModel
 writes the Hessian law of both geometries once, with the sphere's eta^2 as
-a curvature term (0 on R^N): shape, regime, (pref, c_tot, c_cnd, b, gamma,
-w) through problem(), and the N = 2 height laws.  A geometry
-(euclidean.EuclideanModel, sphere.SphereModel) adds its curvature,
-prefactor and N = 2 totals.  This module holds the public operations on
-either model, evaluates the template by quadrature or Monte Carlo and
-propagates error estimates.  Its one count is the count above u
+a curvature term (0 on R^N): shape, regime and (pref, c_tot, c_cnd, b,
+gamma, w) through problem().  A geometry (euclidean.EuclideanModel,
+sphere.SphereModel) adds its covariance derivatives, curvature, prefactor
+and the name of its gap.  At N = 2, E_GOI(c)[g_i(a)] has one closed form
+in (c, a) (_goi2), so the closed forms of both regimes and both
+geometries read the CountProblem alone.  This module holds the public
+operations on either model, evaluates the template by quadrature or Monte
+Carlo and propagates error estimates.  Its one count is the count above u
 (count_above, public as expected_counts): one goi.goi_expectation call
 per index and height, for both methods and both regimes, or on the
 GOE(N+1) route (method "fyodorov") one fyodorov.reduced_expectation
@@ -38,8 +40,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import (InvalidCovarianceError, MethodError, ParameterError,
-                     RegimeError, UndefinedDistributionError)
+from .errors import (ImpossibleFieldError, InvalidCovarianceError, MethodError,
+                     ParameterError, RegimeError, UndefinedDistributionError)
 from .fyodorov import GoeReduction, goe_method, reduced_expectation
 from .goi import (
     AbsProdWeight,
@@ -73,8 +75,8 @@ HEIGHT_CHUNK = 8
 # Outer-rule tolerances of the N = 2 closed-form tails (see CritResult).
 CLOSED_ABS_TOL = 1e-13
 CLOSED_REL_TOL = 1e-11
-# The N = 2 maxima density (_h2_n2) leaves its erfc closed form where the
-# terms cancel by more than this factor (2 digits), for an integral on
+# The N = 2 maxima expectation G_2 (_goi2) leaves its erfc closed form where
+# the terms cancel by more than this factor (2 digits), for an integral on
 # this many Gauss-Legendre nodes.
 H2_CANCEL = 1e2
 H2_NODES = 48
@@ -85,6 +87,14 @@ def check_finite(*named: tuple[str, float]) -> None:
     for name, v in named:
         if not math.isfinite(v):
             raise InvalidCovarianceError(f"{name} must be finite (got {v})")
+
+
+def check_integer(name: str, v, least: int) -> None:
+    """Reject a model input v that is not an integer (a bool is not one)
+    of at least least, naming it."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise InvalidCovarianceError(
+            f"{name} must be an integer >= {least}, got {v!r}")
 
 
 def shape_ratios(eta2: float, kappa2: float) -> tuple[float, float]:
@@ -146,18 +156,21 @@ class CountProblem:
 
 
 class IsotropicModel:
-    """Shape, regime, count parameters and N = 2 height laws of a
-    unit-variance isotropic field on R^N or S^N.
+    """Shape, regime and count parameters of a unit-variance isotropic
+    field on R^N or S^N.
 
-    A geometry is a frozen dataclass of its covariance derivatives and
-    supplies n, eta2, raw_kappa2 (the unclamped kappa^2), curvature (how
-    eta^2 enters the Hessian law: 0 on R^N, eta^2 on S^N), log_prefactor
-    and closed_total_n2(i).  With e2 = curvature the Hessian law reads
-    c_tot = (1 + e2)/2, c_cnd = (1 + e2 - kappa^2)/2, and feasibility
-    requires kappa^2 - e2 <= (N+2)/N, with equality the boundary regime.
+    A geometry is a frozen dataclass of n and its covariance derivatives
+    and supplies eta2, raw_kappa2 (the unclamped kappa^2), curvature (how
+    eta^2 enters the Hessian law: 0 on R^N, eta^2 on S^N), log_prefactor,
+    and the names space and gap_name (of kappa^2 - curvature).  With e2 =
+    curvature the Hessian law reads c_tot = (1 + e2)/2, c_cnd = (1 + e2 -
+    kappa^2)/2, and feasibility requires kappa^2 - e2 <= (N+2)/N, with
+    equality the boundary regime.  Everything else, the N = 2 closed forms
+    included, reads problem().
     """
 
     def __post_init__(self):
+        check_integer("dimension", self.n, 1)
         derivs = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name != "n"}
         if not all(math.isfinite(v) for v in derivs.values()):
@@ -167,6 +180,12 @@ class IsotropicModel:
         if not self.raw_kappa2 > 0.0:
             raise InvalidCovarianceError(
                 f"kappa^2 underflows to {self.raw_kappa2} for {derivs}")
+        gap = self.raw_kappa2 - self.curvature
+        if gap > self.gap_bound + REGIME_TOL:
+            raise ImpossibleFieldError(
+                f"{self.gap_name} = {gap:.12g} exceeds (N+2)/N = "
+                f"{self.gap_bound:.12g}; no isotropic {self.space} field of "
+                f"dimension {self.n} attains this")
 
     @property
     def eta(self) -> float:
@@ -212,48 +231,14 @@ class IsotropicModel:
                         else math.sqrt((1.0 + n * c_cnd) * (1.0 + n * c_tot)) / (n * b)),
         )
 
+    def closed_total_n2(self, i: int) -> float:
+        return closed_total(self.problem(), i)
+
     def closed_pdf_n2(self, i: int, x):
-        """h_i at the heights x for N = 2; h_0(x) = h_2(-x).  It is 0 where
-        phi(x) underflows: every term has a Gaussian factor as narrow."""
-        x = np.asarray(x, dtype=float)
-        live = _phi(x) > 0.0
-        y = np.where(live, x if i else -x, 0.0)
-        if self.boundary:
-            h = (_h1_n2_boundary if i == 1 else _h2_n2_boundary)(y, self.curvature)
-        else:
-            h = (_h1_n2 if i == 1 else _h2_n2)(y, self.curvature, self.kappa2)
-        return np.where(live, h, 0.0)
+        return closed_pdf(self.problem(), i, x)
 
     def closed_cdf_n2(self, i: int, u) -> CritResult:
-        """Upper-tail fraction F_i at the heights u (an array) for N = 2.
-        Index 1 and the boundary maxima have erfc forms; minima integrate
-        their own density h_0(t) = h_2(-t), since the complement
-        1 - F_2(-u) cancels to rounding in their upper tail."""
-        u = np.asarray(u, dtype=float)
-        e2 = self.curvature
-        if i == 1:
-            s = 3.0 + e2 if self.boundary else (3.0 + e2) / (3.0 + e2 - self.kappa2)
-            return CritResult(ndtr(-u * math.sqrt(s)), CLOSED_REL_TOL, "closed-form")
-        if self.boundary and i == 2:
-            # every term underflows to 0 before a = 40; the clip keeps
-            # u = inf off inf * 0
-            a = np.clip(u, 0.0, 40.0)
-            pref = (2.0 * math.sqrt(3.0 + e2)
-                    / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2))))
-            val = pref * ((e2 + 2.0) * a * np.exp(-0.5 * a * a)
-                          + e2 * SQRT2PI * ndtr(-a)
-                          + 2.0 * SQRT2PI / math.sqrt(3.0 + e2)
-                          * ndtr(-a * math.sqrt(3.0 + e2)))
-            return CritResult(np.minimum(val, 1.0), CLOSED_REL_TOL, "closed-form")
-        # the extrema densities step at 0 over a width sqrt(a) / kappa, a = 2
-        # + e2 - kappa^2, that vanishes at the boundary: a steep step gets
-        # pieces of its own
-        width = math.sqrt(max(2.0 + e2 - self.kappa2, 0.0) / self.kappa2)
-        splits = [0.0] + ([-EDGE_BAND * width, EDGE_BAND * width]
-                          if width < STEEP_WIDTH else [])
-        val, err = _upper_tails(lambda t: self.closed_pdf_n2(i, t), u, splits)
-        return CritResult(np.minimum(val, 1.0), np.maximum(err, CLOSED_REL_TOL),
-                          "closed-form")
+        return closed_cdf(self.problem(), i, u)
 
 
 def _phi(x):
@@ -443,57 +428,56 @@ def height_cdf_general(p: CountProblem, i: int, u, method: str,
 
 
 # ---------------------------------------------------------------------------
-# closed forms, N = 2: height densities (e2 = curvature) and the upper tail
+# closed forms, N = 2: one GOI(2) expectation on the template's parameters
 # ---------------------------------------------------------------------------
 
 
-def _h1_n2(x, e2, k2):
-    b = 3.0 + e2 - k2
-    return np.sqrt((3.0 + e2) / (2.0 * math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
+def _goi2(i: int, s: float, a):
+    """E_GOI(2, c)[g_i(a)] at the shifts a (an array), s = sqrt((1 + 2c)/2)
+    the sd of mean(lam) (0: the boundary's degenerate ensemble).  The
+    eigenvalues are m +- r with m ~ N(0, s^2) and r^2 ~ Exp(1) independent,
+    so with q = 1 + 2 s^2 and alpha = a / s
 
+        G_1(a) = e^{-a^2/q} / sqrt(q),
+        G_2(a) = (s^2 + a^2 - 1) Phi(alpha) + a s phi(alpha)
+                 + e^{-a^2/q} Phi(alpha / sqrt(q)) / sqrt(q),
+        G_0(a) = G_2(-a),
 
-def _h2_n2(x, e2, k2):
-    """The maxima density h_2: its erfc closed form where the three terms
-    cancel by less than a factor H2_CANCEL, and elsewhere the same density
-    as one integral with a positive integrand (_h2_n2_integral).  The
-    terms cancel at negative heights, where the first two orders of their
-    expansions in 1/z vanish (z = k x / sqrt(2 + e2 - k2)), and near the
-    boundary at any height."""
-    k = math.sqrt(k2)
-    a = 2.0 + e2 - k2
-    b = 3.0 + e2 - k2
-    pref = 2.0 * math.sqrt(3.0 + e2) / (2.0 + e2 * math.sqrt(3.0 + e2))
-    t1 = (e2 + k2 * (x * x - 1.0)) * _phi(x) * ndtr(k * x / math.sqrt(a))
-    t2 = k * math.sqrt(a) / (2.0 * math.pi) * x * np.exp(-0.5 * (2.0 + e2) * x * x / a)
-    t3 = (np.sqrt(2.0 / (math.pi * b)) * np.exp(-0.5 * (3.0 + e2) * x * x / b)
-          * ndtr(k * x / math.sqrt(a * b)))
-    out = np.atleast_1d(pref * (t1 + t2 + t3))
-    cancel = np.atleast_1d(np.abs(t1) + np.abs(t2) + np.abs(t3)
-                           > H2_CANCEL * np.abs(t1 + t2 + t3))
+    and at s = 0, G_2(a) = (a^2 - 1 + e^{-a^2}) 1{a > 0}.  Where the three
+    terms of G_2 cancel by more than a factor H2_CANCEL (at alpha << 0, and
+    near the boundary at any a) it is the integral _g2_integral."""
+    a = np.asarray(a, dtype=float)
+    shape, a = a.shape, a.ravel()
+    q = 1.0 + 2.0 * s * s
+    if i == 1:
+        return (np.exp(-a * a / q) / math.sqrt(q)).reshape(shape)
+    if i == 0:
+        a = -a
+    if s == 0.0:
+        return np.where(a > 0.0, _expm1_tail(a * a), 0.0).reshape(shape)
+    alpha = a / s
+    terms = np.array([(s * s + a * a - 1.0) * ndtr(alpha), a * s * _phi(alpha),
+                      np.exp(-a * a / q) * ndtr(alpha / math.sqrt(q)) / math.sqrt(q)])
+    out = terms.sum(axis=0)
+    cancel = np.abs(terms).sum(axis=0) > H2_CANCEL * np.abs(out)
     if cancel.any():
-        out[cancel] = _h2_n2_integral(np.atleast_1d(x)[cancel], e2, k2)
-    return out.reshape(x.shape)
+        out[cancel] = _g2_integral(s, alpha[cancel])
+    return out.reshape(shape)
 
 
-def _h2_n2_integral(x, e2, k2):
-    """h_2 at the heights x (an array) as one integral with a positive
-    integrand, with a = 2 + e2 - k2, z = k x / sqrt(a) and g(u) = e^{-u} -
-    1 + u >= 0:
+def _g2_integral(s: float, alpha):
+    """G_2 at alpha = a / s (an array) as one integral with a positive
+    integrand, g(v) = e^{-v} - 1 + v >= 0:
 
-        h_2(x) = pref / pi int_0^inf exp(-x^2/2 - (t - z)^2/2) g(a t^2/2) dt.
+        G_2 = int_0^inf phi(t - alpha) g(s^2 t^2) dt.
 
-    The integrand sits within 10 of t = z above 0, or, for z < 0, below
-    t = z + sqrt(z^2 + 100), where exp(z t - t^2/2) has fallen by e^-50.
-    """
-    a = 2.0 + e2 - k2
-    pref = 2.0 * math.sqrt(3.0 + e2) / (2.0 + e2 * math.sqrt(3.0 + e2))
-    z = math.sqrt(k2 / a) * x
-    lo = np.maximum(z - 10.0, 0.0)
-    hi = z + np.sqrt(np.minimum(z, 0.0) ** 2 + 100.0)
+    The integrand sits within 10 of t = alpha above 0, or, for alpha < 0,
+    below t = alpha + sqrt(alpha^2 + 100), where exp(alpha t - t^2/2) has
+    fallen by e^-50."""
+    lo = np.maximum(alpha - 10.0, 0.0)
+    hi = alpha + np.sqrt(np.minimum(alpha, 0.0) ** 2 + 100.0)
     t, w = _gauss_on(lo[:, None], hi[:, None], H2_NODES)
-    f = (np.exp(-0.5 * (x[:, None] ** 2 + (t - z[:, None]) ** 2))
-         * _expm1_tail(0.5 * a * t * t))
-    return pref / math.pi * (w * f).sum(axis=-1)
+    return (w * _phi(t - alpha[:, None]) * _expm1_tail(s * s * t * t)).sum(axis=-1)
 
 
 def _expm1_tail(u):
@@ -509,15 +493,56 @@ def _expm1_tail(u):
     return out
 
 
-def _h2_n2_boundary(x, e2):
-    pref = 2.0 * math.sqrt(3.0 + e2) / (SQRT2PI * (2.0 + e2 * math.sqrt(3.0 + e2)))
-    out = pref * (((e2 + 2.0) * x * x - 2.0) * np.exp(-0.5 * x * x)
-                  + 2.0 * np.exp(-0.5 * (3.0 + e2) * x * x))
-    return np.where(x >= 0.0, out, 0.0)
+def _spreads(p: CountProblem) -> tuple[float, float]:
+    """The sd s of mean(lam) under GOI(c_tot) and GOI(c_cnd): 0 for the
+    latter in the boundary regime (w = 0)."""
+    return (math.sqrt(0.5 + p.c_total),
+            math.sqrt(0.5 + p.c_cond) if p.edge_width else 0.0)
 
 
-def _h1_n2_boundary(x, e2):
-    return math.sqrt(3.0 + e2) / SQRT2PI * np.exp(-0.5 * (3.0 + e2) * x * x)
+def closed_total(p: CountProblem, i: int) -> float:
+    """The index-i total pref G_i(c_tot, 0) for N = 2."""
+    return math.exp(p.log_prefactor) * float(_goi2(i, _spreads(p)[0], 0.0))
+
+
+def closed_pdf(p: CountProblem, i: int, x):
+    """h_i(x) = phi(x) G_i(c_cnd, b x) / G_i(c_tot, 0) at the heights x for
+    N = 2.  It is 0 where phi(x) underflows: G grows polynomially."""
+    x = np.asarray(x, dtype=float)
+    s_tot, s_cnd = _spreads(p)
+    phi = _phi(x)
+    live = phi > 0.0
+    num = _goi2(i, s_cnd, p.shift_coeff * np.where(live, x, 0.0))
+    return np.where(live, phi * num, 0.0) / float(_goi2(i, s_tot, 0.0))
+
+
+def closed_cdf(p: CountProblem, i: int, u) -> CritResult:
+    """Upper-tail fraction F_i at the heights u (an array) for N = 2.
+    Index 1 and the boundary maxima have erfc forms; the other extrema
+    integrate their own density, since for minima the complement
+    1 - F_2(-u) cancels to rounding in their upper tail."""
+    u = np.asarray(u, dtype=float)
+    b = p.shift_coeff
+    s_tot, s_cnd = _spreads(p)
+    if i == 1:
+        return CritResult(ndtr(-u * math.sqrt(1.0 + b * b / (1.0 + p.c_cond))),
+                          CLOSED_REL_TOL, "closed-form")
+    if i == 2 and s_cnd == 0.0:
+        # every term underflows to 0 before v = 40; the clip keeps u = inf
+        # off inf * 0
+        v = np.clip(u, 0.0, 40.0)
+        r = math.sqrt(1.0 + 2.0 * b * b)
+        val = ((ndtr(-v * r) / r + (b * b - 1.0) * ndtr(-v) + b * b * v * _phi(v))
+               / float(_goi2(2, s_tot, 0.0)))
+        return CritResult(np.minimum(val, 1.0), CLOSED_REL_TOL, "closed-form")
+    # the extrema densities step at 0 over a width s / b that vanishes at
+    # the boundary: a steep step gets pieces of its own
+    width = s_cnd / b
+    splits = [0.0] + ([-EDGE_BAND * width, EDGE_BAND * width]
+                      if width < STEEP_WIDTH else [])
+    val, err = _upper_tails(lambda t: closed_pdf(p, i, t), u, splits)
+    return CritResult(np.minimum(val, 1.0), np.maximum(err, CLOSED_REL_TOL),
+                      "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -586,25 +611,21 @@ def expected_counts(model, indices, u: float = -math.inf, method: str = "auto",
     _check_heights(u)
     totals = u == -math.inf
     method = resolve_method(model, method, threshold=not totals)
+    p = model.problem()
     if method == "closed-form":
         _require_n2(model)
         if totals:
-            return [CritResult(model.closed_total_n2(i), 1e-15, method)
-                    for i in indices]
+            return [CritResult(closed_total(p, i), 1e-15, method) for i in indices]
         out = []
         for i in indices:
-            tot, frac = model.closed_total_n2(i), model.closed_cdf_n2(i, u)
+            tot, frac = closed_total(p, i), closed_cdf(p, i, u)
             out.append(_shaped(u, tot * frac.value, tot * frac.error, method))
         return out
-    p = model.problem()
     if method == "fyodorov" and p.c_cond <= 0.0:
-        if model.space == "euclidean":
-            detail = f"kappa^2 = {model.kappa2:.12g} must be < 1"
-        else:
-            detail = f"kappa^2 - eta^2 = {model.kappa2 - model.eta2:.12g} must be < 1"
         raise RegimeError(
-            f"GOE(N+1) route unavailable: {detail}; use the general count "
-            "path (expected_crit_above / expected_crit_total)")
+            f"GOE(N+1) route unavailable: {model.gap_name} = "
+            f"{model.kappa2 - model.curvature:.12g} must be < 1; use the general "
+            "count path (expected_crit_above / expected_crit_total)")
     return [_shaped(u, r.value, r.error, method) for r in count_above(
         p, indices, np.array([u], dtype=float), method,
         config or NumericConfig(), inner)]
@@ -662,7 +683,7 @@ def height_pdf_result(model, i: int, x, method: str = "auto",
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":
         _require_n2(model)
-        return _shaped(x, model.closed_pdf_n2(i, x), 1e-15, "closed-form")
+        return _shaped(x, closed_pdf(model.problem(), i, x), 1e-15, "closed-form")
     return height_pdf_general(model.problem(), i, x, method, cfg, total)
 
 
@@ -677,7 +698,7 @@ def height_cdf_result(model, i: int, u, method: str = "auto",
     method = resolve_method(model, method, threshold=True)
     if method == "closed-form":
         _require_n2(model)
-        r = model.closed_cdf_n2(i, u)
+        r = closed_cdf(model.problem(), i, u)
         return _shaped(u, r.value, r.error, "closed-form")
     return height_cdf_general(model.problem(), i, u, method, cfg, total)
 

@@ -17,9 +17,10 @@ a height threshold, reduce to GOI expectations; N = 2 additionally has
 closed forms, used by default.  Heights of index-i critical points have
 density h_i and upper-tail fraction F_i = (count above u) / (total count).
 On R^N the sphere's Hessian law holds with curvature 0, so the model
-supplies only its shape, prefactor and N = 2 totals; the law itself
-(_kacrice.IsotropicModel) and the operations on it, shared with the
-sphere, live in _kacrice, and the operations are re-exported here.
+supplies only its shape and prefactor; the law itself
+(_kacrice.IsotropicModel), its N = 2 closed forms and the operations on
+it, shared with the sphere, live in _kacrice, and the operations are
+re-exported here.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from ._kacrice import (REGIME_TOL, CountProblem, CritResult,  # noqa: F401
                        IsotropicModel, check_finite, expected_crit_above,
                        expected_crit_total, height_cdf, height_density,
                        resolve_method, shape_ratios)
-from .errors import ImpossibleFieldError, InvalidCovarianceError
+from .errors import InvalidCovarianceError
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class EuclideanModel(IsotropicModel):
     """Validated covariance-derivative data of an isotropic field on R^N."""
 
     space = "euclidean"
+    gap_name = "kappa^2"
     curvature = 0.0
 
     n: int
@@ -56,20 +58,15 @@ class EuclideanModel(IsotropicModel):
     def log_prefactor(self) -> float:
         return 0.5 * self.n * math.log(2.0 / math.pi) - self.n * math.log(self.eta)
 
-    def closed_total_n2(self, i: int) -> float:
-        base = 1.0 / (math.sqrt(3.0) * math.pi * self.eta2)
-        return 2.0 * base if i == 1 else base
-
 
 def model_from_rho(n: int, rho1: float, rho2: float) -> EuclideanModel:
     """Build a model from covariance derivatives, enforcing feasibility.
 
-    Raises InvalidCovarianceError for sign violations and
-    ImpossibleFieldError when kappa^2 = rho'^2/rho'' exceeds (N+2)/N, the
-    variance bound satisfied by every twice-differentiable isotropic field.
+    Raises InvalidCovarianceError for sign violations or a dimension that
+    is not an integer >= 1, and ImpossibleFieldError when kappa^2 =
+    rho'^2/rho'' exceeds (N+2)/N, the variance bound satisfied by every
+    twice-differentiable isotropic field (IsotropicModel checks both).
     """
-    if n < 1:
-        raise InvalidCovarianceError(f"dimension must be >= 1, got {n}")
     check_finite(("rho'(0)", rho1), ("rho''(0)", rho2))
     if not (rho1 < 0.0):
         raise InvalidCovarianceError(
@@ -79,12 +76,7 @@ def model_from_rho(n: int, rho1: float, rho2: float) -> EuclideanModel:
         raise InvalidCovarianceError(
             f"rho''(0) must be positive (got {rho2}); the field would have "
             "no second-derivative variance")
-    m = EuclideanModel(n=n, rho1=float(rho1), rho2=float(rho2))
-    if m.raw_kappa2 > m.gap_bound + REGIME_TOL:
-        raise ImpossibleFieldError(
-            f"kappa^2 = rho'^2/rho'' = {m.raw_kappa2:.12g} exceeds (N+2)/N = "
-            f"{m.gap_bound:.12g}; no isotropic field on R^{n} attains this")
-    return m
+    return EuclideanModel(n=n, rho1=float(rho1), rho2=float(rho2))
 
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> EuclideanModel:

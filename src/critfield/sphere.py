@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from ._kacrice import (REGIME_TOL, CritResult, IsotropicModel, check_finite,
+from ._kacrice import (CritResult, IsotropicModel, check_finite, check_integer,
                        expected_crit_above, expected_crit_total,
                        expected_crit_totals, height_cdf, height_density,
                        shape_ratios)
-from .errors import ImpossibleFieldError, InvalidCovarianceError
+from .errors import InvalidCovarianceError
 from .goi import NumericConfig
 
 expected_crit_total_sphere = expected_crit_total
@@ -42,6 +42,7 @@ class SphereModel(IsotropicModel):
     """Validated covariance-derivative data of an isotropic field on S^N."""
 
     space = "sphere"
+    gap_name = "kappa^2 - eta^2"
 
     n: int
     c1: float  # C'(1) > 0
@@ -63,21 +64,14 @@ class SphereModel(IsotropicModel):
     def log_prefactor(self) -> float:
         return -0.5 * self.n * math.log(math.pi) - self.n * math.log(self.eta)
 
-    def closed_total_n2(self, i: int) -> float:
-        e2 = self.eta2
-        if i == 1:
-            return 1.0 / (math.pi * e2 * math.sqrt(3.0 + e2))
-        return 1.0 / (4.0 * math.pi) + 1.0 / (2.0 * math.pi * e2 * math.sqrt(3.0 + e2))
-
 
 def model_from_C(n: int, c1: float, c2: float) -> SphereModel:
     """Build a sphere model from C'(1), C''(1), enforcing feasibility.
 
     kappa^2 - eta^2 = C'(C' - 1)/C'' may not exceed (N+2)/N; violation
-    raises ImpossibleFieldError since no isotropic field on S^N attains it.
+    raises ImpossibleFieldError since no isotropic field on S^N attains it
+    (IsotropicModel checks it, and that N is an integer >= 1).
     """
-    if n < 1:
-        raise InvalidCovarianceError(f"dimension must be >= 1, got {n}")
     check_finite(("C'(1)", c1), ("C''(1)", c2))
     if not (c1 > 0.0):
         raise InvalidCovarianceError(
@@ -87,14 +81,7 @@ def model_from_C(n: int, c1: float, c2: float) -> SphereModel:
         raise InvalidCovarianceError(
             f"C''(1) must be positive (got {c2}); the second-derivative "
             "structure degenerates")
-    m = SphereModel(n=n, c1=float(c1), c2=float(c2))
-    gap = m.raw_kappa2 - m.curvature
-    if gap > m.gap_bound + REGIME_TOL:
-        raise ImpossibleFieldError(
-            f"kappa^2 - eta^2 = C'(C'-1)/C'' = {gap:.12g} exceeds "
-            f"(N+2)/N = {m.gap_bound:.12g}; no isotropic field on S^{n} "
-            "attains this")
-    return m
+    return SphereModel(n=n, c1=float(c1), c2=float(c2))
 
 
 def model_from_shape(n: int, eta2: float, kappa2: float) -> SphereModel:
@@ -108,10 +95,8 @@ def model_from_legendre(degree: int) -> SphereModel:
     C(t) = P_l(t) gives C'(1) = l(l+1)/2 and C''(1) = (l-1)l(l+1)(l+2)/8,
     which sits exactly on the boundary regime for every degree l >= 2.
     """
-    l = int(degree)
-    if l < 2:
-        raise InvalidCovarianceError(
-            "degree must be >= 2: degree 1 has C''(1) = 0")
+    check_integer("degree", degree, 2)   # degree 1 has C''(1) = 0
+    l = degree
     c1 = l * (l + 1) / 2.0
     c2 = (l - 1) * l * (l + 1) * (l + 2) / 8.0
     return model_from_C(2, c1, c2)

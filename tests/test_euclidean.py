@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from critfield import (
@@ -25,6 +27,7 @@ from critfield import sphere as sp
 from critfield.goi import validate_ensemble
 
 PHI = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+TINY = np.finfo(float).tiny
 
 
 def test_model_validation():
@@ -39,6 +42,10 @@ def test_model_validation():
     assert "exceeds" in str(exc.value)
     with pytest.raises(InvalidCovarianceError):
         model_from_rho(0, -1.0, 1.0)
+    # the dimension is an integer, and a bool is not one
+    for n in (2.5, True):
+        with pytest.raises(InvalidCovarianceError):
+            model_from_shape(n, 1.0, 1.0)
 
 
 def test_model_shape_roundtrip():
@@ -188,11 +195,17 @@ def test_vacuous_threshold_recovers_totals():
 
 
 def test_boundary_continuity_spot():
-    mb = model_from_shape(2, 1.0, 2.0)
-    ma = model_from_shape(2, 1.0, 2.0 - 1e-3)
-    for x in (0.5, 1.5, 2.5):
-        assert height_density(ma, 2, x) == pytest.approx(
-            height_density(mb, 2, x), abs=1e-2)
+    # the boundary is s = 0 of the interior's GOI(2) law: 1e-8 inside it
+    # every density lies within 1e-6 relative of the boundary's (the gap
+    # shrinks linearly with the distance)
+    for mod, eta2, curvature in ((eu, 1.0, 0.0), (sp, 0.8, 0.8)):
+        mb = mod.model_from_shape(2, eta2, curvature + 2.0)
+        ma = mod.model_from_shape(2, eta2, curvature + 2.0 - 1e-8)
+        assert mb.boundary and not ma.boundary
+        for i in range(3):
+            for x in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5):
+                assert height_density(ma, i, x) == pytest.approx(
+                    height_density(mb, i, x), rel=1e-6, abs=0.0)
 
 
 def test_closed_upper_tail_of_minima_does_not_cancel():
@@ -200,17 +213,61 @@ def test_closed_upper_tail_of_minima_does_not_cancel():
     assert expected_crit_above(model_from_shape(2, 1, 1.99), 0, 0.5).value < 1e-20
 
 
-def _h2_mp(x, e2, k2):
-    # the erfc closed form of the N = 2 maxima density, at 50 digits
-    with mp.workdps(50):
+def _h2_mp(x, e2, k2, boundary=False, dps=50):
+    # the N = 2 maxima density at dps digits, in the curvature e2 and
+    # kappa^2: its erfc closed form, and the boundary's (k2 = 2 + e2)
+    with mp.workdps(dps):
         x, e2, k2 = mp.mpf(x), mp.mpf(e2), mp.mpf(k2)
-        k, a, b = mp.sqrt(k2), 2 + e2 - k2, 3 + e2 - k2
         pref = 2 * mp.sqrt(3 + e2) / (2 + e2 * mp.sqrt(3 + e2))
+        if boundary:
+            if x <= 0:
+                return mp.mpf(0)
+            # the terms cancel to O(x^4): 4 more digits a decade below 1
+            with mp.workdps(dps + 4 * max(0, -int(mp.log10(x)))):
+                return pref * (((e2 + 2) * x * x - 2) * mp.npdf(x)
+                               + 2 * mp.npdf(x * mp.sqrt(3 + e2)))
+        k, a, b = mp.sqrt(k2), 2 + e2 - k2, 3 + e2 - k2
         t1 = (e2 + k2 * (x * x - 1)) * mp.npdf(x) * mp.ncdf(k * x / mp.sqrt(a))
         t2 = k * mp.sqrt(a) / (2 * mp.pi) * x * mp.exp(-(2 + e2) * x * x / (2 * a))
         t3 = (mp.sqrt(2 / (mp.pi * b)) * mp.exp(-(3 + e2) * x * x / (2 * b))
               * mp.ncdf(k * x / mp.sqrt(a * b)))
         return pref * (t1 + t2 + t3)
+
+
+def _h_mp(i, x, e2, k2, boundary=False, dps=50):
+    # h_i at dps digits: h_1 is Gaussian (variance 1 at the boundary, where
+    # 3 + e2 - k2 = 1), and h_0(x) = h_2(-x)
+    if i != 1:
+        return _h2_mp(x if i == 2 else -x, e2, k2, boundary, dps)
+    with mp.workdps(dps):
+        x, e2, k2 = mp.mpf(x), mp.mpf(e2), mp.mpf(k2)
+        b = 1 if boundary else 3 + e2 - k2
+        return mp.sqrt((3 + e2) / b) * mp.npdf(x * mp.sqrt((3 + e2) / b))
+
+
+def _total_mp(i, eta2, e2):
+    # the N = 2 index-i total at 50 digits, on R^2 (e2 = 0) or S^2 (e2 = eta2)
+    with mp.workdps(50):
+        eta2, e2 = mp.mpf(eta2), mp.mpf(e2)
+        if e2 == 0:
+            base = 1 / (mp.sqrt(3) * mp.pi * eta2)
+            return 2 * base if i == 1 else base
+        e1 = 1 / (mp.pi * e2 * mp.sqrt(3 + e2))
+        return e1 if i == 1 else 1 / (4 * mp.pi) + e1 / 2
+
+
+def _erfc_tail_mp(i, u, e2, k2, boundary=False):
+    # the upper-tail fractions with erfc forms at 50 digits: index 1, and
+    # the boundary maxima
+    with mp.workdps(50):
+        u, e2, k2 = mp.mpf(u), mp.mpf(e2), mp.mpf(k2)
+        if i == 1:
+            return mp.ncdf(-u * mp.sqrt((3 + e2) / (1 if boundary else 3 + e2 - k2)))
+        a, r = max(u, 0), mp.sqrt(3 + e2)
+        pref = 2 * r / (mp.sqrt(2 * mp.pi) * (2 + e2 * r))
+        return pref * ((e2 + 2) * a * mp.exp(-a * a / 2)
+                       + e2 * mp.sqrt(2 * mp.pi) * mp.ncdf(-a)
+                       + 2 * mp.sqrt(2 * mp.pi) / r * mp.ncdf(-a * r))
 
 
 def test_extrema_densities_near_the_boundary_match_mpmath():
@@ -272,11 +329,7 @@ def _boundary_minima_tail(u: float, e2: float) -> mp.mpf:
     # minima density h_0(t) = h_2(-t) vanishes for t > 0, so F_0(u) is the
     # integral of h_2 over [0, -u]
     with mp.workdps(40):
-        e2 = mp.mpf(e2)
-        r = mp.sqrt(3 + e2)
-        pref = 2 * r / (mp.sqrt(2 * mp.pi) * (2 + e2 * r))
-        return mp.quad(lambda x: pref * (((e2 + 2) * x * x - 2) * mp.exp(-x * x / 2)
-                                         + 2 * mp.exp(-(3 + e2) * x * x / 2)),
+        return mp.quad(lambda x: _h2_mp(x, e2, 2 + e2, boundary=True),
                        [0, -mp.mpf(u)])
 
 
@@ -290,3 +343,59 @@ def test_boundary_minima_tail_within_its_error(model):
     u = -1.757184595999166
     r = kr.height_cdf_result(model, 0, u)
     assert abs(r.value - float(_boundary_minima_tail(u, model.curvature))) <= r.error
+
+
+@st.composite
+def _n2_models(draw):
+    # admissible N = 2 models on both geometries, interior (down to 1e-6
+    # below the bound) and boundary.  On S^2 the curvature e2 is a dyadic
+    # j/64 and C'' has 30 bits, so C' = e2 C'' and C'/C'' = e2 are exact:
+    # near the bound the densities are ill-conditioned in 2 + e2 - kappa^2,
+    # and a rounded 1 + e2 or 2 + e2 alone moves them by more than 1e-12,
+    # in the e2, kappa^2 formulas and in G alike
+    sphere = draw(st.booleans())
+    e2 = draw(st.integers(1, 512)) / 64 if sphere else 0.0
+    gap = draw(st.one_of(st.floats(max(-e2, -1.0) + 0.05, 1.99),
+                         st.floats(2.0, 6.0).map(lambda d: 2.0 - 10.0 ** -d),
+                         st.just(2.0)))
+    if not sphere:
+        return eu.model_from_shape(2, draw(st.floats(0.05, 20.0)), gap)
+    if gap == 2.0:
+        return sp.model_from_shape(2, e2, e2 + 2.0)
+    mant, exp = math.frexp((gap + e2) / (e2 * e2))
+    c2 = math.ldexp(round(math.ldexp(mant, 30)), exp - 30)
+    return sp.model_from_C(2, e2 * c2, c2)
+
+
+def _check_close(got, want):
+    # 1e-12 relative where the reference is a normal float, else below it
+    want = float(want)
+    if want >= TINY:
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+    else:
+        assert abs(got - want) <= TINY, (got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=_n2_models(), xs=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+def test_closed_forms_match_the_curvature_kappa2_formulas(m, xs):
+    # the GOI(2) closed forms on the count template's parameters against
+    # the N = 2 formulas written in e2 and kappa^2, at 50 digits: totals,
+    # densities and the erfc tails hold 1e-12 relative; a tail the outer
+    # rule integrates (at the first height, to keep mp.quad's cost down)
+    # holds its stated error
+    e2, k2, bd = m.curvature, m.kappa2, m.boundary
+    for i in range(3):
+        _check_close(m.closed_total_n2(i), _total_mp(i, m.eta2, e2))
+        for x, got in zip(xs, m.closed_pdf_n2(i, xs)):
+            _check_close(got, _h_mp(i, x, e2, k2, bd))
+        tails = m.closed_cdf_n2(i, xs)
+        if i == 1 or (bd and i == 2):
+            for u, got in zip(xs, tails.value):
+                _check_close(got, _erfc_tail_mp(i, u, e2, k2, bd))
+            continue
+        u = xs[0]
+        with mp.workdps(15):
+            want = mp.quad(lambda t: _h_mp(i, t, e2, k2, bd, 15),
+                           sorted({u, max(u, 0.0)}) + [max(u, 0.0) + 14])
+        assert abs(tails.value[0] - float(want)) <= tails.error[0]

@@ -37,6 +37,11 @@ def test_model_validation():
         model_from_C(0, 1.0, 1.0)
     with pytest.raises(InvalidCovarianceError):
         model_from_shape(2, -0.5, 1.0)
+    with pytest.raises(InvalidCovarianceError):
+        model_from_shape(2.5, 0.5, 1.0)
+    # a degree of 3.7 is no degree 3
+    with pytest.raises(InvalidCovarianceError):
+        model_from_legendre(3.7)
     # C'(C'-1)/C'' = 3 exceeds (N+2)/N = 2: no such field exists
     with pytest.raises(ImpossibleFieldError) as exc:
         model_from_C(2, 3.0, 2.0)
