@@ -44,7 +44,6 @@ from .errors import (ImpossibleFieldError, InvalidCovarianceError, MethodError,
                      ParameterError, RegimeError, UndefinedDistributionError)
 from .fyodorov import GoeReduction, goe_method, reduced_expectation
 from .goi import (
-    AbsProdWeight,
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
@@ -120,12 +119,11 @@ class CritResult:
     """A computed expected count (or derived scalar) with its error estimate.
 
     error is one standard error for monte-carlo results.  For quadrature it
-    covers the whole quadrature error: on every Gauss axis (the gaps, and
-    the trace where it is not integrated exactly) the difference to the
-    rule with the next smaller Gauss node count, a bound on every truncated
-    tail (on a Gauss trace axis, the cap's edge beyond its band among
-    them), and a rounding allowance; a height density or upper-tail
-    fraction adds the first-order bounds of its numerator and total.
+    covers the whole quadrature error: on every Gauss axis (the gaps; the
+    trace is integrated exactly) the difference to the rule with the next
+    smaller Gauss node count, a bound on every truncated tail, and a
+    rounding allowance; a height density or upper-tail fraction adds the
+    first-order bounds of its numerator and total.
     Closed forms report a nominal 1e-15, upper tails CLOSED_REL_TOL: the
     tolerance their outer rule meets, or the rule's error where it falls short.
     The height functions on an array of heights hold arrays of its shape.
@@ -346,8 +344,7 @@ def _shifted_expectations(p: CountProblem, i: int,
     vals, errs = [np.zeros(0)], [np.zeros(0)]
     for s in range(0, x.size, HEIGHT_CHUNK):
         beta = p.shift_coeff * x[s:s + HEIGHT_CHUNK]
-        v, e = nested_ordered_quadrature(
-            p.n, p.c_cond, AbsProdWeight(beta), n_lower=i, split=beta)
+        v, e = nested_ordered_quadrature(p.n, p.c_cond, n_lower=i, split=beta)
         vals.append(v)
         errs.append(e)
     return np.concatenate(vals), np.concatenate(errs)

@@ -9,8 +9,9 @@ a weighted eigenvalue expectation under the plain GOE of size N + 1:
 
 where mu is the (i0+1)-th smallest GOE eigenvalue (goi_to_goe_np1,
 reduced_expectation).  This trades an N-dimensional constrained integral
-for a scalar function of one ordered eigenvalue.  Monte Carlo reads it off
-the eigenvalues of the seed's tridiagonal GOE(N+1) draw, which one
+for a scalar function of one ordered eigenvalue, whose trace quadrature
+integrates in closed form (GoeReduction.gauss_weight).  Monte Carlo reads
+it off the eigenvalues of the seed's tridiagonal GOE(N+1) draw, which one
 batched root-free QL pass solves once per draw (goi._tridiagonal_eigvals;
 no dense matrix is made), so with a seed every index and threshold after
 the first costs one weight per sample.
@@ -36,6 +37,7 @@ from scipy.special import gammaln, log_ndtr
 
 from .errors import MethodError, ParameterError, RegimeError
 from .goi import (
+    GaussEdgeWeight,
     GoiEnsemble,
     IndexedFunctional,
     NumericConfig,
@@ -85,6 +87,21 @@ class GoeReduction:
         return 0.5 * mu * mu + (-d * d / (2.0 * t)
                                 + log_ndtr((b * d / t - u) * math.sqrt(t / c)))
 
+    def gauss_weight(self) -> GaussEdgeWeight:
+        """exp(log_weight) as the quadrature engine's GaussEdgeWeight: in y =
+        mu - a, mu^2/2 - y^2/(2t) = (1 - 1/t) y^2/2 + a y + a^2/2 and the edge
+        is Phi(b y / sqrt(t c) - u sqrt(t/c)).  The gaps are cut at 2 half,
+        half = 9 max(1, sqrt(t)) + |a|, plus |u| for a finite threshold."""
+        a, b, c, t, u = (self.shift, self.spread, self.coupling,
+                         self.total_coupling, self.threshold)
+        half = 9.0 * max(1.0, math.sqrt(t)) + abs(a)
+        if u > -math.inf:
+            half += abs(u)
+        return GaussEdgeWeight(
+            position=self.eigen_position, centre=a, k2=0.5 - 0.5 / t, k1=a,
+            k0=0.5 * a * a, e0=-u * math.sqrt(t / c), e1=b / math.sqrt(t * c),
+            gap_top=2.0 * half)
+
 
 def goi_to_goe_np1(ensemble: GoiEnsemble, functional: IndexedFunctional) -> GoeReduction:
     """Map (GOI(N, c>0), indexed functional) to its GOE(N+1) weight form."""
@@ -113,18 +130,18 @@ def goe_method(goe_size: int, method: str = "auto") -> str:
     through."""
     if method != "auto":
         return method
-    # quadrature over the ordered GOE(3) region takes 35-60 ms per value
-    # and 0.1-0.3 s with a threshold (2-core machine, one BLAS thread);
-    # auto still samples from GOE(3) up
+    # quadrature over the ordered GOE(3) region takes 1.3-4.2 ms per value,
+    # with or without a threshold, and GOE(2) 0.7-0.9 ms (2-core machine,
+    # one BLAS thread, best of 5); auto still samples from GOE(3) up
     return "quadrature" if goe_size <= 2 else "monte-carlo"
 
 
 def reduced_expectation(reduction: GoeReduction, method: str = "auto",
                         config: NumericConfig | None = None) -> tuple[float, float]:
     """Evaluate the reduced expectation by the route `method` (`auto` as
-    goe_method); returns (value, error_estimate).  Quadrature truncates to
-    the box |mean(lam)| <= half, gaps up to 2 half, which reaches |u|
-    further out for a finite threshold u."""
+    goe_method); returns (value, error_estimate).  Quadrature integrates
+    GoeReduction.gauss_weight: the trace in closed form, the gaps by a
+    Gauss rule up to the weight's cut."""
     red = reduction
     m, pos = red.goe.n, red.eigen_position
     method = goe_method(m, method)
@@ -132,12 +149,7 @@ def reduced_expectation(reduction: GoeReduction, method: str = "auto",
         val, err = _goe_weighted_mc(red.goe, pos, lambda mu: np.exp(red.log_weight(mu)),
                                     config or NumericConfig())
     elif method == "quadrature":
-        half = 9.0 * max(1.0, math.sqrt(red.total_coupling)) + abs(red.shift)
-        if red.threshold > -math.inf:
-            half += abs(red.threshold)
-        val, err = nested_ordered_quadrature(
-            m, 0.0, lambda lam: np.exp(red.log_weight(lam[pos])), n_lower=0,
-            split=None, box_half=half)
+        val, err = nested_ordered_quadrature(m, 0.0, red.gauss_weight())
     else:
         raise MethodError(f"unknown method {method!r}")
     pref = math.exp(red.log_prefactor)

@@ -18,8 +18,10 @@ and expectations of indexed absolute-determinant functionals
 
 (cap_edge = 0 is the hard cap 1{mean(lam) <= trace_cap}) evaluated either
 by a product rule in trace-gap coordinates over the ordered region (N <=
-3; Gauss on the gaps, exact on the trace where the weight is a polynomial
-in it) or by Monte Carlo on sampled matrices (any N).  Monte Carlo
+3; Gauss on the gaps, exact on the trace, where the weight is a polynomial
+in it) or by Monte Carlo on sampled matrices (any N).  The same rule takes
+the GOE(N+1) route's weight (fyodorov.py), GaussEdgeWeight, whose trace
+integral is a Gaussian closed form.  Monte Carlo
 draws GOE(N) matrices only, in the tridiagonal form of Dumitriu and
 Edelman, and solves no eigenproblem for these expectations: a GOI(c)
 matrix is a GOE matrix plus beta(c) times its trace on the diagonal, so
@@ -320,39 +322,38 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
 # is (-1)^k prod_j (lam_j - a), a polynomial of degree N in z: its z
 # integral between the limits is exact, from truncated moments of
 # exp(-z^2/2) (truncated_moments), or of exp(-z^2/2) Phi(alpha - beta z)
-# under an edge (edged_moments), and only the gaps take a Gauss-Legendre
-# rule.  A callable weight takes a product Gauss-Legendre rule: z
-# innermost, between its per-point limits; under an edge, z ends
-# EDGE_BAND widths above the cap and the band within EDGE_BAND widths of it
-# is a z piece of its own.  Either way the integrand is smooth in d off
-# kinks: planes alpha + beta.d = 0 where two limits cross, a steep limit
-# passes z = 0 or z = +-EDGE_BAND, or an index limit crosses the cap, or
-# either end of its edge's band where the band is a z piece or the edge is
-# steep too.  Gap axis j, at fixed earlier gaps, splits
-# at the d_j of each vertex that N - 1 - j planes among the kinks and the
-# faces d_m = 0 (m > j) make in the axes j.., if its later gaps lie in
-# [0, GAP_TOP]; on the last axis, where each kink crosses it.  The
-# degenerate ensemble (c = -1/N) is a trace law of width sigma = 0: the z
-# axis is the single point s = 0, with weight sqrt(2 pi) (the z rule's
-# share of the normalization), and a limit passing it is a kink.
+# under an edge (edged_moments).  The other weight, a GaussEdgeWeight over
+# the whole simplex, is exp(quadratic) Phi(linear) in one eigenvalue, hence
+# in z: its z integral over the line is a closed form (trace_integral).
+# Either way only the gaps take a Gauss-Legendre rule, and the integrand is
+# smooth in d off kinks: planes alpha + beta.d = 0 where two limits cross,
+# a steep limit passes z = 0 or z = +-EDGE_BAND, or an index limit crosses
+# the cap, or either end of its edge's band where the edge is steep too.
+# Gap axis j, at fixed earlier gaps, splits at the d_j of each vertex that
+# N - 1 - j planes among the kinks and the faces d_m = 0 (m > j) make in
+# the axes j.., if its later gaps lie in [0, gap_top]; on the last axis,
+# where each kink crosses it.  The degenerate ensemble (c = -1/N) is a
+# trace law of width sigma = 0: the z axis is the single point s = 0, with
+# weight sqrt(2 pi) (the z rule's share of the normalization), and a limit
+# passing it is a kink.
 
 # |z| beyond this carries 2 Phi(-Z_TRUNC) = 3.6e-33 of the trace law.
 Z_TRUNC = 12.0
 # Gaps are cut at this; d_j <= sqrt(2) |mu|, so the cut mass is at most
 # P(|mu|^2 > 162) = 7e-36 (N = 2) or 4e-33 (N = 3).
 GAP_TOP = 18.0
-# Gauss nodes per piece of an axis (refine_on_ladder); first rung, cap.  The
-# gap axes start at 24: with the trace exact, nearly every call ends at 32-48.
-NODE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-START_NODES = {"z": 24, "d": 24}
-MAX_NODES = {"z": 512, "d": 256}
+# Gauss nodes per piece of a gap axis (refine_on_ladder); first rung, cap.
+# With the trace exact, nearly every call ends at 32-48.
+NODE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+START_NODES = 24
+MAX_NODES = 256
 # The line where a limit passes z = 0 is a breakpoint when that limit
 # crosses one standard deviation of z within this many units of gap.
 STEEP_WIDTH = 0.5
 # A steep step in z (the cap's edge, or a steep index limit passing the
-# center of the trace law) gets pieces of its own within this many of its
-# standard deviations; Phi(-EDGE_BAND) = 6.2e-16 is the edge's weight at the
-# end of its band.
+# center of the trace law) also kinks the gap axes where a limit crosses
+# either end of its band, this many of its standard deviations out;
+# Phi(-EDGE_BAND) = 6.2e-16 is the edge's weight there.
 EDGE_BAND = 8.0
 # Points evaluated per vectorized block; keeps temporaries near 128 kB each.
 BLOCK_POINTS = 1 << 14
@@ -564,20 +565,61 @@ def _cofactor(rows, i: int, m: int) -> float:
     return (-1.0) ** (i + m) * (sum(terms[1:], terms[0]) if terms else 1.0)
 
 
+@dataclass(frozen=True)
+class GaussEdgeWeight:
+    """exp(k2 y^2 + k1 y + k0) Phi(e0 + e1 y), y = lam_position - centre, on
+    one ordered eigenvalue (position 0-based, ascending): the second weight
+    of nested_ordered_quadrature, over the whole ordered simplex with its
+    gaps cut at gap_top.  e0 = inf drops the edge; the defaults are the
+    weight 1."""
+
+    position: int = 0
+    centre: float = 0.0
+    k2: float = 0.0
+    k1: float = 0.0
+    k0: float = 0.0
+    e0: float = math.inf
+    e1: float = 0.0
+    gap_top: float = GAP_TOP
+
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
+        """The weight at lam_position = lam."""
+        y = np.asarray(lam, dtype=float) - self.centre
+        return np.exp(self.k2 * y * y + self.k1 * y + self.k0) * ndtr(self.e0 + self.e1 * y)
+
+    def trace_integral(self, h: float, mu: np.ndarray, log_g: np.ndarray,
+                       power: float = 1.0) -> np.ndarray:
+        """int exp(log_g - z^2/2) w(h z + mu)^power dz over the line at each
+        mu (for power > 1 a bound: Phi^power <= Phi).  With beta = mu -
+        centre the integrand is exp(-A z^2/2 + B z + C) Phi(p + q z), A = 1 -
+        2 k2 h^2, B = h (2 k2 beta + k1), C = k2 beta^2 + k1 beta + k0, p =
+        e0 + e1 beta, q = e1 h, and the integral sqrt(2 pi / A) exp(C +
+        B^2/(2A)) Phi((p A + q B) / sqrt(A (A + q^2))); in C + B^2/(2A) = k0
+        + (k2 beta^2 + k1 beta + h^2 k1^2 / 2) / A and p A + q B = e0 A + e1
+        (beta + h^2 k1) the terms in k2 cancel exactly, so a steep weight
+        keeps its digits.  h = 0 is the point z = 0, weight sqrt(2 pi)."""
+        k2, k1, k0 = power * self.k2, power * self.k1, power * self.k0
+        a = 1.0 - 2.0 * k2 * h * h
+        beta = mu - self.centre
+        expo = k0 + (k2 * beta * beta + k1 * beta + 0.5 * h * h * k1 * k1) / a
+        edge = ((self.e0 * a + self.e1 * (beta + h * h * k1))
+                / math.sqrt(a * (a + (self.e1 * h) ** 2)))
+        return math.sqrt(2.0 * math.pi / a) * np.exp(log_g + expo) * ndtr(edge)
+
+
 class _TraceGapRule:
     """Product rule for one (ensemble, region) and a batch of splits: Gauss
     on the gaps, split at the vertices of kinks and faces (_breakpoints),
-    and on z exact for the indexed |det| weight at the split, with or
-    without a cap's Gaussian edge, Gauss for any other weight."""
+    and exact on z, for the indexed |det| weight at the split (with or
+    without a cap's Gaussian edge) and for a GaussEdgeWeight."""
 
-    def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge,
-                 box_half):
+    def __init__(self, n, c, weight, n_lower, split, trace_cap, cap_edge):
         self.n = n
         self.sigma = math.sqrt(n * (1.0 + n * c)) if trace_root(n, c) else 0.0
         self.scalar = split is None or np.ndim(split) == 0
+        self.gauss = weight
         a = np.atleast_1d(np.asarray(0.0 if split is None else split, dtype=float))
         self.batch = a.size
-        self.weight = AbsProdWeight(a) if weight is None else weight
         self.shift, self.sign = a[:, None], (-1.0) ** n_lower
         m = np.arange(n - 1)
         # mu = A d: mu_0 = -sum_m (N-1-m) d_m / N, mu_j = mu_0 + sum_(m<j) d_m
@@ -595,68 +637,53 @@ class _TraceGapRule:
         self.edge_s = 0.0 if trace_cap is None else n * float(cap_edge)
         band = ((0.0, -EDGE_BAND * self.edge_s, EDGE_BAND * self.edge_s)
                 if self.edge_s else (0.0,))
-        # the indexed |det| weight is a polynomial in z on its region
-        self.exact = (isinstance(self.weight, AbsProdWeight)
-                      and split is not None and bool(self.sigma)
-                      and (self.weight.shift == a).all())
-        # a Gaussian edge on the Gauss z axis: its band is a z piece, and z
-        # ends at the top of it
-        self.z_band = bool(self.edge_s) and not self.exact
         # where the integrand is not smooth in d: limit crossings, and where
         # a steep limit passes the center of the trace law or its band (near
         # the boundary regime sigma -> 0 this is a step of width ~ sigma in d)
         steep = ((0.0, -EDGE_BAND * self.sigma, EDGE_BAND * self.sigma)
                  if self.sigma else (0.0,))
         # and where a limit crosses the cap, or either end of its band where
-        # those end z pieces (the Gauss z axis) or the edge is steep too
+        # the edge is steep too
         kinks = []
         for alpha, beta, _ in lims:
             steep_at = STEEP_WIDTH * np.abs(beta).max(initial=0.0)
             if self.cap_s is not None:
-                ends = band if self.z_band or self.edge_s < steep_at else band[:1]
+                ends = band if self.edge_s < steep_at else band[:1]
                 kinks += [(alpha - (self.cap_s + o), beta) for o in ends]
             if self.sigma < steep_at:
                 kinks += [(alpha - o, beta) for o in steep]
         self._set_kinks(kinks)
-        # truncation: z in [z_lo, z_hi] and gaps in [0, gap_top]; box_half
-        # gives the box |s/N - anchor| <= half (anchor = split or 0) with
-        # gaps up to 2 half; a trace law of width 0 is the single point
-        # s = 0, so only its gaps are cut
-        self.z_lo, self.z_hi = -Z_TRUNC, Z_TRUNC
-        self.gap_top = GAP_TOP if n > 1 else 0.0
-        if box_half is not None:
-            anchor = float(a[0]) if split is not None else 0.0
-            if self.sigma:
-                self.z_lo = n * (anchor - box_half) / self.sigma
-                self.z_hi = n * (anchor + box_half) / self.sigma
-            self.gap_top = 2.0 * float(box_half)
+        # truncation: gaps in [0, gap_top], and for the |det| weight z in
+        # [-Z_TRUNC, Z_TRUNC] (GaussEdgeWeight integrates z over the line, and
+        # a trace law of width 0 is the single point s = 0)
+        self.gap_top = 0.0 if n == 1 else GAP_TOP if weight is None else weight.gap_top
         # mass of the law outside the box; |mu|^2 is chi-square with
         # (N - 1)(N + 2) / 2 degrees of freedom, none at N = 1
         dof = (n - 1) * (n + 2) // 2
         self.p_out = float(chdtrc(dof, 0.5 * self.gap_top ** 2)) if dof else 0.0
-        if self.sigma:
-            self.p_out = float(self.p_out + ndtr(self.z_lo) + ndtr(-self.z_hi))
-        self.axes = [f"d{j}" for j in range(n - 1)] + (
-            ["z"] if self.sigma and not self.exact else [])
+        if self.sigma and weight is None:
+            z_out = ndtr(-Z_TRUNC)
+            self.p_out = float(self.p_out + z_out + z_out)
         self.log_norm = -0.5 * math.log(n) - log_k_norm(n)
+        k2 = 0.0 if weight is None else weight.k2
+        self.tail_power = min(2.0, 0.5 + 0.25 / k2) if k2 > 0.0 else 2.0
 
     def tail_bound(self) -> np.ndarray:
-        """Cauchy-Schwarz bound on the part cut off by the truncation:
-        sqrt(E[w^2] P(outside)), E[w^2] over the whole box (no index region
-        or cap) by the first rung's rule; beyond the band of a cap's edge on
-        the Gauss z axis, whose weight is below Phi(-EDGE_BAND) there,
-        Phi(-EDGE_BAND) sqrt(E[w^2])."""
-        if self.p_out == 0.0 and not self.z_band:
+        """Hoelder bound on the part cut off by the truncation:
+        (E[w^p] P(outside)^(p - 1))^(1/p), E[w^p] over the whole box (no
+        index region or cap) by the first rung's rule; tail_power p is 2
+        (Cauchy-Schwarz) but for a GaussEdgeWeight with k2 > 1/6, whose p
+        lies halfway from 1 to 1 / (2 k2), as w^p integrates against the law
+        exactly when p k2 < 1/2."""
+        if self.p_out == 0.0:
             return np.zeros(self.batch)
         whole = copy.copy(self)
         whole.index_limits, whole.cap_s, whole.edge_s = [], None, 0.0
         whole._set_kinks([])
-        second = np.maximum(whole.integrate(
-            tuple(START_NODES[ax[0]] for ax in self.axes), second=True)[2], 0.0)
-        bound = np.sqrt(second * self.p_out)
-        if self.z_band:
-            bound += ndtr(-EDGE_BAND) * np.sqrt(second)
-        return bound
+        moment = np.maximum(whole.integrate((START_NODES,) * (self.n - 1),
+                                            second=True)[2], 0.0)
+        p = self.tail_power
+        return np.power(moment * self.p_out ** (p - 1.0), 1.0 / p)
 
     # -- gap axes ----------------------------------------------------------
 
@@ -697,10 +724,10 @@ class _TraceGapRule:
             out.append(d)
         return np.stack(out, axis=-1)
 
-    def _gap_axis(self, gaps: list, wgap: np.ndarray, nn: dict):
+    def _gap_axis(self, gaps: list, wgap: np.ndarray, nodes: tuple):
         """Gap points (B, X) and weights extended by the next gap axis."""
         lo, hi = _pieces(self._breakpoints(gaps), self.gap_top)
-        d, w = _gauss_on(lo, hi, nn[f"d{len(gaps)}"])
+        d, w = _gauss_on(lo, hi, nodes[len(gaps)])
         shape = d.shape[:1] + (-1,)
         return ([np.broadcast_to(g[..., None], d.shape).reshape(shape) for g in gaps]
                 + [d.reshape(shape)], (wgap[..., None] * w).reshape(shape))
@@ -708,82 +735,60 @@ class _TraceGapRule:
     # -- evaluation --------------------------------------------------------
 
     def integrate(self, nodes: tuple[int, ...], second: bool = False):
-        """(value, integral of |integrand|[, second moment of the weight])
-        per batch entry for the product rule with the given nodes per piece
-        of each axis, in blocks of the first gap axis."""
-        nn = dict(zip(self.axes, nodes))
+        """(value, integral of |integrand|[, tail_bound's moment E[w^p]])
+        per batch entry for the product rule with nodes[j] nodes per piece
+        of gap axis j, in blocks of the first gap axis."""
         B = self.batch
         acc = np.zeros((3 if second else 2, B))
         gaps, wgap = [], np.ones((B, 1))
         if self.n > 1:
-            gaps, wgap = self._gap_axis(gaps, wgap, nn)
-        per_node = nn.get("z", 1) * (2 if self.z_band else 1) * math.prod(
-            4 * nn[f"d{j}"] for j in range(1, self.n - 1))
+            gaps, wgap = self._gap_axis(gaps, wgap, nodes)
+        per_node = math.prod(4 * nodes[j] for j in range(1, self.n - 1))
         step = max(1, BLOCK_POINTS // (B * per_node))
         for s in range(0, wgap.shape[1], step):
             block = [d[:, s:s + step] for d in gaps], wgap[:, s:s + step]
             while len(block[0]) < self.n - 1:
-                block = self._gap_axis(*block, nn)
-            self._accumulate(acc, *block, nn, second)
+                block = self._gap_axis(*block, nodes)
+            self._accumulate(acc, *block, second)
         return acc
 
-    def _accumulate(self, acc, gaps, wgap, nn, second):
+    def _accumulate(self, acc, gaps, wgap, second):
         """Add the contribution of gap points (B, X) with gap weights wgap."""
         n = self.n
         mu = [sum(self.A[j, m] * gaps[m] for m in range(n - 1)) + 0.0 * wgap
               for j in range(n)]
-        log_g = -0.5 * sum(x * x for x in mu)
+        log_g = -0.5 * sum(x * x for x in mu) + self.log_norm
         vand = np.ones_like(wgap)
         for i in range(n):
             for j in range(i + 1, n):
                 vand = vand * (mu[j] - mu[i])
-        g = wgap * vand * np.exp(log_g + self.log_norm)
+        if self.gauss is not None:
+            w, h, g = self.gauss, self.sigma / n, wgap * vand
+            val = g * w.trace_integral(h, mu[w.position], log_g)
+            acc[0] += val.sum(axis=1)
+            acc[1] += np.abs(val).sum(axis=1)
+            if second:
+                acc[2] += (g * w.trace_integral(h, mu[w.position], log_g,
+                                                self.tail_power)).sum(axis=1)
+            return
+        g = wgap * vand * np.exp(log_g)
         lo, hi = self._z_limits(gaps, wgap)
-        if self.exact:
+        if self.sigma:
             self._exact_z(acc, mu, g, lo, hi, second)
             return
-        if not self.sigma:
-            z = lo[..., None]
-            fz = np.where(hi > lo, math.sqrt(2.0 * math.pi), 0.0)[..., None]
-        else:
-            if self.edge_s:
-                # the edge's band is a z piece of its own: each gap point twice
-                mid = np.clip((self.cap_s - EDGE_BAND * self.edge_s) / self.sigma,
-                              lo, hi)
-                lo, hi = np.concatenate([lo, mid], -1), np.concatenate([mid, hi], -1)
-                g = np.concatenate([g, g], -1)
-                mu = [np.concatenate([m, m], -1) for m in mu]
-            t, wt = _gauss_legendre(nn["z"])
-            half = 0.5 * (hi - lo)
-            z = (lo + half)[..., None] + half[..., None] * t
-            fz = z * z
-            fz *= -0.5
-            np.exp(fz, out=fz)
-            fz *= wt
-            g *= half
-        fz *= g[..., None]
-        z *= self.sigma / n   # now the mean eigenvalue s/N
+        # a trace law of width 0: the point z = 0, where it lies in the region
+        fw = np.where(hi > lo, math.sqrt(2.0 * math.pi), 0.0) * g
         if self.edge_s:
-            fz *= ndtr((self.cap_s - n * z) / self.edge_s)
-        rows, shape = z.shape[0], z.shape
-        lam = tuple((z + m[..., None]).reshape(rows, -1) for m in mu)
-        del z
-        # a weight that overflows far out in the tails (exp weights on a
-        # wide box) meets a density that underflows there: count it as 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = self.weight(lam)
-            del lam
-            if np.ndim(w):
-                w = np.reshape(w, shape)
-            fw = np.multiply(fz, w, out=fz)
-        total = fw.reshape(rows, -1).sum(axis=1)
-        if not np.isfinite(total).all():
-            fw = np.where(np.isfinite(fw), fw, 0.0)
-            total = fw.reshape(rows, -1).sum(axis=1)
-        acc[0] += total
-        acc[1] += np.abs(fw).reshape(rows, -1).sum(axis=1)
+            fw *= ndtr(self.cap_s / self.edge_s)
+        w = mu[0] - self.shift
+        for m in mu[1:]:
+            w *= m - self.shift
+        w = np.abs(w)
+        fw *= w
+        acc[0] += fw.sum(axis=1)
+        acc[1] += np.abs(fw).sum(axis=1)
         if second:
-            acc[2] += (fw * w).reshape(rows, -1).sum(axis=1)
+            acc[2] += (fw * w).sum(axis=1)
 
     def _exact_z(self, acc, mu, g, lo, hi, second):
         """Add the exact z integrals of the indexed |det| weight over [lo, hi]
@@ -832,51 +837,44 @@ class _TraceGapRule:
             if self.cap_s is not None and not self.edge_s:
                 inside &= 0.0 <= self.cap_s
             return np.zeros(shape), np.where(inside, np.inf, -np.inf)
-        if self.cap_s is not None and not (self.edge_s and self.exact):
-            # a hard cap, or the top of its edge's band on the Gauss z axis
-            hi = np.minimum(hi, self.cap_s + EDGE_BAND * self.edge_s)
-        lo = np.maximum(lo / self.sigma, self.z_lo)
-        hi = np.minimum(hi / self.sigma, self.z_hi)
+        if self.cap_s is not None and not self.edge_s:
+            hi = np.minimum(hi, self.cap_s)
+        lo = np.maximum(lo / self.sigma, -Z_TRUNC)
+        hi = np.minimum(hi / self.sigma, Z_TRUNC)
         return lo, np.maximum(hi, lo)
 
 
 def nested_ordered_quadrature(n: int, c: float,
-                              weight: "Callable[[tuple], NDArray | float] | None" = None,
+                              weight: GaussEdgeWeight | None = None,
                               n_lower: int = 0,
                               split: "float | NDArray | None" = None,
                               trace_cap: float | None = None,
-                              cap_edge: float = 0.0,
-                              box_half: float | None = None):
+                              cap_edge: float = 0.0):
     """Integrate weight(lam) f_c(lam) over an ordered eigenvalue region.
 
-    The region is lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N
-    with k = n_lower; split=None (with n_lower=0) gives the full ordered
-    simplex.  An optional trace cap restricts to mean(lam) <= trace_cap, or
-    with cap_edge = w > 0 weights the integrand by Phi((trace_cap -
-    mean(lam)) / w).  At c = -1/N (trace_root 0) the trace is exactly 0
-    and the rule integrates over the gaps alone.  box_half, if given, sets
-    the truncation: |mean(lam) - anchor| <= box_half (anchor = split, its
-    first entry for a batch, or 0) and eigenvalue gaps up to 2 box_half.
+    weight is one of two kinds:
 
-    split may be an array: each entry is one region.  weight None is the
-    indexed |det| weight AbsProdWeight(split), prod_j |lam_j - split|, each
-    batch entry at its own split.  A callable weight sees the batch as
-    rows: it is called with a tuple of N arrays of shape (batch, points),
-    one per ordered eigenvalue, and returns the weight at each point (or a
-    scalar).
+    - None, the indexed |det| weight prod_j |lam_j - split| on the region
+      lam_1 <= ... <= lam_k <= split <= lam_(k+1) <= ... <= lam_N, k =
+      n_lower.  split may be an array: each entry is one region, at its
+      own split.  An optional trace cap restricts to mean(lam) <=
+      trace_cap, or with cap_edge = w > 0 weights the integrand by
+      Phi((trace_cap - mean(lam)) / w).
+    - A GaussEdgeWeight, over the whole ordered simplex: no split, index or
+      cap.
 
-    The rule is a product rule in trace-gap coordinates (see above):
-    Gauss-Legendre on the gaps and, for AbsProdWeight(split) (or None),
-    exact on the trace, under a hard cap, a Gaussian edge or none; only a
-    callable weight keeps a Gauss-Legendre trace axis (with the edge's
-    band a piece of its own).  Each axis is refined by refine_on_ladder to
-    QUAD_ABS_TOL and QUAD_REL_TOL.
+    Any other weight raises ParameterError.  At c = -1/N (trace_root 0)
+    the trace is exactly 0 and the rule integrates over the gaps alone.
+
+    The rule is a product rule in trace-gap coordinates (see above): exact
+    on the trace for both kinds, and Gauss-Legendre on the gaps, refined by
+    refine_on_ladder to QUAD_ABS_TOL and QUAD_REL_TOL.
     Returns (value, error), arrays for an array split and floats otherwise.
-    The error's floor is a Cauchy-Schwarz bound on the part cut off by the
-    truncation (sqrt of the weight's second moment over the box, by the
-    first rung's rule, times sqrt of the law's exact mass outside the
-    box; on a Gauss-Legendre trace axis, plus Phi(-EDGE_BAND) times sqrt
-    of that moment for the edge beyond its band).  Matrices larger than
+    The error's floor is a bound on the part cut off by the truncation
+    (_TraceGapRule.tail_bound: Cauchy-Schwarz, the sqrt of the weight's
+    second moment over the box, by the first rung's rule, times the sqrt of
+    the law's exact mass outside the box; a Hoelder moment where a
+    GaussEdgeWeight's square outgrows the law).  Matrices larger than
     QUADRATURE_MAX_N raise MethodError, and an invalid c ParameterError.
     """
     if n > QUADRATURE_MAX_N:
@@ -887,38 +885,22 @@ def nested_ordered_quadrature(n: int, c: float,
     validate_ensemble(n, c)
     if n_lower < 0 or n_lower > n:
         raise ParameterError(f"invalid block split {n_lower} of {n}")
-    rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, cap_edge,
-                         box_half)
-    val, err = refine_on_ladder(rule.integrate, [START_NODES[ax[0]] for ax in rule.axes],
-                                [MAX_NODES[ax[0]] for ax in rule.axes],
-                                QUAD_ABS_TOL, QUAD_REL_TOL, rule.tail_bound())
+    if weight is None and split is None:
+        raise ParameterError("the indexed |det| weight needs a split")
+    if weight is not None and not (
+            isinstance(weight, GaussEdgeWeight) and split is None and trace_cap is None
+            and not n_lower and 0 <= weight.position < n and weight.k2 < 0.5):
+        raise ParameterError(
+            "weight must be None (the indexed |det| at the split) or a "
+            "GaussEdgeWeight over the whole simplex, at a position < N with "
+            f"k2 < 1/2 (else it outgrows the law), got {weight!r}")
+    rule = _TraceGapRule(n, c, weight, n_lower, split, trace_cap, cap_edge)
+    val, err = refine_on_ladder(rule.integrate, [START_NODES] * (n - 1),
+                                [MAX_NODES] * (n - 1), QUAD_ABS_TOL,
+                                QUAD_REL_TOL, rule.tail_bound())
     if rule.scalar:
         return float(val[0]), float(err[0])
     return val, err
-
-
-class AbsProdWeight:
-    """prod_j |lam_j - shift|, the weight of an indexed functional, on the
-    engine's (batch, points) arrays; an array shift holds one entry per
-    batch row.  nested_ordered_quadrature integrates it exactly in the
-    trace on a region split at the same shift, a cap's Gaussian edge
-    included, so its calls run on the gap axes alone.  Callers pass it
-    rather than weight None where something may wrap the weight argument
-    (perfbench's tracer counts weight calls through a wrapper, which must
-    find a callable); a wrapped weight takes the Gauss-Legendre trace
-    axis."""
-
-    __slots__ = ("shift",)
-
-    def __init__(self, shift):
-        self.shift = np.asarray(shift, dtype=float)
-
-    def __call__(self, lam):
-        shift = self.shift[:, None] if self.shift.ndim else self.shift
-        out = lam[0] - shift
-        for v in lam[1:]:
-            out *= v - shift
-        return np.abs(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -1291,8 +1273,7 @@ def goi_expectation(ensemble: GoiEnsemble, functional: IndexedFunctional,
         method = "quadrature" if ensemble.n <= QUADRATURE_MAX_N else "monte-carlo"
     if method == "quadrature":
         return nested_ordered_quadrature(
-            ensemble.n, ensemble.c, AbsProdWeight(functional.shift),
-            n_lower=functional.index, split=functional.shift,
+            ensemble.n, ensemble.c, n_lower=functional.index, split=functional.shift,
             trace_cap=functional.trace_cap, cap_edge=functional.cap_edge)
     if method == "monte-carlo":
         # one pass per (coupling, shift, cap) serves every index

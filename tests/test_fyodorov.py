@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from critfield import expected_counts, fyodorov_expected_crit
@@ -15,7 +17,7 @@ from critfield.euclidean import model_from_shape as euclid_from_shape
 from critfield.fyodorov import (GoeReduction, goi_to_goe_np1,
                                 reduced_expectation)
 from critfield.goi import (IndexedFunctional, NumericConfig, goi_expectation,
-                           validate_ensemble)
+                           nested_ordered_quadrature, validate_ensemble)
 from critfield.sphere import expected_crit_above_sphere
 from critfield.sphere import expected_crit_total_sphere
 from critfield.sphere import model_from_shape as sphere_from_shape
@@ -184,6 +186,91 @@ def test_threshold_factor_near_kappa2_one_vs_mpmath(c, mu, k):
     # the step, nothing)
     wobble = abs(_log_threshold_factor_mp(mu * (1.0 + 8.0 * EPS), b, c, u) - ref)
     assert abs(got - ref) <= 1e-13 + wobble
+
+
+@settings(max_examples=60)
+@given(shift=st.sampled_from([0.0, 0.7, -2.3]), log_c=st.floats(-12.0, 0.5),
+       b=st.sampled_from([0.0, 0.05, 0.6, 1.7]),
+       u=st.one_of(st.just(-math.inf), st.floats(-4.0, 4.0)))
+def test_gauss_weight_is_exp_log_weight(shift, log_c, b, u):
+    # quadrature integrates GoeReduction.gauss_weight and Monte Carlo
+    # exp(log_weight): the two forms of one weight agree pointwise within
+    # 1e-12, on a grid of mu, around the mean at the width sqrt(t), and
+    # around the threshold's step (d = u t / b, width sqrt(t c) / b; each
+    # point cut to |d| <= 8, as far out as the law reaches).  On the
+    # step each form rounds its Phi argument X = (b d / t - u) sqrt(t / c)
+    # within a few ulps of S = (|b d / t| + |u|) sqrt(t / c): allow what 16
+    # ulps of S move the weight (off the step, nothing).
+    c = 10.0 ** log_c
+    red = GoeReduction(goe=validate_ensemble(3, 0.0), eigen_position=1,
+                       shift=shift, coupling=c, spread=b, threshold=u)
+    t = red.total_coupling
+    k = np.array([-30.0, -3.0, -0.5, 0.0, 0.5, 3.0, 30.0])
+    d = np.concatenate([np.linspace(-5.0, 5.0, 41), k * math.sqrt(t)]
+                       + ([u * t / b + k * math.sqrt(t * c) / b]
+                          if b and u > -math.inf else []))
+    d = np.clip(d, -8.0, 8.0)
+    mu = shift + d
+    with np.errstate(under="ignore"):
+        want = np.exp(red.log_weight(mu))
+        got = red.gauss_weight()(mu)
+        if u > -math.inf:
+            x = (b * d / t - u) * math.sqrt(t / c)
+            scale = (np.abs(b * d / t) + abs(u)) * math.sqrt(t / c)
+            wobble = 16.0 * EPS * scale * np.exp(
+                0.5 * mu * mu - d * d / (2.0 * t) - 0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        else:
+            wobble = 0.0
+    assert (np.abs(got - want) <= 1e-12 * want + wobble + 1e-300).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_quadrature_matches_the_general_route_as_kappa2_tends_to_one(n):
+    # the GOE(N+1) weight steps in mu over a width sqrt(c_cnd / t) as
+    # kappa^2 -> 1; its trace integral is a closed form, so the step costs
+    # the gap rule nothing and every count above u keeps the general
+    # route's value within 1e-10 (the Gauss trace axis missed by up to 1e-2)
+    for kappa2 in (0.999, 1.0 - 1e-6, 1.0 - 1e-12):
+        m = euclid_from_shape(n, 1.0, kappa2)
+        for u in (-1.0, 0.3, 2.5):
+            for i in range(n + 1):
+                red = fyodorov_expected_crit(m, i, u, method="quadrature")
+                ref = expected_crit_above(m, i, u, "quadrature")
+                assert red.value == pytest.approx(ref.value, rel=1e-10), (kappa2, u, i)
+                assert abs(red.value - ref.value) <= red.error + ref.error
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c", [0.5, 5.0, 100.0])
+def test_quadrature_matches_the_general_route_at_any_coupling(n, c):
+    # as c grows the GOE(N+1) weight's square outgrows the law (c >= 2): the
+    # values keep the general route's, and the truncation bound stays finite
+    ens = validate_ensemble(n, c)
+    for i in range(n + 1):
+        fun = IndexedFunctional(index=i, shift=0.3)
+        val, err = reduced_expectation(goi_to_goe_np1(ens, fun), "quadrature")
+        ref, ref_err = goi_expectation(ens, fun, "quadrature")
+        assert abs(val - ref) <= err + ref_err
+        assert val == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shifted_count_weight_matches_the_general_route(n):
+    # with a shift, a spread and a threshold the GOE(N+1) value is
+    # int_u^inf phi(x) E_GOI(N,c)[g_i(a + b x)] dx: the general engine's
+    # batch of splits a + b x on a 64-node Gauss-Legendre rule in x
+    a, b, c, u = 0.7, 0.6, 0.3, 0.4
+    t, w = np.polynomial.legendre.leggauss(64)
+    x = u + 7.0 * (t + 1.0)
+    w = 7.0 * w * np.exp(-0.5 * x * x)
+    for i in range(n + 1):
+        red = GoeReduction(goe=validate_ensemble(n + 1, 0.0), eigen_position=i,
+                           shift=a, coupling=c, spread=b, threshold=u)
+        val, err = reduced_expectation(red, "quadrature")
+        vals, errs = nested_ordered_quadrature(n, c, n_lower=i, split=a + b * x)
+        ref = (w * vals).sum() / math.sqrt(2.0 * math.pi)
+        ref_err = (w * errs).sum() / math.sqrt(2.0 * math.pi)
+        assert abs(val - ref) <= err + ref_err + 1e-12 * ref
 
 
 def test_total_keeps_its_accuracy_as_kappa2_tends_to_one():

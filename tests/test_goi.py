@@ -32,7 +32,7 @@ from critfield import _kacrice as kr
 from critfield import cli, goi
 from critfield import euclidean as eu
 from critfield import sphere as sp
-from critfield.goi import (BANK_ENTRIES, mc_eigen_expectation,
+from critfield.goi import (BANK_ENTRIES, GaussEdgeWeight, mc_eigen_expectation,
                           nested_ordered_quadrature, trace_shift)
 
 
@@ -130,17 +130,35 @@ def test_height_pdf_is_zero_at_infinite_heights(method):
                                  (3, 0.5), (3, 2.5),
                                  (2, -0.5 + 1e-3), (3, -1.0 / 3.0 + 1e-3)])
 def test_density_normalizes(n, c):
-    val, err = nested_ordered_quadrature(n, c, lambda lam: 1.0,
-                                         n_lower=0, split=None)
+    # the weight 1: GaussEdgeWeight with zero coefficients and no edge
+    val, err = nested_ordered_quadrature(n, c, GaussEdgeWeight())
     assert val == pytest.approx(1.0, abs=5e-9)
 
 
+def test_engine_takes_exactly_two_weight_kinds():
+    # None (the indexed |det| at a split) or a GaussEdgeWeight over the
+    # whole simplex; a callable, a |det| without a split, a GaussEdgeWeight
+    # on a region or beyond the matrix, or one that outgrows the law (k2 >=
+    # 1/2) is refused
+    for args, kwargs in [((2, 0.0, lambda lam: 1.0), {"split": 0.0}),
+                         ((2, 0.0), {}),
+                         ((2, 0.0, GaussEdgeWeight()), {"split": 0.0}),
+                         ((2, 0.0, GaussEdgeWeight()), {"trace_cap": 1.0}),
+                         ((2, 0.0, GaussEdgeWeight()), {"n_lower": 1}),
+                         ((2, 0.0, GaussEdgeWeight(position=2)), {}),
+                         ((2, 0.0, GaussEdgeWeight(k2=0.5)), {})]:
+        with pytest.raises(ParameterError):
+            nested_ordered_quadrature(*args, **kwargs)
+    val, _ = nested_ordered_quadrature(2, 0.0, GaussEdgeWeight(k2=0.49))
+    assert np.isfinite(val)
+
+
 def test_degenerate_box_truncation_cuts_only_the_gaps():
-    # a trace law of width 0 has no trace axis to truncate: box_half cuts
-    # the gaps, and the law's mass outside them is part of the error
-    val, err = nested_ordered_quadrature(2, -0.5, lambda lam: 1.0, 0, None,
-                                         box_half=3.0)
-    assert abs(val - 1.0) <= err
+    # a trace law of width 0 has no trace axis to truncate: the weight's gap
+    # cut is the only truncation, and the law's mass beyond it (1.2e-4 at
+    # gaps up to 6) is part of the error
+    val, err = nested_ordered_quadrature(2, -0.5, GaussEdgeWeight(gap_top=6.0))
+    assert 1e-4 < 1.0 - val <= err
 
 
 def test_density_basic_properties():

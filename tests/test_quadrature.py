@@ -227,21 +227,45 @@ def test_engine_mirror_symmetry(data, n, a):
     assert abs(v - w) <= e + f
 
 
+def _partial_moment(c, a):
+    # GOI(c) at N = 1 is lam ~ N(0, s^2), s^2 = 1 + c: index 1 below a
+    # weighs E[(a - lam)^+] = a Phi(a/s) + s phi(a/s) (index 0 is its mirror
+    # at -a), and a^+ at s = 0
+    s = math.sqrt(1.0 + c)
+    if s == 0.0:
+        return max(a, 0.0)
+    return a * ndtr(a / s) + s * math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
+
+
 @PROPERTY
 @given(data=st.data(), n=st.sampled_from([1, 2, 3]), a=st.floats(-6.0, 6.0),
        da=st.floats(-1.5, 1.5))
 def test_exact_trace_axis_matches_gauss_legendre(data, n, a, da):
-    # the indexed |det| weight integrates z exactly; the same weight passed
-    # as a plain callable takes the Gauss-Legendre z axis: every index of
-    # a batch of two splits agrees within the two errors
+    # the indexed |det| weight integrates z exactly; every index of a batch
+    # of two splits agrees within its error with an independent value: at
+    # N = 1 the normal partial moment, at N = 2 the GOI(2) closed form
+    # _kacrice._goi2, and at N = 3 the alternating sum, which is E det(a -
+    # H) = a^3 + 3 a (c - 1/2).  A c within DEGENERACY_TOL of -1/N is the
+    # degenerate ensemble, for the engine and the references alike.
     c = data.draw(st.one_of(st.just(-1.0 / n + 1e-3),
                             st.floats(-1.0 / n, 2.0, exclude_min=True)))
     split = np.array([a, min(max(a + da, -6.0), 6.0)])
-    for i in range(n + 1):
-        v, e = goi.nested_ordered_quadrature(n, c, n_lower=i, split=split)
-        w, f = goi.nested_ordered_quadrature(
-            n, c, lambda lam: goi.AbsProdWeight(split)(lam), n_lower=i, split=split)
-        assert (np.abs(v - w) <= e + f).all()
+    vals = [goi.nested_ordered_quadrature(n, c, n_lower=i, split=split)
+            for i in range(n + 1)]
+    if not goi.trace_root(n, c):
+        c = -1.0 / n
+    if n == 1:
+        want = [np.array([_partial_moment(c, -x) for x in split]),
+                np.array([_partial_moment(c, x) for x in split])]
+    elif n == 2:
+        want = [kr._goi2(i, math.sqrt(0.5 + c), split) for i in range(3)]
+    if n < 3:
+        for (v, e), w in zip(vals, want):
+            assert (np.abs(v - w) <= e + 8.0 * EPS * np.abs(w)).all()
+    else:
+        alt = sum((-1) ** (n - i) * v for i, (v, _) in enumerate(vals))
+        det = split ** 3 + 3.0 * split * (c - 0.5)
+        assert (np.abs(alt - det) <= sum(e for _, e in vals)).all()
 
 
 @pytest.mark.parametrize("c", [-1.0 + 1e-3, -0.5, 0.0, 0.7, 2.0])
@@ -252,30 +276,12 @@ def test_exact_trace_axis_at_n1_is_a_normal_partial_moment(c):
     # s (phi - |a/s| Phi-bar) there), so those rows are held to the stated
     # error alone.
     s = math.sqrt(1.0 + c)
-
-    def partial(a):
-        return a * ndtr(a / s) + s * math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
-
     for a in np.concatenate([s * np.linspace(-4.0, 6.0, 21), np.linspace(-6.0, 6.0, 13)]):
-        for i, want in ((1, partial(a)), (0, partial(-a))):
+        for i, want in ((1, _partial_moment(c, a)), (0, _partial_moment(c, -a))):
             v, e = goi.nested_ordered_quadrature(1, c, n_lower=i, split=a)
             assert abs(v - want) <= e
             if (a if i else -a) >= -4.0 * s:
                 assert v == pytest.approx(want, rel=1e-14)
-
-
-def test_exact_trace_axis_design():
-    # z leaves the axes of the indexed |det| weight at the region's split
-    # with no cap's edge (a hard cap is a limit on z); a Gaussian edge, a
-    # plain callable or a |det| at another shift keeps the Gauss-Legendre
-    # z axis
-    def axes(weight, cap=None, edge=0.0):
-        return goi._TraceGapRule(3, 0.2, weight, 1, 0.4, cap, edge, None).axes
-
-    det = goi.AbsProdWeight(0.4)
-    assert axes(None) == axes(det) == axes(det, 0.1) == axes(det, 0.1, 0.3) == ["d0", "d1"]
-    assert axes(lambda lam: det(lam)) == axes(lambda lam: det(lam), 0.1, 0.3) == ["d0", "d1", "z"]
-    assert axes(goi.AbsProdWeight(0.5)) == ["d0", "d1", "z"]
 
 
 # near each geometry's boundary kappa^2 = (N + 2)/N the edge is ~1e-3 wide
@@ -286,18 +292,34 @@ EDGE_CASES = ([(2, k2, (-3.0, -0.6, 0.5, 1.8, 4.0)) for k2 in (0.5, 0.9, 1.6, 1.
 @pytest.mark.parametrize("n, kappa2, heights", EDGE_CASES)
 def test_exact_edge_matches_gauss_legendre(n, kappa2, heights):
     # a count above u weighs the indexed |det| by the Gaussian edge
-    # Phi((-gamma u - mean(lam)) / w): AbsProdWeight takes it exactly in z
-    # (edged_moments); the same weight as a plain callable takes the
-    # Gauss-Legendre z axis and the edge's band; every index agrees within
-    # the two errors
-    p = model_from_shape(n, 1.0, kappa2).problem()
-    det = goi.AbsProdWeight(0.0)
+    # Phi((-gamma u - mean(lam)) / w), which the engine takes exactly in z
+    # (edged_moments).  Every index agrees within the errors with an
+    # independent value: at N = 2 the closed forms' total times upper-tail
+    # fraction; at N = 3, as -f has the law of f, the index-i count above u
+    # plus the index-(N - i) count above -u is the index-i total
+    m = model_from_shape(n, 1.0, kappa2)
+    p = m.problem()
+    pref = math.exp(p.log_prefactor)
+
+    def count(i, u):
+        v, e = goi.nested_ordered_quadrature(
+            n, p.c_total, None, i, split=0.0, trace_cap=-p.cap_coeff * u,
+            cap_edge=p.edge_width)
+        return pref * v, pref * e
+
     for u in heights:
-        edge = dict(split=0.0, trace_cap=-p.cap_coeff * u, cap_edge=p.edge_width)
         for i in range(n + 1):
-            v, e = goi.nested_ordered_quadrature(n, p.c_total, det, i, **edge)
-            w, f = goi.nested_ordered_quadrature(n, p.c_total, lambda lam: det(lam), i, **edge)
-            assert abs(v - w) <= e + f, (u, i)
+            v, e = count(i, u)
+            if n == 2:
+                total = kr.closed_total(p, i)
+                tail = kr.closed_cdf(p, i, u)
+                want = total * float(tail.value)
+                slack = total * float(tail.error) + _closed_slack(total)
+            else:
+                w, f = count(n - i, -u)
+                tot = expected_crit_total(m, i, "quadrature")
+                want, slack = tot.value - w, tot.error + f
+            assert abs(v - want) <= e + slack, (u, i)
 
 
 def _product_rule(f, absf, top):
@@ -451,9 +473,9 @@ def test_exact_edge_far_from_the_trace_law():
     # a cap with an edge far above (below) every trace of the box counts
     # the whole region (nothing)
     for n in (1, 2, 3):
-        whole = goi.nested_ordered_quadrature(n, 0.4, goi.AbsProdWeight(0.2), 1, 0.2)
+        whole = goi.nested_ordered_quadrature(n, 0.4, None, 1, 0.2)
         for cap, want in ((1e200, whole[0]), (-1e200, 0.0)):
-            v, e = goi.nested_ordered_quadrature(n, 0.4, goi.AbsProdWeight(0.2), 1, 0.2,
+            v, e = goi.nested_ordered_quadrature(n, 0.4, None, 1, 0.2,
                                                  trace_cap=cap, cap_edge=0.3)
             assert v == want and e <= whole[1]
 
@@ -512,7 +534,7 @@ def _rule_with_kinks(n, kinks):
     # a rule without kinks of its own, given hand-built ones: (alpha per
     # batch row, beta), the plane alpha + beta.d = 0
     split = np.zeros(len(kinks[0][0]))
-    rule = goi._TraceGapRule(n, 0.5, None, 0, split, None, 0.0, None)
+    rule = goi._TraceGapRule(n, 0.5, None, 0, split, None, 0.0)
     assert not rule.kinks
     rule._set_kinks([(np.array(al, dtype=float), np.array(be, dtype=float))
                      for al, be in kinks])
@@ -581,7 +603,7 @@ def test_tail_bound_copy_has_no_breakpoints(monkeypatch):
                          self._breakpoints([np.ones((1, 2))]).shape[-1]))
         return integrate(self, nodes, second)
     monkeypatch.setattr(goi._TraceGapRule, "integrate", spy)
-    rule = goi._TraceGapRule(3, 0.2, None, 1, 0.4, 0.3, 0.0, None)
+    rule = goi._TraceGapRule(3, 0.2, None, 1, 0.4, 0.3, 0.0)
     assert rule._breakpoints([]).shape[-1] > 0
     assert rule.tail_bound() > 0.0
     assert seen == [(0, 0)]
@@ -594,7 +616,7 @@ def test_gap_loop_serves_n4_totals(monkeypatch):
     # Carlo
     monkeypatch.setattr(goi, "QUADRATURE_MAX_N", 4)
     c = 0.5
-    assert not goi._TraceGapRule(4, c, None, 2, 0.0, None, 0.0, None).kinks
+    assert not goi._TraceGapRule(4, c, None, 2, 0.0, None, 0.0).kinks
     tot = [goi.nested_ordered_quadrature(4, c, n_lower=i, split=0.0) for i in range(5)]
     for i in range(2):
         assert abs(tot[i][0] - tot[4 - i][0]) <= tot[i][1] + tot[4 - i][1]
