@@ -10,20 +10,16 @@ from .errors import (CritfieldError, ParameterError, DegenerateEnsembleError,
                      InvalidCovarianceError, ImpossibleFieldError, RegimeError,
                      MethodError, UndefinedDistributionError,
                      InsufficientDataError, ConfigError)
-from .goi import (GoiEnsemble, EigenvalueVector, IndexedFunctional,
-                  NumericConfig, validate_ensemble, k_norm, log_k_norm,
-                  sample_goi, ordered_eigenvalue_density, goi_expectation)
-from ._kacrice import (CritResult, count_route, expected_counts, expected_crit_total,
-                       expected_crit_totals, expected_crit_above,
-                       fyodorov_expected_crit, height_density, height_cdf,
+from .goi import (GoiEnsemble, IndexedFunctional, NumericConfig,
+                  validate_ensemble, log_k_norm, sample_goi,
+                  ordered_eigenvalue_density, goi_expectation)
+from ._kacrice import (CritResult, count_route, expected_counts,
                        height_pdf_result, height_cdf_result, resolve_method)
 from .euclidean import EuclideanModel, model_from_rho, model_from_shape
 from .sphere import (SphereModel, model_from_C, model_from_legendre,
-                     expected_crit_total_sphere, expected_crit_above_sphere,
-                     height_density_sphere, height_cdf_sphere, sphere_area,
-                     euler_characteristic)
+                     sphere_area, euler_characteristic)
 from .sphere import model_from_shape as sphere_model_from_shape
-from .fyodorov import GoeReduction, goi_to_goe_np1, reduced_expectation
+from .fyodorov import GoeReduction, reduced_expectation
 from .fields import (SynthesisSpec, PlanarWaveField, SphericalHarmonicField,
                      synthesize, sh_basis, tangent_frames)
 from .detect import (CriticalPoint, DetectionResult, find_critical_points,
@@ -38,19 +34,15 @@ __all__ = [
     "InvalidCovarianceError", "ImpossibleFieldError", "RegimeError",
     "MethodError", "UndefinedDistributionError", "InsufficientDataError",
     "ConfigError",
-    "GoiEnsemble", "EigenvalueVector", "IndexedFunctional", "NumericConfig",
-    "validate_ensemble", "k_norm", "log_k_norm", "sample_goi",
+    "GoiEnsemble", "IndexedFunctional", "NumericConfig",
+    "validate_ensemble", "log_k_norm", "sample_goi",
     "ordered_eigenvalue_density", "goi_expectation", "CritResult",
-    "expected_counts", "expected_crit_total", "expected_crit_totals", "expected_crit_above",
-    "height_density", "height_cdf", "height_pdf_result", "height_cdf_result",
+    "expected_counts", "height_pdf_result", "height_cdf_result",
     "resolve_method", "count_route",
     "EuclideanModel", "model_from_rho", "model_from_shape",
     "SphereModel", "model_from_C", "model_from_legendre",
-    "sphere_model_from_shape", "expected_crit_total_sphere",
-    "expected_crit_above_sphere", "height_density_sphere",
-    "height_cdf_sphere", "sphere_area", "euler_characteristic",
-    "GoeReduction", "goi_to_goe_np1", "reduced_expectation",
-    "fyodorov_expected_crit",
+    "sphere_model_from_shape", "sphere_area", "euler_characteristic",
+    "GoeReduction", "reduced_expectation",
     "SynthesisSpec", "PlanarWaveField", "SphericalHarmonicField",
     "synthesize", "sh_basis", "tangent_frames",
     "CriticalPoint", "DetectionResult", "find_critical_points",

@@ -18,9 +18,10 @@ gamma, w) through problem().  A geometry (euclidean.EuclideanModel,
 sphere.SphereModel) adds its covariance derivatives, curvature, prefactor
 and the name of its gap.  At N = 2, E_GOI(c)[g_i(a)] has one closed form
 in (c, a) (_goi2), so the closed forms of both regimes and both
-geometries read the CountProblem alone.  This module holds the public
-operations on either model, evaluates the template by quadrature or Monte
-Carlo and propagates error estimates.  Its one count is the count above u
+geometries read the CountProblem alone.  This module holds the three
+public operations on either model, expected_counts, height_pdf_result and
+height_cdf_result, evaluates the template by quadrature or Monte Carlo and
+propagates error estimates.  Its one count is the count above u
 (count_above, public as expected_counts): one goi.goi_expectation call
 per index and height, for both methods and both regimes, or on the
 GOE(N+1) route (method "fyodorov") one fyodorov.reduced_expectation
@@ -228,15 +229,6 @@ class IsotropicModel:
             edge_width=(0.0 if self.boundary
                         else math.sqrt((1.0 + n * c_cnd) * (1.0 + n * c_tot)) / (n * b)),
         )
-
-    def closed_total_n2(self, i: int) -> float:
-        return closed_total(self.problem(), i)
-
-    def closed_pdf_n2(self, i: int, x):
-        return closed_pdf(self.problem(), i, x)
-
-    def closed_cdf_n2(self, i: int, u) -> CritResult:
-        return closed_cdf(self.problem(), i, u)
 
 
 def _phi(x):
@@ -621,49 +613,11 @@ def expected_counts(model, indices, u: float = -math.inf, method: str = "auto",
     if method == "fyodorov" and p.c_cond <= 0.0:
         raise RegimeError(
             f"GOE(N+1) route unavailable: {model.gap_name} = "
-            f"{model.kappa2 - model.curvature:.12g} must be < 1; use the general "
-            "count path (expected_crit_above / expected_crit_total)")
+            f"{model.kappa2 - model.curvature:.12g} must be < 1; use "
+            'expected_counts with method "auto" (the general count path)')
     return [_shaped(u, r.value, r.error, method) for r in count_above(
         p, indices, np.array([u], dtype=float), method,
         config or NumericConfig(), inner)]
-
-
-def expected_crit_totals(model, indices, method: str = "auto",
-                         config: NumericConfig | None = None) -> list[CritResult]:
-    """Expected numbers of critical points of each index in indices, per
-    unit volume (R^N) or per unit surface area (S^N), in that order."""
-    return expected_counts(model, indices, -math.inf, method, config)
-
-
-def expected_crit_total(model, i: int, method: str = "auto",
-                        config: NumericConfig | None = None) -> CritResult:
-    """Expected number of index-i critical points per unit volume (R^N) or
-    per unit surface area (S^N)."""
-    return expected_crit_totals(model, [i], method, config)[0]
-
-
-def expected_crit_above(model, i: int, u: float, method: str = "auto",
-                        config: NumericConfig | None = None) -> CritResult:
-    """Expected number per unit volume (area) of index-i critical points
-    above u."""
-    return expected_counts(model, [i], u, method, config)[0]
-
-
-def fyodorov_expected_crit(model, i: int, u: float | None = None,
-                           method: str = "auto",
-                           config: NumericConfig | None = None) -> CritResult:
-    """Expected index-i count above u (None or -inf: the total) via the
-    GOE(N+1) route by the method `method` (expected_counts with method
-    "fyodorov"): 0 +- 0 at u = inf, else one weighted expectation of a
-    GOE(N+1) eigenvalue (fyodorov.GoeReduction).
-
-    Works for EuclideanModel and SphereModel in their restricted regimes.
-    The result carries method tag "fyodorov"; its error estimate is one
-    standard error (MC) or the quadrature error (rule differences, a
-    truncation bound and rounding; see goi.nested_ordered_quadrature).
-    """
-    return expected_counts(model, [i], -math.inf if u is None else u,
-                           "fyodorov", config, method)[0]
 
 
 def height_pdf_result(model, i: int, x, method: str = "auto",
@@ -671,8 +625,8 @@ def height_pdf_result(model, i: int, x, method: str = "auto",
                       total: CritResult | None = None) -> CritResult:
     """h_i at the heights x with its error.  Value and error are floats for
     a scalar x and arrays of x's shape otherwise.  total, if given, is the
-    index-i entry of expected_crit_totals with the same method and config,
-    so that a caller asking for several quantities computes each total once
+    index-i total of expected_counts with the same method and config, so
+    that a caller asking for several quantities computes each total once
     (the closed forms do not read it)."""
     _check_index(model, i)
     _check_heights(x)
@@ -687,8 +641,9 @@ def height_pdf_result(model, i: int, x, method: str = "auto",
 def height_cdf_result(model, i: int, u, method: str = "auto",
                       config: NumericConfig | None = None,
                       total: CritResult | None = None) -> CritResult:
-    """F_i at the heights u with its error, shaped and with total as in
-    height_pdf_result."""
+    """Upper-tail fraction F_i at the heights u, the expected share of
+    index-i points above u, with its error, shaped and with total as in
+    height_pdf_result.  F_i is nonincreasing with F_i(-inf) = 1."""
     _check_index(model, i)
     _check_heights(u)
     cfg = config or NumericConfig()
@@ -698,22 +653,3 @@ def height_cdf_result(model, i: int, u, method: str = "auto",
         r = closed_cdf(model.problem(), i, u)
         return _shaped(u, r.value, r.error, "closed-form")
     return height_cdf_general(model.problem(), i, u, method, cfg, total)
-
-
-def height_density(model, i: int, x, method: str = "auto",
-                   config: NumericConfig | None = None):
-    """Density h_i of the height of a typical index-i critical point.
-
-    Scalar x gives a float; array x gives an array.
-    """
-    return height_pdf_result(model, i, x, method, config).value
-
-
-def height_cdf(model, i: int, u, method: str = "auto",
-               config: NumericConfig | None = None):
-    """Upper-tail fraction F_i(u): expected share of index-i points above u.
-
-    F_i is nonincreasing with F_i(-inf) = 1; the complementary lower-tail
-    distribution is 1 - F_i(u).
-    """
-    return height_cdf_result(model, i, u, method, config).value

@@ -28,11 +28,10 @@ import numpy as np
 
 from . import euclidean as eu
 from . import sphere as sp
-from ._kacrice import (count_route, expected_counts, expected_crit_above,
-                       expected_crit_totals, fyodorov_expected_crit,
-                       height_cdf_result, height_pdf_result, resolve_method)
+from ._kacrice import (count_route, expected_counts, height_cdf_result,
+                       height_pdf_result, resolve_method)
 from .detect import simulation_study, write_points_csv
-from .errors import (ConfigError, CritfieldError, DegenerateEnsembleError,
+from .errors import (ConfigError, DegenerateEnsembleError,
                      ImpossibleFieldError, InsufficientDataError,
                      InvalidCovarianceError, MethodError, ParameterError,
                      RegimeError, UndefinedDistributionError)
@@ -272,7 +271,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
     # one totals table serves both quantities (a quadrature total serves
     # its mirror index too)
     totals = ([None] * len(indices) if resolved == "closed-form"
-              else expected_crit_totals(model, indices, resolved, cfg))
+              else expected_counts(model, indices, method=resolved, config=cfg))
     sink = _RowSink(args)
     for i, total in zip(indices, totals):
         for q in quantities:
@@ -318,16 +317,18 @@ def _suite_closed_vs_quadrature(tol: float, lines: list) -> bool:
         ("sphere-boundary", sp.model_from_legendre(3)),
     ]
     for name, model in models:
-        closed_totals = expected_crit_totals(model, range(3), "closed-form", cfg)
-        quad_totals = expected_crit_totals(model, range(3), "quadrature", cfg)
+        closed_totals = expected_counts(model, range(3), method="closed-form",
+                                        config=cfg)
+        quad_totals = expected_counts(model, range(3), method="quadrature",
+                                      config=cfg)
         for i in range(3):
             ok, line = _check_line(f"{name} total[{i}]", closed_totals[i].value,
                                    quad_totals[i].value, tol)
             lines.append(line)
             all_ok &= ok
             for u in (-0.5, 0.8):
-                closed = expected_crit_above(model, i, u, "closed-form", cfg)
-                quad = expected_crit_above(model, i, u, "quadrature", cfg)
+                closed = expected_counts(model, [i], u, "closed-form", cfg)[0]
+                quad = expected_counts(model, [i], u, "quadrature", cfg)[0]
                 ok, line = _check_line(f"{name} above[{i}]({u})", closed.value,
                                        quad.value, tol)
                 lines.append(line)
@@ -353,8 +354,8 @@ def _suite_cross_path(tol: float, cfg: NumericConfig, lines: list) -> bool:
     for name, model, thresholds in cases:
         for u in thresholds:
             for i in range(model.n + 1):
-                fy = fyodorov_expected_crit(model, i, u, config=cfg)
-                gen = expected_crit_above(model, i, u, "auto", cfg)
+                fy = expected_counts(model, [i], u, "fyodorov", cfg)[0]
+                gen = expected_counts(model, [i], u, "auto", cfg)[0]
                 label = f"{name} i={i} u={'-inf' if math.isinf(u) else u}"
                 if fy.error > 0 or gen.error > 0:
                     ok, line = _sigma_line(label, fy.value, fy.error,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import kolmogi
 
 from .errors import InsufficientDataError, ParameterError
-from ._kacrice import expected_crit_totals, height_cdf
+from ._kacrice import expected_counts, height_cdf_result
 from .fields import (MAX_TAYLOR_ORDER, PlanarWaveField, SphericalHarmonicField,
                      SynthesisSpec, _positive, _powers, synthesize,
                      tangent_frames, taylor_evaluate)
@@ -680,7 +680,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
     mean = inten.mean(axis=0)
     se = inten.std(axis=0, ddof=1) / math.sqrt(n_reps)
 
-    theory = np.array([r.value for r in expected_crit_totals(model, range(3))])
+    theory = np.array([r.value for r in expected_counts(model, range(3))])
 
     pooled = {}
     ks = {}
@@ -689,7 +689,7 @@ def simulation_study(spec: SynthesisSpec, side: float | None = None,
             samp = empirical_height_distribution(heights[i])
             pooled[i] = samp
             if i in ks_indices:
-                ks[i] = samp.ks_distance(lambda u: height_cdf(model, i, u))
+                ks[i] = samp.ks_distance(lambda u: height_cdf_result(model, i, u).value)
 
     diagnostics = {"newton_lost": n_lost, "newton_singular": n_singular,
                    "newton_stalled": n_stalled, "flagged_points": n_flagged}

@@ -19,18 +19,15 @@ density h_i and upper-tail fraction F_i = (count above u) / (total count).
 On R^N the sphere's Hessian law holds with curvature 0, so the model
 supplies only its shape and prefactor; the law itself
 (_kacrice.IsotropicModel), its N = 2 closed forms and the operations on
-it, shared with the sphere, live in _kacrice, and the operations are
-re-exported here.
+it (expected_counts, height_pdf_result and height_cdf_result), shared
+with the sphere, live in _kacrice.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from ._kacrice import (REGIME_TOL, CountProblem, CritResult,  # noqa: F401
-                       IsotropicModel, check_finite, expected_crit_above,
-                       expected_crit_total, height_cdf, height_density,
-                       resolve_method, shape_ratios)
+from ._kacrice import IsotropicModel, check_finite, shape_ratios
 from .errors import InvalidCovarianceError
 
 

@@ -7,7 +7,7 @@ a weighted eigenvalue expectation under the plain GOE of size N + 1:
         = Gamma((N+1)/2) / sqrt(pi c)
           * E_GOE(N+1)[ exp(mu^2/2 - (mu - a)^2 / (2 c)) ],
 
-where mu is the (i0+1)-th smallest GOE eigenvalue (goi_to_goe_np1,
+where mu is the (i0+1)-th smallest GOE eigenvalue (GoeReduction,
 reduced_expectation).  This trades an N-dimensional constrained integral
 for a scalar function of one ordered eigenvalue, whose trace quadrature
 integrates in closed form (GoeReduction.gauss_weight).  Monte Carlo reads
@@ -35,17 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .errors import MethodError, ParameterError, RegimeError
+from .errors import MethodError
 from .goi import (
     GaussEdgeWeight,
     GoiEnsemble,
-    IndexedFunctional,
     NumericConfig,
     _check_finite,
     _goe_draw,
     _mean_error,
     nested_ordered_quadrature,
-    validate_ensemble,
 )
 
 
@@ -101,27 +99,6 @@ class GoeReduction:
             position=self.eigen_position, centre=a, k2=0.5 - 0.5 / t, k1=a,
             k0=0.5 * a * a, e0=-u * math.sqrt(t / c), e1=b / math.sqrt(t * c),
             gap_top=2.0 * half)
-
-
-def goi_to_goe_np1(ensemble: GoiEnsemble, functional: IndexedFunctional) -> GoeReduction:
-    """Map (GOI(N, c>0), indexed functional) to its GOE(N+1) weight form."""
-    if ensemble.c <= 0.0:
-        raise RegimeError(
-            f"the GOE(N+1) rewrite needs c > 0, got c={ensemble.c}; evaluate "
-            "with goi_expectation instead")
-    if functional.trace_cap is not None:
-        raise MethodError(
-            "trace-capped functionals have no GOE(N+1) rewrite; use the "
-            "general engine (goi_expectation / boundary count path)")
-    if not 0 <= functional.index <= ensemble.n:
-        raise ParameterError(
-            f"index {functional.index} out of range for N={ensemble.n}")
-    return GoeReduction(
-        goe=validate_ensemble(ensemble.n + 1, 0.0),
-        eigen_position=functional.index,
-        shift=functional.shift,
-        coupling=ensemble.c,
-    )
 
 
 def goe_method(goe_size: int, method: str = "auto") -> str:

@@ -113,26 +113,6 @@ def trace_root(n: int, c: float) -> float:
     return math.sqrt(1.0 + n * c)
 
 
-class EigenvalueVector:
-    """An eigenvalue tuple with non-decreasing order enforced on construction."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[float]):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("eigenvalues must form a 1-d sequence")
-        if np.any(np.diff(arr) < 0):
-            raise ParameterError("eigenvalues must be in non-decreasing order")
-        self.values = arr
-
-    def __len__(self):
-        return self.values.size
-
-    def __repr__(self):
-        return f"EigenvalueVector({self.values.tolist()})"
-
-
 @dataclass(frozen=True)
 class IndexedFunctional:
     """Absolute determinant restricted to a fixed inertia index.
@@ -213,15 +193,11 @@ def _is_int(value) -> bool:
 
 
 def log_k_norm(n: int) -> float:
-    """log K_N with K_N = 2^(N/2) prod_{i=1..N} Gamma(i/2)."""
+    """log K_N with K_N = 2^(N/2) prod_{i=1..N} Gamma(i/2), the normalization
+    constant of the ordered-eigenvalue density."""
     if n < 1:
         raise ParameterError(f"matrix size must be >= 1, got {n}")
     return 0.5 * n * math.log(2.0) + float(sum(gammaln(0.5 * i) for i in range(1, n + 1)))
-
-
-def k_norm(n: int) -> float:
-    """Normalization constant K_N of the ordered-eigenvalue density."""
-    return math.exp(log_k_norm(n))
 
 
 def sample_goi(ensemble: GoiEnsemble, size: int | None = None,
@@ -271,7 +247,7 @@ def trace_shift(ensemble: GoiEnsemble) -> float:
 
 
 def ordered_eigenvalue_density(ensemble: GoiEnsemble,
-                               lam: "EigenvalueVector | Sequence[float]") -> float:
+                               lam: Sequence[float]) -> float:
     """Joint density of the ordered eigenvalues at lam.
 
     f_c(lam) = (K_N sqrt(1 + N c))^-1
@@ -286,7 +262,7 @@ def ordered_eigenvalue_density(ensemble: GoiEnsemble,
             f"GOI(c) with c = -1/N (N={ensemble.n}) concentrates on the "
             "zero-trace hyperplane and has no eigenvalue density; sample it "
             "or use monte-carlo expectations instead")
-    arr = lam.values if isinstance(lam, EigenvalueVector) else np.asarray(lam, dtype=float)
+    arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1 or arr.size != ensemble.n:
         raise ParameterError(
             f"expected {ensemble.n} eigenvalues, got shape {arr.shape}")

@@ -15,7 +15,8 @@ characteristic of S^N, which is the module's main exactness check.
 
 eta^2 enters the Hessian law only as its curvature term; the law, with
 its N = 2 height densities, and the count operations are the ones of R^N
-(see _kacrice).  The *_sphere names are aliases of the operations.
+(see _kacrice): expected_counts, height_pdf_result and height_cdf_result
+take a SphereModel as they take a EuclideanModel.
 """
 from __future__ import annotations
 
@@ -25,16 +26,9 @@ from dataclasses import dataclass
 from scipy.special import gammaln
 
 from ._kacrice import (CritResult, IsotropicModel, check_finite, check_integer,
-                       expected_crit_above, expected_crit_total,
-                       expected_crit_totals, height_cdf, height_density,
-                       shape_ratios)
+                       expected_counts, shape_ratios)
 from .errors import InvalidCovarianceError
 from .goi import NumericConfig
-
-expected_crit_total_sphere = expected_crit_total
-expected_crit_above_sphere = expected_crit_above
-height_density_sphere = height_density
-height_cdf_sphere = height_cdf
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,8 @@ def euler_characteristic(model: SphereModel, method: str = "auto",
     area = sphere_area(model.n)
     acc = 0.0
     err = 0.0
-    totals = expected_crit_totals(model, range(model.n + 1), method, config)
+    totals = expected_counts(model, range(model.n + 1), method=method,
+                             config=config)
     for i, r in enumerate(totals):
         acc += (-1) ** i * r.value
         err += r.error

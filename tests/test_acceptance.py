@@ -14,15 +14,12 @@ from scipy.integrate import quad
 
 from critfield.cli import main as cli_main
 from critfield.detect import ks_critical, simulation_study
-from critfield.euclidean import (expected_crit_above, expected_crit_total,
-                                 height_cdf, height_density, model_from_rho)
+from critfield import expected_counts, height_cdf_result, height_pdf_result
+from critfield.euclidean import model_from_rho
 from critfield.euclidean import model_from_shape as euclid_from_shape
 from critfield.fields import SynthesisSpec
-from critfield import fyodorov_expected_crit
 from critfield.goi import NumericConfig, sample_goi, validate_ensemble
-from critfield.sphere import (euler_characteristic, expected_crit_above_sphere,
-                              expected_crit_total_sphere, height_cdf_sphere,
-                              height_density_sphere, model_from_legendre)
+from critfield.sphere import euler_characteristic, model_from_legendre
 from critfield.sphere import model_from_shape as sphere_from_shape
 
 SQRT3 = math.sqrt(3.0)
@@ -42,7 +39,7 @@ def test_criterion_01_rice_line():
     """N=1 minima intensity equals the Rice value sqrt(6)/(2 pi)."""
     t0 = time.perf_counter()
     m = model_from_rho(1, -0.5, 0.5)       # lam2 = 1, lam4 = 6, eta = 1
-    r = expected_crit_total(m, 0, method="quadrature")
+    r = expected_counts(m, [0], method="quadrature")[0]
     elapsed = time.perf_counter() - t0
     assert r.value == pytest.approx(math.sqrt(6.0) / (2.0 * math.pi), rel=1e-6)
     assert elapsed < 1.0
@@ -55,9 +52,9 @@ def test_criterion_02_planar_closed_totals():
         m = euclid_from_shape(2, eta * eta, 1.0)
         for i in range(3):
             ref = euclid_total_closed(eta * eta, i)
-            assert expected_crit_total(m, i).value == pytest.approx(
+            assert expected_counts(m, [i])[0].value == pytest.approx(
                 ref, rel=1e-12)
-            q = expected_crit_total(m, i, method="quadrature")
+            q = expected_counts(m, [i], method="quadrature")[0]
             assert q.value == pytest.approx(ref, rel=1e-6)
     assert time.perf_counter() - t0 < 30.0
 
@@ -68,9 +65,9 @@ def test_criterion_03_sphere_closed_totals():
         m = sphere_from_shape(2, eta * eta, eta * eta + 1.0)
         for i in range(3):
             ref = sphere_total_closed(eta * eta, i)
-            assert expected_crit_total_sphere(m, i).value == pytest.approx(
+            assert expected_counts(m, [i])[0].value == pytest.approx(
                 ref, rel=1e-12)
-            q = expected_crit_total_sphere(m, i, method="quadrature")
+            q = expected_counts(m, [i], method="quadrature")[0]
             assert q.value == pytest.approx(ref, rel=1e-6)
 
 
@@ -100,17 +97,15 @@ def test_criterion_05_height_normalization_symmetry_monotonicity():
     """h_i integrates to 1; h_1 is even; F_i is nonincreasing (161-pt grid)."""
     us = np.linspace(-4.0, 4.0, 161)
     xs = np.array([0.3, 1.1, 2.7])
-    for space, m in HEIGHT_SETTINGS:
-        if space == "euclidean":
-            pdf, cdf = height_density, height_cdf
-        else:
-            pdf, cdf = height_density_sphere, height_cdf_sphere
+    for _, m in HEIGHT_SETTINGS:
         for i in range(3):
-            mass, _ = quad(lambda x: pdf(m, i, x), -14.0, 14.0, limit=200)
+            mass, _ = quad(lambda x: height_pdf_result(m, i, x).value,
+                           -14.0, 14.0, limit=200)
             assert mass == pytest.approx(1.0, abs=1e-8)
-            F = cdf(m, i, us)
+            F = height_cdf_result(m, i, us).value
             assert np.all(np.diff(F) <= 1e-12)
-        assert np.allclose(pdf(m, 1, xs), pdf(m, 1, -xs), atol=1e-10)
+        assert np.allclose(height_pdf_result(m, 1, xs).value,
+                           height_pdf_result(m, 1, -xs).value, atol=1e-10)
 
 
 def test_criterion_06_index_symmetry():
@@ -118,22 +113,22 @@ def test_criterion_06_index_symmetry():
     # N = 2: closed forms, combined pinned error estimates
     m2 = euclid_from_shape(2, 1.0, 0.8)
     for i in range(3):
-        tot = expected_crit_total(m2, i)
+        tot = expected_counts(m2, [i])[0]
         for u in (-1.5, -0.5, 0.0, 0.8, 1.6):
-            a = expected_crit_above(m2, 2 - i, u)
-            b = expected_crit_above(m2, i, -u)
+            a = expected_counts(m2, [2 - i], u)[0]
+            b = expected_counts(m2, [i], -u)[0]
             assert abs(a.value + b.value - tot.value) <= \
                 3.0 * (a.error + b.error + tot.error)
     # N = 3: Monte Carlo thresholds against the quadrature total
     m3 = euclid_from_shape(3, 1.0, 1.2)
     for k, (i, u) in enumerate([(1, -0.6), (1, 0.9), (0, 0.9)]):
-        a = expected_crit_above(
-            m3, 3 - i, u, method="monte-carlo",
-            config=NumericConfig(mc_samples=200_000, seed=500 + 2 * k))
-        b = expected_crit_above(
-            m3, i, -u, method="monte-carlo",
-            config=NumericConfig(mc_samples=200_000, seed=501 + 2 * k))
-        tot = expected_crit_total(m3, i, method="quadrature")
+        a = expected_counts(
+            m3, [3 - i], u, method="monte-carlo",
+            config=NumericConfig(mc_samples=200_000, seed=500 + 2 * k))[0]
+        b = expected_counts(
+            m3, [i], -u, method="monte-carlo",
+            config=NumericConfig(mc_samples=200_000, seed=501 + 2 * k))[0]
+        tot = expected_counts(m3, [i], method="quadrature")[0]
         assert abs(a.value + b.value - tot.value) <= \
             3.0 * (a.error + b.error + tot.error)
 
@@ -146,21 +141,16 @@ def test_criterion_07_fyodorov_cross_path():
     s1 = sphere_from_shape(2, 0.5, 1.0)
     s2 = sphere_from_shape(2, 0.8, 1.5)
     configs = [
-        (e1, 0, None, 1000), (e1, 1, None, 1001), (e1, 1, 0.5, 1002),
-        (e1, 2, -0.7, 1003), (e2, 1, None, 1004), (e2, 2, 0.3, 1005),
-        (s1, 0, None, 1006), (s1, 1, None, 1007), (s1, 1, 0.4, 1008),
-        (s1, 2, 0.4, 1009), (s2, 1, None, 2010), (s2, 2, 0.0, 1011),
+        (e1, 0, -math.inf, 1000), (e1, 1, -math.inf, 1001), (e1, 1, 0.5, 1002),
+        (e1, 2, -0.7, 1003), (e2, 1, -math.inf, 1004), (e2, 2, 0.3, 1005),
+        (s1, 0, -math.inf, 1006), (s1, 1, -math.inf, 1007), (s1, 1, 0.4, 1008),
+        (s1, 2, 0.4, 1009), (s2, 1, -math.inf, 2010), (s2, 2, 0.0, 1011),
     ]
     assert len(configs) == 12
     for m, i, u, seed in configs:
         cfg = NumericConfig(mc_samples=1_000_000, seed=seed)
-        f = fyodorov_expected_crit(m, i, u, config=cfg)
-        if hasattr(m, "rho1"):
-            g = (expected_crit_total(m, i) if u is None
-                 else expected_crit_above(m, i, u))
-        else:
-            g = (expected_crit_total_sphere(m, i) if u is None
-                 else expected_crit_above_sphere(m, i, u))
+        f = expected_counts(m, [i], u, "fyodorov", cfg)[0]
+        g = expected_counts(m, [i], u)[0]
         assert abs(f.value - g.value) <= 3.0 * (f.error + g.error), \
             f"config (i={i}, u={u}, seed={seed})"
     assert time.perf_counter() - t0 < 300.0
@@ -173,14 +163,15 @@ def test_criterion_08_boundary_continuity():
     limit = euclid_from_shape(2, 1.0, 2.0)
     assert not near.boundary and limit.boundary
     for i in range(3):
-        gap = np.abs(height_density(near, i, xs) - height_density(limit, i, xs))
+        gap = np.abs(height_pdf_result(near, i, xs).value
+                     - height_pdf_result(limit, i, xs).value)
         assert gap.max() < 1e-2
     s_near = sphere_from_shape(2, 1.0, 3.0 - 1e-3)
     s_limit = sphere_from_shape(2, 1.0, 3.0)
     assert not s_near.boundary and s_limit.boundary
     for i in range(3):
-        gap = np.abs(height_density_sphere(s_near, i, xs)
-                     - height_density_sphere(s_limit, i, xs))
+        gap = np.abs(height_pdf_result(s_near, i, xs).value
+                     - height_pdf_result(s_limit, i, xs).value)
         assert gap.max() < 1e-2
 
 

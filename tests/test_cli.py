@@ -537,13 +537,76 @@ def test_package_runs_as_module():
     assert proc.stdout.splitlines()[0] == HEADER_LINE
 
 
+def _package_imports(module: str) -> list:
+    """(module, name) of every name a package module imports from another
+    package module (submodule imports such as `from . import sphere` are
+    modules, not names)."""
+    tree = ast.parse((Path(critfield.__file__).parent / module).read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+            for alias in node.names]
+
+
 def test_cli_imports_only_public_names():
-    # the front end calls the package's public API, never a private helper
-    tree = ast.parse((Path(critfield.__file__).parent / "cli.py").read_text())
-    private = [(node.module, alias.name) for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level > 0
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+    # the front end calls the package's public API, never a private helper;
+    # so does the simulation study's theory side (detect's scan and Newton
+    # share the Taylor tiles of fields, which are not public)
+    imports = _package_imports("cli.py") + [
+        (mod, name) for mod, name in _package_imports("detect.py")
+        if mod != "fields"]
+    assert [(mod, name) for mod, name in imports
+            if name not in critfield.__all__] == []
+
+
+# the wrappers and aliases the one count API replaced, and the helpers
+# only tests called
+DELETED_NAMES = [
+    "expected_crit_totals", "expected_crit_total", "expected_crit_above",
+    "fyodorov_expected_crit", "height_density", "height_cdf",
+    "expected_crit_total_sphere", "expected_crit_above_sphere",
+    "height_density_sphere", "height_cdf_sphere", "goi_to_goe_np1",
+    "EigenvalueVector", "k_norm"]
+
+
+def test_public_names_resolve_and_deleted_ones_are_gone():
+    for name in critfield.__all__:
+        assert getattr(critfield, name) is not None, name
+    for module in (critfield, critfield.sphere, critfield.euclidean, fyodorov,
+                   goi, _kacrice):
+        assert [n for n in DELETED_NAMES if hasattr(module, n)] == [], module
+    for name in ("closed_total_n2", "closed_pdf_n2", "closed_cdf_n2"):
+        assert not hasattr(_kacrice.IsotropicModel, name)
+
+
+def _readme_library_code() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs_and_states_its_values():
+    # the example runs line by line; the two lines that state a value in
+    # their comment must give it, and the others a positive count
+    code = _readme_library_code()
+    lines = code.splitlines()
+    scope: dict = {}
+    checked = []
+    for stmt in ast.parse(code).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        comment = lines[stmt.lineno - 1].split("#", 1)[1].strip()
+        if "2/(sqrt(3) pi)" in comment:
+            assert value == pytest.approx(2.0 / (math.sqrt(3.0) * math.pi),
+                                          rel=1e-14)
+            checked.append(comment)
+        elif comment.endswith("..."):
+            assert f"{value:.12f}".startswith(comment.rstrip(".")), (value, comment)
+            checked.append(comment)
+        else:
+            assert math.isfinite(value) and value > 0.0
+    assert len(checked) == 2
 
 
 def test_fyodorov_count_above_inf_runs_clean():

@@ -14,10 +14,9 @@ from critfield import (
     MethodError,
     NumericConfig,
     ParameterError,
-    expected_crit_above,
-    expected_crit_total,
-    height_cdf,
-    height_density,
+    expected_counts,
+    height_cdf_result,
+    height_pdf_result,
     model_from_rho,
     model_from_shape,
 )
@@ -76,17 +75,17 @@ def test_rice_line_counts():
     m = model_from_shape(1, 1.0, 1.0)
     lam2, lam4 = -2 * m.rho1, 12 * m.rho2
     want = math.sqrt(lam4 / lam2) / math.pi
-    tot = sum(expected_crit_total(m, i).value for i in (0, 1))
+    tot = sum(expected_counts(m, [i])[0].value for i in (0, 1))
     assert tot == pytest.approx(want, rel=1e-8)
     # minima and maxima split evenly
-    assert expected_crit_total(m, 0).value == pytest.approx(want / 2, rel=1e-8)
+    assert expected_counts(m, [0])[0].value == pytest.approx(want / 2, rel=1e-8)
 
 
 @pytest.mark.parametrize("eta2", [0.25, 1.0, 4.0])
 def test_closed_totals(eta2):
     m = model_from_shape(2, eta2, 1.0)
     b = 1.0 / (math.sqrt(3) * math.pi * eta2)
-    vals = [expected_crit_total(m, i).value for i in range(3)]
+    vals = [expected_counts(m, [i])[0].value for i in range(3)]
     np.testing.assert_allclose(vals, [b, 2 * b, b], rtol=1e-13)
 
 
@@ -95,16 +94,16 @@ def test_closed_vs_quadrature(kappa2):
     m = model_from_shape(2, 1.0, kappa2)
     cfg = NumericConfig()
     for i in range(3):
-        c = expected_crit_total(m, i, "closed-form").value
-        q = expected_crit_total(m, i, "quadrature", cfg).value
+        c = expected_counts(m, [i], method="closed-form")[0].value
+        q = expected_counts(m, [i], method="quadrature", config=cfg)[0].value
         assert c == pytest.approx(q, rel=1e-9)
     for i, x in ((2, 0.7), (1, -0.4), (0, 1.2)):
-        c = height_density(m, i, x)
-        q = height_density(m, i, x, "quadrature", cfg)
+        c = height_pdf_result(m, i, x).value
+        q = height_pdf_result(m, i, x, "quadrature", cfg).value
         assert c == pytest.approx(q, rel=3e-6 if m.boundary else 1e-9, abs=1e-12)
     for i, u in ((2, 0.5), (1, 1.0)):
-        c = expected_crit_above(m, i, u, "closed-form").value
-        q = expected_crit_above(m, i, u, "quadrature", cfg).value
+        c = expected_counts(m, [i], u, "closed-form")[0].value
+        q = expected_counts(m, [i], u, "quadrature", cfg)[0].value
         assert c == pytest.approx(q, rel=1e-7)
 
 
@@ -112,27 +111,28 @@ def test_closed_vs_quadrature(kappa2):
 def test_height_pdfs_normalize(kappa2):
     m = model_from_shape(2, 1.0, kappa2)
     for i in range(3):
-        mass, err = quad(lambda x: height_density(m, i, x), -14, 14, limit=200)
+        mass, err = quad(lambda x: height_pdf_result(m, i, x).value, -14, 14,
+                         limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_height_symmetries():
     m = model_from_shape(2, 1.0, 1.2)
     xs = np.linspace(-4, 4, 41)
-    h1 = height_density(m, 1, xs)
+    h1 = height_pdf_result(m, 1, xs).value
     np.testing.assert_allclose(h1, h1[::-1], atol=1e-12)  # even function
-    h0 = height_density(m, 0, xs)
-    h2 = height_density(m, 2, -xs)
+    h0 = height_pdf_result(m, 0, xs).value
+    h2 = height_pdf_result(m, 2, -xs).value
     np.testing.assert_allclose(h0, h2, atol=1e-12)         # mirror pair
 
 
 def test_cdf_shape():
     m = model_from_shape(2, 1.0, 1.2)
     for i in range(3):
-        f = height_cdf(m, i, np.linspace(-4, 4, 161))
+        f = height_cdf_result(m, i, np.linspace(-4, 4, 161)).value
         assert np.all(np.diff(f) <= 1e-12)                 # nonincreasing
-        assert height_cdf(m, i, -13.0) == pytest.approx(1.0, abs=1e-9)
-        assert height_cdf(m, i, 13.0) == pytest.approx(0.0, abs=1e-9)
+        assert height_cdf_result(m, i, -13.0).value == pytest.approx(1.0, abs=1e-9)
+        assert height_cdf_result(m, i, 13.0).value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_index_symmetry_closed():
@@ -140,11 +140,11 @@ def test_index_symmetry_closed():
     # the two threshold counts partition the (shared) index total
     m = model_from_shape(2, 1.0, 0.8)
     for i in range(3):
-        tot = expected_crit_total(m, i).value
-        assert expected_crit_total(m, 2 - i).value == pytest.approx(tot, rel=1e-13)
+        tot = expected_counts(m, [i])[0].value
+        assert expected_counts(m, [2 - i])[0].value == pytest.approx(tot, rel=1e-13)
         for u in (-0.8, 0.0, 1.3):
-            a = expected_crit_above(m, 2 - i, u).value
-            b = expected_crit_above(m, i, -u).value
+            a = expected_counts(m, [2 - i], u)[0].value
+            b = expected_counts(m, [i], -u)[0].value
             assert a + b == pytest.approx(tot, rel=1e-9)
 
 
@@ -152,9 +152,9 @@ def test_index_symmetry_n3_monte_carlo():
     m = model_from_shape(3, 1.0, 0.9)
     u = 0.4
     cfg = NumericConfig(mc_samples=150_000, seed=21)
-    tot = expected_crit_total(m, 1, "quadrature").value
-    a = expected_crit_above(m, 2, u, "monte-carlo", cfg)
-    b = expected_crit_above(m, 1, -u, "monte-carlo", cfg)
+    tot = expected_counts(m, [1], method="quadrature")[0].value
+    a = expected_counts(m, [2], u, "monte-carlo", cfg)[0]
+    b = expected_counts(m, [1], -u, "monte-carlo", cfg)[0]
     assert a.value + b.value == pytest.approx(tot, abs=4 * (a.error + b.error))
 
 
@@ -165,11 +165,11 @@ def test_scaling_law():
     a = 1.9
     scaled = model_from_rho(2, a * a * base.rho1, a ** 4 * base.rho2)
     for i in range(3):
-        assert expected_crit_total(scaled, i).value == pytest.approx(
-            a * a * expected_crit_total(base, i).value, rel=1e-12)
+        assert expected_counts(scaled, [i])[0].value == pytest.approx(
+            a * a * expected_counts(base, [i])[0].value, rel=1e-12)
     xs = np.linspace(-3, 3, 13)
-    np.testing.assert_allclose(height_density(scaled, 2, xs),
-                               height_density(base, 2, xs), rtol=1e-12)
+    np.testing.assert_allclose(height_pdf_result(scaled, 2, xs).value,
+                               height_pdf_result(base, 2, xs).value, rtol=1e-12)
 
 
 def test_alternating_sum_tracks_gradient_variance():
@@ -181,7 +181,7 @@ def test_alternating_sum_tracks_gradient_variance():
     for u in (-0.7, 0.4, 1.5):
         want = (-m1.rho1) * u * PHI(u) / math.pi
         for m in (m1, m2):
-            alt = sum((-1) ** i * expected_crit_above(m, i, u).value
+            alt = sum((-1) ** i * expected_counts(m, [i], u)[0].value
                       for i in range(3))
             assert alt == pytest.approx(want, rel=1e-10, abs=1e-14)
 
@@ -189,9 +189,10 @@ def test_alternating_sum_tracks_gradient_variance():
 def test_vacuous_threshold_recovers_totals():
     m = model_from_shape(2, 1.0, 1.1)
     for i in range(3):
-        tot = expected_crit_total(m, i).value
-        assert expected_crit_above(m, i, -12.0).value == pytest.approx(tot, rel=1e-6)
-        assert expected_crit_above(m, i, -math.inf).value == pytest.approx(tot, rel=1e-13)
+        tot = expected_counts(m, [i])[0].value
+        assert expected_counts(m, [i], -12.0)[0].value == pytest.approx(tot, rel=1e-6)
+        assert expected_counts(m, [i], -math.inf)[0].value == pytest.approx(
+            tot, rel=1e-13)
 
 
 def test_boundary_continuity_spot():
@@ -204,13 +205,13 @@ def test_boundary_continuity_spot():
         assert mb.boundary and not ma.boundary
         for i in range(3):
             for x in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5):
-                assert height_density(ma, i, x) == pytest.approx(
-                    height_density(mb, i, x), rel=1e-6, abs=0.0)
+                assert height_pdf_result(ma, i, x).value == pytest.approx(
+                    height_pdf_result(mb, i, x).value, rel=1e-6, abs=0.0)
 
 
 def test_closed_upper_tail_of_minima_does_not_cancel():
     # F_0(0.5) is 9.1e-22 here; 1 - F_2(-0.5) rounds to 2.2e-16
-    assert expected_crit_above(model_from_shape(2, 1, 1.99), 0, 0.5).value < 1e-20
+    assert expected_counts(model_from_shape(2, 1, 1.99), [0], 0.5)[0].value < 1e-20
 
 
 def _h2_mp(x, e2, k2, boundary=False, dps=50):
@@ -278,7 +279,7 @@ def test_extrema_densities_near_the_boundary_match_mpmath():
     m = model_from_shape(2, 1.0, 1.99)
     xs = np.linspace(-8.0, 8.0, 97)
     for i, sign in ((0, -1.0), (2, 1.0)):
-        got = m.closed_pdf_n2(i, xs)
+        got = height_pdf_result(m, i, xs, "closed-form").value
         want = np.array([float(_h2_mp(sign * x, 0.0, 1.99)) for x in xs])
         normal = want > 1e-290
         assert normal.sum() > 40
@@ -302,22 +303,22 @@ def test_boundary_monte_carlo_pdf(space, eta2, kappa2):
     for i in range(3):
         for x in (-1.2, -0.4, 0.3, 1.2):
             got = kr.height_pdf_general(p, i, x, "monte-carlo", cfg)
-            want = float(m.closed_pdf_n2(i, x))
+            want = height_pdf_result(m, i, x, "closed-form").value
             assert abs(got.value - want) <= 4.0 * got.error
 
 
 def test_parameter_errors():
     m = model_from_shape(2, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        expected_crit_total(m, 3)
+        expected_counts(m, [3])
     with pytest.raises(MethodError):
-        expected_crit_total(m, 1, "magic")
+        expected_counts(m, [1], method="magic")
     with pytest.raises(MethodError):
-        expected_crit_total(model_from_shape(3, 1.0, 1.0), 0, "closed-form")
+        expected_counts(model_from_shape(3, 1.0, 1.0), [0], method="closed-form")
     # a nan threshold or height is rejected by every route, not computed
     for method in ("closed-form", "quadrature", "monte-carlo"):
         with pytest.raises(ParameterError):
-            expected_crit_above(m, 1, math.nan, method)
+            expected_counts(m, [1], math.nan, method)
         with pytest.raises(ParameterError):
             kr.height_pdf_result(m, 0, math.nan, method)
         with pytest.raises(ParameterError):
@@ -386,10 +387,11 @@ def test_closed_forms_match_the_curvature_kappa2_formulas(m, xs):
     # holds its stated error
     e2, k2, bd = m.curvature, m.kappa2, m.boundary
     for i in range(3):
-        _check_close(m.closed_total_n2(i), _total_mp(i, m.eta2, e2))
-        for x, got in zip(xs, m.closed_pdf_n2(i, xs)):
+        _check_close(expected_counts(m, [i], method="closed-form")[0].value,
+                     _total_mp(i, m.eta2, e2))
+        for x, got in zip(xs, height_pdf_result(m, i, xs, "closed-form").value):
             _check_close(got, _h_mp(i, x, e2, k2, bd))
-        tails = m.closed_cdf_n2(i, xs)
+        tails = height_cdf_result(m, i, xs, "closed-form")
         if i == 1 or (bd and i == 2):
             for u, got in zip(xs, tails.value):
                 _check_close(got, _erfc_tail_mp(i, u, e2, k2, bd))

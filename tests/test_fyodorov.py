@@ -8,18 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from critfield import expected_counts, fyodorov_expected_crit
+from critfield import expected_counts
 from critfield import fyodorov as fy
 from critfield.errors import MethodError, ParameterError, RegimeError
-from critfield.euclidean import (expected_crit_above, expected_crit_total,
-                                 model_from_rho)
+from critfield.euclidean import model_from_rho
 from critfield.euclidean import model_from_shape as euclid_from_shape
-from critfield.fyodorov import (GoeReduction, goi_to_goe_np1,
-                                reduced_expectation)
+from critfield.fyodorov import GoeReduction, reduced_expectation
 from critfield.goi import (IndexedFunctional, NumericConfig, goi_expectation,
                            nested_ordered_quadrature, validate_ensemble)
-from critfield.sphere import expected_crit_above_sphere
-from critfield.sphere import expected_crit_total_sphere
 from critfield.sphere import model_from_shape as sphere_from_shape
 
 EPS = np.finfo(float).eps
@@ -58,8 +54,8 @@ def test_n1_positive_eigenvalue_oracle():
     # GOI(1, c=1) is N(0, 2); E[|lam| ; lam > 0] = sqrt(2)/sqrt(2 pi) = 1/sqrt(pi)
     ens = validate_ensemble(1, 1.0)
     fun = IndexedFunctional(index=0)
-    red = goi_to_goe_np1(ens, fun)
-    assert red.goe.n == 2 and red.goe.c == 0.0
+    red = GoeReduction(goe=validate_ensemble(2, 0.0), eigen_position=0,
+                       shift=0.0, coupling=1.0)
     val, err = reduced_expectation(red, method="quadrature")
     assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-10)
     assert err < 1e-9
@@ -78,7 +74,8 @@ def test_n1_positive_eigenvalue_oracle():
 
 
 def test_n1_reduction_mc_agrees():
-    red = goi_to_goe_np1(validate_ensemble(1, 0.6), IndexedFunctional(index=1))
+    red = GoeReduction(goe=validate_ensemble(2, 0.0), eigen_position=1,
+                       shift=0.0, coupling=0.6)
     qval, _ = reduced_expectation(red, method="quadrature")
     mval, mse = reduced_expectation(
         red, method="monte-carlo", config=NumericConfig(mc_samples=300_000, seed=5))
@@ -90,23 +87,23 @@ def test_rice_line_cross_path():
     # kappa^2 = 0.5 < 1 keeps the N=1 model inside the reduction regime
     m = model_from_rho(1, -0.5, 0.5)
     for i in (0, 1):
-        ref = expected_crit_total(m, i, method="quadrature")
-        red = fyodorov_expected_crit(m, i, method="quadrature")
+        ref = expected_counts(m, [i], method="quadrature")[0]
+        red = expected_counts(m, [i], method="fyodorov", inner="quadrature")[0]
         assert red.method == "fyodorov"
         assert red.value == pytest.approx(ref.value, rel=1e-8)
     for u in (-0.4, 0.8):
-        ref = expected_crit_above(m, 0, u, method="quadrature")
-        red = fyodorov_expected_crit(m, 0, u, method="quadrature")
+        ref = expected_counts(m, [0], u, method="quadrature")[0]
+        red = expected_counts(m, [0], u, "fyodorov", inner="quadrature")[0]
         assert red.value == pytest.approx(ref.value, rel=1e-7)
 
 
 def test_planar_n2_quadrature_cross_path():
     m = euclid_from_shape(2, 1.0, 0.49)
-    ref = expected_crit_total(m, 1)
-    red = fyodorov_expected_crit(m, 1, method="quadrature")
+    ref = expected_counts(m, [1])[0]
+    red = expected_counts(m, [1], method="fyodorov", inner="quadrature")[0]
     assert red.value == pytest.approx(ref.value, rel=1e-7)
-    ref_u = expected_crit_above(m, 1, 0.5)
-    red_u = fyodorov_expected_crit(m, 1, 0.5, method="quadrature")
+    ref_u = expected_counts(m, [1], 0.5)[0]
+    red_u = expected_counts(m, [1], 0.5, "fyodorov", inner="quadrature")[0]
     assert red_u.value == pytest.approx(ref_u.value, rel=1e-7)
 
 
@@ -114,23 +111,24 @@ def test_planar_n2_mc_cross_path():
     m = euclid_from_shape(2, 1.0, 0.49)
     cfg = NumericConfig(mc_samples=400_000, seed=17)
     for i in range(3):
-        ref = expected_crit_total(m, i)
-        red = fyodorov_expected_crit(m, i, method="monte-carlo", config=cfg)
+        ref = expected_counts(m, [i])[0]
+        red = expected_counts(m, [i], method="fyodorov", config=cfg,
+                              inner="monte-carlo")[0]
         assert abs(red.value - ref.value) < 4.0 * red.error
     for u in (-0.5, 0.7):
-        ref = expected_crit_above(m, 2, u)
-        red = fyodorov_expected_crit(m, 2, u, method="monte-carlo", config=cfg)
+        ref = expected_counts(m, [2], u)[0]
+        red = expected_counts(m, [2], u, "fyodorov", config=cfg, inner="monte-carlo")[0]
         assert abs(red.value - ref.value) < 4.0 * red.error
 
 
 def test_sphere_mc_cross_path():
     m = sphere_from_shape(2, 0.5, 1.0)   # kappa^2 - eta^2 = 0.5 < 1
     cfg = NumericConfig(mc_samples=400_000, seed=23)
-    ref = expected_crit_total_sphere(m, 1)
-    red = fyodorov_expected_crit(m, 1, method="monte-carlo", config=cfg)
+    ref = expected_counts(m, [1])[0]
+    red = expected_counts(m, [1], method="fyodorov", config=cfg, inner="monte-carlo")[0]
     assert abs(red.value - ref.value) < 4.0 * red.error
-    ref_u = expected_crit_above_sphere(m, 2, 0.4)
-    red_u = fyodorov_expected_crit(m, 2, 0.4, method="monte-carlo", config=cfg)
+    ref_u = expected_counts(m, [2], 0.4)[0]
+    red_u = expected_counts(m, [2], 0.4, "fyodorov", config=cfg, inner="monte-carlo")[0]
     assert abs(red_u.value - ref_u.value) < 4.0 * red_u.error
 
 
@@ -234,8 +232,8 @@ def test_quadrature_matches_the_general_route_as_kappa2_tends_to_one(n):
         m = euclid_from_shape(n, 1.0, kappa2)
         for u in (-1.0, 0.3, 2.5):
             for i in range(n + 1):
-                red = fyodorov_expected_crit(m, i, u, method="quadrature")
-                ref = expected_crit_above(m, i, u, "quadrature")
+                red = expected_counts(m, [i], u, "fyodorov", inner="quadrature")[0]
+                ref = expected_counts(m, [i], u, "quadrature")[0]
                 assert red.value == pytest.approx(ref.value, rel=1e-10), (kappa2, u, i)
                 assert abs(red.value - ref.value) <= red.error + ref.error
 
@@ -246,9 +244,12 @@ def test_quadrature_matches_the_general_route_at_any_coupling(n, c):
     # as c grows the GOE(N+1) weight's square outgrows the law (c >= 2): the
     # values keep the general route's, and the truncation bound stays finite
     ens = validate_ensemble(n, c)
+    goe = validate_ensemble(n + 1, 0.0)
     for i in range(n + 1):
         fun = IndexedFunctional(index=i, shift=0.3)
-        val, err = reduced_expectation(goi_to_goe_np1(ens, fun), "quadrature")
+        val, err = reduced_expectation(
+            GoeReduction(goe=goe, eigen_position=i, shift=0.3, coupling=c),
+            "quadrature")
         ref, ref_err = goi_expectation(ens, fun, "quadrature")
         assert abs(val - ref) <= err + ref_err
         assert val == pytest.approx(ref, rel=1e-12)
@@ -277,9 +278,9 @@ def test_total_keeps_its_accuracy_as_kappa2_tends_to_one():
     # the weight's constant sqrt(c_cnd / c_tot) lives in the prefactor, so
     # the GOE(2) quadrature of an N = 1 total does not fall to its absolute
     # tolerance as c_cnd -> 0 (with it in the weight: error 2e-9 at 1 - 1e-12)
-    want = expected_crit_total(euclid_from_shape(1, 1.0, 0.5), 0, "quadrature")
+    want = expected_counts(euclid_from_shape(1, 1.0, 0.5), [0], method="quadrature")[0]
     for kappa2 in (1 - 1e-6, 1 - 1e-12):
-        r = fyodorov_expected_crit(euclid_from_shape(1, 1.0, kappa2), 0)
+        r = expected_counts(euclid_from_shape(1, 1.0, kappa2), [0], method="fyodorov")[0]
         assert r.error < 1e-10
         assert abs(r.value - want.value) <= 1e-15
 
@@ -289,12 +290,11 @@ def test_count_above_inf_is_zero_without_integrating(method):
     m = model_from_rho(1, -0.5, 0.5)
     cfg = NumericConfig(mc_samples=1000, seed=4)
     for i in (0, 1):
-        r = fyodorov_expected_crit(m, i, math.inf, method=method, config=cfg)
+        r = expected_counts(m, [i], math.inf, "fyodorov", config=cfg, inner=method)[0]
         assert (r.value, r.error, r.method) == (0.0, 0.0, "fyodorov")
-        # None and -inf both ask for the total
-        assert (fyodorov_expected_crit(m, i, None, method=method, config=cfg)
-                == fyodorov_expected_crit(m, i, -math.inf, method=method,
-                                          config=cfg))
+        # the default threshold and -inf both ask for the total
+        assert (expected_counts(m, [i], method="fyodorov", config=cfg, inner=method)
+                == expected_counts(m, [i], -math.inf, "fyodorov", cfg, method))
 
 
 def test_weights_that_overflow_raise():
@@ -324,7 +324,8 @@ def test_totals_share_a_mirror_pair_on_quadrature_only(monkeypatch, space):
                            "quadrature")
     assert calls == ["nested_ordered_quadrature"] * 2
     assert (quad[0].value, quad[0].error) == (quad[2].value, quad[2].error)
-    one = [fyodorov_expected_crit(model, i, method="quadrature") for i in range(3)]
+    one = [expected_counts(model, [i], method="fyodorov", inner="quadrature")[0]
+           for i in range(3)]
     assert [(r.value, r.error) for r in one] == [(r.value, r.error) for r in quad]
     calls.clear()
     cfg = NumericConfig(mc_samples=4000, seed=3)
@@ -340,39 +341,33 @@ def test_regime_errors():
     # valid planar model, but kappa^2 = 1.5 >= 1 kills the conditional c
     m = euclid_from_shape(2, 1.0, 1.5)
     with pytest.raises(RegimeError) as exc:
-        fyodorov_expected_crit(m, 1, 0.0)
+        expected_counts(m, [1], 0.0, "fyodorov")
     assert "kappa^2" in str(exc.value)
     # boundary of the regime (c_cond = 0) is excluded too
     with pytest.raises(RegimeError):
-        fyodorov_expected_crit(euclid_from_shape(2, 1.0, 1.0), 0)
+        expected_counts(euclid_from_shape(2, 1.0, 1.0), [0], method="fyodorov")
     ms = sphere_from_shape(2, 1.0, 2.2)   # gap 1.2 >= 1
     with pytest.raises(RegimeError) as exc:
-        fyodorov_expected_crit(ms, 1)
+        expected_counts(ms, [1], method="fyodorov")
     assert "eta^2" in str(exc.value)
-    with pytest.raises(RegimeError):
-        goi_to_goe_np1(validate_ensemble(2, 0.0), IndexedFunctional(index=0))
-    with pytest.raises(RegimeError):
-        goi_to_goe_np1(validate_ensemble(2, -0.3), IndexedFunctional(index=0))
+    # the message names the count path that does serve the model
+    assert 'use expected_counts with method "auto"' in str(exc.value)
 
 
 def test_method_and_parameter_errors():
-    ens = validate_ensemble(2, 0.5)
-    with pytest.raises(MethodError):
-        goi_to_goe_np1(ens, IndexedFunctional(index=0, trace_cap=1.0))
-    with pytest.raises(ParameterError):
-        goi_to_goe_np1(ens, IndexedFunctional(index=3))
-    red = goi_to_goe_np1(validate_ensemble(3, 1.0), IndexedFunctional(index=0))
+    red = GoeReduction(goe=validate_ensemble(4, 0.0), eigen_position=0,
+                       shift=0.0, coupling=1.0)
     with pytest.raises(MethodError):
         reduced_expectation(red, method="quadrature")   # GOE(4) box
     with pytest.raises(MethodError):
         reduced_expectation(red, method="bogus")
     m = euclid_from_shape(2, 1.0, 0.49)
     with pytest.raises(ParameterError):
-        fyodorov_expected_crit(m, 5)
+        expected_counts(m, [5], method="fyodorov")
     with pytest.raises(MethodError):
-        fyodorov_expected_crit(m, 0, 0.0, method="bogus")
+        expected_counts(m, [0], 0.0, "fyodorov", inner="bogus")
     with pytest.raises(ParameterError):
-        fyodorov_expected_crit("not a model", 0)
+        expected_counts("not a model", [0], method="fyodorov")
 
 
 @pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
@@ -380,19 +375,19 @@ def test_nan_threshold_raises_parameter_error(method):
     # the route shares the general path's input checks
     cfg = NumericConfig(mc_samples=1000, seed=1)
     with pytest.raises(ParameterError, match="nan"):
-        fyodorov_expected_crit(euclid_from_shape(1, 1.0, 0.5), 0, math.nan,
-                               method=method, config=cfg)
+        expected_counts(euclid_from_shape(1, 1.0, 0.5), [0], math.nan, "fyodorov",
+                        cfg, method)
 
 
 def test_auto_method_selection():
     # N=1 model reduces to GOE(2): auto should give the quadrature answer
     m = model_from_rho(1, -0.5, 0.5)
-    auto = fyodorov_expected_crit(m, 0)
-    by_quad = fyodorov_expected_crit(m, 0, method="quadrature")
+    auto = expected_counts(m, [0], method="fyodorov")[0]
+    by_quad = expected_counts(m, [0], method="fyodorov", inner="quadrature")[0]
     assert auto.value == by_quad.value
     # N=2 reduces to GOE(3): auto samples, so a seed must make it reproducible
     m2 = euclid_from_shape(2, 1.0, 0.49)
     cfg = NumericConfig(mc_samples=50_000, seed=3)
-    a = fyodorov_expected_crit(m2, 1, config=cfg)
-    b = fyodorov_expected_crit(m2, 1, method="monte-carlo", config=cfg)
+    a = expected_counts(m2, [1], method="fyodorov", config=cfg)[0]
+    b = expected_counts(m2, [1], method="fyodorov", config=cfg, inner="monte-carlo")[0]
     assert a.value == b.value

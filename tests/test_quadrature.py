@@ -14,9 +14,8 @@ from scipy.special import ndtr
 from critfield import (
     NumericConfig,
     euler_characteristic,
-    expected_crit_above,
-    expected_crit_total,
-    expected_crit_total_sphere,
+    expected_counts,
+    height_pdf_result,
     model_from_shape,
     sphere_model_from_shape,
 )
@@ -43,16 +42,16 @@ def test_error_column_covers_closed_form_n2(kappa2):
     p = m.problem()
     cfg = NumericConfig()
     for i in range(3):
-        closed_total = m.closed_total_n2(i)
-        tot = expected_crit_total(m, i, "quadrature", cfg)
+        closed_total = expected_counts(m, [i], method="closed-form")[0].value
+        tot = expected_counts(m, [i], method="quadrature", config=cfg)[0]
         assert abs(tot.value - closed_total) <= tot.error + _closed_slack(closed_total)
         for u in (-0.8, 0.5, 1.2):
-            ab = expected_crit_above(m, i, u, "quadrature", cfg)
-            want = expected_crit_above(m, i, u, "closed-form").value
+            ab = expected_counts(m, [i], u, "quadrature", cfg)[0]
+            want = expected_counts(m, [i], u, "closed-form")[0].value
             assert abs(ab.value - want) <= ab.error + _closed_slack(closed_total)
         for x in (-0.9, 0.0, 0.7):
             pdf = kr.height_pdf_general(p, i, x, "quadrature", cfg)
-            want = float(m.closed_pdf_n2(i, x))
+            want = height_pdf_result(m, i, x, "closed-form").value
             assert abs(pdf.value - want) <= pdf.error + _closed_slack(1.0)
 
 
@@ -60,7 +59,7 @@ def test_error_column_covers_closed_form_n2(kappa2):
 def test_no_count_above_infinite_threshold(kappa2):
     m = model_from_shape(2, 1.0, kappa2)
     for i in range(3):
-        r = expected_crit_above(m, i, math.inf, "quadrature")
+        r = expected_counts(m, [i], math.inf, "quadrature")[0]
         assert r.value == 0.0 and r.error == 0.0
 
 
@@ -74,7 +73,7 @@ def test_boundary_pdf_by_the_degenerate_ensemble(space, eta2, kappa2):
     for i in range(3):
         for x in (-1.4, -0.2, 0.3, 1.2, 2.5):
             got = kr.height_pdf_general(p, i, x, "quadrature", NumericConfig())
-            want = float(m.closed_pdf_n2(i, x))
+            want = height_pdf_result(m, i, x, "closed-form").value
             assert got.value == pytest.approx(want, rel=1e-8, abs=1e-14)
             assert abs(got.value - want) <= got.error + _closed_slack(1.0)
 
@@ -107,8 +106,8 @@ def sphere_models(draw, n: int):
 def test_totals_index_symmetry_and_euler(n, data):
     me = data.draw(euclid_models(n))
     ms = data.draw(sphere_models(n))
-    tot_e = [expected_crit_total(me, i, "quadrature") for i in range(n + 1)]
-    tot_s = [expected_crit_total_sphere(ms, i, "quadrature") for i in range(n + 1)]
+    tot_e = [expected_counts(me, [i], method="quadrature")[0] for i in range(n + 1)]
+    tot_s = [expected_counts(ms, [i], method="quadrature")[0] for i in range(n + 1)]
     for tot in (tot_e, tot_s):
         for i in range(n + 1):
             a, b = tot[i], tot[n - i]
@@ -151,7 +150,7 @@ def test_n3_thresholded_counts_match_kinematic_formula():
         m = model_from_shape(3, 1.0, kappa2)
         lam2 = -2.0 * m.rho1
         for u in (-1.0, 0.7, 2.0):
-            rows = [expected_crit_above(m, i, u, "quadrature") for i in range(4)]
+            rows = [expected_counts(m, [i], u, "quadrature")[0] for i in range(4)]
             alt = sum((-1) ** (3 - i) * r.value for i, r in enumerate(rows))
             want = ((lam2 / (2.0 * math.pi)) ** 1.5 * (u * u - 1.0)
                     * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
@@ -317,7 +316,7 @@ def test_exact_edge_matches_gauss_legendre(n, kappa2, heights):
                 slack = total * float(tail.error) + _closed_slack(total)
             else:
                 w, f = count(n - i, -u)
-                tot = expected_crit_total(m, i, "quadrature")
+                tot = expected_counts(m, [i], method="quadrature")[0]
                 want, slack = tot.value - w, tot.error + f
             assert abs(v - want) <= e + slack, (u, i)
 
@@ -485,9 +484,9 @@ def test_quadrature_cdf_error_adds_the_bounds():
     cfg = NumericConfig()
     for m in (model_from_shape(2, 1.0, 0.8), model_from_shape(2, 1.0, 2.0)):
         for i in range(m.n + 1):
-            tot = expected_crit_total(m, i, "quadrature", cfg)
+            tot = expected_counts(m, [i], method="quadrature", config=cfg)[0]
             for u in (-0.6, 0.9):
-                ab = expected_crit_above(m, i, u, "quadrature", cfg)
+                ab = expected_counts(m, [i], u, "quadrature", cfg)[0]
                 frac = ab.value / tot.value
                 r = kr.height_cdf_result(m, i, u, "quadrature", cfg)
                 assert r.value == frac

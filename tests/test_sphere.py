@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from critfield import NumericConfig
+from critfield import (NumericConfig, expected_counts, height_cdf_result,
+                       height_pdf_result)
 from critfield.errors import (ImpossibleFieldError, InvalidCovarianceError,
                               MethodError, ParameterError)
-from critfield.euclidean import expected_crit_total as euclid_total
-from critfield.euclidean import height_density as euclid_density
 from critfield.euclidean import model_from_shape as euclid_from_shape
-from critfield.sphere import (euler_characteristic, expected_crit_above_sphere,
-                              expected_crit_total_sphere,
-                              height_cdf_sphere, height_density_sphere,
-                              model_from_C,
+from critfield.sphere import (euler_characteristic, model_from_C,
                               model_from_legendre, model_from_shape,
                               sphere_area)
 from critfield.goi import validate_ensemble
@@ -95,7 +91,7 @@ def test_closed_totals():
     for eta2 in (0.25, 1.0, 4.0):
         m = model_from_shape(2, eta2, eta2 + 1.0)
         for i in range(3):
-            r = expected_crit_total_sphere(m, i)
+            r = expected_counts(m, [i])[0]
             assert r.method == "closed-form"
             assert r.value == pytest.approx(closed_total(eta2, i), rel=1e-13)
 
@@ -105,7 +101,7 @@ def test_whole_sphere_counts_legendre2():
     m = model_from_legendre(2)
     area = sphere_area(2)
     for i in range(3):
-        r = expected_crit_total_sphere(m, i)
+        r = expected_counts(m, [i])[0]
         assert area * r.value == pytest.approx(2.0, rel=1e-12)
 
 
@@ -121,17 +117,17 @@ def test_closed_vs_quadrature(eta2, kappa2):
     m = model_from_shape(2, eta2, kappa2)
     cfg = NumericConfig()
     for i in range(3):
-        c = expected_crit_total_sphere(m, i, method="closed-form")
-        q = expected_crit_total_sphere(m, i, method="quadrature", config=cfg)
+        c = expected_counts(m, [i], method="closed-form")[0]
+        q = expected_counts(m, [i], method="quadrature", config=cfg)[0]
         assert q.value == pytest.approx(c.value, rel=1e-9)
         for x in (-1.2, 0.0, 0.9):
-            cp = height_density_sphere(m, i, x, method="closed-form")
-            qp = height_density_sphere(m, i, x, method="quadrature", config=cfg)
+            cp = height_pdf_result(m, i, x, method="closed-form").value
+            qp = height_pdf_result(m, i, x, method="quadrature", config=cfg).value
             tol = 3e-6 if m.boundary else 1e-8
             assert qp == pytest.approx(cp, rel=tol, abs=1e-12)
     for u in (-0.7, 0.6):
-        ca = expected_crit_above_sphere(m, 1, u, method="closed-form")
-        qa = expected_crit_above_sphere(m, 1, u, method="quadrature", config=cfg)
+        ca = expected_counts(m, [1], u, method="closed-form")[0]
+        qa = expected_counts(m, [1], u, method="quadrature", config=cfg)[0]
         assert qa.value == pytest.approx(ca.value, rel=1e-7)
 
 
@@ -139,7 +135,7 @@ def test_closed_vs_quadrature(eta2, kappa2):
                                    model_from_legendre(3)])
 def test_pdf_normalization(model):
     for i in range(3):
-        mass, _ = quad(lambda x: height_density_sphere(model, i, x),
+        mass, _ = quad(lambda x: height_pdf_result(model, i, x).value,
                        -14.0, 14.0, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -147,10 +143,10 @@ def test_pdf_normalization(model):
 def test_height_symmetries():
     m = model_from_shape(2, 1.0, 2.0)
     xs = np.linspace(-4.0, 4.0, 41)
-    h1 = height_density_sphere(m, 1, xs)
+    h1 = height_pdf_result(m, 1, xs).value
     assert np.allclose(h1, h1[::-1], atol=1e-13)       # saddle heights even
-    h0 = height_density_sphere(m, 0, xs)
-    h2 = height_density_sphere(m, 2, xs)
+    h0 = height_pdf_result(m, 0, xs).value
+    h2 = height_pdf_result(m, 2, xs).value
     assert np.allclose(h0, h2[::-1], atol=1e-13)        # min/max mirror
 
 
@@ -158,37 +154,37 @@ def test_cdf_shape():
     for m in (model_from_shape(2, 0.5, 1.2), model_from_legendre(2)):
         us = np.linspace(-6.0, 6.0, 61)
         for i in range(3):
-            F = height_cdf_sphere(m, i, us)
+            F = height_cdf_result(m, i, us).value
             assert np.all(np.diff(F) <= 1e-12)          # upper tail decreases
             # heights carry ~1e-7 of mass beyond |u| = 6
             assert F[0] == pytest.approx(1.0, abs=1e-6)
             assert F[-1] == pytest.approx(0.0, abs=1e-6)
-        assert height_cdf_sphere(m, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert height_cdf_result(m, 1, 0.0).value == pytest.approx(0.5, abs=1e-12)
     # boundary regime pins the support: maxima never fall below 0
     b = model_from_legendre(2)
-    assert height_cdf_sphere(b, 2, -1.0) == pytest.approx(1.0, abs=1e-14)
-    assert height_cdf_sphere(b, 0, 0.5) == pytest.approx(0.0, abs=1e-14)
+    assert height_cdf_result(b, 2, -1.0).value == pytest.approx(1.0, abs=1e-14)
+    assert height_cdf_result(b, 0, 0.5).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_vacuous_threshold_matches_total():
     m = model_from_shape(2, 1.5, 2.0)
     for i in range(3):
-        tot = expected_crit_total_sphere(m, i).value
-        assert expected_crit_above_sphere(m, i, -12.0).value == pytest.approx(
+        tot = expected_counts(m, [i])[0].value
+        assert expected_counts(m, [i], -12.0)[0].value == pytest.approx(
             tot, rel=1e-6)
-        assert expected_crit_above_sphere(m, i, -math.inf).value == pytest.approx(
+        assert expected_counts(m, [i], -math.inf)[0].value == pytest.approx(
             tot, rel=1e-13)
 
 
 def test_index_symmetry_closed():
     m = model_from_shape(2, 0.8, 1.7)
     for i in range(3):
-        tot = expected_crit_total_sphere(m, i).value
-        assert expected_crit_total_sphere(m, 2 - i).value == pytest.approx(
+        tot = expected_counts(m, [i])[0].value
+        assert expected_counts(m, [2 - i])[0].value == pytest.approx(
             tot, rel=1e-13)
         for u in (-0.9, 0.0, 1.1):
-            a = expected_crit_above_sphere(m, 2 - i, u).value
-            b = expected_crit_above_sphere(m, i, -u).value
+            a = expected_counts(m, [2 - i], u)[0].value
+            b = expected_counts(m, [i], -u)[0].value
             assert a + b == pytest.approx(tot, rel=1e-9)
 
 
@@ -216,8 +212,8 @@ def test_n3_totals_quadrature_vs_mc():
     m = model_from_shape(3, 1.0, 1.5)
     cfg = NumericConfig(mc_samples=150_000, seed=29)
     for i in (0, 2):
-        q = expected_crit_total_sphere(m, i, method="quadrature")
-        mc = expected_crit_total_sphere(m, i, method="monte-carlo", config=cfg)
+        q = expected_counts(m, [i], method="quadrature")[0]
+        mc = expected_counts(m, [i], method="monte-carlo", config=cfg)[0]
         assert abs(mc.value - q.value) < 4.0 * mc.error
 
 
@@ -228,8 +224,8 @@ def test_small_sphere_recovers_planar_counts():
     ms = model_from_shape(2, eta2_s, eta2_s + 1.3)
     me = euclid_from_shape(2, 2.0 * eta2_s, 1.3)
     for i in range(3):
-        es = expected_crit_total_sphere(ms, i).value
-        ee = euclid_total(me, i).value
+        es = expected_counts(ms, [i])[0].value
+        ee = expected_counts(me, [i])[0].value
         assert es == pytest.approx(ee, rel=3e-4)
 
 
@@ -240,8 +236,8 @@ def test_small_sphere_recovers_planar_heights():
         me = euclid_from_shape(2, 2.0 * eta2_s, 1.2)
         for i in range(3):
             for x in (-2.0, -0.5, 0.0, 1.0, 2.0):
-                ps = height_density_sphere(ms, i, x)
-                pe = euclid_density(me, i, x)
+                ps = height_pdf_result(ms, i, x).value
+                pe = height_pdf_result(me, i, x).value
                 assert ps == pytest.approx(pe, rel=tol, abs=1e-10)
 
 
@@ -256,11 +252,12 @@ def test_planar_n2_laws_are_the_zero_curvature_limit(kappa2):
     assert ms.boundary == me.boundary
     x = np.linspace(-4.0, 4.0, 33)
     for i in range(3):
-        assert np.allclose(ms.closed_pdf_n2(i, x), me.closed_pdf_n2(i, x),
+        assert np.allclose(height_pdf_result(ms, i, x, "closed-form").value,
+                           height_pdf_result(me, i, x, "closed-form").value,
                            rtol=0.0, atol=1e-7)
         for u in x[::4]:
-            assert ms.closed_cdf_n2(i, u).value == pytest.approx(
-                me.closed_cdf_n2(i, u).value, rel=0.0, abs=1e-7)
+            assert height_cdf_result(ms, i, u, "closed-form").value == pytest.approx(
+                height_cdf_result(me, i, u, "closed-form").value, rel=0.0, abs=1e-7)
     ps, pe = ms.problem(), me.problem()
     for name in ("c_total", "c_cond", "cap_coeff"):
         assert getattr(ps, name) == pytest.approx(getattr(pe, name),
@@ -270,11 +267,11 @@ def test_planar_n2_laws_are_the_zero_curvature_limit(kappa2):
 def test_parameter_errors():
     m = model_from_shape(2, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        expected_crit_total_sphere(m, 3)
+        expected_counts(m, [3])
     with pytest.raises(ParameterError):
-        height_density_sphere(m, -1, 0.0)
+        height_pdf_result(m, -1, 0.0)
     with pytest.raises(MethodError):
-        expected_crit_total_sphere(m, 0, method="bogus")
+        expected_counts(m, [0], method="bogus")
     m3 = model_from_shape(3, 1.0, 1.0)
     with pytest.raises(MethodError):
-        expected_crit_total_sphere(m3, 0, method="closed-form")
+        expected_counts(m3, [0], method="closed-form")
