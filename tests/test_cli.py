@@ -538,24 +538,26 @@ def test_package_runs_as_module():
 
 
 def _package_imports(module: str) -> list:
-    """(module, name) of every name a package module imports from another
-    package module (submodule imports such as `from . import sphere` are
-    modules, not names)."""
+    """(module, name) of every relative import in a package module; module
+    is None for a submodule import such as `from . import sphere`."""
     tree = ast.parse((Path(critfield.__file__).parent / module).read_text())
     return [(node.module, alias.name) for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+            if isinstance(node, ast.ImportFrom) and node.level > 0
             for alias in node.names]
 
 
 def test_cli_imports_only_public_names():
-    # the front end calls the package's public API, never a private helper;
-    # so does the simulation study's theory side (detect's scan and Newton
-    # share the Taylor tiles of fields, which are not public)
+    # the front end calls the package's public API, never a private helper
+    # or private module; so does the simulation study's theory side
+    # (detect's scan and Newton share the Taylor tiles of fields, which are
+    # not public)
     imports = _package_imports("cli.py") + [
         (mod, name) for mod, name in _package_imports("detect.py")
         if mod != "fields"]
+    assert [name for mod, name in imports
+            if mod is None and name.startswith("_")] == []
     assert [(mod, name) for mod, name in imports
-            if name not in critfield.__all__] == []
+            if mod is not None and name not in critfield.__all__] == []
 
 
 # the wrappers and aliases the one count API replaced, and the helpers
